@@ -71,7 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _field_from_flag(value: int) -> CoefficientField:
-    return CoefficientField(value)
+    try:
+        return CoefficientField(value)
+    except ValueError as exc:
+        raise SqdepthError(f"--field {value}: {exc}") from None
 
 
 def _flags_dict(args, skip_depth: bool = False) -> dict:

@@ -168,19 +168,21 @@ def pair_of_relative(psi: RelativeComplex, cap: int = DEFAULT_ENUMERATION_CAP) -
     return IdealPair(lower, upper)
 
 
-def _face_table(x: SimplicialComplex, cap: int) -> np.ndarray:
+def face_table(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Boolean array over all 2^n masks: the faces of x.
+
+    Built from the facets alone (downward closures); a relative complex
+    keeps the faces of delta that are not faces of gamma.  Masking the table
+    with popcount <= d' gives the (d'-1)-skeleton without listing its facets.
+    """
+    if isinstance(x, RelativeComplex):
+        return face_table(x.delta, cap) & ~face_table(x.gamma, cap)
     return downward_closure_table(x.facets, x.n, cap)
 
 
 def f_vector(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> FVector:
     """Face counts by dimension; relative counts are delta minus gamma."""
-    if isinstance(x, RelativeComplex):
-        table = _face_table(x.delta, cap) & ~_face_table(x.gamma, cap)
-    else:
-        if x.is_void:
-            return FVector(())
-        table = _face_table(x, cap)
-    counts = np.bincount(popcount_table(x.n)[table], minlength=x.n + 2)
+    counts = np.bincount(popcount_table(x.n)[face_table(x, cap)], minlength=x.n + 2)
     entries = list(int(c) for c in counts)
     while entries and entries[-1] == 0:
         entries.pop()

@@ -27,6 +27,9 @@ from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair
 
 DEFAULT_PRIME = 32003
 DEFAULT_FACE_CAP = 100_000
+# rank_mod_p multiplies two residues below p in int64; p < 2^31 keeps every
+# product below 2^62.
+PRIME_LIMIT = 1 << 31
 
 
 def _is_prime(p: int) -> bool:
@@ -47,8 +50,11 @@ class CoefficientField:
     characteristic: int = 0
 
     def __post_init__(self):
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise ValueError(f"{self.characteristic} is not 0 or a prime")
+        p = self.characteristic
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"characteristic {p} is not below 2^31, the limit of exact mod-p ranks")
+        if p != 0 and not _is_prime(p):
+            raise ValueError(f"{p} is not 0 or a prime")
 
     def label(self) -> str:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"

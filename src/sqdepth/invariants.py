@@ -165,12 +165,16 @@ def h_vector(x: ComplexLike, level: Optional[int] = None,
     The default level is dim+1; an explicit level is used when transforming
     skeleta, where the truncation may sit below the requested level.
     """
-    fv = f_vector(x, cap)
+    return h_vector_of_counts(f_vector(x, cap).entries, level)
+
+
+def h_vector_of_counts(counts: Sequence[int], level: Optional[int] = None) -> BetaVector:
+    """h-vector from face counts by size: counts[i] faces with i vertices."""
     if level is None:
-        if not fv.entries:
+        if not counts:
             raise ValueError("empty complex has no intrinsic level; pass one explicitly")
-        level = len(fv.entries) - 1
-    return BetaVector(level, _transform_values(fv.entries, level))
+        level = len(counts) - 1
+    return BetaVector(level, _transform_values(counts, level))
 
 
 def beta_recurrence_check(alpha_vec: AlphaVector, d: int) -> Optional[tuple[str, int]]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ParseError
-from .ideals import IdealPair, RingContext, parse_ideal
+from .ideals import MAX_VARIABLES, IdealPair, RingContext, parse_ideal
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ _KEYS = ("n", "label", "J", "I")
 
 def parse_problem_text(text: str) -> ProblemFile:
     seen: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         hash_pos = raw.find("#")
         line = raw[:hash_pos] if hash_pos >= 0 else raw
@@ -53,13 +54,16 @@ def parse_problem_text(text: str) -> ProblemFile:
         if key in seen:
             raise ParseError(f"duplicate key {key!r}", lineno)
         seen[key] = value.strip()
+        lines[key] = lineno
     for key in ("n", "J", "I"):
         if key not in seen:
             raise ParseError(f"missing required key {key!r}")
     try:
         n = int(seen["n"])
     except ValueError:
-        raise ParseError(f"n must be an integer, got {seen['n']!r}") from None
+        raise ParseError(f"n must be an integer, got {seen['n']!r}", lines["n"]) from None
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ParseError(f"n must be in 1..{MAX_VARIABLES}, got {n}", lines["n"])
     return ProblemFile(n=n, upper_text=seen["J"], lower_text=seen["I"],
                        label=seen.get("label") or None)
 

@@ -1,12 +1,16 @@
 import json
+import random
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sqdepth import complexes
 from sqdepth.cli import main
 from sqdepth.homology import CoefficientField
 from sqdepth.problems import parse_problem_file
+from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
 from sqdepth.reports import build_verify_document, serialize_document
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -62,6 +66,20 @@ class TestInvariantsCommand:
         bad.write_text("n: 2\nJ: x1*x2\nI: x1\n", encoding="utf-8")
         assert main(["invariants", str(bad)]) == 1
 
+    def test_variable_count_beyond_limit(self, tmp_path, capsys):
+        bad = tmp_path / "wide.ideal"
+        bad.write_text("n: 70\nJ: unit\nI: x1\n", encoding="utf-8")
+        assert main(["invariants", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:")
+        assert "70" in err and "Traceback" not in err
+
+    def test_composite_field(self, tiny_file, capsys):
+        assert main(["invariants", str(tiny_file), "--field", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "4 is not 0 or a prime" in err
+
     def test_cap_exceeded(self, tiny_file, capsys):
         assert main(["invariants", str(tiny_file), "--max-n", "1"]) == 1
         assert "cap" in capsys.readouterr().err
@@ -83,6 +101,15 @@ class TestDepthCommand:
                      "--json", str(json_path)]) == 0
         doc = json.loads(json_path.read_text(encoding="utf-8"))
         assert doc["field"] == "GF(32003)"
+
+    def test_prime_too_large_for_exact_ranks(self, capsys):
+        # mod-p ranks overflowed int64 here and reported depth 3 (QQ: 4)
+        assert main(["depth", str(CORPUS / "section3-example.ideal"),
+                     "--field", "4294967311"]) == 1
+        captured = capsys.readouterr()
+        assert "depth:" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert "2^31" in captured.err
 
     def test_witness_on_non_cm(self, tmp_path, capsys):
         path = tmp_path / "disc.ideal"
@@ -131,11 +158,61 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
 
 
+def _statuses(doc):
+    return {c["name"]: c["status"] for c in doc["checks"]}
+
+
+class TestSkeletonCheck:
+    KINDS = (random_quotient_pair, random_module_pair, random_pair)
+
+    def test_detects_a_dropped_face(self, monkeypatch):
+        # the check compares face-table counts with alpha; losing one face
+        # of psi must surface at the level of that face's size
+        real = complexes.face_table
+        dropped = []
+
+        def drop_first_face(x, cap=complexes.DEFAULT_ENUMERATION_CAP):
+            table = real(x, cap)
+            if isinstance(x, complexes.RelativeComplex):
+                face = int(np.flatnonzero(table)[0])
+                table[face] = False
+                dropped.append(face)
+            return table
+
+        rng = random.Random(83)
+        for kind in self.KINDS:
+            pair = kind(rng, 6)
+            doc = build_verify_document(pair, CoefficientField(0), {}, skip_depth=True)
+            assert _statuses(doc)["skeleton-h-vector"] == "pass"
+            with monkeypatch.context() as m:
+                m.setattr(complexes, "face_table", drop_first_face)
+                doc = build_verify_document(pair, CoefficientField(0), {}, skip_depth=True)
+            check = next(c for c in doc["checks"] if c["name"] == "skeleton-h-vector")
+            assert check["status"] == "fail"
+            assert check["details"].startswith(f"level {dropped[-1].bit_count()}:")
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    def test_all_checks_pass_at_n20(self, kind):
+        pair = kind(random.Random(20), 20)
+        doc = build_verify_document(pair, CoefficientField(0), {}, skip_depth=True)
+        assert doc["n"] == 20
+        assert set(_statuses(doc).values()) <= {"pass", "skipped"}
+        assert _statuses(doc)["skeleton-h-vector"] == "pass"
+
+
 class TestCorpusCommand:
     def test_bundled_corpus_green(self, capsys):
         assert main(["corpus", str(CORPUS)]) == 0
         out = capsys.readouterr().out
-        assert "3 passed, 0 failed, 3 total" in out
+        assert "5 passed, 0 failed, 5 total" in out
+
+    def test_rp2_depth_depends_on_the_field(self):
+        qq = json.loads((CORPUS / "rp2-qq.golden.json").read_text(encoding="utf-8"))
+        gf2 = json.loads((CORPUS / "rp2-gf2.golden.json").read_text(encoding="utf-8"))
+        assert (qq["field"], qq["depth"], qq["cm"], qq["cm_witness"]) == ("QQ", 3, True, None)
+        assert (gf2["field"], gf2["depth"], gf2["cm"]) == ("GF(2)", 2, False)
+        assert gf2["cm_witness"] == {"face": "{}", "dimension": 1}
+        assert qq["alpha"] == gf2["alpha"] and qq["dim"] == gf2["dim"] == 3
 
     def test_corrupted_golden_named(self, tmp_path, capsys):
         for f in CORPUS.glob("section3-example.*"):

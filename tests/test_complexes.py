@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sqdepth.complexes import (
@@ -7,6 +8,7 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     f_vector,
+    face_table,
     ideal_of_complex,
     link,
     pair_of_relative,
@@ -14,8 +16,13 @@ from sqdepth.complexes import (
     relative_of_pair,
     skeleton,
 )
-from sqdepth.ideals import IdealPair, MonomialIdeal
-from sqdepth.randgen import random_pair, random_proper_ideal
+from sqdepth.ideals import IdealPair, MonomialIdeal, popcount_table
+from sqdepth.randgen import (
+    random_module_pair,
+    random_pair,
+    random_proper_ideal,
+    random_quotient_pair,
+)
 
 import oracles
 
@@ -177,6 +184,28 @@ class TestSkeleton:
         c = SimplicialComplex(3, (0b001,))
         with pytest.raises(ValueError):
             skeleton(c, 5)
+
+
+class TestFaceTable:
+    def test_popcount_masks_are_skeleta(self):
+        # skeleton() lists facets; the masked face table must hold its faces
+        rng = random.Random(73)
+        for kind in (random_quotient_pair, random_module_pair, random_pair):
+            for _ in range(25):
+                n = rng.randint(2, 8)
+                psi = relative_of_pair(kind(rng, n))
+                table = face_table(psi)
+                sizes = popcount_table(n)
+                counts = f_vector(psi).entries
+                for dprime in range(psi.dim + 2):
+                    skel = skeleton(psi, dprime)
+                    masked = table & (sizes <= dprime)
+                    assert set(np.flatnonzero(masked).tolist()) == skel.face_masks()
+                    # the skeleton's face counts are a prefix of those of psi
+                    prefix = list(counts[:dprime + 1])
+                    while prefix and prefix[-1] == 0:
+                        prefix.pop()
+                    assert f_vector(skel).entries == tuple(prefix)
 
 
 class TestLink:

@@ -288,6 +288,14 @@ class TestCoefficientField:
             CoefficientField(6)
         CoefficientField(32003)
 
+    def test_rejects_primes_beyond_int64_safe_range(self):
+        # rank_mod_p multiplies residues in int64; p >= 2^31 would overflow
+        with pytest.raises(ValueError, match="2\\^31"):
+            CoefficientField(4294967311)
+        with pytest.raises(ValueError, match="2\\^31"):
+            CoefficientField(2**61 - 1)  # prime; rejected before trial division
+        CoefficientField(2147483647)  # 2^31 - 1, the largest accepted prime
+
     def test_labels(self):
         assert RATIONALS.label() == "QQ"
         assert CoefficientField(7).label() == "GF(7)"

@@ -44,6 +44,13 @@ class TestParseProblem:
         with pytest.raises(ParseError):
             parse_problem_text("n: two\nJ: unit\nI: zero\n")
 
+    def test_n_out_of_range_names_its_line(self):
+        for bad in ("70", "0", "-3"):
+            with pytest.raises(ParseError) as exc:
+                parse_problem_text(f"# header\nJ: unit\nn: {bad}\nI: zero\n")
+            assert exc.value.line == 3
+            assert "1..63" in str(exc.value)
+
     def test_comments_stripped_everywhere(self):
         pf = parse_problem_text("n: 2  # two vars\nJ: unit\nI: x1 # gen\n")
         assert pf.pair().lower.generator_masks() == (0b01,)
