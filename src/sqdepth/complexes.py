@@ -19,11 +19,12 @@ from .ideals import (
     IdealPair,
     MonomialIdeal,
     _canonical_masks,
+    complement,
+    degree_counts,
     downward_closure_table,
     maximal_masks,
     membership_table,
     minimal_masks,
-    popcount_table,
 )
 
 
@@ -135,7 +136,7 @@ def complex_of_ideal(ideal: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -
     """The Stanley-Reisner complex {A : x_A not in I} of a non-unit ideal."""
     if ideal.is_unit:
         raise ValueError("the unit ideal corresponds to the void complex")
-    table = ~membership_table(ideal, cap)
+    table = complement(membership_table(ideal, cap), ideal.n)
     return SimplicialComplex(ideal.n, maximal_masks(table, ideal.n))
 
 
@@ -144,7 +145,7 @@ def ideal_of_complex(complex_: SimplicialComplex,
     """The Stanley-Reisner ideal, generated by the minimal non-faces."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
-    table = ~downward_closure_table(complex_.facets, complex_.n, cap)
+    table = complement(downward_closure_table(complex_.facets, complex_.n, cap), complex_.n)
     return MonomialIdeal.from_masks(minimal_masks(table, complex_.n), complex_.n)
 
 
@@ -169,7 +170,7 @@ def pair_of_relative(psi: RelativeComplex, cap: int = DEFAULT_ENUMERATION_CAP) -
 
 
 def face_table(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Boolean array over all 2^n masks: the faces of x.
+    """Packed table (see `sqdepth.ideals`) over all 2^n masks: the faces of x.
 
     Built from the facets alone (downward closures); a relative complex
     keeps the faces of delta that are not faces of gamma.  Masking the table
@@ -182,8 +183,7 @@ def face_table(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray
 
 def f_vector(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> FVector:
     """Face counts by dimension; relative counts are delta minus gamma."""
-    counts = np.bincount(popcount_table(x.n)[face_table(x, cap)], minlength=x.n + 2)
-    entries = list(int(c) for c in counts)
+    entries = list(degree_counts(face_table(x, cap), x.n))
     while entries and entries[-1] == 0:
         entries.pop()
     return FVector(tuple(entries))

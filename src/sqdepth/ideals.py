@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -228,7 +229,30 @@ class IdealPair:
 
 # ---------------------------------------------------------------------------
 # Subset tables.  All 2^n enumeration funnels through these numpy kernels.
+#
+# A table is a set of masks packed into uint64 words: bit m & 63 of word
+# m >> 6 stands for mask m.  For n < 6 there is one word and its bits at and
+# above 2^n stay clear.  Mask bits 0..5 index positions inside a word and
+# are handled with shift-and-mask ops; bits 6.. index words and are handled
+# with strided views, as on a plain array of 2^(n-6) entries.
 # ---------------------------------------------------------------------------
+
+# A call holds up to this many tables of one size at once (alpha: two
+# membership tables, a complement and their intersection), and fails before
+# allocating when their estimated size exceeds the budget.
+TABLES_PER_CALL = 4
+TABLE_MEMORY_BUDGET = 1 << 30
+
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# _LOW[b]: in-word positions whose bit b is clear; _SHIFT[b] = 2^b.
+_LOW = tuple(
+    np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)
+)
+_SHIFT = tuple(np.uint64(1 << b) for b in range(6))
+# _DEG[t]: in-word positions of popcount t.
+_DEG = tuple(
+    np.uint64(sum(1 << p for p in range(64) if p.bit_count() == t)) for t in range(7)
+)
 
 
 @lru_cache(maxsize=None)
@@ -241,63 +265,143 @@ def popcount_table(n: int) -> np.ndarray:
     return pc
 
 
+def word_count(n: int) -> int:
+    """Number of uint64 words in a packed table over 2^n masks."""
+    return 1 << max(n - 6, 0)
+
+
+def _valid_bits(n: int) -> np.uint64:
+    return _ALL_ONES if n >= 6 else np.uint64((1 << (1 << n)) - 1)
+
+
 def check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceededError(
             f"n={n} exceeds the enumeration cap {cap}; raise it explicitly if intended"
         )
+    estimate = TABLES_PER_CALL * 8 * word_count(n)
+    if estimate > TABLE_MEMORY_BUDGET:
+        raise CapExceededError(
+            f"n={n} needs about {estimate} bytes of subset tables "
+            f"({TABLES_PER_CALL} of {8 * word_count(n)} bytes), over the "
+            f"budget of {TABLE_MEMORY_BUDGET} bytes"
+        )
+
+
+def _seeded(seeds: np.ndarray, n: int) -> np.ndarray:
+    words = np.zeros(word_count(n), dtype=np.uint64)
+    np.bitwise_or.at(words, (seeds >> np.uint64(6)).astype(np.intp),
+                     np.uint64(1) << (seeds & np.uint64(63)))
+    return words
+
+
+def _halves(words: np.ndarray, b: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of the words whose index has bit b-6 clear, and of their partners
+    with that bit set, for a mask bit b >= 6."""
+    view = words.reshape(-1, 2, 1 << (b - 6))
+    if view.shape[2] >= 16:
+        return [(view[:, 0, :], view[:, 1, :])]
+    # numpy walks short rows slowly; one long strided column each is faster
+    return [(view[:, 0, c], view[:, 1, c]) for c in range(view.shape[2])]
+
+
+def _close(words: np.ndarray, n: int, upward: bool) -> np.ndarray:
+    """Close a packed table in place, upward (supersets) or downward (subsets)."""
+    for b in range(min(n, 6)):
+        if upward:
+            words |= (words & _LOW[b]) << _SHIFT[b]
+        else:
+            words |= (words >> _SHIFT[b]) & _LOW[b]
+    for b in range(6, n):
+        for low, high in _halves(words, b):
+            if upward:
+                high |= low
+            else:
+                low |= high
+    return words
 
 
 def membership_table(ideal: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Boolean array over all 2^n masks: x_A in the ideal.
+    """Packed table over all 2^n masks: x_A in the ideal.
 
     Seeded with the generators, then closed upward one bit at a time.
     """
     check_cap(ideal.n, cap)
-    size = 1 << ideal.n
-    table = np.zeros(size, dtype=bool)
     if ideal.is_unit:
-        table[:] = True
-        return table
-    for g in ideal.generators:
-        table[g.mask] = True
-    for b in range(ideal.n):
-        view = table.reshape(-1, 2, 1 << b)
-        view[:, 1, :] |= view[:, 0, :]
-    return table
+        return np.full(word_count(ideal.n), _valid_bits(ideal.n), dtype=np.uint64)
+    if ideal.is_zero:
+        return np.zeros(word_count(ideal.n), dtype=np.uint64)
+    seeds = np.array(ideal.generator_masks(), dtype=np.uint64)
+    return _close(_seeded(seeds, ideal.n), ideal.n, upward=True)
 
 
 def downward_closure_table(masks: Iterable[int], n: int,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Boolean array over all 2^n masks: subset of one of the seeds."""
+    """Packed table over all 2^n masks: subset of one of the seeds."""
     check_cap(n, cap)
-    table = np.zeros(1 << n, dtype=bool)
-    for m in masks:
-        table[m] = True
-    for b in range(n):
-        view = table.reshape(-1, 2, 1 << b)
-        view[:, 0, :] |= view[:, 1, :]
-    return table
+    seeds = np.fromiter(masks, dtype=np.uint64)
+    words = _seeded(seeds, n)
+    if len(seeds) == 0:
+        return words
+    return _close(words, n, upward=False)
+
+
+def complement(table: np.ndarray, n: int) -> np.ndarray:
+    """The masks not in the table; the unused bits of a one-word table stay clear."""
+    return ~table & _valid_bits(n)
+
+
+def degree_counts(table: np.ndarray, n: int) -> tuple[int, ...]:
+    """Number of masks in the table by popcount, entries for 0..n.
+
+    Row t of ``counts`` starts as the number of in-word positions of
+    popcount t in each word.  Folding the top half of the words onto the
+    bottom half, one row lower, accounts for the highest word-index bit;
+    after all n-6 folds one column of n+1 degree counts is left.  Each fold
+    uses the smallest unsigned dtype that holds C(k, k//2) for the 2^k
+    masks one column then covers, so counts stay exact integers.
+    """
+    counts = np.empty((7, len(table)), dtype=np.uint8)
+    for t in range(7):
+        np.bitwise_count(table & _DEG[t], out=counts[t])
+    for k in range(7, n + 1):
+        half = counts.shape[1] // 2
+        folded = np.zeros((counts.shape[0] + 1, half),
+                          dtype=np.min_scalar_type(comb(k, k // 2)))
+        folded[:-1] = counts[:, :half]
+        folded[1:] += counts[:, half:]
+        counts = folded
+    return tuple(int(c) for c in counts[:n + 1, 0])
+
+
+def _masks_of(table: np.ndarray) -> tuple[int, ...]:
+    nonzero = np.flatnonzero(table)
+    words = table[nonzero].astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    rows, positions = np.nonzero(bits.reshape(-1, 64))
+    return _canonical_masks((nonzero[rows] * 64 + positions).tolist())
 
 
 def maximal_masks(table: np.ndarray, n: int) -> tuple[int, ...]:
     """Masks in the table with no marked proper superset, canonically ordered."""
     fac = table.copy()
-    for b in range(n):
-        tv = table.reshape(-1, 2, 1 << b)
-        fv = fac.reshape(-1, 2, 1 << b)
-        fv[:, 0, :] &= ~tv[:, 1, :]
-    return _canonical_masks(int(m) for m in np.nonzero(fac)[0])
+    for b in range(min(n, 6)):
+        fac &= ~((table >> _SHIFT[b]) & _LOW[b])
+    for b in range(6, n):
+        for (_, t_high), (f_low, _) in zip(_halves(table, b), _halves(fac, b)):
+            f_low &= ~t_high
+    return _masks_of(fac)
 
 
 def minimal_masks(table: np.ndarray, n: int) -> tuple[int, ...]:
     """Masks in the table with no marked proper subset, canonically ordered."""
     mini = table.copy()
-    for b in range(n):
-        tv = table.reshape(-1, 2, 1 << b)
-        mv = mini.reshape(-1, 2, 1 << b)
-        mv[:, 1, :] &= ~tv[:, 0, :]
-    return _canonical_masks(int(m) for m in np.nonzero(mini)[0])
+    for b in range(min(n, 6)):
+        mini &= ~((table & _LOW[b]) << _SHIFT[b])
+    for b in range(6, n):
+        for (t_low, _), (_, m_high) in zip(_halves(table, b), _halves(mini, b)):
+            m_high &= ~t_low
+    return _masks_of(mini)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .complexes import ComplexLike, complex_of_ideal, f_vector
 from .ideals import (
     DEFAULT_ENUMERATION_CAP,
     IdealPair,
     colon,
+    degree_counts,
     membership_table,
-    popcount_table,
 )
 from .macaulay import binomial_ext
 
@@ -95,10 +93,9 @@ def _transform_values(counts: Sequence[int], q: int) -> tuple[int, ...]:
 
 
 def alpha(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> AlphaVector:
-    """Count members of J \\ I by degree with one pass over all 2^n masks."""
+    """Count members of J \\ I by degree on packed tables of all 2^n masks."""
     table = membership_table(pair.upper, cap) & ~membership_table(pair.lower, cap)
-    counts = np.bincount(popcount_table(pair.n)[table], minlength=pair.n + 1)
-    return AlphaVector(pair.n, tuple(int(c) for c in counts))
+    return AlphaVector(pair.n, degree_counts(table, pair.n))
 
 
 def beta(alpha_vec: AlphaVector, q: int) -> BetaVector:

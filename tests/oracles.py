@@ -2,12 +2,15 @@
 
 These work on frozensets of 1-based indices and plain list matrices over
 Fractions, deliberately avoiding the bitmask and elimination code they are
-used to check.
+used to check.  The bool_* kernels are the one-byte-per-mask subset tables
+that the packed tables of `sqdepth.ideals` replaced.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 
 def subsets(n):
@@ -117,3 +120,74 @@ def fraction_rank(rows):
         if rank == len(mat):
             break
     return rank
+
+
+def unpack(table, n):
+    """The bool array over all 2^n masks of a packed subset table."""
+    bits = np.unpackbits(table.astype("<u8").view(np.uint8), bitorder="little")
+    return bits[:1 << n].astype(bool)
+
+
+def pack(bools):
+    """The packed subset table (uint64 words) of a bool array over 2^n masks."""
+    data = np.packbits(bools, bitorder="little")
+    data = np.concatenate([data, np.zeros(-len(data) % 8, dtype=np.uint8)])
+    return data.view("<u8").astype(np.uint64)
+
+
+def bool_membership_table(ideal):
+    """x_A in the ideal, for all 2^n masks A: seeds closed upward bit by bit."""
+    table = np.zeros(1 << ideal.n, dtype=bool)
+    for g in ideal.generators:
+        table[g.mask] = True
+    for b in range(ideal.n):
+        view = table.reshape(-1, 2, 1 << b)
+        view[:, 1, :] |= view[:, 0, :]
+    return table
+
+
+def bool_downward_closure_table(masks, n):
+    """A subset of one of the seed masks, for all 2^n masks A."""
+    table = np.zeros(1 << n, dtype=bool)
+    for m in masks:
+        table[m] = True
+    for b in range(n):
+        view = table.reshape(-1, 2, 1 << b)
+        view[:, 0, :] |= view[:, 1, :]
+    return table
+
+
+def bool_maximal_masks(table, n):
+    fac = table.copy()
+    for b in range(n):
+        tv = table.reshape(-1, 2, 1 << b)
+        fv = fac.reshape(-1, 2, 1 << b)
+        fv[:, 0, :] &= ~tv[:, 1, :]
+    return sorted(np.flatnonzero(fac).tolist(), key=lambda m: (m.bit_count(), m))
+
+
+def bool_minimal_masks(table, n):
+    mini = table.copy()
+    for b in range(n):
+        tv = table.reshape(-1, 2, 1 << b)
+        mv = mini.reshape(-1, 2, 1 << b)
+        mv[:, 1, :] &= ~tv[:, 0, :]
+    return sorted(np.flatnonzero(mini).tolist(), key=lambda m: (m.bit_count(), m))
+
+
+def bool_degree_counts(table, n):
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])
+    return tuple(int(c) for c in np.bincount(sizes[table], minlength=n + 1))
+
+
+def bool_alpha(pair):
+    """alpha of J/I from the bool membership tables of both ideals."""
+    table = bool_membership_table(pair.upper) & ~bool_membership_table(pair.lower)
+    return bool_degree_counts(table, pair.n)
+
+
+def bool_relative_facets(pair):
+    table = bool_membership_table(pair.upper) & ~bool_membership_table(pair.lower)
+    return tuple(bool_maximal_masks(table, pair.n))

@@ -13,6 +13,8 @@ from sqdepth.problems import parse_problem_file
 from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
 from sqdepth.reports import build_verify_document, serialize_document
 
+import oracles
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 TINY = "n: 2\nlabel: tiny\nJ: x1, x2\nI: x1*x2\n"
@@ -83,6 +85,15 @@ class TestInvariantsCommand:
     def test_cap_exceeded(self, tiny_file, capsys):
         assert main(["invariants", str(tiny_file), "--max-n", "1"]) == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_table_too_large_for_memory(self, tmp_path, capsys):
+        # raising --max-n to 40 used to end in numpy's allocation error
+        wide = tmp_path / "wide.ideal"
+        wide.write_text("n: 40\nJ: unit\nI: x1*x2, x39*x40\n", encoding="utf-8")
+        assert main(["invariants", str(wide), "--max-n", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "bytes" in err and "n=40" in err
 
 
 class TestDepthCommand:
@@ -174,8 +185,8 @@ class TestSkeletonCheck:
         def drop_first_face(x, cap=complexes.DEFAULT_ENUMERATION_CAP):
             table = real(x, cap)
             if isinstance(x, complexes.RelativeComplex):
-                face = int(np.flatnonzero(table)[0])
-                table[face] = False
+                face = int(np.flatnonzero(oracles.unpack(table, x.n))[0])
+                table[face >> 6] &= ~np.uint64(1 << (face & 63))
                 dropped.append(face)
             return table
 

@@ -194,7 +194,7 @@ class TestFaceTable:
             for _ in range(25):
                 n = rng.randint(2, 8)
                 psi = relative_of_pair(kind(rng, n))
-                table = face_table(psi)
+                table = oracles.unpack(face_table(psi), n)
                 sizes = popcount_table(n)
                 counts = f_vector(psi).entries
                 for dprime in range(psi.dim + 2):

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from sqdepth.complexes import relative_facets_of_pair
 from sqdepth.errors import CapExceededError, InvalidPairError, ParseError
 from sqdepth.ideals import (
     IdealPair,
@@ -9,11 +11,19 @@ from sqdepth.ideals import (
     MonomialIdeal,
     RingContext,
     colon,
+    complement,
+    degree_counts,
+    downward_closure_table,
     intersect,
+    maximal_masks,
     membership_table,
+    minimal_masks,
     minimalize,
     parse_ideal,
+    word_count,
 )
+from sqdepth.invariants import alpha
+from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
 
 import oracles
 
@@ -218,11 +228,19 @@ class TestTables:
             i = minimalize([mono(m, n) for m in masks], n)
             table = membership_table(i)
             for a in range(1 << n):
-                assert bool(table[a]) == i.contains_mask(a)
+                assert bool(table[a >> 6] >> (a & 63) & 1) == i.contains_mask(a)
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
             membership_table(MonomialIdeal.zero(12), cap=10)
+
+    def test_memory_budget_enforced_before_allocation(self):
+        # 2^40 masks are 128 GiB packed; numpy used to fail allocating them
+        with pytest.raises(CapExceededError, match=r"n=40 needs about \d+ bytes"):
+            membership_table(MonomialIdeal.zero(40), cap=40)
+        with pytest.raises(CapExceededError, match="bytes"):
+            downward_closure_table([1], 40, cap=40)
+        assert membership_table(MonomialIdeal.zero(24)).size == word_count(24)
 
     def test_n_bounds(self):
         with pytest.raises(ValueError):
@@ -230,3 +248,77 @@ class TestTables:
         with pytest.raises(ValueError):
             RingContext(64)
         RingContext(63)
+
+
+def _tables(n, rng):
+    """Bool tables over 2^n masks: all of them for n <= 3, else a seeded sample."""
+    if n <= 3:
+        for bits in range(1 << (1 << n)):
+            yield np.array([bits >> m & 1 for m in range(1 << n)], dtype=bool)
+        return
+    for _ in range(40):
+        yield np.array([rng.random() < rng.choice((0.05, 0.5, 0.95))
+                        for _ in range(1 << n)], dtype=bool)
+
+
+def _tail_clear(table, n):
+    return table.size == word_count(n) and (n >= 6 or int(table[0]) >> (1 << n) == 0)
+
+
+class TestPackedTables:
+    """The packed kernels against the bool kernels they replaced, every mask
+    of every table for n = 1..7, including the one-word tables of n < 6."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_table_operations_match_bool_kernels(self, n):
+        rng = random.Random(100 + n)
+        for bools in _tables(n, rng):
+            packed = oracles.pack(bools)
+            assert np.array_equal(oracles.unpack(packed, n), bools)
+            comp = complement(packed, n)
+            assert _tail_clear(comp, n)
+            assert np.array_equal(oracles.unpack(comp, n), ~bools)
+            assert list(maximal_masks(packed, n)) == oracles.bool_maximal_masks(bools, n)
+            assert list(minimal_masks(packed, n)) == oracles.bool_minimal_masks(bools, n)
+            assert degree_counts(packed, n) == oracles.bool_degree_counts(bools, n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closures_match_bool_kernels(self, n):
+        rng = random.Random(200 + n)
+        seed_sets = [[m for m in range(1 << n) if bools[m]] for bools in _tables(n, rng)]
+        for seeds in seed_sets:
+            down = downward_closure_table(seeds, n)
+            assert _tail_clear(down, n)
+            assert np.array_equal(oracles.unpack(down, n),
+                                  oracles.bool_downward_closure_table(seeds, n))
+            for i in (MonomialIdeal.from_masks(seeds, n), MonomialIdeal.unit(n)):
+                table = membership_table(i)
+                assert _tail_clear(table, n)
+                assert np.array_equal(oracles.unpack(table, n),
+                                      oracles.bool_membership_table(i))
+                gens = oracles.ideal_gen_sets(i)
+                assert [oracles.member(gens, oracles.mask_to_set(a))
+                        for a in range(1 << n)] == oracles.unpack(table, n).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_alpha_matches_brute_force(self, n):
+        rng = random.Random(300 + n)
+        kinds = [random_quotient_pair, random_module_pair]
+        if n >= 2:
+            kinds.append(random_pair)
+        for kind in kinds:
+            for _ in range(10):
+                pair = kind(rng, n)
+                expected = oracles.brute_alpha(
+                    oracles.ideal_gen_sets(pair.lower), oracles.ideal_gen_sets(pair.upper),
+                    n, unit_upper=pair.upper.is_unit)
+                assert alpha(pair).counts == expected == oracles.bool_alpha(pair)
+
+    @pytest.mark.parametrize("kind", (random_quotient_pair, random_module_pair, random_pair),
+                             ids=lambda k: k.__name__)
+    def test_n20_pairs_match_bool_kernels(self, kind):
+        rng = random.Random(2020)
+        for _ in range(2):
+            pair = kind(rng, 20)
+            assert alpha(pair).counts == oracles.bool_alpha(pair)
+            assert relative_facets_of_pair(pair) == oracles.bool_relative_facets(pair)
