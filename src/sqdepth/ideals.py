@@ -299,10 +299,11 @@ def _halves(words: np.ndarray, b: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of the words whose index has bit b-6 clear, and of their partners
     with that bit set, for a mask bit b >= 6."""
     view = words.reshape(-1, 2, 1 << (b - 6))
-    if view.shape[2] >= 16:
+    rows, width = view.shape[0], view.shape[2]
+    if rows < 64 * width:
         return [(view[:, 0, :], view[:, 1, :])]
-    # numpy walks short rows slowly; one long strided column each is faster
-    return [(view[:, 0, c], view[:, 1, c]) for c in range(view.shape[2])]
+    # numpy walks many short rows slowly; one long strided column each is faster
+    return [(view[:, 0, c], view[:, 1, c]) for c in range(width)]
 
 
 def _close(words: np.ndarray, n: int, upward: bool) -> np.ndarray:
@@ -371,7 +372,7 @@ def degree_counts(table: np.ndarray, n: int) -> tuple[int, ...]:
         folded[:-1] = counts[:, :half]
         folded[1:] += counts[:, half:]
         counts = folded
-    return tuple(int(c) for c in counts[:n + 1, 0])
+    return tuple(counts[:n + 1, 0].tolist())
 
 
 def _masks_of(table: np.ndarray) -> tuple[int, ...]:
