@@ -243,7 +243,6 @@ class IdealPair:
 TABLES_PER_CALL = 4
 TABLE_MEMORY_BUDGET = 1 << 30
 
-_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # _LOW[b]: in-word positions whose bit b is clear; _SHIFT[b] = 2^b.
 _LOW = tuple(
     np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)
@@ -271,7 +270,7 @@ def word_count(n: int) -> int:
 
 
 def _valid_bits(n: int) -> np.uint64:
-    return _ALL_ONES if n >= 6 else np.uint64((1 << (1 << n)) - 1)
+    return np.uint64((1 << (1 << min(n, 6))) - 1)
 
 
 def check_cap(n: int, cap: int) -> None:
