@@ -100,7 +100,9 @@ def _print_report(doc: dict) -> None:
         print(f"cohen-macaulay: {doc['cm']}")
         if doc["cm_witness"]:
             w = doc["cm_witness"]
-            print(f"  reisner witness: face {w['face']}, homology dimension {w['dimension']}")
+            size = w["face"].count(",") + 1 if w["face"] != "{}" else 0
+            print(f"  depth witness: face {w['face']}, homology dimension {w['dimension']}"
+                  f" (depth = {size} + 1 + {w['dimension']})")
     for note in doc["notes"]:
         print(f"note: {note}")
     for check in doc["checks"]:

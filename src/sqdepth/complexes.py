@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -71,10 +71,16 @@ class SimplicialComplex:
     def has_face(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
 
-    def face_masks(self) -> set[int]:
-        """All faces, as the union of the facet power sets."""
+    def face_masks(self, max_size: Optional[int] = None) -> set[int]:
+        """All faces, as the union of the facet power sets; with max_size,
+        only the faces of at most max_size vertices."""
         faces: set[int] = set()
         for facet in self.facets:
+            if max_size is not None and facet.bit_count() > max_size:
+                bits = [1 << b for b in range(facet.bit_length()) if facet >> b & 1]
+                for k in range(max_size + 1):
+                    faces.update(map(sum, combinations(bits, k)))
+                continue
             sub = facet
             while True:
                 faces.add(sub)
@@ -115,8 +121,8 @@ class RelativeComplex:
             raise ValueError("relative complex has no faces")
         return max(dims)
 
-    def face_masks(self) -> set[int]:
-        return self.delta.face_masks() - self.gamma.face_masks()
+    def face_masks(self, max_size: Optional[int] = None) -> set[int]:
+        return self.delta.face_masks(max_size) - self.gamma.face_masks(max_size)
 
 
 @dataclass(frozen=True)
@@ -224,13 +230,19 @@ def _submasks_of_size(mask: int, size: int) -> list[int]:
     return [sum(1 << b for b in combo) for combo in combinations(bits, size)]
 
 
+def link_facets(facets: tuple[int, ...], face: int) -> tuple[int, ...]:
+    """Facets of the link of `face` in the complex with these facets: the
+    facets containing it, with it removed; empty when it is not a face.
+    Removing the same bits from each keeps them distinct and canonical."""
+    return tuple(f ^ face for f in facets if face & ~f == 0)
+
+
 def link(x: SimplicialComplex, face: int) -> SimplicialComplex:
     """The link of a face: {G : G disjoint from F, G union F a face}."""
-    if not x.has_face(face):
+    facets = link_facets(x.facets, face)
+    if not facets:
         raise ValueError(f"mask {face:#x} is not a face of the complex")
-    return SimplicialComplex(
-        x.n, _canonical_masks(f & ~face for f in x.facets if face & ~f == 0)
-    )
+    return SimplicialComplex(x.n, facets)
 
 
 def relative_facets_of_pair(pair: IdealPair,

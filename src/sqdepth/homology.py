@@ -1,4 +1,4 @@
-"""Exact reduced simplicial homology, Reisner tests, and depth.
+"""Exact reduced and relative simplicial homology, and depth by Hochster's formula.
 
 Chain complexes are augmented: the empty face generates the chain group in
 dimension -1, so the Betti numbers computed here are reduced.  Over the
@@ -19,9 +19,8 @@ from .errors import CapExceededError
 from .complexes import (
     RelativeComplex,
     SimplicialComplex,
-    link,
+    link_facets,
     relative_of_pair,
-    skeleton,
 )
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair
 
@@ -68,16 +67,24 @@ class ChainComplexRanks:
     """Face counts, boundary ranks, and (reduced/relative) homology ranks.
 
     All three dicts are keyed by chain dimension; boundary_ranks[i] is the
-    rank of the map from i-chains to (i-1)-chains.
+    rank of the map from i-chains to (i-1)-chains.  A result truncated at
+    `top` counts faces up to dimension top + 1 only, and holds Betti numbers
+    from the bottom dimension up to the first nonzero one or up to top,
+    whichever comes first; top is None when every dimension is computed.
     """
 
     field: CoefficientField
     face_counts: dict[int, int]
     boundary_ranks: dict[int, int]
     betti: dict[int, int]
+    top: Optional[int] = None
 
     def betti_number(self, i: int) -> int:
         return self.betti.get(i, 0)
+
+    def first_nonzero(self) -> Optional[int]:
+        """The lowest dimension with a nonzero Betti number, if any."""
+        return next((i for i, b in self.betti.items() if b), None)
 
     @property
     def is_acyclic(self) -> bool:
@@ -187,32 +194,42 @@ def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
     return rows
 
 
-def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField) -> ChainComplexRanks:
-    if not by_dim:
-        return ChainComplexRanks(field, {}, {}, {})
-    dims = sorted(by_dim)
-    counts = {i: len(by_dim[i]) for i in dims}
+def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
+                      top: Optional[int] = None) -> ChainComplexRanks:
+    """Betti numbers upward from the bottom dimension; with `top`, stop after
+    top or at the first nonzero one.  A boundary rank is computed only when a
+    Betti number needs it."""
+    counts = {i: len(by_dim[i]) for i in sorted(by_dim)}
     ranks: dict[int, int] = {}
-    for i in dims:
-        below = by_dim.get(i - 1, [])
-        if not below:
-            ranks[i] = 0
-            continue
-        ranks[i] = _matrix_rank(_boundary_matrix(below, by_dim[i]), field)
-    betti = {
-        i: counts[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
-        for i in dims
-    }
-    return ChainComplexRanks(field, counts, ranks, betti)
+
+    def rank(i: int) -> int:
+        if i not in ranks:
+            below, upper = by_dim.get(i - 1), by_dim.get(i)
+            ranks[i] = _matrix_rank(_boundary_matrix(below, upper), field) if below and upper else 0
+        return ranks[i]
+
+    betti: dict[int, int] = {}
+    for i in counts:
+        if top is not None and i > top:
+            break
+        betti[i] = counts[i] - rank(i) - rank(i + 1)
+        if top is not None and betti[i]:
+            break
+    return ChainComplexRanks(field, counts, ranks, betti, top)
 
 
-# Results keyed by a relabeling-invariant form of the face sets; counts,
-# ranks and Betti numbers do not depend on vertex names.  Concurrent use is
-# safe: entries are only ever inserted, and recomputing one is harmless.
+# Results keyed by a relabeling-invariant form of the face sets and by the
+# truncation level; counts, ranks and Betti numbers do not depend on vertex
+# names.  Insertion order is age: once HOMOLOGY_CACHE_LIMIT entries are held,
+# each new one evicts the oldest.  Concurrent use is safe: an entry is
+# complete when inserted, eviction tolerates a key already gone, and
+# recomputing an entry is harmless.
+HOMOLOGY_CACHE_LIMIT = 8192
 _HOMOLOGY_CACHE: dict[tuple, ChainComplexRanks] = {}
 
 
-def _canonical_key(facet_groups: tuple[tuple[int, ...], ...], characteristic: int) -> tuple:
+def _canonical_key(facet_groups: tuple[tuple[int, ...], ...], characteristic: int,
+                   top: Optional[int]) -> tuple:
     used = 0
     for group in facet_groups:
         for m in group:
@@ -224,7 +241,7 @@ def _canonical_key(facet_groups: tuple[tuple[int, ...], ...], characteristic: in
                      for m in group))
         for group in facet_groups
     )
-    return (characteristic, relabeled)
+    return (characteristic, top, relabeled)
 
 
 def clear_homology_cache() -> None:
@@ -233,133 +250,120 @@ def clear_homology_cache() -> None:
 
 def reduced_homology(complex_: SimplicialComplex, field: CoefficientField = RATIONALS,
                      face_cap: int = DEFAULT_FACE_CAP) -> ChainComplexRanks:
-    """Reduced Betti numbers of a nonvoid complex over the chosen field."""
+    """Reduced Betti numbers of a nonvoid complex: the pair with a void gamma."""
     if complex_.is_void:
         raise ValueError("the void complex has no homology")
-    key = _canonical_key((complex_.facets,), field.characteristic)
-    cached = _HOMOLOGY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _ranks_from_faces(_faces_by_dim(complex_.face_masks(), face_cap), field)
-    _HOMOLOGY_CACHE[key] = result
-    return result
+    return relative_homology(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)),
+                             field, face_cap)
 
 
 def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
-                      face_cap: int = DEFAULT_FACE_CAP) -> ChainComplexRanks:
+                      face_cap: int = DEFAULT_FACE_CAP,
+                      top: Optional[int] = None) -> ChainComplexRanks:
     """Homology of the pair: chains on delta-minus-gamma faces, boundaries
-    taken modulo gamma.  An empty pair has no chain groups at all."""
-    key = _canonical_key((psi.delta.facets, psi.gamma.facets), field.characteristic)
+    taken modulo gamma.  An empty pair has no chain groups at all.
+
+    With `top`, only faces of at most top + 2 vertices are listed and the
+    result is truncated there (see ChainComplexRanks): it answers which
+    dimension up to top, if any, first carries homology.
+    """
+    key = _canonical_key((psi.delta.facets, psi.gamma.facets), field.characteristic, top)
     cached = _HOMOLOGY_CACHE.get(key)
     if cached is not None:
         return cached
-    result = _ranks_from_faces(_faces_by_dim(psi.face_masks(), face_cap), field)
+    faces = psi.face_masks(None if top is None else top + 2)
+    result = _ranks_from_faces(_faces_by_dim(faces, face_cap), field, top)
+    if len(_HOMOLOGY_CACHE) >= HOMOLOGY_CACHE_LIMIT:
+        _HOMOLOGY_CACHE.pop(next(iter(_HOMOLOGY_CACHE), None), None)
     _HOMOLOGY_CACHE[key] = result
     return result
 
 
-def _is_cone(x: SimplicialComplex) -> bool:
+def _is_cone(facets: tuple[int, ...]) -> bool:
     """A common vertex of all facets makes the complex contractible."""
-    if x.is_void:
-        return False
-    apex = x.facets[0]
-    for f in x.facets[1:]:
+    apex = -1
+    for f in facets:
         apex &= f
-        if not apex:
-            return False
-    return apex != 0
+    return apex > 0
 
 
 @dataclass(frozen=True)
 class CmVerdict:
-    """Outcome of a Cohen-Macaulayness test, with a witness on failure.
+    """Depth of a module from its relative complex, and the Cohen-Macaulay
+    verdict (depth equals dim) with its witness.
 
-    For a failing complex, witness_face is the face whose link has nonzero
-    homology in dimension witness_dim below the link dimension.
+    The witness is the face F and homology dimension i of the link pair at F
+    that attain depth = |F| + 1 + i; it is None exactly when depth == dim.
     """
 
-    is_cm: bool
+    depth: int
+    dim: int
     field: CoefficientField
     witness_face: Optional[int] = None
     witness_dim: Optional[int] = None
+
+    @property
+    def is_cm(self) -> bool:
+        return self.depth == self.dim
 
     def __bool__(self):
         return self.is_cm
 
 
-def is_cohen_macaulay(complex_: SimplicialComplex, field: CoefficientField = RATIONALS,
-                      face_cap: int = DEFAULT_FACE_CAP) -> CmVerdict:
-    """Reisner's criterion: every link has vanishing reduced homology below
-    its own dimension."""
-    if complex_.is_void:
-        raise ValueError("the void complex cannot be tested")
-    faces = sorted(complex_.face_masks(), key=lambda m: (m.bit_count(), m))
+def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS,
+                  face_cap: int = DEFAULT_FACE_CAP) -> CmVerdict:
+    """Depth of the module of psi by Hochster's formula in relative form:
+    the minimum of |F| + 1 + i over faces F of delta and dimensions i with
+    H_i(lk_delta F, lk_gamma F) != 0, or dim = psi.dim + 1 when smaller.
+
+    Faces are visited by size, then mask.  A face can only lower the best
+    value b so far through i <= b - |F| - 2, so the pass stops once |F|
+    reaches b, and each link pair's homology is truncated at that i.  Link
+    pairs that are empty, or whose two links are cones (acyclic), are
+    skipped.  The first (F, i) to set the final minimum is the witness.
+    """
+    best = dim = psi.dim + 1
+    faces = sorted(psi.delta.face_masks(dim - 1), key=lambda m: (m.bit_count(), m))
     if len(faces) > face_cap:
         raise CapExceededError(f"face count exceeds the cap {face_cap}")
+    witness_face = witness_dim = None
     for f in faces:
-        lk = link(complex_, f)
-        if lk.facets == (0,):
-            continue  # the link of a facet is {empty}; nothing below its dimension
-        top = lk.dim
-        if _is_cone(lk):
+        size = f.bit_count()
+        if size >= best:
+            break
+        lk_delta = link_facets(psi.delta.facets, f)
+        lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
+        if _is_cone(lk_delta) and (not lk_gamma or _is_cone(lk_gamma)):
+            continue  # both chain complexes acyclic, so the pair is too
+        lk_pair = RelativeComplex(SimplicialComplex(psi.n, lk_delta),
+                                  SimplicialComplex(psi.n, lk_gamma))
+        if lk_pair.is_empty:
             continue
-        ranks = reduced_homology(lk, field, face_cap)
-        for i in range(-1, top):
-            if ranks.betti_number(i) != 0:
-                return CmVerdict(False, field, f, i)
-    return CmVerdict(True, field)
+        i = relative_homology(lk_pair, field, face_cap, top=best - size - 2).first_nonzero()
+        if i is not None:
+            best = size + 1 + i
+            witness_face, witness_dim = f, i
+    return CmVerdict(best, dim, field, witness_face, witness_dim)
+
+
+def is_cohen_macaulay(complex_: SimplicialComplex, field: CoefficientField = RATIONALS,
+                      face_cap: int = DEFAULT_FACE_CAP) -> CmVerdict:
+    """Cohen-Macaulayness of a nonvoid complex: the pair with a void gamma."""
+    if complex_.is_void:
+        raise ValueError("the void complex cannot be tested")
+    return depth_verdict(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)),
+                         field, face_cap)
 
 
 def is_cm_relative(psi: RelativeComplex, field: CoefficientField = RATIONALS,
                    face_cap: int = DEFAULT_FACE_CAP) -> CmVerdict:
-    """Relative Reisner test via link pairs.
-
-    For every face F of delta, the pair (link_delta F, link_gamma F) must
-    have vanishing relative homology below the dimension of the link of F
-    inside the pair.  The gamma link is void when F lies outside gamma.
-    """
+    """Cohen-Macaulayness of a nonempty relative complex."""
     if psi.is_empty:
         raise ValueError("the relative complex has no faces to test")
-    faces = sorted(psi.delta.face_masks(), key=lambda m: (m.bit_count(), m))
-    if len(faces) > face_cap:
-        raise CapExceededError(f"face count exceeds the cap {face_cap}")
-    for f in faces:
-        lk_delta = link(psi.delta, f)
-        if psi.gamma.has_face(f):
-            lk_gamma = link(psi.gamma, f)
-        else:
-            lk_gamma = SimplicialComplex.void(psi.n)
-        lk_pair = RelativeComplex(lk_delta, lk_gamma)
-        if lk_pair.is_empty:
-            continue
-        top = lk_pair.dim
-        if _is_cone(lk_delta) and (lk_gamma.is_void or _is_cone(lk_gamma)):
-            continue  # both chain complexes acyclic, so the pair is too
-        ranks = relative_homology(lk_pair, field, face_cap)
-        for i in range(-1, top):
-            if ranks.betti_number(i) != 0:
-                return CmVerdict(False, field, f, i)
-    return CmVerdict(True, field)
+    return depth_verdict(psi, field, face_cap)
 
 
 def depth(pair: IdealPair, field: CoefficientField = RATIONALS,
           cap: int = DEFAULT_ENUMERATION_CAP, face_cap: int = DEFAULT_FACE_CAP) -> int:
-    """Depth of J/I as the largest d' whose skeleton pair is Cohen-Macaulay.
-
-    Scans d' downward from the module dimension.  The (d'-1)-skeleton of the
-    pair is tested with the absolute criterion when J is the unit ideal and
-    with the relative criterion otherwise.
-    """
-    psi = relative_of_pair(pair, cap)
-    top = psi.dim + 1
-    for dprime in range(top, -1, -1):
-        skel = skeleton(psi, dprime)
-        if skel.is_empty:
-            return dprime  # zero module, vacuously Cohen-Macaulay
-        if skel.gamma.is_void:
-            verdict = is_cohen_macaulay(skel.delta, field, face_cap)
-        else:
-            verdict = is_cm_relative(skel, field, face_cap)
-        if verdict.is_cm:
-            return dprime
-    raise AssertionError("skeleton scan fell through dimension zero")
+    """Depth of J/I, from one Hochster pass over its relative complex."""
+    return depth_verdict(relative_of_pair(pair, cap), field, face_cap).depth

@@ -14,20 +14,8 @@ from math import comb
 from typing import Optional
 
 from . import __version__
-from .complexes import (
-    complex_of_ideal,
-    f_vector,
-    relative_facets_of_pair,
-    relative_of_pair,
-    skeleton,
-)
-from .homology import (
-    DEFAULT_FACE_CAP,
-    CoefficientField,
-    depth as homology_depth,
-    is_cm_relative,
-    is_cohen_macaulay,
-)
+from .complexes import complex_of_ideal, f_vector, relative_facets_of_pair, relative_of_pair
+from .homology import DEFAULT_FACE_CAP, CoefficientField, depth_verdict
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon
 from .invariants import (
     AlphaVector,
@@ -85,19 +73,14 @@ class ReportBuilder:
         self.cm_witness = None
 
     def compute_depth(self) -> None:
-        self.depth = homology_depth(self.pair, self.field, self.cap, self.face_cap)
-        self.cm = self.depth == self.dim
-        if not self.cm:
-            psi = relative_of_pair(self.pair, self.cap)
-            if psi.gamma.is_void:
-                verdict = is_cohen_macaulay(psi.delta, self.field, self.face_cap)
-            else:
-                verdict = is_cm_relative(skeleton(psi, psi.dim + 1), self.field, self.face_cap)
-            if not verdict.is_cm:
-                self.cm_witness = {
-                    "face": _face_label(verdict.witness_face),
-                    "dimension": verdict.witness_dim,
-                }
+        verdict = depth_verdict(relative_of_pair(self.pair, self.cap), self.field, self.face_cap)
+        self.depth = verdict.depth
+        self.cm = verdict.is_cm
+        if verdict.witness_face is not None:
+            self.cm_witness = {
+                "face": _face_label(verdict.witness_face),
+                "dimension": verdict.witness_dim,
+            }
 
     def beta_rows(self) -> list[dict]:
         rows = []
@@ -122,7 +105,7 @@ class ReportBuilder:
             "dim": "max degree with alpha positive",
             "h_vector": "beta at level dim",
             "depth": None if self.depth is None
-            else f"skeleton scan with Reisner link tests over {self.field.label()}",
+            else f"Hochster's formula over link pairs over {self.field.label()}",
             "cm": None if self.cm is None else "depth equals dim",
         }
         return {

@@ -3,7 +3,11 @@
 These work on frozensets of 1-based indices and plain list matrices over
 Fractions, deliberately avoiding the bitmask and elimination code they are
 used to check.  The bool_* kernels are the one-byte-per-mask subset tables
-that the packed tables of `sqdepth.ideals` replaced.
+that the packed tables of `sqdepth.ideals` replaced.  The depth oracles
+reuse the package's links and untruncated link-pair homology, but neither
+its depth pass nor its truncation: `skeleton_scan_depth` is the skeleton
+scan with Reisner tests that the one-pass depth replaced, and
+`hochster_depth` evaluates Hochster's formula on every face.
 """
 
 from fractions import Fraction
@@ -11,6 +15,15 @@ from itertools import chain, combinations
 from math import comb
 
 import numpy as np
+
+from sqdepth.complexes import (
+    RelativeComplex,
+    SimplicialComplex,
+    link,
+    relative_of_pair,
+    skeleton,
+)
+from sqdepth.homology import RATIONALS, relative_homology
 
 
 def subsets(n):
@@ -191,3 +204,53 @@ def bool_alpha(pair):
 def bool_relative_facets(pair):
     table = bool_membership_table(pair.upper) & ~bool_membership_table(pair.lower)
     return tuple(bool_maximal_masks(table, pair.n))
+
+
+def link_pair(psi, f):
+    """(lk_delta F, lk_gamma F), the gamma link void when F is not in gamma."""
+    lk_gamma = link(psi.gamma, f) if psi.gamma.has_face(f) else SimplicialComplex.void(psi.n)
+    return RelativeComplex(link(psi.delta, f), lk_gamma)
+
+
+def reisner_witness(psi, field=RATIONALS):
+    """The first face F (by size, then mask) whose link pair has homology in
+    some dimension i below the pair's own dimension, as (F, i) with the
+    lowest such i; None when psi passes Reisner's criterion."""
+    for f in sorted(psi.delta.face_masks(), key=lambda m: (m.bit_count(), m)):
+        lk = link_pair(psi, f)
+        if lk.is_empty:
+            continue
+        ranks = relative_homology(lk, field)
+        for i in range(-1, lk.dim):
+            if ranks.betti_number(i):
+                return f, i
+    return None
+
+
+def skeleton_scan_depth(pair, field=RATIONALS):
+    """Depth as the largest d' whose (d'-1)-skeleton pair passes Reisner's
+    criterion, scanning d' down from the module dimension."""
+    psi = relative_of_pair(pair)
+    for dprime in range(psi.dim + 1, -1, -1):
+        skel = skeleton(psi, dprime)
+        if skel.is_empty or reisner_witness(skel, field) is None:
+            return dprime
+    raise AssertionError("skeleton scan fell through dimension zero")
+
+
+def hochster_depth(pair, field=RATIONALS):
+    """Depth as min |F| + 1 + i over every face F of delta, i the first
+    dimension with nonzero homology of the full link pair at F."""
+    psi = relative_of_pair(pair)
+    best = None
+    for f in sorted(psi.delta.face_masks()):
+        lk = link_pair(psi, f)
+        if lk.is_empty:
+            continue
+        betti = relative_homology(lk, field).betti
+        i = next((d for d in sorted(betti) if betti[d]), None)
+        if i is not None:
+            candidate = f.bit_count() + 1 + i
+            if best is None or candidate < best:
+                best = candidate
+    return best

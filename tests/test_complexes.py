@@ -201,6 +201,8 @@ class TestFaceTable:
                     skel = skeleton(psi, dprime)
                     masked = table & (sizes <= dprime)
                     assert set(np.flatnonzero(masked).tolist()) == skel.face_masks()
+                    # so are the faces listed up to dprime vertices
+                    assert psi.face_masks(dprime) == skel.face_masks()
                     # the skeleton's face counts are a prefix of those of psi
                     prefix = list(counts[:dprime + 1])
                     while prefix and prefix[-1] == 0:

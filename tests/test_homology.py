@@ -7,7 +7,6 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     f_vector,
-    link,
     relative_of_pair,
     skeleton,
 )
@@ -17,6 +16,7 @@ from sqdepth.homology import (
     _boundary_matrix,
     _faces_by_dim,
     depth,
+    depth_verdict,
     is_cm_relative,
     is_cohen_macaulay,
     rank_fraction_free,
@@ -32,35 +32,13 @@ from sqdepth.randgen import (
     random_proper_ideal,
     random_quotient_pair,
 )
+from sqdepth.reports import build_depth_document
 
 import oracles
 
 HOLLOW = SimplicialComplex(3, (0b011, 0b101, 0b110))
 GF5 = CoefficientField(5)
-
-
-def hochster_depth(pair):
-    """Independent depth: min over faces F of |F| + 1 + (first nonvanishing
-    homology dimension of the link pair at F).  No skeletons involved."""
-    psi = relative_of_pair(pair)
-    best = None
-    for f in sorted(psi.delta.face_masks()):
-        lk_delta = link(psi.delta, f)
-        if psi.gamma.has_face(f):
-            lk_gamma = link(psi.gamma, f)
-        else:
-            lk_gamma = SimplicialComplex.void(psi.n)
-        lk = RelativeComplex(lk_delta, lk_gamma)
-        if lk.is_empty:
-            continue
-        ranks = relative_homology(lk)
-        for i in sorted(ranks.betti):
-            if ranks.betti[i]:
-                candidate = f.bit_count() + 1 + i
-                if best is None or candidate < best:
-                    best = candidate
-                break
-    return best
+FIELDS = (RATIONALS, CoefficientField(2), CoefficientField(3))
 
 
 class TestRanks:
@@ -167,6 +145,29 @@ class TestRelativeHomology:
                 assert rel.betti_number(i) == red.betti_number(i)
             assert rel.betti_number(0) == red.betti_number(0) + 1
 
+    def test_truncated_at_a_top_dimension(self):
+        # the 3-sphere (boundary of the 4-simplex) modulo void: truncated at
+        # top=1 it lists only faces of at most three vertices and finds no
+        # homology up to dimension 1; truncated at top=3 it finds H_3
+        sphere = skeleton(SimplicialComplex.full_simplex(5), 4)
+        psi = RelativeComplex(sphere, SimplicialComplex.void(5))
+        low = relative_homology(psi, top=1)
+        assert low.face_counts == {-1: 1, 0: 5, 1: 10, 2: 10}
+        assert low.betti == {-1: 0, 0: 0, 1: 0} and low.first_nonzero() is None
+        high = relative_homology(psi, top=3)
+        assert high.betti == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 1} and high.first_nonzero() == 3
+        full = relative_homology(psi)
+        assert full.betti == high.betti and full is not high
+
+    def test_truncation_stops_at_the_first_homology(self):
+        # a point beside a filled triangle: H_0 is found first, so the rank
+        # of the triangle's boundary map is never computed
+        psi = RelativeComplex(SimplicialComplex(4, (0b0001, 0b1110)), SimplicialComplex.void(4))
+        ranks = relative_homology(psi, top=2)
+        assert ranks.betti == {-1: 0, 0: 1}
+        assert 2 not in ranks.boundary_ranks
+        assert 2 in relative_homology(psi).boundary_ranks
+
     def test_mod_void_is_reduced(self):
         rng = random.Random(23)
         for _ in range(40):
@@ -229,7 +230,7 @@ class TestDepth:
         for i in range(150):
             n = rng.randint(2, 6)
             pair = kinds[i % 3](rng, n)
-            assert depth(pair) == hochster_depth(pair)
+            assert depth(pair) == oracles.hochster_depth(pair)
 
     def test_depth_at_most_dim_and_cm_equivalence(self):
         rng = random.Random(31)
@@ -282,6 +283,47 @@ class TestDepth:
                 assert d1 >= full_dim - 1
 
 
+class TestOnePassDepth:
+    def test_matches_both_oracles_and_witnesses_hold(self):
+        # the truncated one-pass depth against the skeleton scan it replaced
+        # and against Hochster's formula on full link homology, and every
+        # witness against the untruncated homology of its link pair
+        rng = random.Random(43)
+        kinds = (random_quotient_pair, random_module_pair, random_pair)
+        for k in range(150):
+            n = rng.randint(2, 7)
+            pair = kinds[k % 3](rng, n)
+            field = FIELDS[k // 3 % 3]
+            psi = relative_of_pair(pair)
+            verdict = depth_verdict(psi, field)
+            assert verdict.depth == depth(pair, field)
+            assert verdict.depth == oracles.skeleton_scan_depth(pair, field)
+            assert verdict.depth == oracles.hochster_depth(pair, field)
+            assert verdict.dim == dim_module(pair)
+            if verdict.is_cm:
+                assert (verdict.witness_face, verdict.witness_dim) == (None, None)
+                continue
+            f, i = verdict.witness_face, verdict.witness_dim
+            assert f.bit_count() + 1 + i == verdict.depth
+            ranks = relative_homology(oracles.link_pair(psi, f), field)
+            assert ranks.betti_number(i) != 0
+
+    def test_witness_attains_the_minimum_not_the_first_reisner_failure(self):
+        # found by seeded search: Reisner's first failing face is {} with
+        # homology in dimension 5 (0 + 1 + 5 = 6), but the face {6,7} has
+        # homology in dimension 2 and attains depth = 2 + 1 + 2 = 5
+        ctx = RingContext(7)
+        pair = IdealPair.module(parse_ideal("x1*x5, x3*x5, x2*x4*x5, x1*x2*x3*x4*x6*x7", ctx))
+        psi = relative_of_pair(pair)
+        assert oracles.reisner_witness(psi) == (0, 5)
+        verdict = depth_verdict(psi)
+        assert (verdict.depth, verdict.dim) == (5, 7)
+        assert (verdict.witness_face, verdict.witness_dim) == (0b1100000, 2)
+        assert not is_cm_relative(psi)
+        doc = build_depth_document(pair, RATIONALS, {})
+        assert doc["cm_witness"] == {"face": "{6,7}", "dimension": 2}
+
+
 class TestCoefficientField:
     def test_prime_validation(self):
         with pytest.raises(ValueError):
@@ -299,3 +341,25 @@ class TestCoefficientField:
     def test_labels(self):
         assert RATIONALS.label() == "QQ"
         assert CoefficientField(7).label() == "GF(7)"
+
+
+class TestHomologyCache:
+    def test_cache_stays_within_its_limit(self, monkeypatch):
+        # a sweep over more distinct complexes than the limit keeps only the
+        # newest entries, and answers stay right after eviction
+        from sqdepth import homology
+
+        monkeypatch.setattr(homology, "HOMOLOGY_CACHE_LIMIT", 16, raising=False)
+        homology.clear_homology_cache()
+        sweep = [SimplicialComplex.full_simplex(k) for k in range(1, 9)]
+        sweep += [skeleton(SimplicialComplex.full_simplex(k), k - 1) for k in range(2, 10)]
+        sweep += [SimplicialComplex(k, tuple(1 << v for v in range(k))) for k in range(2, 10)]
+        for c in sweep:
+            reduced_homology(c)
+            assert len(homology._HOMOLOGY_CACHE) <= 16
+        assert len(homology._HOMOLOGY_CACHE) == 16
+        last = reduced_homology(sweep[-1])
+        assert last is reduced_homology(sweep[-1])  # newest entry kept
+        assert reduced_homology(sweep[0]).is_acyclic  # evicted, recomputed
+        assert reduced_homology(HOLLOW).betti == {-1: 0, 0: 0, 1: 1}
+        homology.clear_homology_cache()
