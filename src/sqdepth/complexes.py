@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -51,12 +51,6 @@ class SimplicialComplex:
     @classmethod
     def full_simplex(cls, n: int) -> "SimplicialComplex":
         return cls(n, ((1 << n) - 1,))
-
-    @classmethod
-    def from_facets(cls, masks: Iterable[int], n: int) -> "SimplicialComplex":
-        masks = set(masks)
-        kept = [m for m in masks if not any(o != m and m & ~o == 0 for o in masks)]
-        return cls(n, _canonical_masks(kept))
 
     @property
     def is_void(self) -> bool:

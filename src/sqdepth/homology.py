@@ -1,9 +1,10 @@
 """Exact reduced and relative simplicial homology, and depth by Hochster's formula.
 
 Chain complexes are augmented: the empty face generates the chain group in
-dimension -1, so the Betti numbers computed here are reduced.  Over the
-rationals ranks come from fraction-free integer elimination; over a prime
-field from modular elimination.  Relative pairs use the quotient chain
+dimension -1, so the Betti numbers computed here are reduced.  Boundary
+maps are sparse columns, and one exact column reduction ranks them over the
+rationals (integer steps, a Fraction only where a division is not exact) or
+over a prime field (residues mod p).  Relative pairs use the quotient chain
 complex directly: chains are spanned by the faces of delta outside gamma,
 and boundary summands landing in gamma are dropped.
 """
@@ -11,9 +12,8 @@ and boundary summands landing in gamma are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from fractions import Fraction
+from typing import Iterable, Optional
 
 from .errors import CapExceededError
 from .complexes import (
@@ -26,8 +26,8 @@ from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair
 
 DEFAULT_PRIME = 32003
 DEFAULT_FACE_CAP = 100_000
-# rank_mod_p multiplies two residues below p in int64; p < 2^31 keeps every
-# product below 2^62.
+# Ranks mod p are exact for any prime; the bound keeps _is_prime's trial
+# division short (at most about 46341 steps).
 PRIME_LIMIT = 1 << 31
 
 
@@ -51,7 +51,7 @@ class CoefficientField:
     def __post_init__(self):
         p = self.characteristic
         if p >= PRIME_LIMIT:
-            raise ValueError(f"characteristic {p} is not below 2^31, the limit of exact mod-p ranks")
+            raise ValueError(f"characteristic {p} is not below 2^31, the bound on accepted primes")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"{p} is not 0 or a prime")
 
@@ -91,73 +91,6 @@ class ChainComplexRanks:
         return all(v == 0 for v in self.betti.values())
 
 
-def rank_fraction_free(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by Bareiss one-step elimination.
-
-    Intermediate entries stay integral (they are minors of the input), so
-    the computation is exact and the result is the rank over the rationals.
-    """
-    mat = [row[:] for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        top = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            row = mat[i]
-            factor = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = (row[j] * pivot - factor * top[j]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by vectorized modular elimination."""
-    if not rows:
-        return 0
-    mat = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = mat.shape
-    rank = 0
-    for col in range(ncols):
-        nz = np.nonzero(mat[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = mat[rank] * inv % p
-        below = mat[rank + 1:, col]
-        if below.size:
-            mat[rank + 1:] = (mat[rank + 1:] - np.outer(below, mat[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _matrix_rank(rows: list[list[int]], field: CoefficientField) -> int:
-    if field.characteristic == 0:
-        return rank_fraction_free(rows)
-    return rank_mod_p(rows, field.characteristic)
-
-
 def _faces_by_dim(masks, face_cap: int) -> dict[int, list[int]]:
     by_dim: dict[int, list[int]] = {}
     total = 0
@@ -171,27 +104,75 @@ def _faces_by_dim(masks, face_cap: int) -> dict[int, list[int]]:
     return by_dim
 
 
-def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
-    """Signed incidence matrix from upper-dimension faces to lower.
+def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]]:
+    """The boundary of each upper face as a sparse column {row: sign}.
 
     The sign of dropping vertex v from a face is (-1)^position with vertices
     in ascending order; faces absent from `lower` (relative case) are
     dropped, which realizes the quotient chain complex.
     """
     index = {m: i for i, m in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for col, m in enumerate(upper):
+    columns = []
+    for m in upper:
+        column = {}
         sign = 1
         remaining = m
         while remaining:
             bit = remaining & -remaining
-            sub = m ^ bit
-            row = index.get(sub)
+            row = index.get(m ^ bit)
             if row is not None:
-                rows[row][col] = sign
+                column[row] = sign
             sign = -sign
             remaining ^= bit
-    return rows
+        columns.append(column)
+    return columns
+
+
+def _pivot_factor(entry, pivot, p: int):
+    """The multiple of the pivot column that clears `entry`: a residue mod p,
+    or over QQ an int when the division is exact and a Fraction otherwise."""
+    if p:
+        return entry * pow(pivot, -1, p) % p
+    quotient, remainder = divmod(entry, pivot)
+    return Fraction(entry, pivot) if remainder else quotient
+
+
+def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
+    """Exact rank of the matrix with the given sparse columns ({row: entry})
+    over QQ (characteristic 0) or GF(p).
+
+    Each column is reduced against the kept ones by its highest row until it
+    vanishes or its highest row is no kept column's; the kept columns then
+    have distinct highest rows, so their number is the rank.  A step clears
+    the highest row and touches only lower ones, so every column finishes.
+    """
+    p = characteristic
+    kept: dict[int, dict] = {}
+    for column in columns:
+        col = {}
+        for row, v in column.items():
+            if p:
+                v %= p
+            if v:
+                col[row] = v
+        while col:
+            low = max(col)
+            pivot_col = kept.get(low)
+            if pivot_col is None:
+                kept[low] = col
+                break
+            factor = _pivot_factor(col.pop(low), pivot_col[low], p)
+            for row, v in pivot_col.items():
+                if row == low:
+                    continue
+                x = col.get(row, 0) - factor * v
+                if p:
+                    x %= p
+                if x:
+                    col[row] = x
+                else:
+                    del col[row]
+    return len(kept)
 
 
 def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
@@ -205,7 +186,8 @@ def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
     def rank(i: int) -> int:
         if i not in ranks:
             below, upper = by_dim.get(i - 1), by_dim.get(i)
-            ranks[i] = _matrix_rank(_boundary_matrix(below, upper), field) if below and upper else 0
+            ranks[i] = (column_rank(_boundary_columns(below, upper), field.characteristic)
+                        if below and upper else 0)
         return ranks[i]
 
     betti: dict[int, int] = {}

@@ -22,7 +22,6 @@ from .invariants import (
     alpha,
     beta,
     beta_recurrence_check,
-    dim_module_colon,
     h_vector_of_counts,
     hdepth_of_alpha,
 )
@@ -181,14 +180,16 @@ def _run_checks(b: ReportBuilder) -> list[dict]:
         f"hdepth={b.hdepth} <= dim={b.dim}",
     ))
 
-    colon_dim = dim_module_colon(b.pair, b.cap)
+    # (I : J) is proper for a valid pair, so its complex is nonvoid
+    colon_complex = complex_of_ideal(colon(b.pair.lower, b.pair.upper), b.cap)
+    colon_dim = colon_complex.dim + 1
     checks.append(_check(
         "dim-colon-agreement", _passfail(colon_dim == b.dim),
         f"alpha path {b.dim}, colon path {colon_dim}",
     ))
 
     psi_facets = relative_facets_of_pair(b.pair, b.cap)
-    colon_facets = complex_of_ideal(colon(b.pair.lower, b.pair.upper), b.cap).facets
+    colon_facets = colon_complex.facets
     checks.append(_check(
         "facet-colon-agreement", _passfail(psi_facets == colon_facets),
         f"{len(psi_facets)} facets on both sides" if psi_facets == colon_facets

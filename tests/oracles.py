@@ -135,6 +135,41 @@ def fraction_rank(rows):
     return rank
 
 
+def mod_p_rank(rows, p):
+    """Matrix rank over GF(p) by plain dense Gaussian elimination on ints."""
+    mat = [[x % p for x in row] for row in rows]
+    mat = [row for row in mat if any(row)]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def columns(rows):
+    """The sparse columns {row: entry} of a dense matrix given by rows."""
+    ncols = len(rows[0]) if rows else 0
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols)]
+
+
+def compose(columns_lower, column):
+    """The sparse column columns_lower * column, zero entries dropped."""
+    out = {}
+    for m, s in column.items():
+        for r, t in columns_lower[m].items():
+            out[r] = out.get(r, 0) + s * t
+    return {r: v for r, v in out.items() if v}
+
+
 def unpack(table, n):
     """The bool array over all 2^n masks of a packed subset table."""
     bits = np.unpackbits(table.astype("<u8").view(np.uint8), bitorder="little")

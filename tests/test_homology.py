@@ -13,14 +13,13 @@ from sqdepth.complexes import (
 from sqdepth.homology import (
     RATIONALS,
     CoefficientField,
-    _boundary_matrix,
+    _boundary_columns,
     _faces_by_dim,
+    column_rank,
     depth,
     depth_verdict,
     is_cm_relative,
     is_cohen_macaulay,
-    rank_fraction_free,
-    rank_mod_p,
     reduced_homology,
     relative_homology,
 )
@@ -48,7 +47,7 @@ class TestRanks:
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            assert rank_fraction_free(mat) == oracles.fraction_rank(mat)
+            assert column_rank(oracles.columns(mat), 0) == oracles.fraction_rank(mat)
 
     def test_mod_p_on_unimodular_examples(self):
         rng = random.Random(9)
@@ -57,11 +56,37 @@ class TestRanks:
             cols = rng.randint(1, 7)
             mat = [[rng.choice((-1, 0, 1)) for _ in range(cols)] for _ in range(rows)]
             over_q = oracles.fraction_rank(mat)
-            assert rank_mod_p(mat, 32003) == over_q
+            assert column_rank(oracles.columns(mat), 32003) == over_q
 
     def test_mod_p_drop(self):
-        assert rank_mod_p([[5]], 5) == 0
-        assert rank_fraction_free([[5]]) == 1
+        assert column_rank(oracles.columns([[5]]), 5) == 0
+        assert column_rank(oracles.columns([[5]]), 0) == 1
+
+    @pytest.mark.parametrize("p", (2, 3, 32003, 2147483647))
+    def test_matches_dense_oracles_over_qq_and_gf_p(self, p):
+        # random, sparse and low-rank integer matrices with entries up to
+        # p - 1 in absolute value, and ones with rows that agree mod p only
+        rng = random.Random(p)
+
+        def entry():
+            return rng.randint(-(p - 1), p - 1) if rng.random() < 0.6 else 0
+
+        for _ in range(150):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            kind = rng.randrange(3)
+            if kind == 0:
+                mat = [[entry() for _ in range(cols)] for _ in range(rows)]
+            elif kind == 1:  # a product through k < min(rows, cols) dimensions
+                k = rng.randint(1, max(1, min(rows, cols) - 1))
+                a = [[entry() for _ in range(k)] for _ in range(rows)]
+                b = [[entry() for _ in range(cols)] for _ in range(k)]
+                mat = [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+            else:  # rows that agree mod p but not over QQ
+                base = [[entry() for _ in range(cols)] for _ in range(rows)]
+                mat = base + [[x + p * rng.randint(-2, 2) for x in rng.choice(base)]
+                              for _ in range(rng.randint(1, 3))]
+            assert column_rank(oracles.columns(mat), 0) == oracles.fraction_rank(mat)
+            assert column_rank(oracles.columns(mat), p) == oracles.mod_p_rank(mat, p)
 
 
 class TestReducedHomology:
@@ -94,14 +119,9 @@ class TestReducedHomology:
             for i in dims:
                 if i - 1 not in by_dim or i + 1 not in by_dim:
                     continue
-                d_i = _boundary_matrix(by_dim[i - 1], by_dim[i])
-                d_next = _boundary_matrix(by_dim[i], by_dim[i + 1])
-                product = [
-                    [sum(d_i[r][m] * d_next[m][c2] for m in range(len(d_next)))
-                     for c2 in range(len(d_next[0]))]
-                    for r in range(len(d_i))
-                ]
-                assert all(all(x == 0 for x in row) for row in product)
+                d_i = _boundary_columns(by_dim[i - 1], by_dim[i])
+                d_next = _boundary_columns(by_dim[i], by_dim[i + 1])
+                assert all(not oracles.compose(d_i, col) for col in d_next)
 
     def test_reduced_euler_poincare(self):
         rng = random.Random(17)
@@ -331,7 +351,7 @@ class TestCoefficientField:
         CoefficientField(32003)
 
     def test_rejects_primes_beyond_int64_safe_range(self):
-        # rank_mod_p multiplies residues in int64; p >= 2^31 would overflow
+        # the bound keeps trial division short; p >= 2^31 is rejected first
         with pytest.raises(ValueError, match="2\\^31"):
             CoefficientField(4294967311)
         with pytest.raises(ValueError, match="2\\^31"):
