@@ -189,54 +189,11 @@ def f_vector(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> FVector:
     return FVector(tuple(entries))
 
 
-def skeleton(x: ComplexLike, dprime: int) -> ComplexLike:
-    """All faces of dimension at most dprime-1, as a complex of the same kind.
-
-    For a relative complex both components are truncated; a component of
-    dimension below the cut is left unchanged.
-    """
-    if isinstance(x, RelativeComplex):
-        return RelativeComplex(_skeleton_clamped(x.delta, dprime),
-                               _skeleton_clamped(x.gamma, dprime))
-    if x.is_void:
-        return x
-    if not 0 <= dprime <= x.dim + 1:
-        raise ValueError(f"skeleton level {dprime} outside 0..{x.dim + 1}")
-    if dprime == x.dim + 1:
-        return x
-    kept: set[int] = set()
-    for facet in x.facets:
-        if facet.bit_count() <= dprime:
-            kept.add(facet)
-        else:
-            kept.update(_submasks_of_size(facet, dprime))
-    return SimplicialComplex(x.n, _canonical_masks(kept))
-
-
-def _skeleton_clamped(x: SimplicialComplex, dprime: int) -> SimplicialComplex:
-    if x.is_void:
-        return x
-    return skeleton(x, min(dprime, x.dim + 1))
-
-
-def _submasks_of_size(mask: int, size: int) -> list[int]:
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    return [sum(1 << b for b in combo) for combo in combinations(bits, size)]
-
-
 def link_facets(facets: tuple[int, ...], face: int) -> tuple[int, ...]:
     """Facets of the link of `face` in the complex with these facets: the
     facets containing it, with it removed; empty when it is not a face.
     Removing the same bits from each keeps them distinct and canonical."""
     return tuple(f ^ face for f in facets if face & ~f == 0)
-
-
-def link(x: SimplicialComplex, face: int) -> SimplicialComplex:
-    """The link of a face: {G : G disjoint from F, G union F a face}."""
-    facets = link_facets(x.facets, face)
-    if not facets:
-        raise ValueError(f"mask {face:#x} is not a face of the complex")
-    return SimplicialComplex(x.n, facets)
 
 
 def relative_facets_of_pair(pair: IdealPair,

@@ -128,11 +128,9 @@ def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]
     return columns
 
 
-def _pivot_factor(entry, pivot, p: int):
-    """The multiple of the pivot column that clears `entry`: a residue mod p,
-    or over QQ an int when the division is exact and a Fraction otherwise."""
-    if p:
-        return entry * pow(pivot, -1, p) % p
+def _rational_factor(entry, pivot):
+    """The multiple of the pivot column that clears `entry` over QQ: an int
+    when the division is exact and a Fraction otherwise."""
     quotient, remainder = divmod(entry, pivot)
     return Fraction(entry, pivot) if remainder else quotient
 
@@ -147,7 +145,7 @@ def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
     the highest row and touches only lower ones, so every column finishes.
     """
     p = characteristic
-    kept: dict[int, dict] = {}
+    kept: dict[int, tuple[dict, int]] = {}
     for column in columns:
         col = {}
         for row, v in column.items():
@@ -157,11 +155,14 @@ def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
                 col[row] = v
         while col:
             low = max(col)
-            pivot_col = kept.get(low)
-            if pivot_col is None:
-                kept[low] = col
+            pivot_entry = kept.get(low)
+            if pivot_entry is None:
+                # mod p the pivot is stored inverted, so no step inverts it
+                kept[low] = (col, pow(col[low], -1, p) if p else col[low])
                 break
-            factor = _pivot_factor(col.pop(low), pivot_col[low], p)
+            pivot_col, pivot = pivot_entry
+            entry = col.pop(low)
+            factor = entry * pivot % p if p else _rational_factor(entry, pivot)
             for row, v in pivot_col.items():
                 if row == low:
                     continue

@@ -31,10 +31,6 @@ class RingContext:
         if not 1 <= self.n <= MAX_VARIABLES:
             raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {self.n}")
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -108,14 +104,6 @@ class MonomialIdeal:
     @classmethod
     def from_masks(cls, masks: Iterable[int], n: int) -> "MonomialIdeal":
         return minimalize((Monomial(m, n) for m in masks), n)
-
-    @property
-    def kind(self) -> str:
-        if not self.generators:
-            return "zero"
-        if self.generators[0].mask == 0:
-            return "unit"
-        return "proper"
 
     @property
     def is_zero(self) -> bool:

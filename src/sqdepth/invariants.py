@@ -9,16 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import sub
 from typing import Optional, Sequence
 
-from .complexes import ComplexLike, complex_of_ideal, f_vector
-from .ideals import (
-    DEFAULT_ENUMERATION_CAP,
-    IdealPair,
-    colon,
-    degree_counts,
-    membership_table,
-)
+from .complexes import ComplexLike, f_vector
+from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, degree_counts, membership_table
 from .macaulay import binomial_ext
 
 
@@ -61,10 +56,6 @@ class BetaVector:
                 return k
         return None
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return self.first_negative() is None
-
 
 def _first_positive(counts: Sequence[int]) -> int:
     for k, c in enumerate(counts):
@@ -80,9 +71,22 @@ def _last_positive(counts: Sequence[int]) -> int:
     raise ValueError("all entries are zero")
 
 
-def _transform_values(counts: Sequence[int], q: int) -> tuple[int, ...]:
+def _transform_rows(counts: Sequence[int], top: int) -> list[tuple[int, ...]]:
+    """The transforms of `counts` at levels 0..top, by the Pascal recurrence
+    beta_0^{q+1} = a_0, beta_k^{q+1} = beta_k^q - beta_{k-1}^q and
+    beta_{q+1}^{q+1} = a_{q+1} - beta_q^q; missing counts are zero."""
+    padded = list(counts[:top + 1]) + [0] * (top + 1 - len(counts))
+    rows = [(padded[0],)]
+    for q in range(top):
+        prev = rows[-1]
+        rows.append((prev[0], *map(sub, prev[1:], prev), padded[q + 1] - prev[-1]))
+    return rows
+
+
+def _direct_transform(counts: Sequence[int], q: int) -> tuple[int, ...]:
     # beta_k^q = sum_j (-1)^(k-j) C(q-j, k-j) a_j; entries beyond the input
-    # length are treated as zero.
+    # length are treated as zero.  Only the recurrence check uses it, as the
+    # side that does not go through the Pascal rows.
     out = []
     for k in range(q + 1):
         top = min(k, len(counts) - 1)
@@ -100,9 +104,7 @@ def alpha(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> AlphaVector:
 
 def beta(alpha_vec: AlphaVector, q: int) -> BetaVector:
     """The level-q transform of an alpha vector, 0 <= q <= n."""
-    if not 0 <= q <= alpha_vec.n:
-        raise ValueError(f"level {q} outside 0..{alpha_vec.n}")
-    return BetaVector(q, _transform_values(alpha_vec.counts, q))
+    return beta_table(alpha_vec, q, q)[0]
 
 
 def alpha_from_beta(beta_vec: BetaVector, d: int) -> AlphaVector:
@@ -117,7 +119,12 @@ def alpha_from_beta(beta_vec: BetaVector, d: int) -> AlphaVector:
 
 
 def beta_table(alpha_vec: AlphaVector, q_lo: int, q_hi: int) -> list[BetaVector]:
-    return [beta(alpha_vec, q) for q in range(q_lo, q_hi + 1)]
+    """The transforms at levels q_lo..q_hi, from one pass of Pascal rows."""
+    for q in (q_lo, q_hi):
+        if not 0 <= q <= alpha_vec.n:
+            raise ValueError(f"level {q} outside 0..{alpha_vec.n}")
+    rows = _transform_rows(alpha_vec.counts, q_hi)
+    return [BetaVector(q, rows[q]) for q in range(q_lo, q_hi + 1)]
 
 
 def hdepth_of_alpha(alpha_vec: AlphaVector) -> int:
@@ -128,8 +135,9 @@ def hdepth_of_alpha(alpha_vec: AlphaVector) -> int:
     """
     top = alpha_vec.max_degree
     bottom = alpha_vec.min_degree
+    rows = _transform_rows(alpha_vec.counts, top)
     for q in range(top, bottom - 1, -1):
-        if all(v >= 0 for v in _transform_values(alpha_vec.counts, q)):
+        if all(v >= 0 for v in rows[q]):
             return q
     raise AssertionError("transform scan fell through its lower bound")
 
@@ -145,14 +153,6 @@ def hdepth(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
 def dim_module(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Krull dimension of J/I, read off as max{k : alpha_k > 0}."""
     return alpha(pair, cap).max_degree
-
-
-def dim_module_colon(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Cross-check path for the dimension: dim of Delta(I:J) plus one."""
-    quotient = colon(pair.lower, pair.upper)
-    if quotient.is_unit:
-        raise ValueError("(I : J) is the unit ideal; the pair is degenerate")
-    return complex_of_ideal(quotient, cap).dim + 1
 
 
 def h_vector(x: ComplexLike, level: Optional[int] = None,
@@ -171,7 +171,7 @@ def h_vector_of_counts(counts: Sequence[int], level: Optional[int] = None) -> Be
         if not counts:
             raise ValueError("empty complex has no intrinsic level; pass one explicitly")
         level = len(counts) - 1
-    return BetaVector(level, _transform_values(counts, level))
+    return BetaVector(level, _transform_rows(counts, level)[level])
 
 
 def beta_recurrence_check(alpha_vec: AlphaVector, d: int) -> Optional[tuple[str, int]]:
@@ -179,21 +179,23 @@ def beta_recurrence_check(alpha_vec: AlphaVector, d: int) -> Optional[tuple[str,
 
     Verifies beta_k^{d+1} = beta_k^d - beta_{k-1}^d for 1 <= k <= d, and the
     complement identity beta_k^d(complement) = C(n-d+k-1, k) - beta_k^d
-    where the complement counts are C(n,j) - alpha_j.  Returns None when
-    both hold, else (identity name, first failing k).
+    where the complement counts are C(n,j) - alpha_j.  beta^d is the
+    production Pascal row; beta^{d+1} and the complement transform come from
+    the direct binomial formula, so a wrong row cannot agree with itself.
+    Returns None when both hold, else (identity name, first failing k).
     """
     if not 1 <= d <= alpha_vec.n:
         raise ValueError(f"level {d} outside 1..{alpha_vec.n}")
     n = alpha_vec.n
-    at_d = _transform_values(alpha_vec.counts, d)
-    at_d1 = _transform_values(alpha_vec.counts, d + 1)
+    at_d = _transform_rows(alpha_vec.counts, d)[d]
+    at_d1 = _direct_transform(alpha_vec.counts, d + 1)
     for k in range(1, d + 1):
         if at_d1[k] != at_d[k] - at_d[k - 1]:
             return ("level-recurrence", k)
     complement = tuple(comb(n, j) - c for j, c in enumerate(alpha_vec.counts))
     if any(c < 0 for c in complement):
         raise ValueError("alpha exceeds the binomial bound; not a subset count")
-    comp_at_d = _transform_values(complement, d)
+    comp_at_d = _direct_transform(complement, d)
     for k in range(d + 1):
         if comp_at_d[k] != binomial_ext(n - d + k - 1, k) - at_d[k]:
             return ("complement-identity", k)

@@ -4,10 +4,12 @@ These work on frozensets of 1-based indices and plain list matrices over
 Fractions, deliberately avoiding the bitmask and elimination code they are
 used to check.  The bool_* kernels are the one-byte-per-mask subset tables
 that the packed tables of `sqdepth.ideals` replaced.  The depth oracles
-reuse the package's links and untruncated link-pair homology, but neither
-its depth pass nor its truncation: `skeleton_scan_depth` is the skeleton
-scan with Reisner tests that the one-pass depth replaced, and
-`hochster_depth` evaluates Hochster's formula on every face.
+reuse the package's link facets and untruncated link-pair homology, but
+neither its depth pass nor its truncation: `skeleton_scan_depth` is the
+skeleton scan with Reisner tests that the one-pass depth replaced, and
+`hochster_depth` evaluates Hochster's formula on every face.  `skeleton`,
+`link` and `dim_module_colon` are the facet-listing skeleton, the link as a
+complex and the colon path to the dimension, which no report uses.
 """
 
 from fractions import Fraction
@@ -19,11 +21,12 @@ import numpy as np
 from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
-    link,
+    complex_of_ideal,
+    link_facets,
     relative_of_pair,
-    skeleton,
 )
 from sqdepth.homology import RATIONALS, relative_homology
+from sqdepth.ideals import DEFAULT_ENUMERATION_CAP, _canonical_masks, colon
 
 
 def subsets(n):
@@ -239,6 +242,58 @@ def bool_alpha(pair):
 def bool_relative_facets(pair):
     table = bool_membership_table(pair.upper) & ~bool_membership_table(pair.lower)
     return tuple(bool_maximal_masks(table, pair.n))
+
+
+def skeleton(x, dprime):
+    """All faces of dimension at most dprime-1, as a complex of the same kind,
+    listed as facets.  For a relative complex both components are truncated;
+    a component of dimension below the cut is left unchanged.  Reports mask
+    a face table by popcount instead."""
+    if isinstance(x, RelativeComplex):
+        return RelativeComplex(_skeleton_clamped(x.delta, dprime),
+                               _skeleton_clamped(x.gamma, dprime))
+    if x.is_void:
+        return x
+    if not 0 <= dprime <= x.dim + 1:
+        raise ValueError(f"skeleton level {dprime} outside 0..{x.dim + 1}")
+    if dprime == x.dim + 1:
+        return x
+    kept = set()
+    for facet in x.facets:
+        if facet.bit_count() <= dprime:
+            kept.add(facet)
+        else:
+            kept.update(_submasks_of_size(facet, dprime))
+    return SimplicialComplex(x.n, _canonical_masks(kept))
+
+
+def _skeleton_clamped(x, dprime):
+    if x.is_void:
+        return x
+    return skeleton(x, min(dprime, x.dim + 1))
+
+
+def _submasks_of_size(mask, size):
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [sum(1 << b for b in combo) for combo in combinations(bits, size)]
+
+
+def link(x, face):
+    """The link of a face as a complex: {G : G disjoint from F, G union F a
+    face}.  The depth pass works on `link_facets` directly."""
+    facets = link_facets(x.facets, face)
+    if not facets:
+        raise ValueError(f"mask {face:#x} is not a face of the complex")
+    return SimplicialComplex(x.n, facets)
+
+
+def dim_module_colon(pair, cap=DEFAULT_ENUMERATION_CAP):
+    """The dimension of J/I read as dim Delta(I : J) plus one, the path that
+    `verify` cross-checks against max{k : alpha_k > 0}."""
+    quotient = colon(pair.lower, pair.upper)
+    if quotient.is_unit:
+        raise ValueError("(I : J) is the unit ideal; the pair is degenerate")
+    return complex_of_ideal(quotient, cap).dim + 1
 
 
 def link_pair(psi, f):

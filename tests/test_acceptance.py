@@ -17,7 +17,6 @@ from sqdepth.complexes import (
     f_vector,
     relative_facets_of_pair,
     relative_of_pair,
-    skeleton,
 )
 from sqdepth.homology import (
     _boundary_columns,
@@ -36,7 +35,6 @@ from sqdepth.invariants import (
     beta,
     beta_recurrence_check,
     dim_module,
-    dim_module_colon,
     h_vector,
     hdepth,
     hdepth_of_alpha,
@@ -50,6 +48,7 @@ from sqdepth.randgen import (
 )
 
 import oracles
+from oracles import dim_module_colon, skeleton
 from test_invariants import duval_ideal, section3_pair
 
 

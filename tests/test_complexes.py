@@ -10,11 +10,9 @@ from sqdepth.complexes import (
     f_vector,
     face_table,
     ideal_of_complex,
-    link,
     pair_of_relative,
     relative_facets_of_pair,
     relative_of_pair,
-    skeleton,
 )
 from sqdepth.ideals import IdealPair, MonomialIdeal, popcount_table
 from sqdepth.randgen import (
@@ -25,6 +23,7 @@ from sqdepth.randgen import (
 )
 
 import oracles
+from oracles import link, skeleton
 
 
 def ideal(masks, n):

@@ -8,7 +8,6 @@ from sqdepth.complexes import (
     complex_of_ideal,
     f_vector,
     relative_of_pair,
-    skeleton,
 )
 from sqdepth.homology import (
     RATIONALS,
@@ -34,6 +33,7 @@ from sqdepth.randgen import (
 from sqdepth.reports import build_depth_document
 
 import oracles
+from oracles import skeleton
 
 HOLLOW = SimplicialComplex(3, (0b011, 0b101, 0b110))
 GF5 = CoefficientField(5)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sqdepth.complexes import SimplicialComplex, relative_of_pair, skeleton
+from sqdepth.complexes import SimplicialComplex, relative_of_pair
 from sqdepth.ideals import IdealPair, MonomialIdeal, RingContext, parse_ideal
 from sqdepth.invariants import (
     AlphaVector,
@@ -12,7 +12,6 @@ from sqdepth.invariants import (
     beta_recurrence_check,
     beta_table,
     dim_module,
-    dim_module_colon,
     h_vector,
     hdepth,
     hdepth_of_alpha,
@@ -20,6 +19,7 @@ from sqdepth.invariants import (
 from sqdepth.randgen import random_alpha_counts, random_pair
 
 import oracles
+from oracles import dim_module_colon, skeleton
 
 # ---------------------------------------------------------------------------
 # The 64 minimal generators of the 16-variable ideal of Duval, Goeckner,
