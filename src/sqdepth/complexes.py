@@ -9,7 +9,7 @@ the empty set has facet tuple (0,).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -71,9 +71,7 @@ class SimplicialComplex:
         faces: set[int] = set()
         for facet in self.facets:
             if max_size is not None and facet.bit_count() > max_size:
-                bits = [1 << b for b in range(facet.bit_length()) if facet >> b & 1]
-                for k in range(max_size + 1):
-                    faces.update(map(sum, combinations(bits, k)))
+                faces.update(_subsets(facet, range(max_size + 1)))
                 continue
             sub = facet
             while True:
@@ -82,6 +80,23 @@ class SimplicialComplex:
                     break
                 sub = (sub - 1) & facet
         return faces
+
+    def faces_of_size(self, k: int, limit: int) -> list[int]:
+        """The faces of k vertices in ascending mask order.  Listing stops
+        once more than `limit` are found, so a caller that compares the
+        length with its limit never holds much more than twice that many."""
+        faces: set[int] = set()
+        for facet in self.facets:
+            faces.update(islice(_subsets(facet, range(k, k + 1)), limit + 1))
+            if len(faces) > limit:
+                break
+        return sorted(faces)
+
+
+def _subsets(facet: int, sizes: range):
+    """The subsets of a facet with a vertex count in `sizes`, as masks."""
+    bits = [1 << b for b in range(facet.bit_length()) if facet >> b & 1]
+    return chain.from_iterable(map(sum, combinations(bits, k)) for k in sizes)
 
 
 @dataclass(frozen=True)
@@ -146,7 +161,7 @@ def ideal_of_complex(complex_: SimplicialComplex,
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
     table = complement(downward_closure_table(complex_.facets, complex_.n, cap), complex_.n)
-    return MonomialIdeal.from_masks(minimal_masks(table, complex_.n), complex_.n)
+    return MonomialIdeal(complex_.n, minimal_masks(table, complex_.n))
 
 
 def relative_of_pair(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> RelativeComplex:

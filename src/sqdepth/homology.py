@@ -25,7 +25,8 @@ from .complexes import (
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair
 
 DEFAULT_PRIME = 32003
-DEFAULT_FACE_CAP = 100_000
+# Most faces one homology call or one depth pass lists; read at call time.
+FACE_CAP = 100_000
 # Ranks mod p are exact for any prime; the bound keeps _is_prime's trial
 # division short (at most about 46341 steps).
 PRIME_LIMIT = 1 << 31
@@ -91,14 +92,14 @@ class ChainComplexRanks:
         return all(v == 0 for v in self.betti.values())
 
 
-def _faces_by_dim(masks, face_cap: int) -> dict[int, list[int]]:
+def _faces_by_dim(masks, cap: int) -> dict[int, list[int]]:
     by_dim: dict[int, list[int]] = {}
     total = 0
     for m in masks:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
         total += 1
-        if total > face_cap:
-            raise CapExceededError(f"face count exceeds the cap {face_cap}")
+        if total > cap:
+            raise CapExceededError(f"face count exceeds the cap {cap}")
     for faces in by_dim.values():
         faces.sort()
     return by_dim
@@ -231,17 +232,15 @@ def clear_homology_cache() -> None:
     _HOMOLOGY_CACHE.clear()
 
 
-def reduced_homology(complex_: SimplicialComplex, field: CoefficientField = RATIONALS,
-                     face_cap: int = DEFAULT_FACE_CAP) -> ChainComplexRanks:
+def reduced_homology(complex_: SimplicialComplex,
+                     field: CoefficientField = RATIONALS) -> ChainComplexRanks:
     """Reduced Betti numbers of a nonvoid complex: the pair with a void gamma."""
     if complex_.is_void:
         raise ValueError("the void complex has no homology")
-    return relative_homology(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)),
-                             field, face_cap)
+    return relative_homology(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)), field)
 
 
 def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
-                      face_cap: int = DEFAULT_FACE_CAP,
                       top: Optional[int] = None) -> ChainComplexRanks:
     """Homology of the pair: chains on delta-minus-gamma faces, boundaries
     taken modulo gamma.  An empty pair has no chain groups at all.
@@ -255,7 +254,7 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     if cached is not None:
         return cached
     faces = psi.face_masks(None if top is None else top + 2)
-    result = _ranks_from_faces(_faces_by_dim(faces, face_cap), field, top)
+    result = _ranks_from_faces(_faces_by_dim(faces, FACE_CAP), field, top)
     if len(_HOMOLOGY_CACHE) >= HOMOLOGY_CACHE_LIMIT:
         _HOMOLOGY_CACHE.pop(next(iter(_HOMOLOGY_CACHE), None), None)
     _HOMOLOGY_CACHE[key] = result
@@ -293,60 +292,63 @@ class CmVerdict:
         return self.is_cm
 
 
-def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS,
-                  face_cap: int = DEFAULT_FACE_CAP) -> CmVerdict:
+def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
     """Depth of the module of psi by Hochster's formula in relative form:
     the minimum of |F| + 1 + i over faces F of delta and dimensions i with
     H_i(lk_delta F, lk_gamma F) != 0, or dim = psi.dim + 1 when smaller.
 
     Faces are visited by size, then mask.  A face can only lower the best
     value b so far through i <= b - |F| - 2, so the pass stops once |F|
-    reaches b, and each link pair's homology is truncated at that i.  Link
-    pairs that are empty, or whose two links are cones (acyclic), are
-    skipped.  The first (F, i) to set the final minimum is the witness.
+    reaches b, and each link pair's homology is truncated at that i.  The
+    faces of one size are listed only when the pass reaches that size, and
+    only listed faces count against FACE_CAP.  Link pairs that are empty, or
+    whose two links are cones (acyclic), are skipped.  The first (F, i) to
+    set the final minimum is the witness.
     """
     best = dim = psi.dim + 1
-    faces = sorted(psi.delta.face_masks(dim - 1), key=lambda m: (m.bit_count(), m))
-    if len(faces) > face_cap:
-        raise CapExceededError(f"face count exceeds the cap {face_cap}")
+    listed = 0
     witness_face = witness_dim = None
-    for f in faces:
-        size = f.bit_count()
-        if size >= best:
-            break
-        lk_delta = link_facets(psi.delta.facets, f)
-        lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
-        if _is_cone(lk_delta) and (not lk_gamma or _is_cone(lk_gamma)):
-            continue  # both chain complexes acyclic, so the pair is too
-        lk_pair = RelativeComplex(SimplicialComplex(psi.n, lk_delta),
-                                  SimplicialComplex(psi.n, lk_gamma))
-        if lk_pair.is_empty:
-            continue
-        i = relative_homology(lk_pair, field, face_cap, top=best - size - 2).first_nonzero()
-        if i is not None:
-            best = size + 1 + i
-            witness_face, witness_dim = f, i
+    size = 0
+    while size < best:
+        level = psi.delta.faces_of_size(size, FACE_CAP - listed)
+        listed += len(level)
+        if listed > FACE_CAP:
+            raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+        for f in level:
+            lk_delta = link_facets(psi.delta.facets, f)
+            lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
+            if _is_cone(lk_delta) and (not lk_gamma or _is_cone(lk_gamma)):
+                continue  # both chain complexes acyclic, so the pair is too
+            lk_pair = RelativeComplex(SimplicialComplex(psi.n, lk_delta),
+                                      SimplicialComplex(psi.n, lk_gamma))
+            if lk_pair.is_empty:
+                continue
+            i = relative_homology(lk_pair, field, top=best - size - 2).first_nonzero()
+            if i is not None:
+                best = size + 1 + i
+                witness_face, witness_dim = f, i
+                if size >= best:
+                    break
+        size += 1
     return CmVerdict(best, dim, field, witness_face, witness_dim)
 
 
-def is_cohen_macaulay(complex_: SimplicialComplex, field: CoefficientField = RATIONALS,
-                      face_cap: int = DEFAULT_FACE_CAP) -> CmVerdict:
+def is_cohen_macaulay(complex_: SimplicialComplex,
+                      field: CoefficientField = RATIONALS) -> CmVerdict:
     """Cohen-Macaulayness of a nonvoid complex: the pair with a void gamma."""
     if complex_.is_void:
         raise ValueError("the void complex cannot be tested")
-    return depth_verdict(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)),
-                         field, face_cap)
+    return depth_verdict(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)), field)
 
 
-def is_cm_relative(psi: RelativeComplex, field: CoefficientField = RATIONALS,
-                   face_cap: int = DEFAULT_FACE_CAP) -> CmVerdict:
+def is_cm_relative(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
     """Cohen-Macaulayness of a nonempty relative complex."""
     if psi.is_empty:
         raise ValueError("the relative complex has no faces to test")
-    return depth_verdict(psi, field, face_cap)
+    return depth_verdict(psi, field)
 
 
 def depth(pair: IdealPair, field: CoefficientField = RATIONALS,
-          cap: int = DEFAULT_ENUMERATION_CAP, face_cap: int = DEFAULT_FACE_CAP) -> int:
+          cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Depth of J/I, from one Hochster pass over its relative complex."""
-    return depth_verdict(relative_of_pair(pair, cap), field, face_cap).depth
+    return depth_verdict(relative_of_pair(pair, cap), field).depth

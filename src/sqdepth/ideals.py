@@ -21,47 +21,6 @@ MAX_VARIABLES = 63
 DEFAULT_ENUMERATION_CAP = 24
 
 
-@dataclass(frozen=True)
-class RingContext:
-    """The ambient polynomial ring, reduced to its variable count."""
-
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A squarefree monomial x_A, stored as the bitmask of A."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    def divides(self, other: "Monomial") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def support(self) -> tuple[int, ...]:
-        """1-based variable indices."""
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
-
-    def __str__(self):
-        if self.mask == 0:
-            return "1"
-        return "*".join(f"x{i}" for i in self.support())
-
-
 def _canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
 
@@ -72,24 +31,38 @@ def _is_antichain(masks) -> bool:
     )
 
 
+def _check_masks(masks: Iterable[int], n: int) -> None:
+    """Reject a variable count outside 1..MAX_VARIABLES or a mask outside 0..2^n-1."""
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {n}")
+    for m in masks:
+        if not 0 <= m < (1 << n):
+            raise ValueError(f"mask {m:#x} out of range for n={n}")
+
+
+def _monomial_text(mask: int) -> str:
+    """x_A as text: the product of its variables, or 1 for the empty mask."""
+    if mask == 0:
+        return "1"
+    return "*".join(f"x{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A squarefree monomial ideal given by its minimal generators.
 
-    ``generators`` is the divisibility antichain in canonical order
-    (degree, then mask value).  The zero ideal has no generators; the unit
-    ideal is generated by the empty mask (the monomial 1).
+    ``generators`` holds the generator masks: the divisibility antichain in
+    canonical order (degree, then mask value).  The zero ideal has no
+    generators; the unit ideal is generated by the empty mask (the
+    monomial 1).
     """
 
     n: int
-    generators: tuple[Monomial, ...]
+    generators: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise ValueError(f"variable count must be in 1..{MAX_VARIABLES}, got {self.n}")
-        masks = [g.mask for g in self.generators]
-        if any(g.n != self.n for g in self.generators):
-            raise ValueError("generator variable counts disagree with the ideal")
+        masks = list(self.generators)
+        _check_masks(masks, self.n)
         if masks != list(_canonical_masks(masks)) or not _is_antichain(masks):
             raise ValueError("generators must be a canonically ordered antichain")
 
@@ -99,11 +72,7 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, (Monomial(0, n),))
-
-    @classmethod
-    def from_masks(cls, masks: Iterable[int], n: int) -> "MonomialIdeal":
-        return minimalize((Monomial(m, n) for m in masks), n)
+        return cls(n, (0,))
 
     @property
     def is_zero(self) -> bool:
@@ -111,58 +80,49 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return bool(self.generators) and self.generators[0].mask == 0
+        return bool(self.generators) and self.generators[0] == 0
 
     @property
     def is_proper(self) -> bool:
         return not self.is_zero and not self.is_unit
 
-    def generator_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.generators)
-
-    def contains(self, m: Monomial) -> bool:
-        """Membership test: some generator divides m."""
-        if m.n != self.n:
-            raise ValueError("monomial and ideal live in different rings")
-        return any(g.mask & ~m.mask == 0 for g in self.generators)
-
-    def contains_mask(self, mask: int) -> bool:
-        return any(g.mask & ~mask == 0 for g in self.generators)
+    def contains(self, mask: int) -> bool:
+        """Membership test for x_mask: some generator divides it."""
+        _check_masks((mask,), self.n)
+        return any(g & ~mask == 0 for g in self.generators)
 
     def __str__(self):
         if self.is_zero:
             return "zero"
         if self.is_unit:
             return "unit"
-        return ", ".join(str(g) for g in self.generators)
+        return ", ".join(_monomial_text(g) for g in self.generators)
 
 
-def minimalize(gens: Iterable[Monomial], n: int) -> MonomialIdeal:
-    """Reduce a generating set to the divisibility antichain.
-
-    Deterministic: the surviving generators are ordered by degree, then by
-    mask value.  An empty generating set yields the zero ideal.
+def minimalize(masks: Iterable[int], n: int) -> MonomialIdeal:
+    """The ideal generated by these masks: the divisibility antichain of
+    the distinct ones, ordered by degree, then by mask value.  An empty
+    generating set yields the zero ideal.
     """
-    masks = sorted({g.mask for g in gens}, key=lambda m: (m.bit_count(), m))
+    masks = _canonical_masks(masks)
+    _check_masks(masks, n)
     kept: list[int] = []
     for m in masks:
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
-    return MonomialIdeal(n, tuple(Monomial(m, n) for m in kept))
+    return MonomialIdeal(n, tuple(kept))
 
 
 def _colon_single(ideal: MonomialIdeal, gmask: int) -> MonomialIdeal:
     # (I : x_B) is generated by the masks A \ B over generators x_A of I.
-    return MonomialIdeal.from_masks((g.mask & ~gmask for g in ideal.generators), ideal.n)
+    return minimalize((g & ~gmask for g in ideal.generators), ideal.n)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection of squarefree ideals: pairwise mask unions, minimalized."""
     if a.n != b.n:
         raise ValueError("ideals live in different rings")
-    return MonomialIdeal.from_masks(
-        (ga.mask | gb.mask for ga in a.generators for gb in b.generators), a.n
-    )
+    return minimalize((ga | gb for ga in a.generators for gb in b.generators), a.n)
 
 
 def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
@@ -176,7 +136,7 @@ def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("colon by the zero ideal is undefined")
     result = MonomialIdeal.unit(ideal.n)
     for g in other.generators:
-        result = intersect(result, _colon_single(ideal, g.mask))
+        result = intersect(result, _colon_single(ideal, g))
     return result
 
 
@@ -196,7 +156,7 @@ class IdealPair:
             raise InvalidPairError("I and J live in different rings")
         for g in self.lower.generators:
             if not self.upper.contains(g):
-                raise InvalidPairError(f"generator {g} of I does not lie in J")
+                raise InvalidPairError(f"generator {_monomial_text(g)} of I does not lie in J")
         if self.lower == self.upper:
             raise InvalidPairError("I and J are equal as ideals")
 
@@ -319,7 +279,7 @@ def membership_table(ideal: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -
         return np.full(word_count(ideal.n), _valid_bits(ideal.n), dtype=np.uint64)
     if ideal.is_zero:
         return np.zeros(word_count(ideal.n), dtype=np.uint64)
-    seeds = np.array(ideal.generator_masks(), dtype=np.uint64)
+    seeds = np.array(ideal.generators, dtype=np.uint64)
     return _close(_seeded(seeds, ideal.n), ideal.n, upward=True)
 
 
@@ -433,7 +393,7 @@ def _parse_product(token: str, line: int, col: int, n: int) -> int:
     return mask
 
 
-def parse_ideal(text: str, ctx: RingContext) -> MonomialIdeal:
+def parse_ideal(text: str, n: int) -> MonomialIdeal:
     """Parse one ideal from text; see the grammar in the module docstring."""
     tokens = list(_tokens_with_positions(text))
     if not tokens:
@@ -445,6 +405,5 @@ def parse_ideal(text: str, ctx: RingContext) -> MonomialIdeal:
             raise ParseError(
                 f"keyword {word!r} cannot be combined with generators", line, col
             )
-        return MonomialIdeal.zero(ctx.n) if tokens[0][0] == "zero" else MonomialIdeal.unit(ctx.n)
-    masks = [_parse_product(tok, line, col, ctx.n) for tok, line, col in tokens]
-    return MonomialIdeal.from_masks(masks, ctx.n)
+        return MonomialIdeal.zero(n) if tokens[0][0] == "zero" else MonomialIdeal.unit(n)
+    return minimalize((_parse_product(tok, line, col, n) for tok, line, col in tokens), n)

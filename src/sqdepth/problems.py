@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ParseError
-from .ideals import MAX_VARIABLES, IdealPair, RingContext, parse_ideal
+from .ideals import MAX_VARIABLES, IdealPair, parse_ideal
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,9 @@ class ProblemFile:
     lower_text: str
     label: Optional[str] = None
 
-    def ring(self) -> RingContext:
-        return RingContext(self.n)
-
     def pair(self) -> IdealPair:
-        ctx = self.ring()
-        upper = parse_ideal(self.upper_text, ctx)
-        lower = parse_ideal(self.lower_text, ctx)
-        return IdealPair(lower, upper)
+        upper = parse_ideal(self.upper_text, self.n)
+        return IdealPair(parse_ideal(self.lower_text, self.n), upper)
 
 
 _KEYS = ("n", "label", "J", "I")

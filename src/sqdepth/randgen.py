@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import random
 
-from .ideals import IdealPair, Monomial, MonomialIdeal, minimalize
+from .ideals import IdealPair, MonomialIdeal, minimalize
 
 
-def random_monomial(rng: random.Random, n: int, min_degree: int = 1) -> Monomial:
+def random_monomial(rng: random.Random, n: int, min_degree: int = 1) -> int:
+    """The mask of a random squarefree monomial of degree min_degree..n."""
     degree = rng.randint(min_degree, n)
-    bits = rng.sample(range(n), degree)
-    return Monomial(sum(1 << b for b in bits), n)
+    return sum(1 << b for b in rng.sample(range(n), degree))
 
 
 def random_proper_ideal(rng: random.Random, n: int, max_gens: int = 6) -> MonomialIdeal:
@@ -41,9 +41,8 @@ def random_pair(rng: random.Random, n: int, max_attempts: int = 100) -> IdealPai
             if upper.is_unit:
                 gens.append(random_monomial(rng, n))
             else:
-                base = rng.choice(upper.generators).mask
-                extra = random_monomial(rng, n, min_degree=0).mask
-                gens.append(Monomial(base | extra, n))
+                base = rng.choice(upper.generators)
+                gens.append(base | random_monomial(rng, n, min_degree=0))
         lower = minimalize(gens, n)
         if lower != upper:
             return IdealPair(lower, upper)
@@ -62,7 +61,7 @@ def random_complete_intersection(rng: random.Random, n: int) -> tuple[IdealPair,
         size = rng.randint(1, max(1, min(3, remaining)))
         block = variables[cursor:cursor + size]
         cursor += size
-        gens.append(Monomial(sum(1 << b for b in block), n))
+        gens.append(sum(1 << b for b in block))
     return IdealPair.quotient(minimalize(gens, n)), m
 
 

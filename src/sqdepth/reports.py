@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .complexes import complex_of_ideal, f_vector, relative_facets_of_pair, relative_of_pair
-from .homology import DEFAULT_FACE_CAP, CoefficientField, depth_verdict
+from .homology import CoefficientField, depth_verdict
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon
 from .invariants import (
     AlphaVector,
@@ -57,12 +57,10 @@ class ReportBuilder:
     """Shared computation for the three report commands."""
 
     def __init__(self, pair: IdealPair, field: CoefficientField,
-                 cap: int = DEFAULT_ENUMERATION_CAP, face_cap: int = DEFAULT_FACE_CAP,
-                 label: Optional[str] = None):
+                 cap: int = DEFAULT_ENUMERATION_CAP, label: Optional[str] = None):
         self.pair = pair
         self.field = field
         self.cap = cap
-        self.face_cap = face_cap
         self.label = label
         self.alpha = alpha(pair, cap)
         self.hdepth = hdepth_of_alpha(self.alpha)
@@ -74,7 +72,7 @@ class ReportBuilder:
         self.cm_witness = None
 
     def compute_depth(self) -> None:
-        verdict = depth_verdict(relative_of_pair(self.pair, self.cap), self.field, self.face_cap)
+        verdict = depth_verdict(relative_of_pair(self.pair, self.cap), self.field)
         self.depth = verdict.depth
         self.cm = verdict.is_cm
         if verdict.witness_face is not None:
@@ -134,10 +132,9 @@ def build_invariants_document(pair, field, flags, label=None, cap=DEFAULT_ENUMER
     return doc
 
 
-def build_depth_document(pair, field, flags, label=None, cap=DEFAULT_ENUMERATION_CAP,
-                         face_cap=DEFAULT_FACE_CAP):
+def build_depth_document(pair, field, flags, label=None, cap=DEFAULT_ENUMERATION_CAP):
     start = time.perf_counter()
-    builder = ReportBuilder(pair, field, cap=cap, face_cap=face_cap, label=label)
+    builder = ReportBuilder(pair, field, cap=cap, label=label)
     builder.compute_depth()
     doc = builder.document("depth", flags)
     doc["timing_ms"] = int((time.perf_counter() - start) * 1000)
@@ -145,14 +142,14 @@ def build_depth_document(pair, field, flags, label=None, cap=DEFAULT_ENUMERATION
 
 
 def build_verify_document(pair, field, flags, label=None, skip_depth=False,
-                          cap=DEFAULT_ENUMERATION_CAP, face_cap=DEFAULT_FACE_CAP):
+                          cap=DEFAULT_ENUMERATION_CAP):
     """Run every applicable identity and inequality and record a verdict each.
 
     Every asserted relation is a proved statement, so a failure indicates an
     implementation bug, never a property of the input.
     """
     start = time.perf_counter()
-    builder = ReportBuilder(pair, field, cap=cap, face_cap=face_cap, label=label)
+    builder = ReportBuilder(pair, field, cap=cap, label=label)
     if not skip_depth:
         builder.compute_depth()
     doc = builder.document("verify", flags)

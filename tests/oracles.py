@@ -50,7 +50,7 @@ def set_to_mask(s):
 
 
 def ideal_gen_sets(ideal):
-    return [mask_to_set(g.mask) for g in ideal.generators]
+    return [mask_to_set(g) for g in ideal.generators]
 
 
 def brute_alpha(lower_gens, upper_gens, n, unit_upper=False):
@@ -190,7 +190,7 @@ def bool_membership_table(ideal):
     """x_A in the ideal, for all 2^n masks A: seeds closed upward bit by bit."""
     table = np.zeros(1 << ideal.n, dtype=bool)
     for g in ideal.generators:
-        table[g.mask] = True
+        table[g] = True
     for b in range(ideal.n):
         view = table.reshape(-1, 2, 1 << b)
         view[:, 1, :] |= view[:, 0, :]

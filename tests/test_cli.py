@@ -122,6 +122,17 @@ class TestDepthCommand:
         assert captured.err.startswith("error: ")
         assert "2^31" in captured.err
 
+    def test_face_cap_exceeded(self, tmp_path, monkeypatch, capsys):
+        from sqdepth import homology
+
+        path = tmp_path / "s6.ideal"
+        path.write_text("n: 6\nJ: unit\nI: zero\n", encoding="utf-8")
+        monkeypatch.setattr(homology, "FACE_CAP", 20)
+        assert main(["depth", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "depth:" not in captured.out
+        assert captured.err.startswith("error: face count exceeds the cap 20")
+
     def test_witness_on_non_cm(self, tmp_path, capsys):
         path = tmp_path / "disc.ideal"
         path.write_text("n: 3\nJ: unit\nI: x1*x2, x1*x3\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from sqdepth.complexes import (
     relative_facets_of_pair,
     relative_of_pair,
 )
-from sqdepth.ideals import IdealPair, MonomialIdeal, popcount_table
+from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize, popcount_table
 from sqdepth.randgen import (
     random_module_pair,
     random_pair,
@@ -27,7 +27,7 @@ from oracles import link, skeleton
 
 
 def ideal(masks, n):
-    return MonomialIdeal.from_masks(masks, n)
+    return minimalize(masks, n)
 
 
 class TestComplexOfIdeal:
@@ -51,11 +51,11 @@ class TestComplexOfIdeal:
 class TestIdealOfComplex:
     def test_hollow_triangle_inverse(self):
         c = SimplicialComplex(3, (0b011, 0b101, 0b110))
-        assert ideal_of_complex(c).generator_masks() == (0b111,)
+        assert ideal_of_complex(c).generators == (0b111,)
 
     def test_minimal_non_faces(self):
         c = SimplicialComplex(3, (0b001, 0b110))
-        assert ideal_of_complex(c).generator_masks() == (0b011, 0b101)
+        assert ideal_of_complex(c).generators == (0b011, 0b101)
 
     def test_full_simplex_gives_zero(self):
         assert ideal_of_complex(SimplicialComplex.full_simplex(3)).is_zero
@@ -183,6 +183,22 @@ class TestSkeleton:
         c = SimplicialComplex(3, (0b001,))
         with pytest.raises(ValueError):
             skeleton(c, 5)
+
+
+class TestFacesOfSize:
+    def test_levels_match_enumeration(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 7)))
+            faces = c.face_masks()
+            for k in range(c.n + 1):
+                expected = sorted(f for f in faces if f.bit_count() == k)
+                assert c.faces_of_size(k, len(faces)) == expected
+
+    def test_listing_stops_past_the_limit(self):
+        # the 10-vertex faces of a 20-simplex number C(20, 10) = 184756
+        level = SimplicialComplex.full_simplex(20).faces_of_size(10, 100)
+        assert 100 < len(level) <= 201
 
 
 class TestFaceTable:

@@ -9,6 +9,7 @@ from sqdepth.complexes import (
     f_vector,
     relative_of_pair,
 )
+from sqdepth.errors import CapExceededError
 from sqdepth.homology import (
     RATIONALS,
     CoefficientField,
@@ -22,8 +23,9 @@ from sqdepth.homology import (
     reduced_homology,
     relative_homology,
 )
-from sqdepth.ideals import IdealPair, MonomialIdeal, RingContext, parse_ideal
+from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize, parse_ideal
 from sqdepth.invariants import dim_module
+from sqdepth.problems import parse_problem_text
 from sqdepth.randgen import (
     random_module_pair,
     random_pair,
@@ -221,7 +223,7 @@ class TestReisner:
         assert is_cm_relative(psi).is_cm
 
     def test_relative_two_vertices(self):
-        ctx = RingContext(2)
+        ctx = 2
         pair = IdealPair(parse_ideal("x1*x2", ctx), parse_ideal("x1, x2", ctx))
         assert is_cm_relative(relative_of_pair(pair)).is_cm
 
@@ -232,7 +234,7 @@ class TestDepth:
         assert depth(IdealPair.quotient(duval_ideal())) == 4
 
     def test_disconnected_quotient(self):
-        i = MonomialIdeal.from_masks([0b011, 0b101], 3)
+        i = minimalize([0b011, 0b101], 3)
         assert depth(IdealPair.quotient(i)) == 1
 
     def test_section3(self):
@@ -241,7 +243,7 @@ class TestDepth:
 
     def test_maximal_ideal_quotient(self):
         # S/(x1,..,xn) is a field: depth 0
-        i = MonomialIdeal.from_masks([0b01, 0b10], 2)
+        i = minimalize([0b01, 0b10], 2)
         assert depth(IdealPair.quotient(i)) == 0
 
     def test_matches_hochster_formula(self):
@@ -288,8 +290,7 @@ class TestDepth:
                          and f.bit_count() - 1 == psi.dim]
             if not top_faces or len(psi.face_masks()) < 2:
                 continue
-            lower1 = MonomialIdeal.from_masks(
-                [g.mask for g in pair.lower.generators] + [top_faces[0]], n)
+            lower1 = minimalize(list(pair.lower.generators) + [top_faces[0]], n)
             if lower1 == pair.upper:
                 continue
             checked += 1
@@ -332,7 +333,7 @@ class TestOnePassDepth:
         # found by seeded search: Reisner's first failing face is {} with
         # homology in dimension 5 (0 + 1 + 5 = 6), but the face {6,7} has
         # homology in dimension 2 and attains depth = 2 + 1 + 2 = 5
-        ctx = RingContext(7)
+        ctx = 7
         pair = IdealPair.module(parse_ideal("x1*x5, x3*x5, x2*x4*x5, x1*x2*x3*x4*x6*x7", ctx))
         psi = relative_of_pair(pair)
         assert oracles.reisner_witness(psi) == (0, 5)
@@ -342,6 +343,51 @@ class TestOnePassDepth:
         assert not is_cm_relative(psi)
         doc = build_depth_document(pair, RATIONALS, {})
         assert doc["cm_witness"] == {"face": "{6,7}", "dimension": 2}
+
+
+    def test_only_visited_delta_faces_are_listed(self):
+        # delta is a 16-simplex plus an isolated vertex: H_0 of the pair at
+        # the empty face gives depth 1 at once, so no other face of delta
+        # (2^17 of them up to dim - 1 vertices) is listed or counted
+        text = "n: 18\nJ: x1, x18\nI: " + ", ".join(f"x18*x{v}" for v in range(1, 18))
+        pair = parse_problem_text(text).pair()
+        verdict = depth_verdict(relative_of_pair(pair))
+        assert (verdict.depth, verdict.dim) == (1, 17)
+        assert (verdict.witness_face, verdict.witness_dim) == (0, 0)
+        doc = build_depth_document(pair, RATIONALS, {})
+        assert doc["depth"] == 1 and doc["cm_witness"] == {"face": "{}", "dimension": 0}
+
+
+class TestFaceCap:
+    def test_listed_delta_faces_count(self, monkeypatch):
+        # S over six variables: every link before the last level is a
+        # simplex, so the pass lists the 63 delta faces of 0..5 vertices and
+        # computes no link homology
+        from sqdepth import homology
+
+        psi = relative_of_pair(IdealPair(MonomialIdeal.zero(6), MonomialIdeal.unit(6)))
+        monkeypatch.setattr(homology, "FACE_CAP", 63)
+        assert depth_verdict(psi).depth == 6
+        monkeypatch.setattr(homology, "FACE_CAP", 62)
+        with pytest.raises(CapExceededError, match="face count exceeds the cap 62"):
+            depth_verdict(psi)
+
+    def test_link_pair_faces_count(self, monkeypatch):
+        # delta is a 4-simplex plus a point and gamma a 3-simplex: the pass
+        # lists one delta face, the empty one, whose link pair (the pair
+        # itself) has 33 - 16 = 17 faces
+        from sqdepth import homology
+
+        text = "n: 6\nJ: x1, x6\nI: " + ", ".join(f"x6*x{v}" for v in range(1, 6))
+        psi = relative_of_pair(parse_problem_text(text).pair())
+        monkeypatch.setattr(homology, "FACE_CAP", 17)
+        homology.clear_homology_cache()
+        assert depth_verdict(psi).depth == 1
+        monkeypatch.setattr(homology, "FACE_CAP", 16)
+        homology.clear_homology_cache()  # a cached answer would list nothing
+        with pytest.raises(CapExceededError, match="face count exceeds the cap 16"):
+            depth_verdict(psi)
+        homology.clear_homology_cache()
 
 
 class TestCoefficientField:

@@ -7,9 +7,7 @@ from sqdepth.complexes import relative_facets_of_pair
 from sqdepth.errors import CapExceededError, InvalidPairError, ParseError
 from sqdepth.ideals import (
     IdealPair,
-    Monomial,
     MonomialIdeal,
-    RingContext,
     colon,
     complement,
     degree_counts,
@@ -28,41 +26,41 @@ from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pai
 import oracles
 
 
-def mono(mask, n):
-    return Monomial(mask, n)
-
-
 def ideal(masks, n):
-    return MonomialIdeal.from_masks(masks, n)
+    return minimalize(masks, n)
 
 
 class TestContains:
     def test_generator_divides(self):
         i = ideal([0b011], 3)
-        assert i.contains(mono(0b111, 3))
+        assert i.contains(0b111)
 
     def test_no_generator_divides(self):
         i = ideal([0b011], 3)
-        assert not i.contains(mono(0b101, 3))
+        assert not i.contains(0b101)
 
     def test_degenerate_ideals(self):
-        one = mono(0, 2)
+        one = 0
         assert not MonomialIdeal.zero(2).contains(one)
         assert MonomialIdeal.unit(2).contains(one)
 
     def test_ring_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ideal([0b1], 2).contains(mono(0b1, 3))
+        i = ideal([0b1], 2)
+        for mask in (0b100, -1):
+            with pytest.raises(ValueError, match="out of range for n=2"):
+                i.contains(mask)
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            minimalize([0b1, 0b101], 2)  # rejected even though x1 absorbs it
 
 
 class TestMinimalize:
     def test_absorbs_multiples(self):
-        i = minimalize([mono(0b001, 2), mono(0b011, 2)], 2)
-        assert i.generator_masks() == (0b001,)
+        i = minimalize([0b001, 0b011], 2)
+        assert i.generators == (0b001,)
 
     def test_antichain_untouched(self):
-        i = minimalize([mono(0b011, 3), mono(0b101, 3)], 3)
-        assert i.generator_masks() == (0b011, 0b101)
+        i = minimalize([0b011, 0b101], 3)
+        assert i.generators == (0b011, 0b101)
 
     def test_empty_is_zero(self):
         assert minimalize([], 4).is_zero
@@ -72,9 +70,9 @@ class TestMinimalize:
         for _ in range(200):
             n = rng.randint(1, 8)
             masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
-            a = minimalize([mono(m, n) for m in masks], n)
+            a = minimalize(masks, n)
             rng.shuffle(masks)
-            b = minimalize([mono(m, n) for m in masks], n)
+            b = minimalize(masks, n)
             assert a == b
             assert minimalize(a.generators, n) == a
 
@@ -84,11 +82,11 @@ class TestMinimalize:
         for _ in range(50):
             n = rng.randint(1, 10)
             masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
-            i = minimalize([mono(m, n) for m in masks], n)
+            i = minimalize(masks, n)
             gen_sets = [oracles.mask_to_set(m) for m in masks]
             for s in oracles.subsets(n):
                 expected = oracles.member(gen_sets, s)
-                assert i.contains_mask(oracles.set_to_mask(s)) == expected
+                assert i.contains(oracles.set_to_mask(s)) == expected
 
 
 class TestColon:
@@ -96,7 +94,7 @@ class TestColon:
         # (x1x2) : (x1, x2) = (x1x2) over two variables
         i = ideal([0b11], 2)
         j = ideal([0b01, 0b10], 2)
-        assert colon(i, j).generator_masks() == (0b11,)
+        assert colon(i, j).generators == (0b11,)
 
     def test_colon_by_unit(self):
         i = ideal([0b11], 2)
@@ -117,21 +115,21 @@ class TestColon:
             n = rng.randint(1, 8)
             li = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
             lj = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
-            i = minimalize([mono(m, n) for m in li], n)
-            j = minimalize([mono(m, n) for m in lj], n)
+            i = minimalize(li, n)
+            j = minimalize(lj, n)
             q = colon(i, j)
             ig = [oracles.mask_to_set(m) for m in li]
             jg = [oracles.mask_to_set(m) for m in lj]
             for s in oracles.subsets(n):
                 expected = oracles.brute_colon_member(ig, jg, s, n)
-                assert q.contains_mask(oracles.set_to_mask(s)) == expected
+                assert q.contains(oracles.set_to_mask(s)) == expected
 
 
 class TestIntersect:
     def test_pairwise_unions(self):
         a = ideal([0b001], 3)
         b = ideal([0b010, 0b100], 3)
-        assert intersect(a, b).generator_masks() == (0b011, 0b101)
+        assert intersect(a, b).generators == (0b011, 0b101)
 
     def test_with_degenerates(self):
         a = ideal([0b01], 2)
@@ -141,50 +139,50 @@ class TestIntersect:
 
 class TestParse:
     def test_products(self):
-        i = parse_ideal("x1*x2, x1*x3", RingContext(3))
-        assert i.generator_masks() == (0b011, 0b101)
+        i = parse_ideal("x1*x2, x1*x3", 3)
+        assert i.generators == (0b011, 0b101)
 
     def test_keywords(self):
-        assert parse_ideal("unit", RingContext(2)).is_unit
-        assert parse_ideal("zero", RingContext(2)).is_zero
+        assert parse_ideal("unit", 2).is_unit
+        assert parse_ideal("zero", 2).is_zero
 
     def test_comments_and_whitespace(self):
         text = "# leading comment\n x1*x2   x3 # trailing\n"
-        i = parse_ideal(text, RingContext(3))
-        assert i.generator_masks() == (0b100, 0b011)
+        i = parse_ideal(text, 3)
+        assert i.generators == (0b100, 0b011)
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(ParseError) as exc:
-            parse_ideal("x1*x1", RingContext(2))
+            parse_ideal("x1*x1", 2)
         assert "non-squarefree" in str(exc.value)
         assert exc.value.line == 1
         assert exc.value.column == 4
 
     def test_index_out_of_range(self):
         with pytest.raises(ParseError) as exc:
-            parse_ideal("x1, x9", RingContext(3))
+            parse_ideal("x1, x9", 3)
         assert "out of range" in str(exc.value)
         assert exc.value.column == 5
 
     def test_malformed_token(self):
         with pytest.raises(ParseError) as exc:
-            parse_ideal("x1*y2", RingContext(3))
+            parse_ideal("x1*y2", 3)
         assert "malformed" in str(exc.value)
 
     def test_keyword_mixed_with_generators(self):
         with pytest.raises(ParseError):
-            parse_ideal("unit, x1", RingContext(2))
+            parse_ideal("unit, x1", 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
-            parse_ideal("  # nothing here\n", RingContext(2))
+            parse_ideal("  # nothing here\n", 2)
 
     def test_round_trip_through_str(self):
         rng = random.Random(3)
-        ctx = RingContext(6)
+        ctx = 6
         for _ in range(50):
             masks = [rng.randrange(1, 64) for _ in range(rng.randint(1, 5))]
-            i = minimalize([mono(m, 6) for m in masks], 6)
+            i = minimalize(masks, 6)
             assert parse_ideal(str(i), ctx) == i
 
 
@@ -209,8 +207,8 @@ class TestIdealPair:
             n = rng.randint(1, 6)
             li = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
             lj = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
-            i = minimalize([mono(m, n) for m in li], n)
-            j = minimalize([mono(m, n) for m in lj], n)
+            i = minimalize(li, n)
+            j = minimalize(lj, n)
             contained = all(j.contains(g) for g in i.generators)
             try:
                 IdealPair(i, j)
@@ -225,10 +223,10 @@ class TestTables:
         for _ in range(30):
             n = rng.randint(1, 8)
             masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
-            i = minimalize([mono(m, n) for m in masks], n)
+            i = minimalize(masks, n)
             table = membership_table(i)
             for a in range(1 << n):
-                assert bool(table[a >> 6] >> (a & 63) & 1) == i.contains_mask(a)
+                assert bool(table[a >> 6] >> (a & 63) & 1) == i.contains(a)
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
@@ -243,11 +241,15 @@ class TestTables:
         assert membership_table(MonomialIdeal.zero(24)).size == word_count(24)
 
     def test_n_bounds(self):
-        with pytest.raises(ValueError):
-            RingContext(0)
-        with pytest.raises(ValueError):
-            RingContext(64)
-        RingContext(63)
+        for n in (0, 64):
+            with pytest.raises(ValueError, match="variable count"):
+                MonomialIdeal.zero(n)
+            with pytest.raises(ValueError, match="variable count"):
+                parse_ideal("zero", n)
+        with pytest.raises(ValueError, match="variable count"):
+            parse_ideal("x1*x64", 64)
+        assert MonomialIdeal.zero(63).is_zero
+        assert parse_ideal("x1*x63", 63).generators == (1 | 1 << 62,)
 
 
 def _tables(n, rng):
@@ -291,7 +293,7 @@ class TestPackedTables:
             assert _tail_clear(down, n)
             assert np.array_equal(oracles.unpack(down, n),
                                   oracles.bool_downward_closure_table(seeds, n))
-            for i in (MonomialIdeal.from_masks(seeds, n), MonomialIdeal.unit(n)):
+            for i in (minimalize(seeds, n), MonomialIdeal.unit(n)):
                 table = membership_table(i)
                 assert _tail_clear(table, n)
                 assert np.array_equal(oracles.unpack(table, n),

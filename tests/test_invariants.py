@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sqdepth.complexes import SimplicialComplex, relative_of_pair
-from sqdepth.ideals import IdealPair, MonomialIdeal, RingContext, parse_ideal
+from sqdepth.ideals import IdealPair, MonomialIdeal, parse_ideal
 from sqdepth.invariants import (
     AlphaVector,
     alpha,
@@ -49,7 +49,7 @@ DUVAL_TEXT = (
 
 
 def duval_ideal():
-    return parse_ideal(DUVAL_TEXT, RingContext(16))
+    return parse_ideal(DUVAL_TEXT, 16)
 
 
 SECTION3_LOWER = "x1*x4*x5, x4*x6, x2*x3*x6"
@@ -57,7 +57,7 @@ SECTION3_UPPER = "x1*x2, x1*x5, x1*x6, x2*x3, x2*x4, x4*x6"
 
 
 def section3_pair():
-    ctx = RingContext(6)
+    ctx = 6
     return IdealPair(parse_ideal(SECTION3_LOWER, ctx), parse_ideal(SECTION3_UPPER, ctx))
 
 
@@ -73,7 +73,7 @@ class TestAlpha:
         assert a.counts[5:] == tuple(comb(16, k) for k in range(5, 17))
 
     def test_two_vertex_pair(self):
-        ctx = RingContext(2)
+        ctx = 2
         pair = IdealPair(parse_ideal("x1*x2", ctx), parse_ideal("x1, x2", ctx))
         assert alpha(pair).counts == (0, 2, 0)
 
@@ -202,7 +202,7 @@ class TestDim:
         assert dim_module(IdealPair.quotient(duval_ideal())) == 4
 
     def test_two_vertex_pair(self):
-        ctx = RingContext(2)
+        ctx = 2
         pair = IdealPair(parse_ideal("x1*x2", ctx), parse_ideal("x1, x2", ctx))
         assert dim_module(pair) == 1
         assert dim_module_colon(pair) == 1

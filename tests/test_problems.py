@@ -19,7 +19,7 @@ class TestParseProblem:
         assert pf.label == "tiny example"
         pair = pf.pair()
         assert pair.upper.is_unit
-        assert pair.lower.generator_masks() == (0b011, 0b101)
+        assert pair.lower.generators == (0b011, 0b101)
 
     def test_keys_any_order_label_optional(self):
         pf = parse_problem_text("I: zero\nJ: x1\nn: 2\n")
@@ -53,7 +53,7 @@ class TestParseProblem:
 
     def test_comments_stripped_everywhere(self):
         pf = parse_problem_text("n: 2  # two vars\nJ: unit\nI: x1 # gen\n")
-        assert pf.pair().lower.generator_masks() == (0b01,)
+        assert pf.pair().lower.generators == (0b01,)
 
     def test_invalid_pair_surfaces(self):
         pf = parse_problem_text("n: 2\nJ: x1*x2\nI: x1\n")

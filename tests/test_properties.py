@@ -1,0 +1,59 @@
+"""Hypothesis properties on ideals drawn as lists of generator masks."""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sqdepth.homology import RATIONALS, CoefficientField, depth
+from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize, parse_ideal
+from sqdepth.invariants import alpha, hdepth, hdepth_of_alpha
+
+FIELDS = (RATIONALS, CoefficientField(2))
+
+
+@st.composite
+def ideals(draw, max_n, proper=False):
+    """minimalize of up to six masks over 1..max_n variables; with proper,
+    at least one mask and never the empty one, so neither zero nor unit."""
+    n = draw(st.integers(1, max_n))
+    masks = st.integers(1 if proper else 0, (1 << n) - 1)
+    return minimalize(draw(st.lists(masks, min_size=int(proper), max_size=6)), n)
+
+
+@st.composite
+def pairs(draw, max_n):
+    """A quotient S/I, a module I or a general J/I with J proper or unit."""
+    ideal = draw(ideals(max_n, proper=True))
+    kind = draw(st.sampled_from(("quotient", "module", "general")))
+    if kind == "quotient":
+        return IdealPair.quotient(ideal)
+    if kind == "module":
+        return IdealPair.module(ideal)
+    n = ideal.n
+    upper = draw(st.sampled_from((ideal, MonomialIdeal.unit(n))))
+    multiples = st.tuples(st.sampled_from(upper.generators), st.integers(0, (1 << n) - 1))
+    lower = minimalize((g | m for g, m in draw(st.lists(multiples, max_size=4))), n)
+    assume(lower != upper)
+    return IdealPair(lower, upper)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs(8), st.sampled_from(FIELDS))
+def test_depth_at_most_hdepth_at_most_dim(pair, field):
+    a = alpha(pair)
+    assert depth(pair, field) <= hdepth_of_alpha(a) <= a.max_degree
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(ideals(8, proper=True))
+def test_hdepth_gap_on_cohen_macaulay_quotients(ideal):
+    quotient = IdealPair.quotient(ideal)
+    a = alpha(quotient)
+    assume(depth(quotient) == a.max_degree)  # the gap is proved for S/I Cohen-Macaulay
+    assert hdepth(IdealPair.module(ideal)) >= hdepth_of_alpha(a) + 1
+
+
+@settings(derandomize=True, deadline=None)
+@given(ideals(12))
+def test_text_and_masks_round_trip(ideal):
+    assert parse_ideal(str(ideal), ideal.n) == ideal
+    assert minimalize(ideal.generators, ideal.n) == ideal
