@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import SqdepthError
 from .homology import CoefficientField
+from .ideals import DEFAULT_ENUMERATION_CAP
 from .problems import parse_problem_file
 from .randgen import random_module_pair, random_pair, random_quotient_pair
 from .reports import (
@@ -34,8 +35,8 @@ _BUILDERS = {
 def _add_common_flags(sub):
     sub.add_argument("--field", type=int, default=0, metavar="P",
                      help="homology coefficients: 0 for the rationals, else a prime")
-    sub.add_argument("--max-n", type=int, default=24, metavar="N",
-                     help="enumeration cap on the variable count (default 24)")
+    sub.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP, metavar="N",
+                     help="enumeration cap on the variable count (default %(default)s)")
     sub.add_argument("--json", type=Path, default=None, metavar="PATH",
                      help="write the machine-readable report to PATH")
 
@@ -81,6 +82,15 @@ def _flags_dict(args, skip_depth: bool = False) -> dict:
     return {"field": args.field, "max_n": args.max_n, "skip_depth": skip_depth}
 
 
+def _build_document(command: str, pair, field, flags: dict, label) -> dict:
+    """The report of one command, with the cap and skip_depth read from its
+    flags; the CLI and the golden comparison build every report here."""
+    kwargs = {"cap": flags.get("max_n", DEFAULT_ENUMERATION_CAP), "label": label}
+    if command == "verify":
+        kwargs["skip_depth"] = flags.get("skip_depth", False)
+    return _BUILDERS[command](pair, field, flags, **kwargs)
+
+
 def _print_report(doc: dict) -> None:
     if doc["label"]:
         print(f"label: {doc['label']}")
@@ -119,16 +129,8 @@ def _run_file_command(args) -> int:
     problem = parse_problem_file(args.file)
     pair = problem.pair()
     field = _field_from_flag(args.field)
-    skip_depth = getattr(args, "skip_depth", False)
-    flags = _flags_dict(args, skip_depth)
-    if args.command == "verify":
-        doc = build_verify_document(pair, field, flags, label=problem.label,
-                                    skip_depth=skip_depth, cap=args.max_n)
-    elif args.command == "depth":
-        doc = build_depth_document(pair, field, flags, label=problem.label, cap=args.max_n)
-    else:
-        doc = build_invariants_document(pair, field, flags, label=problem.label,
-                                        cap=args.max_n)
+    flags = _flags_dict(args, getattr(args, "skip_depth", False))
+    doc = _build_document(args.command, pair, field, flags, problem.label)
     _emit(doc, args.json)
     if has_failures(doc):
         print("verification FAILED", file=sys.stderr)
@@ -196,16 +198,14 @@ def _diff_against_golden(problem_path: Path, golden_path: Path):
         golden = json.loads(golden_text)
         command = golden["command"]
         flags = golden["flags"]
-        builder = _BUILDERS[command]
+        if command not in _BUILDERS:
+            raise KeyError(command)
     except (ValueError, KeyError, TypeError):
         return "golden is not a readable report document"
     try:
         problem = parse_problem_file(problem_path)
         field = _field_from_flag(flags.get("field", 0))
-        kwargs = {"cap": flags.get("max_n", 24), "label": problem.label}
-        if command == "verify":
-            kwargs["skip_depth"] = flags.get("skip_depth", False)
-        doc = builder(problem.pair(), field, flags, **kwargs)
+        doc = _build_document(command, problem.pair(), field, flags, problem.label)
     except SqdepthError as exc:
         return f"cannot recompute report: {exc}"
     produced = serialize_document(doc, include_timing=False)
@@ -219,11 +219,17 @@ def main(argv=None) -> int:
     try:
         if args.command == "corpus":
             return _run_corpus(args)
-        if args.command == "verify" and args.random:
-            return _run_random_sweep(args)
-        if args.command == "verify" and args.file is None:
-            print("verify needs a problem file or --random COUNT", file=sys.stderr)
-            return 1
+        if args.command == "verify":
+            if args.random < 0:
+                raise SqdepthError(f"--random {args.random}: COUNT cannot be negative")
+            if args.random and args.file is not None:
+                raise SqdepthError(f"verify takes a problem file or --random COUNT, not both "
+                                   f"(file {args.file}, --random {args.random})")
+            if args.random:
+                return _run_random_sweep(args)
+            if args.file is None:
+                print("verify needs a problem file or --random COUNT", file=sys.stderr)
+                return 1
         return _run_file_command(args)
     except SqdepthError as exc:
         print(f"error: {exc}", file=sys.stderr)

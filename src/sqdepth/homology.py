@@ -202,34 +202,8 @@ def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
     return ChainComplexRanks(field, counts, ranks, betti, top)
 
 
-# Results keyed by a relabeling-invariant form of the face sets and by the
-# truncation level; counts, ranks and Betti numbers do not depend on vertex
-# names.  Insertion order is age: once HOMOLOGY_CACHE_LIMIT entries are held,
-# each new one evicts the oldest.  Concurrent use is safe: an entry is
-# complete when inserted, eviction tolerates a key already gone, and
-# recomputing an entry is harmless.
-HOMOLOGY_CACHE_LIMIT = 8192
-_HOMOLOGY_CACHE: dict[tuple, ChainComplexRanks] = {}
-
-
-def _canonical_key(facet_groups: tuple[tuple[int, ...], ...], characteristic: int,
-                   top: Optional[int]) -> tuple:
-    used = 0
-    for group in facet_groups:
-        for m in group:
-            used |= m
-    positions = [i for i in range(used.bit_length()) if used >> i & 1]
-    remap = {bit: j for j, bit in enumerate(positions)}
-    relabeled = tuple(
-        tuple(sorted(sum(1 << remap[i] for i in range(m.bit_length()) if m >> i & 1)
-                     for m in group))
-        for group in facet_groups
-    )
-    return (characteristic, top, relabeled)
-
-
 def clear_homology_cache() -> None:
-    _HOMOLOGY_CACHE.clear()
+    """Does nothing: homology results are recomputed on every call."""
 
 
 def reduced_homology(complex_: SimplicialComplex,
@@ -249,16 +223,8 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     result is truncated there (see ChainComplexRanks): it answers which
     dimension up to top, if any, first carries homology.
     """
-    key = _canonical_key((psi.delta.facets, psi.gamma.facets), field.characteristic, top)
-    cached = _HOMOLOGY_CACHE.get(key)
-    if cached is not None:
-        return cached
     faces = psi.face_masks(None if top is None else top + 2)
-    result = _ranks_from_faces(_faces_by_dim(faces, FACE_CAP), field, top)
-    if len(_HOMOLOGY_CACHE) >= HOMOLOGY_CACHE_LIMIT:
-        _HOMOLOGY_CACHE.pop(next(iter(_HOMOLOGY_CACHE), None), None)
-    _HOMOLOGY_CACHE[key] = result
-    return result
+    return _ranks_from_faces(_faces_by_dim(faces, FACE_CAP), field, top)
 
 
 def _is_cone(facets: tuple[int, ...]) -> bool:

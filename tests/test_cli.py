@@ -179,6 +179,19 @@ class TestVerifyCommand:
     def test_verify_without_file_or_random(self, capsys):
         assert main(["verify"]) == 1
 
+    def test_negative_random_count(self, capsys):
+        assert main(["verify", "--random", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --random -3")
+        assert "verified" not in captured.out
+
+    def test_file_and_random_together(self, tiny_file, capsys):
+        assert main(["verify", str(tiny_file), "--random", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(tiny_file) in captured.err
+        assert captured.out == ""
+
 
 def _statuses(doc):
     return {c["name"]: c["status"] for c in doc["checks"]}

@@ -409,23 +409,20 @@ class TestCoefficientField:
         assert CoefficientField(7).label() == "GF(7)"
 
 
-class TestHomologyCache:
-    def test_cache_stays_within_its_limit(self, monkeypatch):
-        # a sweep over more distinct complexes than the limit keeps only the
-        # newest entries, and answers stay right after eviction
-        from sqdepth import homology
-
-        monkeypatch.setattr(homology, "HOMOLOGY_CACHE_LIMIT", 16, raising=False)
-        homology.clear_homology_cache()
-        sweep = [SimplicialComplex.full_simplex(k) for k in range(1, 9)]
-        sweep += [skeleton(SimplicialComplex.full_simplex(k), k - 1) for k in range(2, 10)]
-        sweep += [SimplicialComplex(k, tuple(1 << v for v in range(k))) for k in range(2, 10)]
-        for c in sweep:
-            reduced_homology(c)
-            assert len(homology._HOMOLOGY_CACHE) <= 16
-        assert len(homology._HOMOLOGY_CACHE) == 16
-        last = reduced_homology(sweep[-1])
-        assert last is reduced_homology(sweep[-1])  # newest entry kept
-        assert reduced_homology(sweep[0]).is_acyclic  # evicted, recomputed
+class TestHomologySweep:
+    def test_answers_over_a_sweep_of_complexes(self):
+        # simplices are acyclic, boundaries of simplices are spheres, and k
+        # points have k - 1 reduced classes in dimension 0; an answer does
+        # not depend on what was computed before it
+        sweep = [(SimplicialComplex.full_simplex(k), {}) for k in range(1, 9)]
+        sweep += [(skeleton(SimplicialComplex.full_simplex(k), k - 1), {k - 2: 1})
+                  for k in range(2, 10)]
+        sweep += [(SimplicialComplex(k, tuple(1 << v for v in range(k))), {0: k - 1})
+                  for k in range(2, 10)]
+        for c, nonzero in sweep:
+            betti = reduced_homology(c).betti
+            assert {i: b for i, b in betti.items() if b} == nonzero
+        last = reduced_homology(sweep[-1][0])
+        assert last == reduced_homology(sweep[-1][0])
+        assert reduced_homology(sweep[0][0]).is_acyclic
         assert reduced_homology(HOLLOW).betti == {-1: 0, 0: 0, 1: 1}
-        homology.clear_homology_cache()

@@ -3,9 +3,12 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sqdepth.homology import RATIONALS, CoefficientField, depth
-from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize, parse_ideal
+from sqdepth.complexes import RelativeComplex, SimplicialComplex, relative_of_pair
+from sqdepth.homology import RATIONALS, CoefficientField, column_rank, depth, relative_homology
+from sqdepth.ideals import IdealPair, MonomialIdeal, _canonical_masks, minimalize, parse_ideal
 from sqdepth.invariants import alpha, hdepth, hdepth_of_alpha
+
+import oracles
 
 FIELDS = (RATIONALS, CoefficientField(2))
 
@@ -57,3 +60,41 @@ def test_hdepth_gap_on_cohen_macaulay_quotients(ideal):
 def test_text_and_masks_round_trip(ideal):
     assert parse_ideal(str(ideal), ideal.n) == ideal
     assert minimalize(ideal.generators, ideal.n) == ideal
+
+
+def _relabeled(psi, n, vertex):
+    """psi on n variables with vertex i renamed vertex[i]."""
+    def complex_(c):
+        return SimplicialComplex(n, _canonical_masks(
+            sum(1 << vertex[i] for i in range(c.n) if f >> i & 1) for f in c.facets))
+    return RelativeComplex(complex_(psi.delta), complex_(psi.gamma))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs(7), st.sampled_from(FIELDS), st.data())
+def test_relative_homology_ignores_vertex_names(pair, field, data):
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    n = psi.n
+    permuted = _relabeled(psi, n, data.draw(st.permutations(range(n))))
+    embedded = _relabeled(psi, n + 2, range(1, n + 1))  # vertices 0 and n + 1 unused
+    for top in (None, *range(-1, psi.dim + 1)):
+        expected = relative_homology(psi, field, top)
+        assert relative_homology(permuted, field, top) == expected
+        assert relative_homology(embedded, field, top) == expected
+
+
+matrices = st.integers(1, 8).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                          min_size=1, max_size=8))
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices)
+def test_column_rank_matches_dense_elimination(mat):
+    over_q = column_rank(oracles.columns(mat), 0)
+    assert over_q == oracles.fraction_rank(mat)
+    for p in (2, 3, (1 << 31) - 1):
+        mod_p = column_rank(oracles.columns(mat), p)
+        assert mod_p == oracles.mod_p_rank(mat, p)
+        assert mod_p <= over_q
