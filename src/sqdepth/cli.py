@@ -119,9 +119,16 @@ def _print_report(doc: dict) -> None:
         print(f"[{check['status']}] {check['name']}: {check['details']}")
 
 
+def _write_json(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SqdepthError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(doc: dict, json_path) -> None:
     if json_path is not None:
-        Path(json_path).write_text(serialize_document(doc), encoding="utf-8")
+        _write_json(json_path, serialize_document(doc))
     _print_report(doc)
 
 
@@ -148,9 +155,8 @@ def _run_random_sweep(args) -> int:
     for i in range(args.random):
         n = rng.randint(2, 6)
         pair = generators[i % len(generators)](rng, n)
-        doc = build_verify_document(pair, field, flags,
-                                    label=f"random seed={args.seed} index={i}",
-                                    skip_depth=args.skip_depth, cap=args.max_n)
+        doc = _build_document("verify", pair, field, flags,
+                              f"random seed={args.seed} index={i}")
         documents.append(doc)
         bad = has_failures(doc)
         failed += bad
@@ -164,8 +170,7 @@ def _run_random_sweep(args) -> int:
     print(f"{args.random - failed} of {args.random} random instances verified")
     if args.json is not None:
         payload = {"seed": args.seed, "count": args.random, "instances": documents}
-        Path(args.json).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                                   encoding="utf-8")
+        _write_json(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 1 if failed else 0
 
 
@@ -193,14 +198,14 @@ def _diff_against_golden(problem_path: Path, golden_path: Path):
     """None on a byte-identical match, else a short description."""
     if not golden_path.exists():
         return f"missing golden {golden_path.name}"
-    golden_text = golden_path.read_text(encoding="utf-8")
     try:
+        golden_text = golden_path.read_text(encoding="utf-8")
         golden = json.loads(golden_text)
         command = golden["command"]
         flags = golden["flags"]
-        if command not in _BUILDERS:
-            raise KeyError(command)
-    except (ValueError, KeyError, TypeError):
+        if command not in _BUILDERS or not isinstance(flags, dict):
+            raise TypeError(command)
+    except (OSError, ValueError, KeyError, TypeError):
         return "golden is not a readable report document"
     try:
         problem = parse_problem_file(problem_path)

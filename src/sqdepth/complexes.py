@@ -15,7 +15,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .ideals import (
-    DEFAULT_ENUMERATION_CAP,
     IdealPair,
     MonomialIdeal,
     _canonical_masks,
@@ -147,44 +146,43 @@ class FVector:
 ComplexLike = Union[SimplicialComplex, RelativeComplex]
 
 
-def complex_of_ideal(ideal: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> SimplicialComplex:
+def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """The Stanley-Reisner complex {A : x_A not in I} of a non-unit ideal."""
     if ideal.is_unit:
         raise ValueError("the unit ideal corresponds to the void complex")
-    table = complement(membership_table(ideal, cap), ideal.n)
+    table = complement(membership_table(ideal), ideal.n)
     return SimplicialComplex(ideal.n, maximal_masks(table, ideal.n))
 
 
-def ideal_of_complex(complex_: SimplicialComplex,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def ideal_of_complex(complex_: SimplicialComplex) -> MonomialIdeal:
     """The Stanley-Reisner ideal, generated by the minimal non-faces."""
     if complex_.is_void:
         raise ValueError("the void complex corresponds to the unit ideal")
-    table = complement(downward_closure_table(complex_.facets, complex_.n, cap), complex_.n)
+    table = complement(downward_closure_table(complex_.facets, complex_.n), complex_.n)
     return MonomialIdeal(complex_.n, minimal_masks(table, complex_.n))
 
 
-def relative_of_pair(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> RelativeComplex:
+def relative_of_pair(pair: IdealPair) -> RelativeComplex:
     """The relative complex (Delta(I), Delta(J)) presenting J/I."""
-    delta = complex_of_ideal(pair.lower, cap)
+    delta = complex_of_ideal(pair.lower)
     if pair.upper.is_unit:
         gamma = SimplicialComplex.void(pair.n)
     else:
-        gamma = complex_of_ideal(pair.upper, cap)
+        gamma = complex_of_ideal(pair.upper)
     return RelativeComplex(delta, gamma)
 
 
-def pair_of_relative(psi: RelativeComplex, cap: int = DEFAULT_ENUMERATION_CAP) -> IdealPair:
+def pair_of_relative(psi: RelativeComplex) -> IdealPair:
     """The ideal pair (I_delta, I_gamma) whose module is presented by psi."""
-    lower = ideal_of_complex(psi.delta, cap)
+    lower = ideal_of_complex(psi.delta)
     if psi.gamma.is_void:
         upper = MonomialIdeal.unit(psi.n)
     else:
-        upper = ideal_of_complex(psi.gamma, cap)
+        upper = ideal_of_complex(psi.gamma)
     return IdealPair(lower, upper)
 
 
-def face_table(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def face_table(x: ComplexLike) -> np.ndarray:
     """Packed table (see `sqdepth.ideals`) over all 2^n masks: the faces of x.
 
     Built from the facets alone (downward closures); a relative complex
@@ -192,13 +190,13 @@ def face_table(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray
     with popcount <= d' gives the (d'-1)-skeleton without listing its facets.
     """
     if isinstance(x, RelativeComplex):
-        return face_table(x.delta, cap) & ~face_table(x.gamma, cap)
-    return downward_closure_table(x.facets, x.n, cap)
+        return face_table(x.delta) & ~face_table(x.gamma)
+    return downward_closure_table(x.facets, x.n)
 
 
-def f_vector(x: ComplexLike, cap: int = DEFAULT_ENUMERATION_CAP) -> FVector:
+def f_vector(x: ComplexLike) -> FVector:
     """Face counts by dimension; relative counts are delta minus gamma."""
-    entries = list(degree_counts(face_table(x, cap), x.n))
+    entries = list(degree_counts(face_table(x), x.n))
     while entries and entries[-1] == 0:
         entries.pop()
     return FVector(tuple(entries))
@@ -211,8 +209,7 @@ def link_facets(facets: tuple[int, ...], face: int) -> tuple[int, ...]:
     return tuple(f ^ face for f in facets if face & ~f == 0)
 
 
-def relative_facets_of_pair(pair: IdealPair,
-                            cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+def relative_facets_of_pair(pair: IdealPair) -> tuple[int, ...]:
     """Facets of the relative complex of a pair: maximal A with x_A in J \\ I."""
-    table = membership_table(pair.upper, cap) & ~membership_table(pair.lower, cap)
+    table = membership_table(pair.upper) & ~membership_table(pair.lower)
     return maximal_masks(table, pair.n)

@@ -22,7 +22,7 @@ from .complexes import (
     link_facets,
     relative_of_pair,
 )
-from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair
+from .ideals import IdealPair
 
 DEFAULT_PRIME = 32003
 # Most faces one homology call or one depth pass lists; read at call time.
@@ -314,7 +314,6 @@ def is_cm_relative(psi: RelativeComplex, field: CoefficientField = RATIONALS) ->
     return depth_verdict(psi, field)
 
 
-def depth(pair: IdealPair, field: CoefficientField = RATIONALS,
-          cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def depth(pair: IdealPair, field: CoefficientField = RATIONALS) -> int:
     """Depth of J/I, from one Hochster pass over its relative complex."""
-    return depth_verdict(relative_of_pair(pair, cap), field).depth
+    return depth_verdict(relative_of_pair(pair), field).depth

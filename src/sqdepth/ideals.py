@@ -221,11 +221,7 @@ def _valid_bits(n: int) -> np.uint64:
     return np.uint64((1 << (1 << min(n, 6))) - 1)
 
 
-def check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(
-            f"n={n} exceeds the enumeration cap {cap}; raise it explicitly if intended"
-        )
+def check_table_budget(n: int) -> None:
     estimate = TABLES_PER_CALL * 8 * word_count(n)
     if estimate > TABLE_MEMORY_BUDGET:
         raise CapExceededError(
@@ -269,12 +265,12 @@ def _close(words: np.ndarray, n: int, upward: bool) -> np.ndarray:
     return words
 
 
-def membership_table(ideal: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def membership_table(ideal: MonomialIdeal) -> np.ndarray:
     """Packed table over all 2^n masks: x_A in the ideal.
 
     Seeded with the generators, then closed upward one bit at a time.
     """
-    check_cap(ideal.n, cap)
+    check_table_budget(ideal.n)
     if ideal.is_unit:
         return np.full(word_count(ideal.n), _valid_bits(ideal.n), dtype=np.uint64)
     if ideal.is_zero:
@@ -283,10 +279,9 @@ def membership_table(ideal: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -
     return _close(_seeded(seeds, ideal.n), ideal.n, upward=True)
 
 
-def downward_closure_table(masks: Iterable[int], n: int,
-                           cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def downward_closure_table(masks: Iterable[int], n: int) -> np.ndarray:
     """Packed table over all 2^n masks: subset of one of the seeds."""
-    check_cap(n, cap)
+    check_table_budget(n)
     seeds = np.fromiter(masks, dtype=np.uint64)
     words = _seeded(seeds, n)
     if len(seeds) == 0:

@@ -13,7 +13,7 @@ from operator import sub
 from typing import Optional, Sequence
 
 from .complexes import ComplexLike, f_vector
-from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, degree_counts, membership_table
+from .ideals import IdealPair, degree_counts, membership_table
 from .macaulay import binomial_ext
 
 
@@ -96,9 +96,9 @@ def _direct_transform(counts: Sequence[int], q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def alpha(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> AlphaVector:
+def alpha(pair: IdealPair) -> AlphaVector:
     """Count members of J \\ I by degree on packed tables of all 2^n masks."""
-    table = membership_table(pair.upper, cap) & ~membership_table(pair.lower, cap)
+    table = membership_table(pair.upper) & ~membership_table(pair.lower)
     return AlphaVector(pair.n, degree_counts(table, pair.n))
 
 
@@ -142,27 +142,26 @@ def hdepth_of_alpha(alpha_vec: AlphaVector) -> int:
     raise AssertionError("transform scan fell through its lower bound")
 
 
-def hdepth(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def hdepth(pair: IdealPair) -> int:
     """Hilbert depth of J/I."""
-    a = alpha(pair, cap)
+    a = alpha(pair)
     if a.counts == (0,) * (pair.n + 1):
         raise ValueError("alpha vanishes identically; I and J coincide as ideals")
     return hdepth_of_alpha(a)
 
 
-def dim_module(pair: IdealPair, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def dim_module(pair: IdealPair) -> int:
     """Krull dimension of J/I, read off as max{k : alpha_k > 0}."""
-    return alpha(pair, cap).max_degree
+    return alpha(pair).max_degree
 
 
-def h_vector(x: ComplexLike, level: Optional[int] = None,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> BetaVector:
+def h_vector(x: ComplexLike, level: Optional[int] = None) -> BetaVector:
     """h-vector of a complex or relative complex via its face counts.
 
     The default level is dim+1; an explicit level is used when transforming
     skeleta, where the truncation may sit below the requested level.
     """
-    return h_vector_of_counts(f_vector(x, cap).entries, level)
+    return h_vector_of_counts(f_vector(x).entries, level)
 
 
 def h_vector_of_counts(counts: Sequence[int], level: Optional[int] = None) -> BetaVector:

@@ -64,4 +64,10 @@ def parse_problem_text(text: str) -> ProblemFile:
 
 
 def parse_problem_file(path: Union[str, Path]) -> ProblemFile:
-    return parse_problem_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read problem file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read problem file {path}: {exc}") from None
+    return parse_problem_text(text)

@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .complexes import complex_of_ideal, f_vector, relative_facets_of_pair, relative_of_pair
+from .errors import CapExceededError
 from .homology import CoefficientField, depth_verdict
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon
 from .invariants import (
@@ -54,15 +55,19 @@ def _passfail(ok: bool) -> str:
 
 
 class ReportBuilder:
-    """Shared computation for the three report commands."""
+    """Shared computation for the three report commands.  The enumeration
+    cap is checked here, before any subset table is built."""
 
     def __init__(self, pair: IdealPair, field: CoefficientField,
                  cap: int = DEFAULT_ENUMERATION_CAP, label: Optional[str] = None):
+        if pair.n > cap:
+            raise CapExceededError(
+                f"n={pair.n} exceeds the enumeration cap {cap}; raise it explicitly if intended"
+            )
         self.pair = pair
         self.field = field
-        self.cap = cap
         self.label = label
-        self.alpha = alpha(pair, cap)
+        self.alpha = alpha(pair)
         self.hdepth = hdepth_of_alpha(self.alpha)
         self.dim = self.alpha.max_degree
         self.betas = beta_table(self.alpha, 0, self.dim)
@@ -72,7 +77,7 @@ class ReportBuilder:
         self.cm_witness = None
 
     def compute_depth(self) -> None:
-        verdict = depth_verdict(relative_of_pair(self.pair, self.cap), self.field)
+        verdict = depth_verdict(relative_of_pair(self.pair), self.field)
         self.depth = verdict.depth
         self.cm = verdict.is_cm
         if verdict.witness_face is not None:
@@ -175,14 +180,14 @@ def _run_checks(b: ReportBuilder) -> list[dict]:
     ))
 
     # (I : J) is proper for a valid pair, so its complex is nonvoid
-    colon_complex = complex_of_ideal(colon(b.pair.lower, b.pair.upper), b.cap)
+    colon_complex = complex_of_ideal(colon(b.pair.lower, b.pair.upper))
     colon_dim = colon_complex.dim + 1
     checks.append(_check(
         "dim-colon-agreement", _passfail(colon_dim == b.dim),
         f"alpha path {b.dim}, colon path {colon_dim}",
     ))
 
-    psi_facets = relative_facets_of_pair(b.pair, b.cap)
+    psi_facets = relative_facets_of_pair(b.pair)
     colon_facets = colon_complex.facets
     checks.append(_check(
         "facet-colon-agreement", _passfail(psi_facets == colon_facets),
@@ -223,7 +228,7 @@ def _skeleton_h_check(b: ReportBuilder) -> dict:
     # so its face counts are the first d'+1 entries of the f-vector of psi,
     # and its h-vector at level d' is row d' of the f-vector's transform:
     # one table and one pass of rows serve every level.
-    faces = f_vector(relative_of_pair(b.pair, b.cap), b.cap).entries
+    faces = f_vector(relative_of_pair(b.pair)).entries
     h_rows = _transform_rows(faces, b.dim)
     for dprime in range(0, b.dim + 1):
         expected = b.betas[dprime].values

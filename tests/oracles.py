@@ -26,7 +26,7 @@ from sqdepth.complexes import (
     relative_of_pair,
 )
 from sqdepth.homology import RATIONALS, relative_homology
-from sqdepth.ideals import DEFAULT_ENUMERATION_CAP, _canonical_masks, colon
+from sqdepth.ideals import _canonical_masks, colon
 
 
 def subsets(n):
@@ -287,13 +287,13 @@ def link(x, face):
     return SimplicialComplex(x.n, facets)
 
 
-def dim_module_colon(pair, cap=DEFAULT_ENUMERATION_CAP):
+def dim_module_colon(pair):
     """The dimension of J/I read as dim Delta(I : J) plus one, the path that
     `verify` cross-checks against max{k : alpha_k > 0}."""
     quotient = colon(pair.lower, pair.upper)
     if quotient.is_unit:
         raise ValueError("(I : J) is the unit ideal; the pair is degenerate")
-    return complex_of_ideal(quotient, cap).dim + 1
+    return complex_of_ideal(quotient).dim + 1
 
 
 def link_pair(psi, f):

@@ -6,12 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqdepth import complexes
+from sqdepth import complexes, invariants
 from sqdepth.cli import main
-from sqdepth.homology import CoefficientField
+from sqdepth.errors import CapExceededError
+from sqdepth.homology import RATIONALS, CoefficientField
+from sqdepth.ideals import IdealPair, minimalize
 from sqdepth.problems import parse_problem_file
 from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
-from sqdepth.reports import build_verify_document, serialize_document
+from sqdepth.reports import (
+    build_depth_document,
+    build_invariants_document,
+    build_verify_document,
+    serialize_document,
+)
 
 import oracles
 
@@ -94,6 +101,48 @@ class TestInvariantsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "bytes" in err and "n=40" in err
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_problem_file_is_an_error(self, case, tmp_path, capsys):
+        path = tmp_path if case == "directory" else tmp_path / f"{case}.ideal"
+        if case == "not-utf8":
+            path.write_bytes(TINY.encode() + b"# \xff\n")
+        assert main(["depth", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read problem file {path}: ")
+        assert captured.out == ""
+
+    def test_json_into_a_missing_directory(self, tiny_file, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "x.json"
+        assert main(["invariants", str(tiny_file), "--json", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+    def test_random_sweep_json_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "x.json"
+        assert main(["verify", "--random", "2", "--json", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+class TestEnumerationCap:
+    BUILDERS = (build_invariants_document, build_depth_document, build_verify_document)
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+    def test_refused_before_any_table(self, build, monkeypatch):
+        pair = IdealPair.quotient(minimalize([0b11] + [1 << v for v in range(2, 12)], 12))
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("a subset table was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "membership_table", no_tables)
+            m.setattr(complexes, "membership_table", no_tables)
+            with pytest.raises(CapExceededError) as refused:
+                build(pair, RATIONALS, {}, cap=11)
+        assert str(refused.value) == (
+            "n=12 exceeds the enumeration cap 11; raise it explicitly if intended")
+        assert build(pair, RATIONALS, {}, cap=12)["n"] == 12
 
 
 class TestDepthCommand:
@@ -206,8 +255,8 @@ class TestSkeletonCheck:
         real = complexes.face_table
         dropped = []
 
-        def drop_first_face(x, cap=complexes.DEFAULT_ENUMERATION_CAP):
-            table = real(x, cap)
+        def drop_first_face(x):
+            table = real(x)
             if isinstance(x, complexes.RelativeComplex):
                 face = int(np.flatnonzero(oracles.unpack(table, x.n))[0])
                 table[face >> 6] &= ~np.uint64(1 << (face & 63))
@@ -265,6 +314,30 @@ class TestCorpusCommand:
         (tmp_path / "x.golden.json").write_text("not json", encoding="utf-8")
         assert main(["corpus", str(tmp_path)]) == 1
         assert "not a readable report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("golden", [
+        b'{"command": "verify", "flags": []}',
+        '{"command": "verify", "label": "\xff"}'.encode("latin-1"),
+    ], ids=["flags-not-an-object", "not-utf8"])
+    def test_malformed_golden_named(self, golden, tmp_path, capsys):
+        shutil.copy(CORPUS / "section3-example.ideal", tmp_path / "a.ideal")
+        (tmp_path / "a.golden.json").write_bytes(golden)
+        for f in CORPUS.glob("section3-example.*"):
+            shutil.copy(f, tmp_path / f.name)
+        assert main(["corpus", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL a.ideal: golden is not a readable report document" in out
+        assert "PASS section3-example.ideal" in out
+        assert "1 passed, 1 failed, 2 total" in out
+
+    def test_unreadable_problem_file_named(self, tmp_path, capsys):
+        for f in CORPUS.glob("section3-example.*"):
+            shutil.copy(f, tmp_path / f.name)
+        problem = tmp_path / "section3-example.ideal"
+        problem.write_bytes(problem.read_bytes() + b"# \xff\n")
+        assert main(["corpus", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL section3-example.ideal: cannot recompute report: cannot read problem" in out
 
     def test_missing_golden_reported(self, tmp_path, capsys):
         shutil.copy(CORPUS / "section3-example.ideal", tmp_path / "x.ideal")

@@ -5,6 +5,7 @@ import pytest
 
 from sqdepth.complexes import relative_facets_of_pair
 from sqdepth.errors import CapExceededError, InvalidPairError, ParseError
+from sqdepth.homology import RATIONALS
 from sqdepth.ideals import (
     IdealPair,
     MonomialIdeal,
@@ -22,6 +23,7 @@ from sqdepth.ideals import (
 )
 from sqdepth.invariants import alpha
 from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
+from sqdepth.reports import build_invariants_document
 
 import oracles
 
@@ -230,15 +232,25 @@ class TestTables:
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            membership_table(MonomialIdeal.zero(12), cap=10)
+            build_invariants_document(IdealPair.module(MonomialIdeal.unit(12)),
+                                      RATIONALS, {}, cap=10)
 
     def test_memory_budget_enforced_before_allocation(self):
         # 2^40 masks are 128 GiB packed; numpy used to fail allocating them
         with pytest.raises(CapExceededError, match=r"n=40 needs about \d+ bytes"):
-            membership_table(MonomialIdeal.zero(40), cap=40)
+            membership_table(MonomialIdeal.zero(40))
         with pytest.raises(CapExceededError, match="bytes"):
-            downward_closure_table([1], 40, cap=40)
+            downward_closure_table([1], 40)
         assert membership_table(MonomialIdeal.zero(24)).size == word_count(24)
+
+    def test_budget_is_the_only_bound_on_tables(self, monkeypatch):
+        # n = 32 needs 4 tables of 512 MiB; the refusal comes before numpy
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(CapExceededError, match=r"n=32 needs about \d+ bytes"):
+            membership_table(MonomialIdeal.zero(32))
 
     def test_n_bounds(self):
         for n in (0, 64):

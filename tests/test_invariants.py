@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -89,6 +90,11 @@ class TestAlpha:
                 unit_upper=pair.upper.is_unit,
             )
             assert alpha(pair).counts == expected
+
+    def test_bounded_by_the_table_budget_alone(self):
+        # n = 25 is beyond the enumeration cap of reports and the CLI
+        a = alpha(IdealPair.quotient(MonomialIdeal(25, (1,))))
+        assert a.counts == tuple(comb(24, k) for k in range(26))
 
 
 class TestBeta:
