@@ -194,6 +194,12 @@ def _run_corpus(args) -> int:
     return 1 if failures else 0
 
 
+# The exact type of each golden flag that is present: bool is an int
+# subclass, so `type(...) is` rather than isinstance keeps it out of
+# field and max_n.
+_FLAG_TYPES = {"field": int, "max_n": int, "skip_depth": bool}
+
+
 def _diff_against_golden(problem_path: Path, golden_path: Path):
     """None on a byte-identical match, else a short description."""
     if not golden_path.exists():
@@ -205,6 +211,9 @@ def _diff_against_golden(problem_path: Path, golden_path: Path):
         flags = golden["flags"]
         if command not in _BUILDERS or not isinstance(flags, dict):
             raise TypeError(command)
+        for key, wanted in _FLAG_TYPES.items():
+            if key in flags and type(flags[key]) is not wanted:
+                raise TypeError(key)
     except (OSError, ValueError, KeyError, TypeError):
         return "golden is not a readable report document"
     try:

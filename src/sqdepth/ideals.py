@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterable
 
@@ -110,7 +111,12 @@ def minimalize(masks: Iterable[int], n: int) -> MonomialIdeal:
     for m in masks:
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
-    return MonomialIdeal(n, tuple(kept))
+    # kept is a canonically ordered antichain of checked masks by
+    # construction, so the O(g^2) checks of __post_init__ are skipped
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "n", n)
+    object.__setattr__(ideal, "generators", tuple(kept))
+    return ideal
 
 
 def _colon_single(ideal: MonomialIdeal, gmask: int) -> MonomialIdeal:
@@ -118,11 +124,28 @@ def _colon_single(ideal: MonomialIdeal, gmask: int) -> MonomialIdeal:
     return minimalize((g & ~gmask for g in ideal.generators), ideal.n)
 
 
+def _split_by_membership(gens, other) -> tuple[list[int], list[int]]:
+    """The generators that the ideal generated by `other` contains, and the rest."""
+    inside: list[int] = []
+    outside: list[int] = []
+    for g in gens:
+        (inside if any(c & ~g == 0 for c in other) else outside).append(g)
+    return inside, outside
+
+
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection of squarefree ideals: pairwise mask unions, minimalized."""
+    """Intersection of squarefree ideals: pairwise mask unions, minimalized.
+
+    A generator r of one ideal that the other contains, say through c | r,
+    is itself the union r | c, and its other unions are multiples of r, so
+    r alone stands for all of them.
+    """
     if a.n != b.n:
         raise ValueError("ideals live in different rings")
-    return minimalize((ga | gb for ga in a.generators for gb in b.generators), a.n)
+    a_in_b, a_rest = _split_by_membership(a.generators, b.generators)
+    b_in_a, b_rest = _split_by_membership(b.generators, a.generators)
+    unions = (ga | gb for ga in a_rest for gb in b_rest)
+    return minimalize(chain(a_in_b, b_in_a, unions), a.n)
 
 
 def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:

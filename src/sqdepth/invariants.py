@@ -8,8 +8,9 @@ is the largest level at which every transform entry is nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
-from operator import sub
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .complexes import ComplexLike, f_vector
@@ -83,17 +84,22 @@ def _transform_rows(counts: Sequence[int], top: int) -> list[tuple[int, ...]]:
     return rows
 
 
+@cache
+def _signed_binomials(q: int) -> tuple[tuple[int, ...], ...]:
+    # Row k holds (-1)^(k-j) C(q-j, k-j) for j = 0..k.  It depends on the
+    # level alone; q <= MAX_VARIABLES + 1 bounds the cache at 65 keys.
+    return tuple(
+        tuple((-1) ** (k - j) * comb(q - j, k - j) for j in range(k + 1))
+        for k in range(q + 1)
+    )
+
+
 def _direct_transform(counts: Sequence[int], q: int) -> tuple[int, ...]:
-    # beta_k^q = sum_j (-1)^(k-j) C(q-j, k-j) a_j; entries beyond the input
-    # length are treated as zero.  Only the recurrence check uses it, as the
-    # side that does not go through the Pascal rows.
-    out = []
-    for k in range(q + 1):
-        top = min(k, len(counts) - 1)
-        out.append(
-            sum((-1) ** (k - j) * comb(q - j, k - j) * counts[j] for j in range(top + 1))
-        )
-    return tuple(out)
+    # beta_k^q = sum_j (-1)^(k-j) C(q-j, k-j) a_j; map stops at the shorter
+    # sequence, so entries beyond the input length count as zero.  Only the
+    # recurrence check uses it, as the side that does not go through the
+    # Pascal rows.
+    return tuple(sum(map(mul, row, counts)) for row in _signed_binomials(q))
 
 
 def alpha(pair: IdealPair) -> AlphaVector:
@@ -185,16 +191,40 @@ def beta_recurrence_check(alpha_vec: AlphaVector, d: int) -> Optional[tuple[str,
     """
     if not 1 <= d <= alpha_vec.n:
         raise ValueError(f"level {d} outside 1..{alpha_vec.n}")
-    n = alpha_vec.n
     at_d = _transform_rows(alpha_vec.counts, d)[d]
+    return _level_failure(alpha_vec, _complement_counts(alpha_vec), at_d, d)
+
+
+def first_recurrence_failure(alpha_vec: AlphaVector) -> Optional[tuple[str, int, int]]:
+    """`beta_recurrence_check` at every level d = 1..n, from one pass of
+    Pascal rows.  Returns None when all hold, else (identity name, first
+    failing k, d) at the lowest failing level."""
+    rows = _transform_rows(alpha_vec.counts, alpha_vec.n)
+    complement = _complement_counts(alpha_vec)
+    for d in range(1, alpha_vec.n + 1):
+        failure = _level_failure(alpha_vec, complement, rows[d], d)
+        if failure is not None:
+            return (*failure, d)
+    return None
+
+
+def _complement_counts(alpha_vec: AlphaVector) -> Optional[tuple[int, ...]]:
+    # C(n, j) - alpha_j, or None when alpha exceeds a binomial bound.
+    complement = tuple(comb(alpha_vec.n, j) - c for j, c in enumerate(alpha_vec.counts))
+    return None if min(complement) < 0 else complement
+
+
+def _level_failure(alpha_vec: AlphaVector, complement: Optional[tuple[int, ...]],
+                   at_d: tuple[int, ...], d: int) -> Optional[tuple[str, int]]:
+    """Both identities at level d against the production row at_d."""
     at_d1 = _direct_transform(alpha_vec.counts, d + 1)
     for k in range(1, d + 1):
         if at_d1[k] != at_d[k] - at_d[k - 1]:
             return ("level-recurrence", k)
-    complement = tuple(comb(n, j) - c for j, c in enumerate(alpha_vec.counts))
-    if any(c < 0 for c in complement):
+    if complement is None:
         raise ValueError("alpha exceeds the binomial bound; not a subset count")
     comp_at_d = _direct_transform(complement, d)
+    n = alpha_vec.n
     for k in range(d + 1):
         if comp_at_d[k] != binomial_ext(n - d + k - 1, k) - at_d[k]:
             return ("complement-identity", k)

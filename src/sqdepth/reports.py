@@ -23,8 +23,8 @@ from .invariants import (
     AlphaVector,
     _transform_rows,
     alpha,
-    beta_recurrence_check,
     beta_table,
+    first_recurrence_failure,
     hdepth_of_alpha,
 )
 from .macaulay import chu_vandermonde_check, cm_admissible
@@ -195,15 +195,11 @@ def _run_checks(b: ReportBuilder) -> list[dict]:
         else "facet sets differ",
     ))
 
-    failure = None
-    for d in range(1, n + 1):
-        failure = beta_recurrence_check(a, d)
-        if failure is not None:
-            break
+    failure = first_recurrence_failure(a)
     checks.append(_check(
         "transform-recurrences", _passfail(failure is None),
         "levels 1..n verified" if failure is None
-        else f"identity {failure[0]} fails at k={failure[1]} (d={d})",
+        else "identity {} fails at k={} (d={})".format(*failure),
     ))
 
     checks.append(_check(

@@ -9,7 +9,8 @@ neither its depth pass nor its truncation: `skeleton_scan_depth` is the
 skeleton scan with Reisner tests that the one-pass depth replaced, and
 `hochster_depth` evaluates Hochster's formula on every face.  `skeleton`,
 `link` and `dim_module_colon` are the facet-listing skeleton, the link as a
-complex and the colon path to the dimension, which no report uses.
+complex and the colon path to the dimension, which no report uses;
+`pairwise_intersect` is the intersection before pruning.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from sqdepth.complexes import (
     relative_of_pair,
 )
 from sqdepth.homology import RATIONALS, relative_homology
-from sqdepth.ideals import _canonical_masks, colon
+from sqdepth.ideals import _canonical_masks, colon, minimalize
 
 
 def subsets(n):
@@ -69,6 +70,21 @@ def brute_colon_member(lower_gens, upper_gens, s, n):
         if member(upper_gens, v) and not member(lower_gens, s | v):
             return False
     return True
+
+
+def pairwise_intersect(a, b):
+    """The intersection of two ideals as the minimalized set of every
+    pairwise union of their generators, with no generator pruned."""
+    return minimalize((ga | gb for ga in a.generators for gb in b.generators), a.n)
+
+
+def brute_colon_generators(ideal, other):
+    """The minimal masks of (I : J) by brute-force membership: the members
+    none of whose one-smaller subsets is a member."""
+    ig, jg = ideal_gen_sets(ideal), ideal_gen_sets(other)
+    members = {s for s in subsets(ideal.n) if brute_colon_member(ig, jg, s, ideal.n)}
+    minimal = [s for s in members if not any(s - {i} in members for i in s)]
+    return _canonical_masks(set_to_mask(s) for s in minimal)
 
 
 def brute_faces(ideal_gens, n):

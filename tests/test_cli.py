@@ -330,6 +330,25 @@ class TestCorpusCommand:
         assert "PASS section3-example.ideal" in out
         assert "1 passed, 1 failed, 2 total" in out
 
+    @pytest.mark.parametrize("old, new", [
+        ('"max_n": 24', '"max_n": "24"'),
+        ('"skip_depth": false', '"skip_depth": "false"'),
+        ('"field": 0', '"field": false'),
+    ], ids=["max-n-string", "skip-depth-string", "field-bool"])
+    def test_golden_flag_of_wrong_type_named(self, old, new, tmp_path, capsys):
+        for f in CORPUS.glob("section3-example.*"):
+            shutil.copy(f, tmp_path / f.name)
+            shutil.copy(f, tmp_path / f.name.replace("section3-example", "bad"))
+        golden = tmp_path / "bad.golden.json"
+        text = golden.read_text(encoding="utf-8")
+        assert old in text
+        golden.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["corpus", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL bad.ideal: golden is not a readable report document" in out
+        assert "PASS section3-example.ideal" in out
+        assert "1 passed, 1 failed, 2 total" in out
+
     def test_unreadable_problem_file_named(self, tmp_path, capsys):
         for f in CORPUS.glob("section3-example.*"):
             shutil.copy(f, tmp_path / f.name)

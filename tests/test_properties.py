@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from sqdepth.complexes import RelativeComplex, SimplicialComplex, relative_of_pair
 from sqdepth.homology import RATIONALS, CoefficientField, column_rank, depth, relative_homology
-from sqdepth.ideals import IdealPair, MonomialIdeal, _canonical_masks, minimalize, parse_ideal
+from sqdepth.ideals import (
+    IdealPair,
+    MonomialIdeal,
+    _canonical_masks,
+    colon,
+    intersect,
+    minimalize,
+    parse_ideal,
+)
 from sqdepth.invariants import alpha, hdepth, hdepth_of_alpha
 
 import oracles
@@ -37,6 +45,38 @@ def pairs(draw, max_n):
     lower = minimalize((g | m for g, m in draw(st.lists(multiples, max_size=4))), n)
     assume(lower != upper)
     return IdealPair(lower, upper)
+
+
+@st.composite
+def ideals_in_one_ring(draw, max_n):
+    """Two ideals over the same n, each minimalize of up to six masks."""
+    n = draw(st.integers(1, max_n))
+    masks = st.lists(st.integers(0, (1 << n) - 1), max_size=6)
+    return minimalize(draw(masks), n), minimalize(draw(masks), n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(ideals_in_one_ring(8))
+def test_intersect_matches_all_pairwise_unions(ideals_ab):
+    a, b = ideals_ab
+    assert intersect(a, b) == oracles.pairwise_intersect(a, b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(ideals_in_one_ring(8))
+def test_colon_generators_are_minimal_brute_force_members(ideals_ij):
+    i, j = ideals_ij
+    assume(not j.is_zero)
+    assert colon(i, j).generators == oracles.brute_colon_generators(i, j)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))))
+def test_minimalize_output_passes_full_validation(n_masks):
+    n, masks = n_masks
+    m = minimalize(masks, n)
+    assert MonomialIdeal(n, m.generators) == m
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
