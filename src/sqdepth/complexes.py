@@ -65,20 +65,8 @@ class SimplicialComplex:
         return any(mask & ~f == 0 for f in self.facets)
 
     def face_masks(self, max_size: Optional[int] = None) -> set[int]:
-        """All faces, as the union of the facet power sets; with max_size,
-        only the faces of at most max_size vertices."""
-        faces: set[int] = set()
-        for facet in self.facets:
-            if max_size is not None and facet.bit_count() > max_size:
-                faces.update(_subsets(facet, range(max_size + 1)))
-                continue
-            sub = facet
-            while True:
-                faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & facet
-        return faces
+        """All faces; with max_size, only those of at most max_size vertices."""
+        return facet_faces(self.facets, max_size)
 
     def faces_of_size(self, k: int, limit: int) -> list[int]:
         """The faces of k vertices in ascending mask order.  Listing stops
@@ -90,6 +78,23 @@ class SimplicialComplex:
             if len(faces) > limit:
                 break
         return sorted(faces)
+
+
+def facet_faces(facets: tuple[int, ...], max_size: Optional[int] = None) -> set[int]:
+    """All faces of the complex with these facets, as the union of the facet
+    power sets; with max_size, only the faces of at most max_size vertices."""
+    faces: set[int] = set()
+    for facet in facets:
+        if max_size is not None and facet.bit_count() > max_size:
+            faces.update(_subsets(facet, range(max_size + 1)))
+            continue
+        sub = facet
+        while True:
+            faces.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & facet
+    return faces
 
 
 def _subsets(facet: int, sizes: range):

@@ -19,12 +19,12 @@ from .errors import CapExceededError
 from .complexes import (
     RelativeComplex,
     SimplicialComplex,
+    facet_faces,
     link_facets,
     relative_of_pair,
 )
 from .ideals import IdealPair
 
-DEFAULT_PRIME = 32003
 # Most faces one homology call or one depth pass lists; read at call time.
 FACE_CAP = 100_000
 # Ranks mod p are exact for any prime; the bound keeps _is_prime's trial
@@ -202,6 +202,13 @@ def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
     return ChainComplexRanks(field, counts, ranks, betti, top)
 
 
+def _pair_faces_of_facets(delta: tuple[int, ...], gamma: tuple[int, ...],
+                          max_size: Optional[int] = None) -> dict[int, list[int]]:
+    """The faces of the pair with these facets by dimension; with max_size,
+    only those of at most max_size vertices.  More than FACE_CAP raise."""
+    return _faces_by_dim(facet_faces(delta, max_size) - facet_faces(gamma, max_size), FACE_CAP)
+
+
 def clear_homology_cache() -> None:
     """Does nothing: homology results are recomputed on every call."""
 
@@ -223,8 +230,9 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     result is truncated there (see ChainComplexRanks): it answers which
     dimension up to top, if any, first carries homology.
     """
-    faces = psi.face_masks(None if top is None else top + 2)
-    return _ranks_from_faces(_faces_by_dim(faces, FACE_CAP), field, top)
+    faces = _pair_faces_of_facets(psi.delta.facets, psi.gamma.facets,
+                                  None if top is None else top + 2)
+    return _ranks_from_faces(faces, field, top)
 
 
 def _is_cone(facets: tuple[int, ...]) -> bool:
@@ -258,6 +266,44 @@ class CmVerdict:
         return self.is_cm
 
 
+def _psi_faces(psi: RelativeComplex, max_size: int) -> dict[int, list[int]]:
+    """psi's faces of at most max_size vertices by dimension, or {} once
+    delta has more than FACE_CAP of them (listing stops there)."""
+    delta: list[int] = []
+    for k in range(max_size + 1):
+        delta += psi.delta.faces_of_size(k, FACE_CAP - len(delta))
+        if len(delta) > FACE_CAP:
+            return {}
+    return _faces_by_dim(set(delta) - psi.gamma.face_masks(max_size), FACE_CAP)
+
+
+def _read_start(psi_faces: dict[int, list[int]], size: int) -> dict:
+    """`read` for faces of `size` vertices: psi itself at size 0, cut to the
+    faces of at least `size` vertices, the only ones that can contain them."""
+    return {0: (0, {d: faces for d, faces in psi_faces.items() if d >= size - 1})}
+
+
+def _link_pair_faces(face: int, read: dict) -> dict[int, list[int]]:
+    """The link pair at `face` as _faces_by_dim lists it: H \\ face over the
+    faces H of psi that contain face, filtered from the pair at face minus
+    its lowest vertex.  `read` (see _read_start) maps a size to the last
+    face of that size read and its pair; in ascending mask order the faces
+    sharing that parent come one after another, so its pair is usually the
+    one kept."""
+    size = face.bit_count()
+    last, faces = read.get(size, (None, None))
+    if last == face:
+        return faces
+    low = face & -face
+    faces = {}
+    for d, hs in _link_pair_faces(face ^ low, read).items():
+        kept = [h ^ low for h in hs if h & low]
+        if kept:
+            faces[d - 1] = kept
+    read[size] = (face, faces)
+    return faces
+
+
 def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
     """Depth of the module of psi by Hochster's formula in relative form:
     the minimum of |F| + 1 + i over faces F of delta and dimensions i with
@@ -267,12 +313,17 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     value b so far through i <= b - |F| - 2, so the pass stops once |F|
     reaches b, and each link pair's homology is truncated at that i.  The
     faces of one size are listed only when the pass reaches that size, and
-    only listed faces count against FACE_CAP.  Link pairs that are empty, or
-    whose two links are cones (acyclic), are skipped.  The first (F, i) to
-    set the final minimum is the witness.
+    only listed faces count against FACE_CAP.  When a link pair first needs
+    homology, psi's faces of at most b vertices are listed and every link
+    pair is read from them; if delta has more than FACE_CAP such faces,
+    each pair is listed from its link facets instead, and counts against
+    FACE_CAP as one homology call does.  Link pairs that are empty, or whose
+    two links are cones (acyclic), are skipped.  The first (F, i) to set the
+    final minimum is the witness.
     """
     best = dim = psi.dim + 1
     listed = 0
+    psi_faces = None
     witness_face = witness_dim = None
     size = 0
     while size < best:
@@ -280,16 +331,22 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
         listed += len(level)
         if listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+        read = None  # link pairs read from psi's faces; see _link_pair_faces
         for f in level:
             lk_delta = link_facets(psi.delta.facets, f)
             lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
             if _is_cone(lk_delta) and (not lk_gamma or _is_cone(lk_gamma)):
                 continue  # both chain complexes acyclic, so the pair is too
-            lk_pair = RelativeComplex(SimplicialComplex(psi.n, lk_delta),
-                                      SimplicialComplex(psi.n, lk_gamma))
-            if lk_pair.is_empty:
-                continue
-            i = relative_homology(lk_pair, field, top=best - size - 2).first_nonzero()
+            if psi_faces is None:
+                psi_faces = _psi_faces(psi, best)
+            if psi_faces:
+                read = read or _read_start(psi_faces, size)
+                lk_faces = _link_pair_faces(f, read)
+            else:  # psi is too large to list
+                lk_faces = _pair_faces_of_facets(lk_delta, lk_gamma, best - size)
+            if not lk_faces:
+                continue  # the link pair is empty
+            i = _ranks_from_faces(lk_faces, field, best - size - 2).first_nonzero()
             if i is not None:
                 best = size + 1 + i
                 witness_face, witness_dim = f, i

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import comb
 from typing import Iterable
@@ -157,10 +157,7 @@ def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("ideals live in different rings")
     if other.is_zero:
         raise ValueError("colon by the zero ideal is undefined")
-    result = MonomialIdeal.unit(ideal.n)
-    for g in other.generators:
-        result = intersect(result, _colon_single(ideal, g))
-    return result
+    return reduce(intersect, (_colon_single(ideal, g) for g in other.generators))
 
 
 @dataclass(frozen=True)

@@ -374,20 +374,27 @@ class TestFaceCap:
 
     def test_link_pair_faces_count(self, monkeypatch):
         # delta is a 4-simplex plus a point and gamma a 3-simplex: the pass
-        # lists one delta face, the empty one, whose link pair (the pair
-        # itself) has 33 - 16 = 17 faces
+        # lists one delta face, the empty one, whose link pair is psi
+        # itself, so it lists psi's 33 - 16 = 17 faces once
         from sqdepth import homology
 
         text = "n: 6\nJ: x1, x6\nI: " + ", ".join(f"x6*x{v}" for v in range(1, 6))
         psi = relative_of_pair(parse_problem_text(text).pair())
         monkeypatch.setattr(homology, "FACE_CAP", 17)
-        homology.clear_homology_cache()
         assert depth_verdict(psi).depth == 1
         monkeypatch.setattr(homology, "FACE_CAP", 16)
-        homology.clear_homology_cache()  # a cached answer would list nothing
         with pytest.raises(CapExceededError, match="face count exceeds the cap 16"):
             depth_verdict(psi)
-        homology.clear_homology_cache()
+
+    def test_only_link_pairs_count_when_psi_is_over_the_cap(self):
+        # delta is a cone from vertex 1 over a 15-simplex plus the point 18,
+        # 2^17 + 2 faces, more than the cap; the empty face is a cone and is
+        # skipped, and the pair at vertex 1 has 2^16 + 1 faces, under it, so
+        # the pass lists that pair from its facets and finds H_0 there
+        text = "n: 18\nJ: unit\nI: " + ", ".join(f"x{v}*x18" for v in range(2, 18))
+        verdict = depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
+        assert (verdict.depth, verdict.dim) == (2, 17)
+        assert (verdict.witness_face, verdict.witness_dim) == (0b1, 0)
 
 
 class TestCoefficientField:

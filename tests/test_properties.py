@@ -1,10 +1,26 @@
 """Hypothesis properties on ideals drawn as lists of generator masks."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sqdepth import homology
 from sqdepth.complexes import RelativeComplex, SimplicialComplex, relative_of_pair
-from sqdepth.homology import RATIONALS, CoefficientField, column_rank, depth, relative_homology
+from sqdepth.homology import (
+    FACE_CAP,
+    RATIONALS,
+    CoefficientField,
+    _faces_by_dim,
+    _link_pair_faces,
+    _pair_faces_of_facets,
+    _psi_faces,
+    _ranks_from_faces,
+    _read_start,
+    column_rank,
+    depth,
+    depth_verdict,
+    relative_homology,
+)
 from sqdepth.ideals import (
     IdealPair,
     MonomialIdeal,
@@ -122,6 +138,46 @@ def test_relative_homology_ignores_vertex_names(pair, field, data):
         expected = relative_homology(psi, field, top)
         assert relative_homology(permuted, field, top) == expected
         assert relative_homology(embedded, field, top) == expected
+
+
+@settings(derandomize=True, deadline=None)
+@given(pairs(8), st.sampled_from(FIELDS))
+def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
+    # depth_verdict lists psi's faces once, then reads the link pair at each
+    # F, visited by size then mask, from the pair at F minus its lowest
+    # vertex; up to |F| + top + 2 vertices the read pair must be the link
+    # pair built from the two link complexes, with the same homology, and
+    # the pair the pass lists from the link facets when psi is too large
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    dim = psi.dim + 1
+    psi_faces = _psi_faces(psi, dim)
+    for size in range(dim):
+        read = _read_start(psi_faces, size)
+        for f in psi.delta.faces_of_size(size, FACE_CAP):
+            lk = oracles.link_pair(psi, f)
+            faces = _link_pair_faces(f, read)
+            assert (not faces) == lk.is_empty
+            for top in range(-1, dim - size - 1):
+                truncated = {d: hs for d, hs in faces.items() if d <= top + 1}
+                assert truncated == _faces_by_dim(lk.face_masks(top + 2), FACE_CAP)
+                listed = _pair_faces_of_facets(lk.delta.facets, lk.gamma.facets, top + 2)
+                assert truncated == listed
+                expected = relative_homology(lk, field, top)
+                assert _ranks_from_faces(faces, field, top).betti == expected.betti
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs(8), st.sampled_from(FIELDS))
+def test_depth_pass_lists_link_pairs_from_facets_when_psi_is_too_large(pair, field):
+    # with psi over the cap the pass lists each link pair from the facets of
+    # its two links instead; the verdict must not depend on the path
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    expected = depth_verdict(psi, field)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_psi_faces", lambda psi, max_size: {})
+        assert depth_verdict(psi, field) == expected
 
 
 matrices = st.integers(1, 8).flatmap(
