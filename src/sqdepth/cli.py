@@ -233,6 +233,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "corpus":
             return _run_corpus(args)
+        if args.max_n < 1:
+            raise SqdepthError(f"--max-n {args.max_n}: N must be at least 1")
         if args.command == "verify":
             if args.random < 0:
                 raise SqdepthError(f"--random {args.random}: COUNT cannot be negative")
@@ -242,8 +244,7 @@ def main(argv=None) -> int:
             if args.random:
                 return _run_random_sweep(args)
             if args.file is None:
-                print("verify needs a problem file or --random COUNT", file=sys.stderr)
-                return 1
+                raise SqdepthError("verify needs a problem file or --random COUNT")
         return _run_file_command(args)
     except SqdepthError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,22 @@ rationals (integer steps, a Fraction only where a division is not exact) or
 over a prime field (residues mod p).  Relative pairs use the quotient chain
 complex directly: chains are spanned by the faces of delta outside gamma,
 and boundary summands landing in gamma are dropped.
+
+Boundary maps are ranked bottom up, with row compression (Bauer, Kerber and
+Reininghaus, "Clear and Compress", 2014): the i-faces whose columns of
+d_i stay nonzero in the reduction (the negative faces) index a column basis
+of d_i, so no nonzero cycle of d_i lies on them alone, and dropping their
+rows from d_{i+1} keeps its rank.  d_0 has rank 1 when the empty face and a
+vertex are both present.  d_1 is a graph incidence matrix, with vertices
+outside the pair and dropped rows as one ground node; it is totally
+unimodular, so over every field its rank is the number of merges a
+union-find makes, and the merging edges are its negative faces.  Higher
+maps are reduced from their last column to their first, and stop once
+every row is a pivot.
+
+The depth pass tests the links of a whole level of faces for cones with
+one numpy computation, and on its last level, where only H_{-1} counts,
+reads the answer off the facets of delta and gamma instead of a link pair.
 """
 
 from __future__ import annotations
@@ -14,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import CapExceededError
 from .complexes import (
@@ -27,6 +45,9 @@ from .ideals import IdealPair
 
 # Most faces one homology call or one depth pass lists; read at call time.
 FACE_CAP = 100_000
+# Most face-by-facet cells the depth pass's cone test holds at once; a level
+# is classified in chunks of at most this many cells.  Read at call time.
+LEVEL_CELLS = 1 << 16
 # Ranks mod p are exact for any prime; the bound keeps _is_prime's trial
 # division short (at most about 46341 steps).
 PRIME_LIMIT = 1 << 31
@@ -112,8 +133,12 @@ def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]
     in ascending order; faces absent from `lower` (relative case) are
     dropped, which realizes the quotient chain complex.
     """
+    return list(_iter_boundary_columns(lower, upper))
+
+
+def _iter_boundary_columns(lower: list[int], upper: list[int]):
+    """_boundary_columns one column at a time, built as they are read."""
     index = {m: i for i, m in enumerate(lower)}
-    columns = []
     for m in upper:
         column = {}
         sign = 1
@@ -125,8 +150,7 @@ def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]
                 column[row] = sign
             sign = -sign
             remaining ^= bit
-        columns.append(column)
-    return columns
+        yield column
 
 
 def _rational_factor(entry, pivot):
@@ -136,18 +160,23 @@ def _rational_factor(entry, pivot):
     return Fraction(entry, pivot) if remainder else quotient
 
 
-def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
-    """Exact rank of the matrix with the given sparse columns ({row: entry})
-    over QQ (characteristic 0) or GF(p).
+def _independent_columns(columns: Iterable[dict[int, int]], characteristic: int,
+                         rows: Optional[int] = None) -> list[int]:
+    """The positions of the columns that stay nonzero when each is reduced
+    against the kept ones over QQ (characteristic 0) or GF(p): a maximal
+    set of linearly independent columns, in order.  With `rows`, the
+    number of rows, the scan stops once that many are kept.
 
     Each column is reduced against the kept ones by its highest row until it
     vanishes or its highest row is no kept column's; the kept columns then
-    have distinct highest rows, so their number is the rank.  A step clears
-    the highest row and touches only lower ones, so every column finishes.
+    have distinct highest rows, so they are independent and span the rest.
+    A step clears the highest row and touches only lower ones, so every
+    column finishes.
     """
     p = characteristic
     kept: dict[int, tuple[dict, int]] = {}
-    for column in columns:
+    positions = []
+    for position, column in enumerate(columns):
         col = {}
         for row, v in column.items():
             if p:
@@ -160,6 +189,7 @@ def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
             if pivot_entry is None:
                 # mod p the pivot is stored inverted, so no step inverts it
                 kept[low] = (col, pow(col[low], -1, p) if p else col[low])
+                positions.append(position)
                 break
             pivot_col, pivot = pivot_entry
             entry = col.pop(low)
@@ -174,22 +204,74 @@ def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
                     col[row] = x
                 else:
                     del col[row]
-    return len(kept)
+        if len(positions) == rows:
+            break  # every row is a pivot, so the remaining columns depend
+    return positions
+
+
+def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
+    """Exact rank of the matrix with the given sparse columns ({row: entry})
+    over QQ (characteristic 0) or GF(p)."""
+    return len(_independent_columns(columns, characteristic))
+
+
+def _merge_edges(vertices: list[int], edges: list[int], dropped) -> list[int]:
+    """The edges that join two classes in a union-find over the vertices,
+    with every vertex outside `vertices` or in `dropped` one ground node:
+    a column basis of d_1 from `edges` to the rows of `vertices` not in
+    `dropped`, over every field."""
+    parent = {v: v for v in vertices if v not in dropped}
+    parent[0] = 0  # the ground node; 0 is no vertex's mask
+    merges = []
+    for e in edges:
+        low = e & -e
+        high = e ^ low
+        a, b = (low if low in parent else 0), (high if high in parent else 0)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            merges.append(e)
+    return merges
+
+
+def _negative_faces(below: list[int], upper: list[int], dropped, characteristic: int) -> list[int]:
+    """The faces of `upper` whose boundary columns, over the rows of `below`
+    not in `dropped`, form a column basis; their number is the rank."""
+    size = upper[0].bit_count()
+    if size == 1:
+        return upper[:1]  # every vertex maps to the empty face
+    if size == 2:
+        return _merge_edges(below, upper, dropped)
+    rows = [m for m in below if m not in dropped] if dropped else below
+    # faces with the highest vertex come last in mask order, and where the
+    # pair is a cone from that vertex they alone span the boundaries; read
+    # from the end, the columns reach full rank early and the rest are left
+    backwards = upper[::-1]
+    columns = _iter_boundary_columns(rows, backwards)
+    return [backwards[k] for k in _independent_columns(columns, characteristic, len(rows))]
 
 
 def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
                       top: Optional[int] = None) -> ChainComplexRanks:
     """Betti numbers upward from the bottom dimension; with `top`, stop after
     top or at the first nonzero one.  A boundary rank is computed only when a
-    Betti number needs it."""
+    Betti number needs it, and with the negative faces of the map below
+    dropped from its rows (see the module docstring)."""
     counts = {i: len(by_dim[i]) for i in sorted(by_dim)}
     ranks: dict[int, int] = {}
+    negative: dict[int, set[int]] = {}
 
     def rank(i: int) -> int:
+        # the loop below asks for rank(i - 1) first whenever dimension
+        # i - 1 has faces, so its negative faces are known here
         if i not in ranks:
             below, upper = by_dim.get(i - 1), by_dim.get(i)
-            ranks[i] = (column_rank(_boundary_columns(below, upper), field.characteristic)
-                        if below and upper else 0)
+            faces = (_negative_faces(below, upper, negative.get(i - 1, ()), field.characteristic)
+                     if below and upper else ())
+            ranks[i], negative[i] = len(faces), set(faces)
         return ranks[i]
 
     betti: dict[int, int] = {}
@@ -233,14 +315,6 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     faces = _pair_faces_of_facets(psi.delta.facets, psi.gamma.facets,
                                   None if top is None else top + 2)
     return _ranks_from_faces(faces, field, top)
-
-
-def _is_cone(facets: tuple[int, ...]) -> bool:
-    """A common vertex of all facets makes the complex contractible."""
-    apex = -1
-    for f in facets:
-        apex &= f
-    return apex > 0
 
 
 @dataclass(frozen=True)
@@ -304,6 +378,38 @@ def _link_pair_faces(face: int, read: dict) -> dict[int, list[int]]:
     return faces
 
 
+def _classify_level(level: list[int], delta: SimplicialComplex,
+                    gamma: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Two flags for each face F of delta in `level`: whether its link pair
+    is acyclic because its delta link is a cone and its gamma link is void
+    or a cone, and whether F is a facet of delta outside gamma, the one case
+    with H_{-1} of the pair nonzero.
+
+    The link of F is a cone exactly when the AND of the facets containing F
+    has a vertex outside F.  The faces-by-facets tables are built in chunks
+    of at most LEVEL_CELLS cells.
+    """
+    dtype = np.uint64 if delta.n <= 64 else object
+    everything = ~dtype(0) if dtype is np.uint64 else -1
+    faces = np.array(level, dtype=dtype)
+    d = np.array(delta.facets, dtype=dtype)
+    g = np.array(gamma.facets, dtype=dtype)
+    skip = np.empty(len(level), dtype=bool)
+    facet_outside_gamma = np.empty(len(level), dtype=bool)
+    rows = max(1, LEVEL_CELLS // max(len(d), len(g), 1))
+    for start in range(0, len(level), rows):
+        chunk = slice(start, start + rows)
+        f = faces[chunk, None]
+        in_d, in_g = (f & ~d) == 0, (f & ~g) == 0
+        apex_d = np.bitwise_and.reduce(np.where(in_d, d, everything), axis=1)
+        apex_g = np.bitwise_and.reduce(np.where(in_g, g, everything), axis=1, initial=everything)
+        f = f[:, 0]
+        gamma_void = ~in_g.any(axis=1)
+        skip[chunk] = (apex_d != f) & (gamma_void | (apex_g != f))
+        facet_outside_gamma[chunk] = (d == f[:, None]).any(axis=1) & gamma_void
+    return skip, facet_outside_gamma
+
+
 def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
     """Depth of the module of psi by Hochster's formula in relative form:
     the minimum of |F| + 1 + i over faces F of delta and dimensions i with
@@ -313,13 +419,18 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     value b so far through i <= b - |F| - 2, so the pass stops once |F|
     reaches b, and each link pair's homology is truncated at that i.  The
     faces of one size are listed only when the pass reaches that size, and
-    only listed faces count against FACE_CAP.  When a link pair first needs
-    homology, psi's faces of at most b vertices are listed and every link
-    pair is read from them; if delta has more than FACE_CAP such faces,
-    each pair is listed from its link facets instead, and counts against
-    FACE_CAP as one homology call does.  Link pairs that are empty, or whose
-    two links are cones (acyclic), are skipped.  The first (F, i) to set the
-    final minimum is the witness.
+    only listed faces count against FACE_CAP.  One numpy cone test per
+    level (_classify_level) skips the faces whose two links are cones, or
+    whose delta link is a cone and gamma link void: such a pair is acyclic.
+    Where only i = -1 can still lower b (|F| = b - 1), H_{-1} of the pair
+    is nonzero exactly when F is a facet of delta outside gamma, which the
+    same test reads off, so no pair there is read or ranked.  When any
+    other link pair first needs homology, psi's faces of at most b vertices
+    are listed and every link pair is read from them; if delta has more
+    than FACE_CAP such faces, each pair is listed from its link facets
+    instead, and counts against FACE_CAP as one homology call does.  An
+    empty link pair is skipped.  The first (F, i) to set the final minimum
+    is the witness.
     """
     best = dim = psi.dim + 1
     listed = 0
@@ -331,19 +442,24 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
         listed += len(level)
         if listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+        skip, facet_outside_gamma = _classify_level(level, psi.delta, psi.gamma)
         read = None  # link pairs read from psi's faces; see _link_pair_faces
-        for f in level:
-            lk_delta = link_facets(psi.delta.facets, f)
-            lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
-            if _is_cone(lk_delta) and (not lk_gamma or _is_cone(lk_gamma)):
-                continue  # both chain complexes acyclic, so the pair is too
+        for j in np.flatnonzero(~skip).tolist():
+            f = level[j]
+            if size == best - 1:  # only H_{-1} can lower best here
+                if facet_outside_gamma[j]:
+                    best, witness_face, witness_dim = size, f, -1
+                    break
+                continue
             if psi_faces is None:
                 psi_faces = _psi_faces(psi, best)
             if psi_faces:
                 read = read or _read_start(psi_faces, size)
                 lk_faces = _link_pair_faces(f, read)
             else:  # psi is too large to list
-                lk_faces = _pair_faces_of_facets(lk_delta, lk_gamma, best - size)
+                lk_faces = _pair_faces_of_facets(link_facets(psi.delta.facets, f),
+                                                 link_facets(psi.gamma.facets, f),
+                                                 best - size)
             if not lk_faces:
                 continue  # the link pair is empty
             i = _ranks_from_faces(lk_faces, field, best - size - 2).first_nonzero()

@@ -11,6 +11,9 @@ skeleton scan with Reisner tests that the one-pass depth replaced, and
 `link` and `dim_module_colon` are the facet-listing skeleton, the link as a
 complex and the colon path to the dimension, which no report uses;
 `pairwise_intersect` is the intersection before pruning.
+`uncompressed_ranks` ranks every boundary map in full with `column_rank`,
+and `classify_face` is the per-face cone test from the link facets; the
+depth pass replaced them with row compression and one cone test per level.
 """
 
 from fractions import Fraction
@@ -26,7 +29,13 @@ from sqdepth.complexes import (
     link_facets,
     relative_of_pair,
 )
-from sqdepth.homology import RATIONALS, relative_homology
+from sqdepth.homology import (
+    RATIONALS,
+    ChainComplexRanks,
+    _boundary_columns,
+    column_rank,
+    relative_homology,
+)
 from sqdepth.ideals import _canonical_masks, colon, minimalize
 
 
@@ -360,3 +369,45 @@ def hochster_depth(pair, field=RATIONALS):
             if best is None or candidate < best:
                 best = candidate
     return best
+
+
+def uncompressed_ranks(by_dim, field, top=None):
+    """_ranks_from_faces with every boundary map ranked whole: Betti numbers
+    upward from the bottom dimension, stopping after top or at the first
+    nonzero one, each boundary rank computed when a Betti number needs it."""
+    counts = {i: len(by_dim[i]) for i in sorted(by_dim)}
+    ranks = {}
+
+    def rank(i):
+        if i not in ranks:
+            below, upper = by_dim.get(i - 1), by_dim.get(i)
+            ranks[i] = (column_rank(_boundary_columns(below, upper), field.characteristic)
+                        if below and upper else 0)
+        return ranks[i]
+
+    betti = {}
+    for i in counts:
+        if top is not None and i > top:
+            break
+        betti[i] = counts[i] - rank(i) - rank(i + 1)
+        if top is not None and betti[i]:
+            break
+    return ChainComplexRanks(field, counts, ranks, betti, top)
+
+
+def is_cone(facets):
+    """A common vertex of all facets makes the complex contractible."""
+    apex = -1
+    for f in facets:
+        apex &= f
+    return apex > 0
+
+
+def classify_face(psi, f):
+    """For a face F of delta: whether both links are cones, or the delta link
+    a cone and the gamma link void, and whether F is a facet of delta
+    outside gamma, from the link facets of F."""
+    lk_delta = link_facets(psi.delta.facets, f)
+    lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
+    skip = is_cone(lk_delta) and (not lk_gamma or is_cone(lk_gamma))
+    return skip, lk_delta == (0,) and not lk_gamma

@@ -93,6 +93,21 @@ class TestInvariantsCommand:
         assert main(["invariants", str(tiny_file), "--max-n", "1"]) == 1
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ("invariants", "depth", "verify"))
+    @pytest.mark.parametrize("cap", ("0", "-1"))
+    def test_max_n_below_one_names_the_flag(self, command, cap, tiny_file, capsys):
+        # used to end in "n=2 exceeds the enumeration cap -1"
+        assert main([command, str(tiny_file), "--max-n", cap]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --max-n {cap}: N must be at least 1\n"
+        assert captured.out == ""
+
+    def test_max_n_below_one_in_a_random_sweep(self, capsys):
+        assert main(["verify", "--random", "3", "--max-n", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-n 0: N must be at least 1\n"
+        assert captured.out == ""
+
     def test_table_too_large_for_memory(self, tmp_path, capsys):
         # raising --max-n to 40 used to end in numpy's allocation error
         wide = tmp_path / "wide.ideal"
@@ -228,6 +243,13 @@ class TestVerifyCommand:
     def test_verify_without_file_or_random(self, capsys):
         assert main(["verify"]) == 1
 
+    def test_verify_without_file_or_random_is_an_error_line(self, capsys):
+        # the one error path that printed its message without "error: "
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: verify needs a problem file or --random COUNT\n"
+        assert captured.out == ""
+
     def test_negative_random_count(self, capsys):
         assert main(["verify", "--random", "-3"]) == 1
         captured = capsys.readouterr()
@@ -288,7 +310,7 @@ class TestCorpusCommand:
     def test_bundled_corpus_green(self, capsys):
         assert main(["corpus", str(CORPUS)]) == 0
         out = capsys.readouterr().out
-        assert "5 passed, 0 failed, 5 total" in out
+        assert "6 passed, 0 failed, 6 total" in out
 
     def test_rp2_depth_depends_on_the_field(self):
         qq = json.loads((CORPUS / "rp2-qq.golden.json").read_text(encoding="utf-8"))
@@ -297,6 +319,17 @@ class TestCorpusCommand:
         assert (gf2["field"], gf2["depth"], gf2["cm"]) == ("GF(2)", 2, False)
         assert gf2["cm_witness"] == {"face": "{}", "dimension": 1}
         assert qq["alpha"] == gf2["alpha"] and qq["dim"] == gf2["dim"] == 3
+
+    def test_duval_ideal_depth_golden(self):
+        # the module 0 < I of the Duval ideal with depth, beside the golden
+        # of the same module that skips it
+        with_depth = json.loads((CORPUS / "duval-ideal-depth.golden.json").read_text(encoding="utf-8"))
+        skipped = json.loads((CORPUS / "duval-ideal.golden.json").read_text(encoding="utf-8"))
+        assert (with_depth["depth"], with_depth["cm"], with_depth["dim"]) == (5, False, 16)
+        assert with_depth["cm_witness"] == {"face": "{1,2}", "dimension": 2}
+        assert with_depth["flags"]["skip_depth"] is False
+        assert skipped["flags"]["skip_depth"] is True and skipped["depth"] is None
+        assert with_depth["alpha"] == skipped["alpha"] and with_depth["hdepth"] == skipped["hdepth"]
 
     def test_corrupted_golden_named(self, tmp_path, capsys):
         for f in CORPUS.glob("section3-example.*"):

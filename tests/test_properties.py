@@ -1,7 +1,7 @@
 """Hypothesis properties on ideals drawn as lists of generator masks."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqdepth import homology
@@ -10,8 +10,11 @@ from sqdepth.homology import (
     FACE_CAP,
     RATIONALS,
     CoefficientField,
+    _boundary_columns,
+    _classify_level,
     _faces_by_dim,
     _link_pair_faces,
+    _merge_edges,
     _pair_faces_of_facets,
     _psi_faces,
     _ranks_from_faces,
@@ -35,6 +38,7 @@ from sqdepth.invariants import alpha, hdepth, hdepth_of_alpha
 import oracles
 
 FIELDS = (RATIONALS, CoefficientField(2))
+THREE_FIELDS = (RATIONALS, CoefficientField(2), CoefficientField(3))
 
 
 @st.composite
@@ -194,3 +198,81 @@ def test_column_rank_matches_dense_elimination(mat):
         mod_p = column_rank(oracles.columns(mat), p)
         assert mod_p == oracles.mod_p_rank(mat, p)
         assert mod_p <= over_q
+
+
+@settings(derandomize=True, deadline=None)
+@given(pairs(8), st.sampled_from(THREE_FIELDS))
+def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
+    # dropping the negative rows of each map from the next keeps every
+    # boundary rank, and the same ranks are computed as without it
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    for top in (None, *range(-1, psi.dim + 1)):
+        faces = _pair_faces_of_facets(psi.delta.facets, psi.gamma.facets,
+                                      None if top is None else top + 2)
+        assert _ranks_from_faces(faces, field, top) == oracles.uncompressed_ranks(faces, field, top)
+
+
+@st.composite
+def grounded_graphs(draw):
+    """Edges on vertices 0..7 as two-bit masks, the vertices present as rows
+    (the rest are ground), and the present vertices whose rows are dropped."""
+    vertices = [1 << v for v in range(8)]
+    present = sorted(draw(st.sets(st.sampled_from(vertices))))
+    dropped = draw(st.sets(st.sampled_from(present))) if present else set()
+    pairs_ = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    edges = sorted({a | b for a, b in draw(st.lists(pairs_, max_size=16)) if a != b})
+    return present, edges, dropped
+
+
+@settings(derandomize=True, deadline=None)
+@given(grounded_graphs())
+def test_union_find_rank_matches_column_rank(graph):
+    # d_1 with absent and dropped vertices as one ground node has the rank
+    # of its matrix over every field, and the merging edges are independent
+    present, edges, dropped = graph
+    rows = [v for v in present if v not in dropped]
+    merges = _merge_edges(present, edges, dropped)
+    for p in (0, 2, 3):
+        assert len(merges) == column_rank(_boundary_columns(rows, edges), p)
+        assert len(merges) == column_rank(_boundary_columns(rows, merges), p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs(8), st.booleans(), st.sampled_from((1, 2, 3, 5, 7, 1 << 16)))
+@example(IdealPair(parse_ideal("x1*x2", 2), parse_ideal("x1", 2)), False, 1)  # facet {2} in gamma
+def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cells):
+    # the cone test of one level in chunks of `cells` cells, small ones
+    # putting chunk edges inside every level, against the per-face test
+    # from the link facets; the facet flag is H_{-1} of the link pair
+    psi = relative_of_pair(pair)
+    if void_gamma:
+        psi = RelativeComplex(psi.delta, SimplicialComplex.void(psi.n))
+    assume(not psi.is_empty)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "LEVEL_CELLS", cells)
+        for size in range(psi.dim + 2):
+            level = psi.delta.faces_of_size(size, FACE_CAP)
+            skip, facet_outside_gamma = _classify_level(level, psi.delta, psi.gamma)
+            expected = [oracles.classify_face(psi, f) for f in level]
+            assert list(zip(skip.tolist(), facet_outside_gamma.tolist())) == expected
+            for f, flag in zip(level, facet_outside_gamma.tolist()):
+                lk = oracles.link_pair(psi, f)
+                h = 0 if lk.is_empty else relative_homology(lk, RATIONALS, -1).betti_number(-1)
+                assert flag == (h != 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(pairs(6), st.sampled_from(FIELDS))
+def test_depth_pass_on_vertices_past_64_bits(pair, field):
+    # the level cone test holds masks of more than 64 bits as Python ints
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    shift = 65
+    wide = _relabeled(psi, psi.n + shift, range(shift, psi.n + shift))
+    expected = depth_verdict(psi, field)
+    verdict = depth_verdict(wide, field)
+    assert (verdict.depth, verdict.dim, verdict.witness_dim) == (
+        expected.depth, expected.dim, expected.witness_dim)
+    assert verdict.witness_face == (None if expected.witness_face is None
+                                    else expected.witness_face << shift)
