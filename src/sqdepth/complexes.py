@@ -8,9 +8,10 @@ the empty set has facet tuple (0,).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -66,41 +67,56 @@ class SimplicialComplex:
 
     def face_masks(self, max_size: Optional[int] = None) -> set[int]:
         """All faces; with max_size, only those of at most max_size vertices."""
-        return facet_faces(self.facets, max_size)
+        return RelativeComplex(self, SimplicialComplex.void(self.n)).face_masks(max_size)
 
     def faces_of_size(self, k: int, limit: int) -> list[int]:
         """The faces of k vertices in ascending mask order.  Listing stops
         once more than `limit` are found, so a caller that compares the
         length with its limit never holds much more than twice that many."""
-        faces: set[int] = set()
-        for facet in self.facets:
-            faces.update(islice(_subsets(facet, range(k, k + 1)), limit + 1))
-            if len(faces) > limit:
-                break
-        return sorted(faces)
+        return sorted(_faces_of_size(map(_vertices, self.facets), k, limit))
 
 
-def facet_faces(facets: tuple[int, ...], max_size: Optional[int] = None) -> set[int]:
-    """All faces of the complex with these facets, as the union of the facet
-    power sets; with max_size, only the faces of at most max_size vertices."""
+def _vertices(facet: int) -> list[int]:
+    """The vertices of a facet, as one-bit masks."""
+    return [1 << b for b in range(facet.bit_length()) if facet >> b & 1]
+
+
+def _faces_of_size(facets: Iterable[list[int]], k: int, limit: int) -> set[int]:
+    """The faces of k vertices of the complex with these facets, each given
+    by its vertices; listing stops once more than `limit` are found."""
     faces: set[int] = set()
-    for facet in facets:
-        if max_size is not None and facet.bit_count() > max_size:
-            faces.update(_subsets(facet, range(max_size + 1)))
-            continue
-        sub = facet
-        while True:
-            faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & facet
+    for vertices in facets:
+        faces.update(islice(map(sum, combinations(vertices, k)), limit + 1))
+        if len(faces) > limit:
+            break
     return faces
 
 
-def _subsets(facet: int, sizes: range):
-    """The subsets of a facet with a vertex count in `sizes`, as masks."""
-    bits = [1 << b for b in range(facet.bit_length()) if facet >> b & 1]
-    return chain.from_iterable(map(sum, combinations(bits, k)) for k in sizes)
+def pair_faces(delta: tuple[int, ...], gamma: tuple[int, ...], max_size: int,
+               limit: int) -> Optional[dict[int, list[int]]]:
+    """The faces of delta outside gamma, for the pair with these facet
+    tuples, of at most max_size vertices: a list per dimension in ascending
+    mask order, with no entry for a dimension without faces.  None once
+    there are more than `limit`.
+
+    Sizes are listed in turn.  At each, the faces of gamma are listed, then
+    those of delta only up to what is left of the limit plus that count,
+    so the listing stops early past the limit.
+    """
+    delta, gamma = list(map(_vertices, delta)), list(map(_vertices, gamma))
+    by_dim: dict[int, list[int]] = {}
+    for k in range(max_size + 1):
+        below = set().union(*(map(sum, combinations(vertices, k)) for vertices in gamma))
+        level = _faces_of_size(delta, k, limit + len(below))
+        if len(level) > limit + len(below):
+            return None
+        if not level:
+            break  # delta has no faces of k vertices, so none larger
+        level -= below
+        if level:
+            by_dim[k - 1] = sorted(level)
+            limit -= len(level)
+    return by_dim
 
 
 @dataclass(frozen=True)
@@ -135,7 +151,12 @@ class RelativeComplex:
         return max(dims)
 
     def face_masks(self, max_size: Optional[int] = None) -> set[int]:
-        return self.delta.face_masks(max_size) - self.gamma.face_masks(max_size)
+        """The faces of delta outside gamma; with max_size, only those of at
+        most max_size vertices.  Uncapped: no machine holds sys.maxsize // 2
+        faces."""
+        faces = pair_faces(self.delta.facets, self.gamma.facets,
+                           self.n if max_size is None else max_size, sys.maxsize // 2)
+        return set(chain.from_iterable(faces.values()))
 
 
 @dataclass(frozen=True)

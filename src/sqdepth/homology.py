@@ -23,6 +23,8 @@ every row is a pivot.
 The depth pass tests the links of a whole level of faces for cones with
 one numpy computation, and on its last level, where only H_{-1} counts,
 reads the answer off the facets of delta and gamma instead of a link pair.
+Every pair is listed by one capped lister, `complexes.pair_faces`, and
+the pass takes each link pair from one recursion rooted at psi.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .errors import CapExceededError
 from .complexes import (
     RelativeComplex,
     SimplicialComplex,
-    facet_faces,
     link_facets,
+    pair_faces,
     relative_of_pair,
 )
 from .ideals import IdealPair
@@ -111,19 +113,6 @@ class ChainComplexRanks:
     @property
     def is_acyclic(self) -> bool:
         return all(v == 0 for v in self.betti.values())
-
-
-def _faces_by_dim(masks, cap: int) -> dict[int, list[int]]:
-    by_dim: dict[int, list[int]] = {}
-    total = 0
-    for m in masks:
-        by_dim.setdefault(m.bit_count() - 1, []).append(m)
-        total += 1
-        if total > cap:
-            raise CapExceededError(f"face count exceeds the cap {cap}")
-    for faces in by_dim.values():
-        faces.sort()
-    return by_dim
 
 
 def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]]:
@@ -284,13 +273,6 @@ def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
     return ChainComplexRanks(field, counts, ranks, betti, top)
 
 
-def _pair_faces_of_facets(delta: tuple[int, ...], gamma: tuple[int, ...],
-                          max_size: Optional[int] = None) -> dict[int, list[int]]:
-    """The faces of the pair with these facets by dimension; with max_size,
-    only those of at most max_size vertices.  More than FACE_CAP raise."""
-    return _faces_by_dim(facet_faces(delta, max_size) - facet_faces(gamma, max_size), FACE_CAP)
-
-
 def clear_homology_cache() -> None:
     """Does nothing: homology results are recomputed on every call."""
 
@@ -312,8 +294,10 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     result is truncated there (see ChainComplexRanks): it answers which
     dimension up to top, if any, first carries homology.
     """
-    faces = _pair_faces_of_facets(psi.delta.facets, psi.gamma.facets,
-                                  None if top is None else top + 2)
+    faces = pair_faces(psi.delta.facets, psi.gamma.facets,
+                       psi.n if top is None else top + 2, FACE_CAP)
+    if faces is None:
+        raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
     return _ranks_from_faces(faces, field, top)
 
 
@@ -340,40 +324,31 @@ class CmVerdict:
         return self.is_cm
 
 
-def _psi_faces(psi: RelativeComplex, max_size: int) -> dict[int, list[int]]:
-    """psi's faces of at most max_size vertices by dimension, or {} once
-    delta has more than FACE_CAP of them (listing stops there)."""
-    delta: list[int] = []
-    for k in range(max_size + 1):
-        delta += psi.delta.faces_of_size(k, FACE_CAP - len(delta))
-        if len(delta) > FACE_CAP:
-            return {}
-    return _faces_by_dim(set(delta) - psi.gamma.face_masks(max_size), FACE_CAP)
-
-
-def _read_start(psi_faces: dict[int, list[int]], size: int) -> dict:
-    """`read` for faces of `size` vertices: psi itself at size 0, cut to the
-    faces of at least `size` vertices, the only ones that can contain them."""
-    return {0: (0, {d: faces for d, faces in psi_faces.items() if d >= size - 1})}
-
-
-def _link_pair_faces(face: int, read: dict) -> dict[int, list[int]]:
-    """The link pair at `face` as _faces_by_dim lists it: H \\ face over the
-    faces H of psi that contain face, filtered from the pair at face minus
-    its lowest vertex.  `read` (see _read_start) maps a size to the last
-    face of that size read and its pair; in ascending mask order the faces
-    sharing that parent come one after another, so its pair is usually the
-    one kept."""
+def _link_pair_faces(face: int, read: dict, psi: RelativeComplex,
+                     best: int) -> Optional[dict[int, list[int]]]:
+    """The link pair at `face` as pair_faces lists it, None over FACE_CAP:
+    H \\ face over the faces H of psi that contain face and have at most
+    `best` vertices.  It is filtered from the pair at face minus its lowest
+    vertex, or listed from the two link facet tuples where that pair is
+    None; the empty face's pair, psi, is the root and is always listed.
+    `read` maps a size to the last face of that size read and its pair; in
+    ascending mask order the faces sharing a parent come one after
+    another, so its pair is usually the one kept."""
     size = face.bit_count()
     last, faces = read.get(size, (None, None))
     if last == face:
         return faces
     low = face & -face
-    faces = {}
-    for d, hs in _link_pair_faces(face ^ low, read).items():
-        kept = [h ^ low for h in hs if h & low]
-        if kept:
-            faces[d - 1] = kept
+    parent = _link_pair_faces(face ^ low, read, psi, best) if face else None
+    if parent is None:
+        faces = pair_faces(link_facets(psi.delta.facets, face),
+                           link_facets(psi.gamma.facets, face), best - size, FACE_CAP)
+    else:
+        faces = {}
+        for d, hs in parent.items():
+            kept = [h ^ low for h in hs if h & low]
+            if kept:
+                faces[d - 1] = kept
     read[size] = (face, faces)
     return faces
 
@@ -426,15 +401,15 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     is nonzero exactly when F is a facet of delta outside gamma, which the
     same test reads off, so no pair there is read or ranked.  When any
     other link pair first needs homology, psi's faces of at most b vertices
-    are listed and every link pair is read from them; if delta has more
-    than FACE_CAP such faces, each pair is listed from its link facets
-    instead, and counts against FACE_CAP as one homology call does.  An
-    empty link pair is skipped.  The first (F, i) to set the final minimum
-    is the witness.
+    are listed once, as the root of _link_pair_faces, which filters each
+    pair from its parent's or, where that was over FACE_CAP, lists it from
+    its link facets.  A needed pair over FACE_CAP stops the pass, as one
+    homology call does.  An empty link pair is skipped.  The first (F, i)
+    to set the final minimum is the witness.
     """
     best = dim = psi.dim + 1
     listed = 0
-    psi_faces = None
+    read: dict = {}  # link pairs by size, psi at size 0; see _link_pair_faces
     witness_face = witness_dim = None
     size = 0
     while size < best:
@@ -443,7 +418,9 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
         if listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
         skip, facet_outside_gamma = _classify_level(level, psi.delta, psi.gamma)
-        read = None  # link pairs read from psi's faces; see _link_pair_faces
+        if read:  # keep psi, cut to the faces that can contain this level's
+            root = read[0][1]
+            read = {0: (0, root and {d: hs for d, hs in root.items() if d >= size - 1})}
         for j in np.flatnonzero(~skip).tolist():
             f = level[j]
             if size == best - 1:  # only H_{-1} can lower best here
@@ -451,15 +428,9 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
                     best, witness_face, witness_dim = size, f, -1
                     break
                 continue
-            if psi_faces is None:
-                psi_faces = _psi_faces(psi, best)
-            if psi_faces:
-                read = read or _read_start(psi_faces, size)
-                lk_faces = _link_pair_faces(f, read)
-            else:  # psi is too large to list
-                lk_faces = _pair_faces_of_facets(link_facets(psi.delta.facets, f),
-                                                 link_facets(psi.gamma.facets, f),
-                                                 best - size)
+            lk_faces = _link_pair_faces(f, read, psi, best)
+            if lk_faces is None:
+                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
             if not lk_faces:
                 continue  # the link pair is empty
             i = _ranks_from_faces(lk_faces, field, best - size - 2).first_nonzero()

@@ -15,12 +15,12 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     f_vector,
+    pair_faces,
     relative_facets_of_pair,
     relative_of_pair,
 )
 from sqdepth.homology import (
     _boundary_columns,
-    _faces_by_dim,
     clear_homology_cache,
     depth,
     is_cm_relative,
@@ -231,7 +231,7 @@ def test_criterion_10_homology_sanity():
 
 
 def _assert_boundaries_compose_to_zero(c):
-    by_dim = _faces_by_dim(c.face_masks(), 100_000)
+    by_dim = pair_faces(c.facets, (), c.n, 100_000)
     dims = sorted(by_dim)
     for i in dims:
         if i - 1 not in by_dim or i + 1 not in by_dim:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqdepth import complexes, invariants
+from sqdepth import cli, complexes, invariants
 from sqdepth.cli import main
 from sqdepth.errors import CapExceededError
 from sqdepth.homology import RATIONALS, CoefficientField
@@ -401,17 +401,35 @@ class TestCorpusCommand:
         assert "0 passed, 0 failed, 0 total" in capsys.readouterr().out
 
 
+def _regenerated(path: Path) -> tuple[str, str]:
+    """The golden of a problem file and the report rebuilt with the golden's
+    own command and flags, as `sqdepth corpus` rebuilds it."""
+    golden_text = path.with_name(path.stem + ".golden.json").read_text(encoding="utf-8")
+    golden = json.loads(golden_text)
+    problem = parse_problem_file(path)
+    flags = golden["flags"]
+    doc = cli._build_document(golden["command"], problem.pair(),
+                              CoefficientField(flags.get("field", 0)), flags, problem.label)
+    return golden_text, serialize_document(doc, include_timing=False)
+
+
 class TestGoldenFreshness:
     def test_goldens_regenerate_byte_identical(self):
         # the committed goldens must match what the current code produces
         for path in sorted(CORPUS.glob("*.ideal")):
-            golden_path = path.with_name(path.stem + ".golden.json")
-            golden_text = golden_path.read_text(encoding="utf-8")
-            golden = json.loads(golden_text)
-            problem = parse_problem_file(path)
-            doc = build_verify_document(
-                problem.pair(), CoefficientField(golden["flags"]["field"]),
-                golden["flags"], label=problem.label,
-                skip_depth=golden["flags"]["skip_depth"],
-                cap=golden["flags"]["max_n"])
-            assert serialize_document(doc, include_timing=False) == golden_text
+            golden_text, produced = _regenerated(path)
+            assert produced == golden_text
+
+    def test_depth_golden_is_rebuilt_with_its_own_command(self, tmp_path):
+        # a depth golden that `sqdepth corpus` passes passes here too
+        path = tmp_path / "section3-example.ideal"
+        shutil.copy(CORPUS / path.name, path)
+        problem = parse_problem_file(path)
+        doc = build_depth_document(problem.pair(), RATIONALS,
+                                   {"field": 0, "max_n": 24, "skip_depth": False},
+                                   label=problem.label)
+        path.with_name("section3-example.golden.json").write_text(
+            serialize_document(doc, include_timing=False), encoding="utf-8")
+        assert main(["corpus", str(tmp_path)]) == 0
+        golden_text, produced = _regenerated(path)
+        assert produced == golden_text

@@ -10,10 +10,12 @@ from sqdepth.complexes import (
     f_vector,
     face_table,
     ideal_of_complex,
+    pair_faces,
     pair_of_relative,
     relative_facets_of_pair,
     relative_of_pair,
 )
+from sqdepth.homology import FACE_CAP
 from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize, popcount_table
 from sqdepth.randgen import (
     random_module_pair,
@@ -199,6 +201,14 @@ class TestFacesOfSize:
         # the 10-vertex faces of a 20-simplex number C(20, 10) = 184756
         level = SimplicialComplex.full_simplex(20).faces_of_size(10, 100)
         assert 100 < len(level) <= 201
+
+
+class TestPairFaces:
+    def test_full_40_simplex_is_over_the_cap(self):
+        # 1 + 40 + 780 + 9880 + 91390 faces of at most 4 vertices pass the
+        # cap, so listing stops at size 4, not after 2^40 subsets
+        simplex = ((1 << 40) - 1,)
+        assert pair_faces(simplex, (), 40, FACE_CAP) is None
 
 
 class TestFaceTable:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     f_vector,
+    pair_faces,
     relative_of_pair,
 )
 from sqdepth.errors import CapExceededError
@@ -14,7 +16,6 @@ from sqdepth.homology import (
     RATIONALS,
     CoefficientField,
     _boundary_columns,
-    _faces_by_dim,
     column_rank,
     depth,
     depth_verdict,
@@ -116,7 +117,7 @@ class TestReducedHomology:
         rng = random.Random(13)
         for _ in range(40):
             c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 6)))
-            by_dim = _faces_by_dim(c.face_masks(), 100_000)
+            by_dim = pair_faces(c.facets, (), c.n, 100_000)
             dims = sorted(by_dim)
             for i in dims:
                 if i - 1 not in by_dim or i + 1 not in by_dim:
@@ -395,6 +396,24 @@ class TestFaceCap:
         verdict = depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
         assert (verdict.depth, verdict.dim) == (2, 17)
         assert (verdict.witness_face, verdict.witness_dim) == (0b1, 0)
+
+
+class TestBoundedListing:
+    def test_cycle_module_stops_at_the_cap_without_listing_delta(self):
+        # J/I = (0, J) with J the edge ideal of the 24-cycle: delta is the
+        # 23-simplex (2^24 faces), and the empty face's pair, psi itself,
+        # has more than FACE_CAP faces; listing stops there, so the pass
+        # holds a few cap-sized levels, not every face of delta
+        gens = ", ".join(f"x{i}*x{i % 24 + 1}" for i in range(1, 25))
+        psi = relative_of_pair(parse_problem_text(f"n: 24\nJ: {gens}\nI: zero").pair())
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="^face count exceeds the cap 100000$"):
+                depth_verdict(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestCoefficientField:

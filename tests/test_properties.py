@@ -1,24 +1,27 @@
 """Hypothesis properties on ideals drawn as lists of generator masks."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqdepth import homology
-from sqdepth.complexes import RelativeComplex, SimplicialComplex, relative_of_pair
+from sqdepth.complexes import (
+    RelativeComplex,
+    SimplicialComplex,
+    face_table,
+    pair_faces,
+    relative_of_pair,
+)
 from sqdepth.homology import (
     FACE_CAP,
     RATIONALS,
     CoefficientField,
     _boundary_columns,
     _classify_level,
-    _faces_by_dim,
     _link_pair_faces,
     _merge_edges,
-    _pair_faces_of_facets,
-    _psi_faces,
     _ranks_from_faces,
-    _read_start,
     column_rank,
     depth,
     depth_verdict,
@@ -144,44 +147,91 @@ def test_relative_homology_ignores_vertex_names(pair, field, data):
         assert relative_homology(embedded, field, top) == expected
 
 
+def _table_pair_faces(x, max_size):
+    """The faces of x of at most max_size vertices by dimension, each list
+    ascending, read off its face table."""
+    by_dim = {}
+    for m in np.flatnonzero(oracles.unpack(face_table(x), x.n)).tolist():
+        if m.bit_count() <= max_size:
+            by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    return by_dim
+
+
+def _coned(psi):
+    """The cone over psi from a new vertex n + 1, on delta and gamma alike
+    (a void gamma stays void); its pair at the empty face is acyclic."""
+    apex = 1 << psi.n
+    def complex_(c):
+        return SimplicialComplex(psi.n + 1, tuple(f | apex for f in c.facets))
+    return RelativeComplex(complex_(psi.delta), complex_(psi.gamma))
+
+
+@settings(derandomize=True, deadline=None)
+@given(pairs(8), st.booleans())
+def test_pair_faces_match_the_face_table_and_stop_past_the_limit(pair, void_gamma):
+    # every max_size, against the face-set difference of the face table;
+    # with a small limit the lister gives None exactly when the pair has
+    # more faces than the limit
+    psi = relative_of_pair(pair)
+    if void_gamma:
+        psi = RelativeComplex(psi.delta, SimplicialComplex.void(psi.n))
+    for max_size in range(psi.n + 2):
+        expected = _table_pair_faces(psi, max_size)
+        count = sum(map(len, expected.values()))
+        assert pair_faces(psi.delta.facets, psi.gamma.facets, max_size, FACE_CAP) == expected
+        for limit in {*range(6), *range(max(count - 1, 0), count + 2)}:
+            faces = pair_faces(psi.delta.facets, psi.gamma.facets, max_size, limit)
+            assert faces == (None if count > limit else expected)
+
+
 @settings(derandomize=True, deadline=None)
 @given(pairs(8), st.sampled_from(FIELDS))
 def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
-    # depth_verdict lists psi's faces once, then reads the link pair at each
-    # F, visited by size then mask, from the pair at F minus its lowest
-    # vertex; up to |F| + top + 2 vertices the read pair must be the link
-    # pair built from the two link complexes, with the same homology, and
-    # the pair the pass lists from the link facets when psi is too large
+    # depth_verdict lists psi's faces once, as the root, then reads the
+    # link pair at each F, visited by size then mask, from the pair at F
+    # minus its lowest vertex, or lists it from the link facets of F where
+    # that pair is over the cap; with the root listed or not, up to
+    # |F| + top + 2 vertices the pair must be the one built from the two
+    # link complexes, with the same homology
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     dim = psi.dim + 1
-    psi_faces = _psi_faces(psi, dim)
+    root = pair_faces(psi.delta.facets, psi.gamma.facets, dim, FACE_CAP)
     for size in range(dim):
-        read = _read_start(psi_faces, size)
+        read, unlisted = {0: (0, root)}, {0: (0, None)}
         for f in psi.delta.faces_of_size(size, FACE_CAP):
             lk = oracles.link_pair(psi, f)
-            faces = _link_pair_faces(f, read)
+            faces = _link_pair_faces(f, read, psi, dim)
             assert (not faces) == lk.is_empty
+            assert _link_pair_faces(f, unlisted, psi, dim) == (None if f == 0 else faces)
             for top in range(-1, dim - size - 1):
                 truncated = {d: hs for d, hs in faces.items() if d <= top + 1}
-                assert truncated == _faces_by_dim(lk.face_masks(top + 2), FACE_CAP)
-                listed = _pair_faces_of_facets(lk.delta.facets, lk.gamma.facets, top + 2)
-                assert truncated == listed
+                assert truncated == _table_pair_faces(lk, top + 2)
+                assert truncated == pair_faces(lk.delta.facets, lk.gamma.facets, top + 2, FACE_CAP)
                 expected = relative_homology(lk, field, top)
                 assert _ranks_from_faces(faces, field, top).betti == expected.betti
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(pairs(8), st.sampled_from(FIELDS))
+@example(IdealPair.quotient(parse_ideal("x1*x2*x3", 3)), RATIONALS)  # root over the limit
 def test_depth_pass_lists_link_pairs_from_facets_when_psi_is_too_large(pair, field):
-    # with psi over the cap the pass lists each link pair from the facets of
-    # its two links instead; the verdict must not depend on the path
-    psi = relative_of_pair(pair)
-    assume(not psi.is_empty)
-    expected = depth_verdict(psi, field)
+    # on a cone over psi, whose empty face the pass skips, every listing of
+    # a pair is capped at the largest link pair the pass can need; the root
+    # and the pairs of skipped faces may then be over that limit, and their
+    # children are listed from their own link facets: the verdict must not
+    # depend on the path
+    cone = _coned(relative_of_pair(pair))
+    dim = cone.dim + 1
+    limit = max((sum(map(len, _table_pair_faces(oracles.link_pair(cone, f), dim - size).values()))
+                 for size in range(1, dim - 1)
+                 for f in cone.delta.faces_of_size(size, FACE_CAP)
+                 if not oracles.classify_face(cone, f)[0]), default=0)
+    expected = depth_verdict(cone, field)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_psi_faces", lambda psi, max_size: {})
-        assert depth_verdict(psi, field) == expected
+        mp.setattr(homology, "pair_faces",
+                   lambda delta, gamma, max_size, _: pair_faces(delta, gamma, max_size, limit))
+        assert depth_verdict(cone, field) == expected
 
 
 matrices = st.integers(1, 8).flatmap(
@@ -208,8 +258,8 @@ def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     for top in (None, *range(-1, psi.dim + 1)):
-        faces = _pair_faces_of_facets(psi.delta.facets, psi.gamma.facets,
-                                      None if top is None else top + 2)
+        faces = pair_faces(psi.delta.facets, psi.gamma.facets,
+                           psi.n if top is None else top + 2, FACE_CAP)
         assert _ranks_from_faces(faces, field, top) == oracles.uncompressed_ranks(faces, field, top)
 
 
