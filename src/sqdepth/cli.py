@@ -177,9 +177,10 @@ def _run_random_sweep(args) -> int:
 def _run_corpus(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"not a directory: {directory}", file=sys.stderr)
-        return 1
+        raise SqdepthError(f"not a directory: {directory}")
     problems = sorted(directory.glob("*.ideal"))
+    if not problems:
+        raise SqdepthError(f"no .ideal files in {directory}")  # would pass vacuously
     passed = failures = 0
     for path in problems:
         golden_path = path.with_name(path.stem + ".golden.json")

@@ -73,12 +73,12 @@ class SimplicialComplex:
         """The faces of k vertices in ascending mask order.  Listing stops
         once more than `limit` are found, so a caller that compares the
         length with its limit never holds much more than twice that many."""
-        return sorted(_faces_of_size(map(_vertices, self.facets), k, limit))
+        return sorted(_faces_of_size(map(face_vertices, self.facets), k, limit))
 
 
-def _vertices(facet: int) -> list[int]:
-    """The vertices of a facet, as one-bit masks."""
-    return [1 << b for b in range(facet.bit_length()) if facet >> b & 1]
+def face_vertices(face: int) -> list[int]:
+    """The vertices of a face, as one-bit masks."""
+    return [1 << b for b in range(face.bit_length()) if face >> b & 1]
 
 
 def _faces_of_size(facets: Iterable[list[int]], k: int, limit: int) -> set[int]:
@@ -99,24 +99,33 @@ def pair_faces(delta: tuple[int, ...], gamma: tuple[int, ...], max_size: int,
     mask order, with no entry for a dimension without faces.  None once
     there are more than `limit`.
 
-    Sizes are listed in turn.  At each, the faces of gamma are listed, then
-    those of delta only up to what is left of the limit plus that count,
-    so the listing stops early past the limit.
+    Sizes are listed in turn by pair_faces_of_size, each with what is left
+    of the limit, so the listing stops early past the limit.
     """
-    delta, gamma = list(map(_vertices, delta)), list(map(_vertices, gamma))
+    delta, gamma = list(map(face_vertices, delta)), list(map(face_vertices, gamma))
     by_dim: dict[int, list[int]] = {}
-    for k in range(max_size + 1):
-        below = set().union(*(map(sum, combinations(vertices, k)) for vertices in gamma))
-        level = _faces_of_size(delta, k, limit + len(below))
-        if len(level) > limit + len(below):
+    # delta has no faces of more vertices than its largest facet
+    for k in range(min(max_size, max(map(len, delta), default=-1)) + 1):
+        level = pair_faces_of_size(delta, gamma, k, limit)
+        if level is None:
             return None
-        if not level:
-            break  # delta has no faces of k vertices, so none larger
-        level -= below
         if level:
             by_dim[k - 1] = sorted(level)
             limit -= len(level)
     return by_dim
+
+
+def pair_faces_of_size(delta: list[list[int]], gamma: list[list[int]], k: int,
+                       limit: int) -> Optional[set[int]]:
+    """The faces of k vertices of delta outside gamma, for the pair with
+    these facets, each given by its face_vertices; None once there are more
+    than `limit`.  The faces of gamma are listed, then those of delta only
+    up to the limit plus that count."""
+    below = set().union(*(map(sum, combinations(vertices, k)) for vertices in gamma))
+    level = _faces_of_size(delta, k, limit + len(below))
+    if len(level) > limit + len(below):
+        return None
+    return level - below
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,16 @@ every row is a pivot.
 The depth pass tests the links of a whole level of faces for cones with
 one numpy computation, and on its last level, where only H_{-1} counts,
 reads the answer off the facets of delta and gamma instead of a link pair.
-Every pair is listed by one capped lister, `complexes.pair_faces`, and
-the pass takes each link pair from one recursion rooted at psi.
+Every other link pair is a star mask of one index of psi, built one size
+at a time, and is ranked first over GF(2) by XOR elimination of Python
+ints.  That bound carries over to QQ: the boundary maps are integer
+matrices, whose rank over F_2 is at most their rank over Q, so each
+b_i(QQ) <= b_i(GF(2)) (universal coefficients); a zero over GF(2) is
+final over QQ, and only a nonzero b_i with i >= 1 is recounted exactly.
+d_0 and d_1 have the same rank over every field, so b_{-1} and b_0 over
+GF(2) are exact over any field.  Above that the bound fails for an odd
+prime p: a torsion summand Z/p of H_{i-1}(Z) adds to b_i over GF(p) but
+not over GF(2), so over GF(p) such a pair is listed and ranked whole.
 """
 
 from __future__ import annotations
@@ -39,8 +47,10 @@ from .errors import CapExceededError
 from .complexes import (
     RelativeComplex,
     SimplicialComplex,
+    face_vertices,
     link_facets,
     pair_faces,
+    pair_faces_of_size,
     relative_of_pair,
 )
 from .ideals import IdealPair
@@ -324,33 +334,172 @@ class CmVerdict:
         return self.is_cm
 
 
-def _link_pair_faces(face: int, read: dict, psi: RelativeComplex,
-                     best: int) -> Optional[dict[int, list[int]]]:
-    """The link pair at `face` as pair_faces lists it, None over FACE_CAP:
-    H \\ face over the faces H of psi that contain face and have at most
-    `best` vertices.  It is filtered from the pair at face minus its lowest
-    vertex, or listed from the two link facet tuples where that pair is
-    None; the empty face's pair, psi, is the root and is always listed.
-    `read` maps a size to the last face of that size read and its pair; in
-    ascending mask order the faces sharing a parent come one after
-    another, so its pair is usually the one kept."""
+class _Level:
+    """psi's faces of one size in ascending mask order, for each vertex the
+    bitset of the positions of the faces containing it, and, once needed,
+    each face's boundary over GF(2) as the positions of its facets in the
+    size below (facets in gamma dropped)."""
+
+    __slots__ = ("faces", "full", "bits", "columns")
+
+    def __init__(self, faces: list[int], n: int):
+        self.faces = faces
+        self.full = (1 << len(faces)) - 1
+        wide = n > 64
+        masks = np.array(faces, dtype=object if wide else np.uint64)
+        shifts = np.array(range(n), dtype=object if wide else np.uint64)
+        flags = ((masks[None, :] >> shifts[:, None]) & 1).astype(bool)
+        packed = np.packbits(flags, axis=1, bitorder="little")
+        self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self.columns: Optional[list[tuple[int, ...]]] = None
+
+
+class _StarIndex:
+    """psi's faces by size, each size built the first time a star there is
+    needed (see _Level).  The star of F at a size, the faces there that
+    contain F, is the AND of F's vertex bitsets; removing F from them gives
+    the link pair at F.  At most FACE_CAP faces are held: a size that would
+    take the index past it is refused, and reads None."""
+
+    def __init__(self, psi: RelativeComplex):
+        self.psi = psi
+        self.delta = list(map(face_vertices, psi.delta.facets))
+        self.gamma = list(map(face_vertices, psi.gamma.facets))
+        self.levels: dict[int, Optional[_Level]] = {}
+        self.held = 0
+
+    def keep(self, low: int, high: int) -> None:
+        """Forget the sizes outside low..high, and every refusal."""
+        for k, level in list(self.levels.items()):
+            if level is None or not low <= k <= high:
+                del self.levels[k]
+                self.held -= len(level.faces) if level else 0
+
+    def star(self, ids: list[int], k: int) -> Optional[int]:
+        """The bitset of the faces of k vertices that contain the face whose
+        vertices have these bit indices; None if the size is refused."""
+        if k not in self.levels:
+            faces = pair_faces_of_size(self.delta, self.gamma, k, FACE_CAP - self.held)
+            self.levels[k] = None if faces is None else _Level(sorted(faces), self.psi.n)
+            self.held += len(faces) if faces else 0
+        level = self.levels[k]
+        if level is None:
+            return None
+        star = level.full
+        for v in ids:
+            star &= level.bits[v]
+        return star
+
+    def columns(self, k: int) -> list[tuple[int, ...]]:
+        """The GF(2) boundary columns of size k; size k - 1 must be held."""
+        level = self.levels[k]
+        if level.columns is None:
+            rows = {h: r for r, h in enumerate(self.levels[k - 1].faces)}.get
+            level.columns = []
+            for h in level.faces:
+                column = []
+                rest = h
+                while rest:
+                    v = rest & -rest
+                    r = rows(h ^ v)
+                    if r is not None:
+                        column.append(r)
+                    rest ^= v
+                level.columns.append(tuple(column))
+        return level.columns
+
+
+def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
+    """The columns in `star`, restricted to `rows` (both bitsets of
+    positions), that stay nonzero when each is reduced over GF(2) against
+    the kept ones by its highest row, read from the last: a column basis,
+    as a bitset.  The scan stops once every row is a pivot."""
+    pivots: dict[int, int] = {}
+    negative = 0
+    wanted = rows.bit_count()
+    while star:
+        j = star.bit_length() - 1
+        star ^= 1 << j
+        col = 0
+        for r in columns[j]:
+            col |= 1 << r
+        col &= rows
+        while col:
+            low = col.bit_length() - 1
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                negative |= 1 << j
+                break
+            col ^= other
+        if len(pivots) == wanted:
+            break
+    return negative
+
+
+def _star_bettis(face: int, index: _StarIndex, top: int):
+    """The Betti numbers over GF(2) of the link pair at `face`, from
+    dimension -1 up to top, ranked on its star masks with the row
+    compression of _ranks_from_faces; None in place of the first one that
+    needs a size the index refuses."""
+    ids = [b for b in range(face.bit_length()) if face >> b & 1]
+    k = face.bit_count()
+    current, negative = index.star(ids, k), 0
+    for _ in range(top + 2):
+        upper = index.star(ids, k + 1)
+        if current is None or upper is None:
+            yield None
+            return
+        rows = current & ~negative
+        above = _gf2_negatives(index.columns(k + 1), upper, rows) if rows and upper else 0
+        yield current.bit_count() - negative.bit_count() - above.bit_count()
+        current, negative, k = upper, above, k + 1
+
+
+def _link_pair_faces(face: int, index: _StarIndex, max_size: int) -> dict[int, list[int]]:
+    """The link pair at `face` as pair_faces lists it, up to max_size
+    vertices: read from the star masks of psi's index, or listed from the
+    two link facet tuples where the index refuses a size.  Over FACE_CAP,
+    CapExceededError."""
+    ids = [b for b in range(face.bit_length()) if face >> b & 1]
     size = face.bit_count()
-    last, faces = read.get(size, (None, None))
-    if last == face:
-        return faces
-    low = face & -face
-    parent = _link_pair_faces(face ^ low, read, psi, best) if face else None
-    if parent is None:
-        faces = pair_faces(link_facets(psi.delta.facets, face),
-                           link_facets(psi.gamma.facets, face), best - size, FACE_CAP)
-    else:
-        faces = {}
-        for d, hs in parent.items():
-            kept = [h ^ low for h in hs if h & low]
-            if kept:
-                faces[d - 1] = kept
-    read[size] = (face, faces)
-    return faces
+    by_dim = {}
+    for k in range(size, size + max_size + 1):
+        star = index.star(ids, k)
+        if star is None:
+            psi = index.psi
+            by_dim = pair_faces(link_facets(psi.delta.facets, face),
+                                link_facets(psi.gamma.facets, face), max_size, FACE_CAP)
+            if by_dim is None:
+                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+            return by_dim
+        if star:
+            faces = index.levels[k].faces
+            by_dim[k - size - 1] = [faces[j] ^ face for j, c in enumerate(bin(star)[:1:-1])
+                                    if c == "1"]
+    return by_dim
+
+
+def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
+                    top: int) -> Optional[int]:
+    """The lowest dimension up to top in which the link pair at `face` has
+    homology over `field`, or None.  Over GF(2) the star-mask Betti numbers
+    are the answer, and in dimensions -1 and 0 over every field.  Over QQ a
+    zero one is final (b_i over QQ is at most b_i over GF(2)); a nonzero one
+    above dimension 0 is recounted exactly on the pair listed up to the next
+    dimension.  Over an odd prime with top above 0, or past a size the index
+    refuses, the pair is listed and ranked whole."""
+    p = field.characteristic
+    if p in (0, 2) or top < 1:
+        for i, b in enumerate(_star_bettis(face, index, top), -1):
+            if b is None:
+                break
+            if b and (p == 2 or i < 1 or _ranks_from_faces(
+                    _link_pair_faces(face, index, i + 2), field, i).betti_number(i)):
+                return i
+        else:
+            return None
+    return _ranks_from_faces(_link_pair_faces(face, index, top + 2), field, top).first_nonzero()
 
 
 def _classify_level(level: list[int], delta: SimplicialComplex,
@@ -399,17 +548,17 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     whose delta link is a cone and gamma link void: such a pair is acyclic.
     Where only i = -1 can still lower b (|F| = b - 1), H_{-1} of the pair
     is nonzero exactly when F is a facet of delta outside gamma, which the
-    same test reads off, so no pair there is read or ranked.  When any
-    other link pair first needs homology, psi's faces of at most b vertices
-    are listed once, as the root of _link_pair_faces, which filters each
-    pair from its parent's or, where that was over FACE_CAP, lists it from
-    its link facets.  A needed pair over FACE_CAP stops the pass, as one
-    homology call does.  An empty link pair is skipped.  The first (F, i)
-    to set the final minimum is the witness.
+    same test reads off, so no pair there is read or ranked.  Every other
+    link pair is read from psi's index (_StarIndex), whose sizes are built
+    when a star there is first needed and dropped once below the level or
+    above b, and its first homology is found by _first_homology.  Where
+    the index refuses a size, the pair is listed from its link facets; a
+    needed pair over FACE_CAP stops the pass, as one homology call does.
+    The first (F, i) to set the final minimum is the witness.
     """
     best = dim = psi.dim + 1
     listed = 0
-    read: dict = {}  # link pairs by size, psi at size 0; see _link_pair_faces
+    index = _StarIndex(psi)
     witness_face = witness_dim = None
     size = 0
     while size < best:
@@ -418,9 +567,7 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
         if listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
         skip, facet_outside_gamma = _classify_level(level, psi.delta, psi.gamma)
-        if read:  # keep psi, cut to the faces that can contain this level's
-            root = read[0][1]
-            read = {0: (0, root and {d: hs for d, hs in root.items() if d >= size - 1})}
+        index.keep(size, best)
         for j in np.flatnonzero(~skip).tolist():
             f = level[j]
             if size == best - 1:  # only H_{-1} can lower best here
@@ -428,12 +575,7 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
                     best, witness_face, witness_dim = size, f, -1
                     break
                 continue
-            lk_faces = _link_pair_faces(f, read, psi, best)
-            if lk_faces is None:
-                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
-            if not lk_faces:
-                continue  # the link pair is empty
-            i = _ranks_from_faces(lk_faces, field, best - size - 2).first_nonzero()
+            i = _first_homology(f, index, field, best - size - 2)
             if i is not None:
                 best = size + 1 + i
                 witness_face, witness_dim = f, i

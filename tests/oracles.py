@@ -27,12 +27,15 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     link_facets,
+    pair_faces,
     relative_of_pair,
 )
 from sqdepth.homology import (
+    FACE_CAP,
     RATIONALS,
     ChainComplexRanks,
     _boundary_columns,
+    _ranks_from_faces,
     column_rank,
     relative_homology,
 )
@@ -369,6 +372,26 @@ def hochster_depth(pair, field=RATIONALS):
             if best is None or candidate < best:
                 best = candidate
     return best
+
+
+def listed_pair_verdict(psi, field=RATIONALS):
+    """depth_verdict's answer from listed link pairs, as (depth, dim,
+    witness face, witness dim): the faces F of delta by size, then mask,
+    while |F| is below the best value b so far, each link pair listed from
+    its two link facet tuples and ranked over `field` by _ranks_from_faces,
+    truncated at b - |F| - 2."""
+    best = dim = psi.dim + 1
+    witness = (None, None)
+    for f in sorted(psi.delta.face_masks(), key=lambda m: (m.bit_count(), m)):
+        size = f.bit_count()
+        if size >= best:
+            break
+        faces = pair_faces(link_facets(psi.delta.facets, f), link_facets(psi.gamma.facets, f),
+                           best - size, FACE_CAP)
+        i = _ranks_from_faces(faces, field, best - size - 2).first_nonzero()
+        if i is not None:
+            best, witness = size + 1 + i, (f, i)
+    return (best, dim, *witness)
 
 
 def uncompressed_ranks(by_dim, field, top=None):

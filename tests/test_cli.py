@@ -396,9 +396,20 @@ class TestCorpusCommand:
         assert main(["corpus", str(tmp_path)]) == 1
         assert "missing golden" in capsys.readouterr().out
 
-    def test_empty_directory_success(self, tmp_path, capsys):
-        assert main(["corpus", str(tmp_path)]) == 0
-        assert "0 passed, 0 failed, 0 total" in capsys.readouterr().out
+    def test_empty_directory_is_an_error(self, tmp_path, capsys):
+        # a corpus with no problem file would pass vacuously
+        (tmp_path / "notes.txt").write_text("no problems here\n", encoding="utf-8")
+        assert main(["corpus", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no .ideal files in {tmp_path}\n"
+        assert captured.out == ""
+
+    def test_missing_directory_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert main(["corpus", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: not a directory: {missing}\n"
+        assert captured.out == ""
 
 
 def _regenerated(path: Path) -> tuple[str, str]:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,7 @@ from sqdepth.homology import (
 )
 from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize, parse_ideal
 from sqdepth.invariants import dim_module
-from sqdepth.problems import parse_problem_text
+from sqdepth.problems import parse_problem_file, parse_problem_text
 from sqdepth.randgen import (
     random_module_pair,
     random_pair,
@@ -358,6 +359,52 @@ class TestOnePassDepth:
         doc = build_depth_document(pair, RATIONALS, {})
         assert doc["depth"] == 1 and doc["cm_witness"] == {"face": "{}", "dimension": 0}
 
+    def test_pair_of_the_empty_face_past_the_cap_answers_from_its_low_sizes(self):
+        # delta is a 16-simplex plus an isolated vertex and gamma is void:
+        # psi, the empty face's pair, has 2^17 + 1 faces, but H_0 needs only
+        # its faces of at most two vertices, and gives depth 1 there (over
+        # an odd prime the pass still lists the pair whole)
+        text = "n: 18\nJ: unit\nI: " + ", ".join(f"x18*x{v}" for v in range(1, 18))
+        pair = parse_problem_text(text).pair()
+        for field in (RATIONALS, CoefficientField(2)):
+            verdict = depth_verdict(relative_of_pair(pair), field)
+            assert (verdict.depth, verdict.dim) == (1, 17)
+            assert (verdict.witness_face, verdict.witness_dim) == (0, 0)
+        doc = build_depth_document(pair, RATIONALS, {})
+        assert doc["depth"] == 1 and doc["cm_witness"] == {"face": "{}", "dimension": 0}
+
+
+class TestTorsion:
+    # RP^2 has H_1 = Z/2: GF(2) sees homology that QQ does not
+    RP2 = Path(__file__).resolve().parent.parent / "corpus" / "rp2-qq.ideal"
+
+    def _counted_verdict(self, monkeypatch, field):
+        from sqdepth import homology
+
+        calls = []
+        ranks = homology._ranks_from_faces
+        monkeypatch.setattr(homology, "_ranks_from_faces",
+                            lambda *args: calls.append(args) or ranks(*args))
+        psi = relative_of_pair(parse_problem_file(self.RP2).pair())
+        return depth_verdict(psi, field), calls
+
+    def test_exact_recount_clears_gf2_homology_over_qq(self, monkeypatch):
+        # at the empty face GF(2) finds H_1, so the pair is listed up to
+        # dimension 2 and recounted over QQ, where H_1 vanishes: the golden
+        # depth 3 (Cohen-Macaulay) stands
+        verdict, calls = self._counted_verdict(monkeypatch, RATIONALS)
+        assert (verdict.depth, verdict.dim, verdict.is_cm) == (3, 3, True)
+        assert len(calls) == 1
+        faces, field, top = calls[0]
+        assert (field, top, max(faces)) == (RATIONALS, 1, 2)
+        assert len(faces[2]) == 10  # the ten triangles of RP^2
+
+    def test_gf2_answer_needs_no_recount(self, monkeypatch):
+        verdict, calls = self._counted_verdict(monkeypatch, CoefficientField(2))
+        assert (verdict.depth, verdict.dim) == (2, 3)
+        assert (verdict.witness_face, verdict.witness_dim) == (0, 1)
+        assert calls == []
+
 
 class TestFaceCap:
     def test_listed_delta_faces_count(self, monkeypatch):
@@ -375,16 +422,18 @@ class TestFaceCap:
 
     def test_link_pair_faces_count(self, monkeypatch):
         # delta is a 4-simplex plus a point and gamma a 3-simplex: the pass
-        # lists one delta face, the empty one, whose link pair is psi
-        # itself, so it lists psi's 33 - 16 = 17 faces once
+        # reads one link pair, at the empty face, which is psi itself (33 -
+        # 16 = 17 faces); H_0 needs only psi's faces of at most two vertices,
+        # none, {1} and {6}, and the four edges {1, v}, so 6 are indexed;
+        # under that the pair is listed whole from its link facets
         from sqdepth import homology
 
         text = "n: 6\nJ: x1, x6\nI: " + ", ".join(f"x6*x{v}" for v in range(1, 6))
         psi = relative_of_pair(parse_problem_text(text).pair())
-        monkeypatch.setattr(homology, "FACE_CAP", 17)
+        monkeypatch.setattr(homology, "FACE_CAP", 6)
         assert depth_verdict(psi).depth == 1
-        monkeypatch.setattr(homology, "FACE_CAP", 16)
-        with pytest.raises(CapExceededError, match="face count exceeds the cap 16"):
+        monkeypatch.setattr(homology, "FACE_CAP", 5)
+        with pytest.raises(CapExceededError, match="face count exceeds the cap 5"):
             depth_verdict(psi)
 
     def test_only_link_pairs_count_when_psi_is_over_the_cap(self):

@@ -10,7 +10,9 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     face_table,
+    link_facets,
     pair_faces,
+    pair_faces_of_size,
     relative_of_pair,
 )
 from sqdepth.homology import (
@@ -18,10 +20,12 @@ from sqdepth.homology import (
     RATIONALS,
     CoefficientField,
     _boundary_columns,
+    _StarIndex,
     _classify_level,
     _link_pair_faces,
     _merge_edges,
     _ranks_from_faces,
+    _star_bettis,
     column_rank,
     depth,
     depth_verdict,
@@ -157,15 +161,6 @@ def _table_pair_faces(x, max_size):
     return by_dim
 
 
-def _coned(psi):
-    """The cone over psi from a new vertex n + 1, on delta and gamma alike
-    (a void gamma stays void); its pair at the empty face is acyclic."""
-    apex = 1 << psi.n
-    def complex_(c):
-        return SimplicialComplex(psi.n + 1, tuple(f | apex for f in c.facets))
-    return RelativeComplex(complex_(psi.delta), complex_(psi.gamma))
-
-
 @settings(derandomize=True, deadline=None)
 @given(pairs(8), st.booleans())
 def test_pair_faces_match_the_face_table_and_stop_past_the_limit(pair, void_gamma):
@@ -184,54 +179,94 @@ def test_pair_faces_match_the_face_table_and_stop_past_the_limit(pair, void_gamm
             assert faces == (None if count > limit else expected)
 
 
+def _refusing_sizes_above(top):
+    """pair_faces_of_size for psi's index that refuses every size above top."""
+    def lister(delta, gamma, k, limit):
+        return None if k > top else pair_faces_of_size(delta, gamma, k, limit)
+    return lister
+
+
 @settings(derandomize=True, deadline=None)
 @given(pairs(8), st.sampled_from(FIELDS))
 def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
-    # depth_verdict lists psi's faces once, as the root, then reads the
-    # link pair at each F, visited by size then mask, from the pair at F
-    # minus its lowest vertex, or lists it from the link facets of F where
-    # that pair is over the cap; with the root listed or not, up to
-    # |F| + top + 2 vertices the pair must be the one built from the two
-    # link complexes, with the same homology
+    # depth_verdict reads the link pair at each F from the star masks of
+    # psi's index, or lists it from the link facets of F where the index
+    # refuses a size; either way, up to |F| + top + 2 vertices the pair
+    # must be the one built from the two link complexes, with the same
+    # homology
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     dim = psi.dim + 1
-    root = pair_faces(psi.delta.facets, psi.gamma.facets, dim, FACE_CAP)
+    index = _StarIndex(psi)
     for size in range(dim):
-        read, unlisted = {0: (0, root)}, {0: (0, None)}
         for f in psi.delta.faces_of_size(size, FACE_CAP):
             lk = oracles.link_pair(psi, f)
-            faces = _link_pair_faces(f, read, psi, dim)
+            faces = _link_pair_faces(f, index, dim - size)
             assert (not faces) == lk.is_empty
-            assert _link_pair_faces(f, unlisted, psi, dim) == (None if f == 0 else faces)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(homology, "pair_faces_of_size", _refusing_sizes_above(-1))
+                assert _link_pair_faces(f, _StarIndex(psi), dim - size) == faces
             for top in range(-1, dim - size - 1):
                 truncated = {d: hs for d, hs in faces.items() if d <= top + 1}
                 assert truncated == _table_pair_faces(lk, top + 2)
-                assert truncated == pair_faces(lk.delta.facets, lk.gamma.facets, top + 2, FACE_CAP)
+                assert truncated == _link_pair_faces(f, index, top + 2)
                 expected = relative_homology(lk, field, top)
                 assert _ranks_from_faces(faces, field, top).betti == expected.betti
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(pairs(8), st.sampled_from(FIELDS))
-@example(IdealPair.quotient(parse_ideal("x1*x2*x3", 3)), RATIONALS)  # root over the limit
+@given(pairs(8), st.sampled_from(THREE_FIELDS))
+@example(IdealPair.quotient(parse_ideal("x1*x2*x3", 3)), RATIONALS)
 def test_depth_pass_lists_link_pairs_from_facets_when_psi_is_too_large(pair, field):
-    # on a cone over psi, whose empty face the pass skips, every listing of
-    # a pair is capped at the largest link pair the pass can need; the root
-    # and the pairs of skipped faces may then be over that limit, and their
-    # children are listed from their own link facets: the verdict must not
-    # depend on the path
-    cone = _coned(relative_of_pair(pair))
-    dim = cone.dim + 1
-    limit = max((sum(map(len, _table_pair_faces(oracles.link_pair(cone, f), dim - size).values()))
-                 for size in range(1, dim - 1)
-                 for f in cone.delta.faces_of_size(size, FACE_CAP)
-                 if not oracles.classify_face(cone, f)[0]), default=0)
-    expected = depth_verdict(cone, field)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "pair_faces",
-                   lambda delta, gamma, max_size, _: pair_faces(delta, gamma, max_size, limit))
-        assert depth_verdict(cone, field) == expected
+    # when psi's index refuses every size above some k, a link pair that
+    # needs one is listed from its link facets and ranked whole, after
+    # whatever the star masks of the smaller sizes gave: the verdict must
+    # not depend on the path
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    expected = depth_verdict(psi, field)
+    for top in range(-1, psi.dim + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "pair_faces_of_size", _refusing_sizes_above(top))
+            assert depth_verdict(psi, field) == expected
+
+
+@settings(derandomize=True, deadline=None)
+@given(pairs(8))
+def test_star_mask_betti_numbers_match_the_listed_pair_over_gf2(pair):
+    # for every face of delta and every truncation, the GF(2) Betti numbers
+    # ranked on star masks are those of _ranks_from_faces over GF(2) on the
+    # link pair listed from its link facets
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    gf2 = CoefficientField(2)
+    index = _StarIndex(psi)
+    for f in sorted(psi.delta.face_masks()):
+        lk_delta = link_facets(psi.delta.facets, f)
+        lk_gamma = link_facets(psi.gamma.facets, f)
+        for top in range(-1, psi.dim - f.bit_count() + 1):
+            ranks = _ranks_from_faces(pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP), gf2)
+            expected = [ranks.betti_number(i) for i in range(-1, top + 1)]
+            assert list(_star_bettis(f, index, top)) == expected
+
+
+RP2 = IdealPair.quotient(parse_ideal("x1*x2*x4, x2*x3*x4, x1*x2*x5, x1*x3*x5, x3*x4*x5, "
+                                     "x1*x3*x6, x2*x3*x6, x1*x4*x6, x2*x5*x6, x4*x5*x6", 6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs(8), st.sampled_from(THREE_FIELDS))
+@example(RP2, RATIONALS)  # H_1 over GF(2) only: the recount decides
+@example(RP2, CoefficientField(3))
+def test_depth_pass_matches_the_listed_pair_oracle(pair, field):
+    # GF(2) ranks on star masks, with exact recounts over QQ and listed
+    # pairs over GF(3), give the depth, dim and witness of the pass that
+    # lists and ranks every link pair over the field itself
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    verdict = depth_verdict(psi, field)
+    assert (verdict.depth, verdict.dim, verdict.witness_face, verdict.witness_dim) == (
+        oracles.listed_pair_verdict(psi, field))
 
 
 matrices = st.integers(1, 8).flatmap(
