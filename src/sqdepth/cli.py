@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -229,26 +230,39 @@ def _diff_against_golden(problem_path: Path, golden_path: Path):
     return None
 
 
+def _run(args) -> int:
+    if args.command == "corpus":
+        return _run_corpus(args)
+    if args.max_n < 1:
+        raise SqdepthError(f"--max-n {args.max_n}: N must be at least 1")
+    if args.command == "verify":
+        if args.random < 0:
+            raise SqdepthError(f"--random {args.random}: COUNT cannot be negative")
+        if args.random and args.file is not None:
+            raise SqdepthError(f"verify takes a problem file or --random COUNT, not both "
+                               f"(file {args.file}, --random {args.random})")
+        if args.random:
+            return _run_random_sweep(args)
+        if args.file is None:
+            raise SqdepthError("verify needs a problem file or --random COUNT")
+    return _run_file_command(args)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "corpus":
-            return _run_corpus(args)
-        if args.max_n < 1:
-            raise SqdepthError(f"--max-n {args.max_n}: N must be at least 1")
-        if args.command == "verify":
-            if args.random < 0:
-                raise SqdepthError(f"--random {args.random}: COUNT cannot be negative")
-            if args.random and args.file is not None:
-                raise SqdepthError(f"verify takes a problem file or --random COUNT, not both "
-                                   f"(file {args.file}, --random {args.random})")
-            if args.random:
-                return _run_random_sweep(args)
-            if args.file is None:
-                raise SqdepthError("verify needs a problem file or --random COUNT")
-        return _run_file_command(args)
+        status = _run(args)
+        sys.stdout.flush()  # a buffered report meets a closed pipe here
+        return status
     except SqdepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); the rest of the report
+        # goes to the null device, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -24,15 +24,18 @@ The depth pass tests the links of a whole level of faces for cones with
 one numpy computation, and on its last level, where only H_{-1} counts,
 reads the answer off the facets of delta and gamma instead of a link pair.
 Every other link pair is a star mask of one index of psi, built one size
-at a time, and is ranked first over GF(2) by XOR elimination of Python
-ints.  That bound carries over to QQ: the boundary maps are integer
-matrices, whose rank over F_2 is at most their rank over Q, so each
-b_i(QQ) <= b_i(GF(2)) (universal coefficients); a zero over GF(2) is
-final over QQ, and only a nonzero b_i with i >= 1 is recounted exactly.
-d_0 and d_1 have the same rank over every field, so b_{-1} and b_0 over
-GF(2) are exact over any field.  Above that the bound fails for an odd
-prime p: a torsion summand Z/p of H_{i-1}(Z) adds to b_i over GF(p) but
-not over GF(2), so over GF(p) such a pair is listed and ranked whole.
+at a time.  d_0 and d_1 are totally unimodular, so a column basis over
+GF(2) is one over every field: they are ranked over GF(2) by XOR
+elimination of Python ints, and b_{-1} and b_0 are exact over any field.
+Over GF(2) the maps above are ranked the same way.  Over QQ the GF(2)
+ranks bound the answer: the boundary maps are integer matrices, whose
+rank over F_2 is at most their rank over Q, so each b_i(QQ) <= b_i(GF(2))
+(universal coefficients); a zero over GF(2) is final over QQ, and only a
+nonzero b_i with i >= 1 is recounted exactly.  That bound fails for an
+odd prime p, since a torsion summand Z/p of H_{i-1}(Z) adds to b_i over
+GF(p) but not over GF(2); so over GF(p) the maps from d_2 up are ranked
+mod p on signed columns of the same index.  Only a pair that needs a size
+the index refuses is listed and ranked whole.
 """
 
 from __future__ import annotations
@@ -337,10 +340,12 @@ class CmVerdict:
 class _Level:
     """psi's faces of one size in ascending mask order, for each vertex the
     bitset of the positions of the faces containing it, and, once needed,
-    each face's boundary over GF(2) as the positions of its facets in the
-    size below (facets in gamma dropped)."""
+    each face's boundary as the positions of its facets in the size below
+    (facets in gamma dropped): over GF(2) as row positions, and over an odd
+    prime as signed entries (row, +-1), each built only when a star at
+    that size is ranked over that field."""
 
-    __slots__ = ("faces", "full", "bits", "columns")
+    __slots__ = ("faces", "full", "bits", "columns", "signed")
 
     def __init__(self, faces: list[int], n: int):
         self.faces = faces
@@ -352,6 +357,7 @@ class _Level:
         packed = np.packbits(flags, axis=1, bitorder="little")
         self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self.columns: Optional[list[tuple[int, ...]]] = None
+        self.signed: Optional[list[tuple[tuple[int, int], ...]]] = None
 
 
 class _StarIndex:
@@ -390,23 +396,31 @@ class _StarIndex:
             star &= level.bits[v]
         return star
 
-    def columns(self, k: int) -> list[tuple[int, ...]]:
-        """The GF(2) boundary columns of size k; size k - 1 must be held."""
+    def columns(self, k: int, signed: bool = False) -> list[tuple]:
+        """The boundary columns of size k, over GF(2) or, signed, as entries
+        (row, (-1)^position of the dropped vertex); size k - 1 must be held."""
         level = self.levels[k]
-        if level.columns is None:
+        columns = level.signed if signed else level.columns
+        if columns is None:
             rows = {h: r for r, h in enumerate(self.levels[k - 1].faces)}.get
-            level.columns = []
+            columns = []
             for h in level.faces:
                 column = []
+                sign = 1
                 rest = h
                 while rest:
                     v = rest & -rest
                     r = rows(h ^ v)
                     if r is not None:
-                        column.append(r)
+                        column.append((r, sign) if signed else r)
+                    sign = -sign
                     rest ^= v
-                level.columns.append(tuple(column))
-        return level.columns
+                columns.append(tuple(column))
+            if signed:
+                level.signed = columns
+            else:
+                level.columns = columns
+        return columns
 
 
 def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
@@ -437,21 +451,69 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
     return negative
 
 
-def _star_bettis(face: int, index: _StarIndex, top: int):
-    """The Betti numbers over GF(2) of the link pair at `face`, from
+def _signed_negatives(columns: list[tuple[tuple[int, int], ...]], star: int, rows: int,
+                      p: int) -> int:
+    """_gf2_negatives over GF(p) on signed columns: each column in `star`,
+    restricted to `rows`, is reduced mod p against the kept ones by its
+    highest row, read from the last.  A kept column is scaled so that its
+    pivot is 1 and stored without it, so a step is one multiply-subtract."""
+    pivots: dict[int, dict[int, int]] = {}
+    negative = 0
+    wanted = rows.bit_count()
+    # kept[r] == "1" for each row r: indexing a string costs less than
+    # shifting a long bitset once per entry
+    kept = bin(rows)[:1:-1]
+    width = len(kept)
+    while star:
+        j = star.bit_length() - 1
+        star ^= 1 << j
+        col = {r: s for r, s in columns[j] if r < width and kept[r] == "1"}
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            factor = col.pop(low)
+            if other is None:
+                if factor == -1 or factor == p - 1:
+                    col = {r: -v for r, v in col.items()}
+                elif factor != 1:
+                    scale = pow(factor, -1, p)
+                    col = {r: v * scale % p for r, v in col.items()}
+                pivots[low] = col
+                negative |= 1 << j
+                break
+            for r, v in other.items():
+                x = (col.get(r, 0) - factor * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+        if len(pivots) == wanted:
+            break
+    return negative
+
+
+def _star_bettis(face: int, index: _StarIndex, top: int, p: int):
+    """The Betti numbers over GF(p) of the link pair at `face`, from
     dimension -1 up to top, ranked on its star masks with the row
     compression of _ranks_from_faces; None in place of the first one that
-    needs a size the index refuses."""
+    needs a size the index refuses.  d_0 and d_1 are totally unimodular, so
+    a column basis over GF(2) is one over every field and they are ranked
+    over GF(2); from d_2 up an odd p ranks the signed columns mod p."""
     ids = [b for b in range(face.bit_length()) if face >> b & 1]
     k = face.bit_count()
     current, negative = index.star(ids, k), 0
-    for _ in range(top + 2):
+    for i in range(top + 2):
         upper = index.star(ids, k + 1)
         if current is None or upper is None:
             yield None
             return
-        rows = current & ~negative
-        above = _gf2_negatives(index.columns(k + 1), upper, rows) if rows and upper else 0
+        rows = current & ~negative  # the rows of d_i
+        if not (rows and upper):
+            above = 0
+        elif p == 2 or i < 2:
+            above = _gf2_negatives(index.columns(k + 1), upper, rows)
+        else:
+            above = _signed_negatives(index.columns(k + 1, signed=True), upper, rows, p)
         yield current.bit_count() - negative.bit_count() - above.bit_count()
         current, negative, k = upper, above, k + 1
 
@@ -483,22 +545,21 @@ def _link_pair_faces(face: int, index: _StarIndex, max_size: int) -> dict[int, l
 def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
                     top: int) -> Optional[int]:
     """The lowest dimension up to top in which the link pair at `face` has
-    homology over `field`, or None.  Over GF(2) the star-mask Betti numbers
-    are the answer, and in dimensions -1 and 0 over every field.  Over QQ a
-    zero one is final (b_i over QQ is at most b_i over GF(2)); a nonzero one
-    above dimension 0 is recounted exactly on the pair listed up to the next
-    dimension.  Over an odd prime with top above 0, or past a size the index
-    refuses, the pair is listed and ranked whole."""
+    homology over `field`, or None.  Over a prime field the star-mask Betti
+    numbers over that field are the answer.  Over QQ they are ranked over
+    GF(2), and a zero one is final (b_i over QQ is at most b_i over GF(2));
+    a nonzero one above dimension 0 is recounted exactly on the pair listed
+    up to the next dimension.  Past a size the index refuses, the pair is
+    listed and ranked whole."""
     p = field.characteristic
-    if p in (0, 2) or top < 1:
-        for i, b in enumerate(_star_bettis(face, index, top), -1):
-            if b is None:
-                break
-            if b and (p == 2 or i < 1 or _ranks_from_faces(
-                    _link_pair_faces(face, index, i + 2), field, i).betti_number(i)):
-                return i
-        else:
-            return None
+    for i, b in enumerate(_star_bettis(face, index, top, p or 2), -1):
+        if b is None:
+            break
+        if b and (p or i < 1 or _ranks_from_faces(
+                _link_pair_faces(face, index, i + 2), field, i).betti_number(i)):
+            return i
+    else:
+        return None
     return _ranks_from_faces(_link_pair_faces(face, index, top + 2), field, top).first_nonzero()
 
 

@@ -14,6 +14,7 @@ complex and the colon path to the dimension, which no report uses;
 `uncompressed_ranks` ranks every boundary map in full with `column_rank`,
 and `classify_face` is the per-face cone test from the link facets; the
 depth pass replaced them with row compression and one cone test per level.
+`moore_space_mod_3` is a test input: a complex with 3-torsion in H_1.
 """
 
 from fractions import Fraction
@@ -26,6 +27,7 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     complex_of_ideal,
+    ideal_of_complex,
     link_facets,
     pair_faces,
     relative_of_pair,
@@ -39,7 +41,7 @@ from sqdepth.homology import (
     column_rank,
     relative_homology,
 )
-from sqdepth.ideals import _canonical_masks, colon, minimalize
+from sqdepth.ideals import IdealPair, _canonical_masks, colon, minimalize
 
 
 def subsets(n):
@@ -434,3 +436,17 @@ def classify_face(psi, f):
     lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
     skip = is_cone(lk_delta) and (not lk_gamma or is_cone(lk_gamma))
     return skip, lk_delta == (0,) and not lk_gamma
+
+
+def moore_space_mod_3():
+    """S/I for a 13-vertex pseudo-projective plane with H_1 = Z/3: a 9-gon
+    whose boundary wraps three times around the triangle {1,2,3}, an inner
+    ring of nine vertices and a centre.  Over GF(3) it has b_1 = b_2 = 1
+    and S/I has depth 2 < dim 3; over QQ and every other prime it is
+    acyclic (S/I is Cohen-Macaulay over QQ, GF(2) and GF(32003))."""
+    facets = set()
+    for i in range(9):
+        b, b1, u, u1 = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % 9
+        for t in ((b, b1, u), (b1, u, u1), (u, u1, 12)):
+            facets.add(sum(1 << v for v in t))
+    return IdealPair.quotient(ideal_of_complex(SimplicialComplex(13, tuple(sorted(facets)))))

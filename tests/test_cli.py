@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from sqdepth.reports import (
 import oracles
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = CORPUS.parent / "src"
 
 TINY = "n: 2\nlabel: tiny\nJ: x1, x2\nI: x1*x2\n"
 
@@ -205,6 +209,47 @@ class TestDepthCommand:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
         assert doc["cm"] is False
         assert doc["cm_witness"] == {"face": "{}", "dimension": 0}
+
+
+class TestClosedStdout:
+    # a reader that stops early, as `sqdepth depth ... | head -1` does,
+    # closes the pipe: the run ends with exit code 1 and no traceback
+
+    def test_broken_pipe_in_process(self, tmp_path, monkeypatch, capsys):
+        sink = (tmp_path / "stdout").open("w")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["depth", str(CORPUS / "rp2-qq.ideal")]) == 1
+            # what is left of the report goes to the null device
+            assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+        finally:
+            sink.close()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_pipe_closed_before_the_first_write(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        try:
+            run = subprocess.run([sys.executable, "-m", "sqdepth", "depth",
+                                  str(CORPUS / "rp2-qq.ideal")],
+                                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (1, b"")
 
 
 class TestVerifyCommand:

@@ -362,8 +362,7 @@ class TestOnePassDepth:
     def test_pair_of_the_empty_face_past_the_cap_answers_from_its_low_sizes(self):
         # delta is a 16-simplex plus an isolated vertex and gamma is void:
         # psi, the empty face's pair, has 2^17 + 1 faces, but H_0 needs only
-        # its faces of at most two vertices, and gives depth 1 there (over
-        # an odd prime the pass still lists the pair whole)
+        # its faces of at most two vertices, and gives depth 1 there
         text = "n: 18\nJ: unit\nI: " + ", ".join(f"x18*x{v}" for v in range(1, 18))
         pair = parse_problem_text(text).pair()
         for field in (RATIONALS, CoefficientField(2)):
@@ -373,19 +372,32 @@ class TestOnePassDepth:
         doc = build_depth_document(pair, RATIONALS, {})
         assert doc["depth"] == 1 and doc["cm_witness"] == {"face": "{}", "dimension": 0}
 
+    def test_pair_of_the_empty_face_past_the_cap_answers_over_odd_primes(self):
+        # the same quotient over GF(p): b_0 of the empty face's pair is
+        # ranked on star masks of sizes 0..2, so the pair, over the cap
+        # whole, is never listed
+        text = "n: 18\nJ: unit\nI: " + ", ".join(f"x18*x{v}" for v in range(1, 18))
+        pair = parse_problem_text(text).pair()
+        for p in (3, 32003):
+            verdict = depth_verdict(relative_of_pair(pair), CoefficientField(p))
+            assert (verdict.depth, verdict.dim) == (1, 17)
+            assert (verdict.witness_face, verdict.witness_dim) == (0, 0)
+            doc = build_depth_document(pair, CoefficientField(p), {})
+            assert doc["depth"] == 1 and doc["cm_witness"] == {"face": "{}", "dimension": 0}
+
 
 class TestTorsion:
     # RP^2 has H_1 = Z/2: GF(2) sees homology that QQ does not
     RP2 = Path(__file__).resolve().parent.parent / "corpus" / "rp2-qq.ideal"
 
-    def _counted_verdict(self, monkeypatch, field):
+    def _counted_verdict(self, monkeypatch, field, pair=None):
         from sqdepth import homology
 
         calls = []
         ranks = homology._ranks_from_faces
         monkeypatch.setattr(homology, "_ranks_from_faces",
                             lambda *args: calls.append(args) or ranks(*args))
-        psi = relative_of_pair(parse_problem_file(self.RP2).pair())
+        psi = relative_of_pair(pair or parse_problem_file(self.RP2).pair())
         return depth_verdict(psi, field), calls
 
     def test_exact_recount_clears_gf2_homology_over_qq(self, monkeypatch):
@@ -403,6 +415,26 @@ class TestTorsion:
         verdict, calls = self._counted_verdict(monkeypatch, CoefficientField(2))
         assert (verdict.depth, verdict.dim) == (2, 3)
         assert (verdict.witness_face, verdict.witness_dim) == (0, 1)
+        assert calls == []
+
+    def test_odd_prime_ranks_on_signed_star_columns(self, monkeypatch):
+        # over GF(3) the 2-torsion of RP^2 is invisible: the signed star
+        # kernel ranks every pair, none is listed, and depth 3 = dim stands
+        verdict, calls = self._counted_verdict(monkeypatch, CoefficientField(3))
+        assert (verdict.depth, verdict.dim, verdict.is_cm) == (3, 3, True)
+        assert calls == []
+
+    def test_odd_prime_torsion_found_on_signed_star_columns(self, monkeypatch):
+        # a pseudo-projective plane with H_1 = Z/3: GF(2) sees nothing, but
+        # over GF(3) the signed star kernel finds H_1 at the empty face
+        # without listing a pair, so depth 2 < dim 3
+        pair = oracles.moore_space_mod_3()
+        verdict, calls = self._counted_verdict(monkeypatch, CoefficientField(3), pair)
+        assert (verdict.depth, verdict.dim) == (2, 3)
+        assert (verdict.witness_face, verdict.witness_dim) == (0, 1)
+        assert calls == []
+        verdict, calls = self._counted_verdict(monkeypatch, RATIONALS, pair)
+        assert (verdict.depth, verdict.dim, verdict.is_cm) == (3, 3, True)
         assert calls == []
 
 

@@ -46,6 +46,7 @@ import oracles
 
 FIELDS = (RATIONALS, CoefficientField(2))
 THREE_FIELDS = (RATIONALS, CoefficientField(2), CoefficientField(3))
+PRIME_FIELDS = (CoefficientField(2), CoefficientField(3), CoefficientField(32003))
 
 
 @st.composite
@@ -231,37 +232,45 @@ def test_depth_pass_lists_link_pairs_from_facets_when_psi_is_too_large(pair, fie
             assert depth_verdict(psi, field) == expected
 
 
+RP2 = IdealPair.quotient(parse_ideal("x1*x2*x4, x2*x3*x4, x1*x2*x5, x1*x3*x5, x3*x4*x5, "
+                                     "x1*x3*x6, x2*x3*x6, x1*x4*x6, x2*x5*x6, x4*x5*x6", 6))
+MOORE3 = oracles.moore_space_mod_3()
+
+
 @settings(derandomize=True, deadline=None)
-@given(pairs(8))
-def test_star_mask_betti_numbers_match_the_listed_pair_over_gf2(pair):
-    # for every face of delta and every truncation, the GF(2) Betti numbers
-    # ranked on star masks are those of _ranks_from_faces over GF(2) on the
-    # link pair listed from its link facets
+@given(pairs(8), st.sampled_from(PRIME_FIELDS))
+@example(RP2, CoefficientField(2))  # H_1 = Z/2: b_1 over GF(2) only
+@example(RP2, CoefficientField(3))
+@example(MOORE3, CoefficientField(3))  # H_1 = Z/3: b_1 over GF(3), on signed columns
+@example(MOORE3, CoefficientField(32003))
+def test_star_mask_betti_numbers_match_the_listed_pair(pair, field):
+    # for every face of delta and every truncation, the Betti numbers over
+    # GF(p) ranked on star masks (over GF(2) up to d_1, then on signed
+    # columns mod p) are those of _ranks_from_faces over GF(p) on the link
+    # pair listed from its link facets
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
-    gf2 = CoefficientField(2)
     index = _StarIndex(psi)
     for f in sorted(psi.delta.face_masks()):
         lk_delta = link_facets(psi.delta.facets, f)
         lk_gamma = link_facets(psi.gamma.facets, f)
         for top in range(-1, psi.dim - f.bit_count() + 1):
-            ranks = _ranks_from_faces(pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP), gf2)
+            ranks = _ranks_from_faces(pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP), field)
             expected = [ranks.betti_number(i) for i in range(-1, top + 1)]
-            assert list(_star_bettis(f, index, top)) == expected
-
-
-RP2 = IdealPair.quotient(parse_ideal("x1*x2*x4, x2*x3*x4, x1*x2*x5, x1*x3*x5, x3*x4*x5, "
-                                     "x1*x3*x6, x2*x3*x6, x1*x4*x6, x2*x5*x6, x4*x5*x6", 6))
+            assert list(_star_bettis(f, index, top, field.characteristic)) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(pairs(8), st.sampled_from(THREE_FIELDS))
 @example(RP2, RATIONALS)  # H_1 over GF(2) only: the recount decides
 @example(RP2, CoefficientField(3))
+@example(RP2, CoefficientField(32003))
+@example(MOORE3, CoefficientField(3))  # H_1 over GF(3) only
+@example(MOORE3, RATIONALS)
 def test_depth_pass_matches_the_listed_pair_oracle(pair, field):
-    # GF(2) ranks on star masks, with exact recounts over QQ and listed
-    # pairs over GF(3), give the depth, dim and witness of the pass that
-    # lists and ranks every link pair over the field itself
+    # ranks on star masks, over GF(2) with exact recounts over QQ and on
+    # signed columns over an odd prime, give the depth, dim and witness of
+    # the pass that lists and ranks every link pair over the field itself
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     verdict = depth_verdict(psi, field)
