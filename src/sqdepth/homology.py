@@ -1,48 +1,52 @@
 """Exact reduced and relative simplicial homology, and depth by Hochster's formula.
 
 Chain complexes are augmented: the empty face generates the chain group in
-dimension -1, so the Betti numbers computed here are reduced.  Boundary
-maps are sparse columns, and one exact column reduction ranks them over the
-rationals (integer steps, a Fraction only where a division is not exact) or
-over a prime field (residues mod p).  Relative pairs use the quotient chain
-complex directly: chains are spanned by the faces of delta outside gamma,
-and boundary summands landing in gamma are dropped.
+dimension -1, so the Betti numbers computed here are reduced.  Relative
+pairs use the quotient chain complex directly: chains are spanned by the
+faces of delta outside gamma, and boundary summands landing in gamma are
+dropped.
+
+Every homology here is ranked on the star masks of one index of a pair
+(_StarIndex), built one size at a time: per size, the faces in ascending
+mask order, one Python-int bitset per vertex, and each face's boundary as
+the positions of its facets one size down.  The star of a face F at a
+size, the faces there that contain F, is the AND of F's vertex bitsets,
+and removing F from them gives the link pair at F; at the empty face it is
+the pair itself, which is how relative_homology ranks it.
 
 Boundary maps are ranked bottom up, with row compression (Bauer, Kerber and
 Reininghaus, "Clear and Compress", 2014): the i-faces whose columns of
 d_i stay nonzero in the reduction (the negative faces) index a column basis
 of d_i, so no nonzero cycle of d_i lies on them alone, and dropping their
-rows from d_{i+1} keeps its rank.  d_0 has rank 1 when the empty face and a
-vertex are both present.  d_1 is a graph incidence matrix, with vertices
-outside the pair and dropped rows as one ground node; it is totally
-unimodular, so over every field its rank is the number of merges a
-union-find makes, and the merging edges are its negative faces.  Higher
-maps are reduced from their last column to their first, and stop once
-every row is a pivot.
+rows from d_{i+1} keeps its rank.  Each map is reduced from its last column
+to its first, each column against the kept ones by its highest row, and
+stops once every row is a pivot.  d_0 and d_1 (a graph incidence matrix)
+are totally unimodular, so a column basis over GF(2) is one over every
+field: they are ranked over GF(2) by XOR elimination of Python ints, and
+b_{-1} and b_0 are exact over any field.  Over GF(2) the maps above are
+ranked the same way.  From d_2 up, an odd prime p ranks signed columns,
+entries (row, +-1), mod p with pivots scaled to 1, and QQ ranks the same
+columns with integer steps and a Fraction only where a pivot is not +-1.
 
 The depth pass tests the links of a whole level of faces for cones with
 one numpy computation, and on its last level, where only H_{-1} counts,
 reads the answer off the facets of delta and gamma instead of a link pair.
-Every other link pair is a star mask of one index of psi, built one size
-at a time.  d_0 and d_1 are totally unimodular, so a column basis over
-GF(2) is one over every field: they are ranked over GF(2) by XOR
-elimination of Python ints, and b_{-1} and b_0 are exact over any field.
-Over GF(2) the maps above are ranked the same way.  Over QQ the GF(2)
+Every other link pair is a star of one index of psi.  Over QQ the GF(2)
 ranks bound the answer: the boundary maps are integer matrices, whose
 rank over F_2 is at most their rank over Q, so each b_i(QQ) <= b_i(GF(2))
 (universal coefficients); a zero over GF(2) is final over QQ, and only a
-nonzero b_i with i >= 1 is recounted exactly.  That bound fails for an
-odd prime p, since a torsion summand Z/p of H_{i-1}(Z) adds to b_i over
-GF(p) but not over GF(2); so over GF(p) the maps from d_2 up are ranked
-mod p on signed columns of the same index.  Only a pair that needs a size
-the index refuses is listed and ranked whole.
+nonzero b_i with i >= 1 is recounted exactly on the same masks.  That
+bound fails for an odd prime p, since a torsion summand Z/p of H_{i-1}(Z)
+adds to b_i over GF(p) but not over GF(2); so over GF(p) the pair is
+ranked mod p directly.  Where psi's index refuses a size, the link pair
+gets an index of its own, built from its two link facet tuples, and is
+ranked from its empty face the same way.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,7 +56,6 @@ from .complexes import (
     SimplicialComplex,
     face_vertices,
     link_facets,
-    pair_faces,
     pair_faces_of_size,
     relative_of_pair,
 )
@@ -128,164 +131,6 @@ class ChainComplexRanks:
         return all(v == 0 for v in self.betti.values())
 
 
-def _boundary_columns(lower: list[int], upper: list[int]) -> list[dict[int, int]]:
-    """The boundary of each upper face as a sparse column {row: sign}.
-
-    The sign of dropping vertex v from a face is (-1)^position with vertices
-    in ascending order; faces absent from `lower` (relative case) are
-    dropped, which realizes the quotient chain complex.
-    """
-    return list(_iter_boundary_columns(lower, upper))
-
-
-def _iter_boundary_columns(lower: list[int], upper: list[int]):
-    """_boundary_columns one column at a time, built as they are read."""
-    index = {m: i for i, m in enumerate(lower)}
-    for m in upper:
-        column = {}
-        sign = 1
-        remaining = m
-        while remaining:
-            bit = remaining & -remaining
-            row = index.get(m ^ bit)
-            if row is not None:
-                column[row] = sign
-            sign = -sign
-            remaining ^= bit
-        yield column
-
-
-def _rational_factor(entry, pivot):
-    """The multiple of the pivot column that clears `entry` over QQ: an int
-    when the division is exact and a Fraction otherwise."""
-    quotient, remainder = divmod(entry, pivot)
-    return Fraction(entry, pivot) if remainder else quotient
-
-
-def _independent_columns(columns: Iterable[dict[int, int]], characteristic: int,
-                         rows: Optional[int] = None) -> list[int]:
-    """The positions of the columns that stay nonzero when each is reduced
-    against the kept ones over QQ (characteristic 0) or GF(p): a maximal
-    set of linearly independent columns, in order.  With `rows`, the
-    number of rows, the scan stops once that many are kept.
-
-    Each column is reduced against the kept ones by its highest row until it
-    vanishes or its highest row is no kept column's; the kept columns then
-    have distinct highest rows, so they are independent and span the rest.
-    A step clears the highest row and touches only lower ones, so every
-    column finishes.
-    """
-    p = characteristic
-    kept: dict[int, tuple[dict, int]] = {}
-    positions = []
-    for position, column in enumerate(columns):
-        col = {}
-        for row, v in column.items():
-            if p:
-                v %= p
-            if v:
-                col[row] = v
-        while col:
-            low = max(col)
-            pivot_entry = kept.get(low)
-            if pivot_entry is None:
-                # mod p the pivot is stored inverted, so no step inverts it
-                kept[low] = (col, pow(col[low], -1, p) if p else col[low])
-                positions.append(position)
-                break
-            pivot_col, pivot = pivot_entry
-            entry = col.pop(low)
-            factor = entry * pivot % p if p else _rational_factor(entry, pivot)
-            for row, v in pivot_col.items():
-                if row == low:
-                    continue
-                x = col.get(row, 0) - factor * v
-                if p:
-                    x %= p
-                if x:
-                    col[row] = x
-                else:
-                    del col[row]
-        if len(positions) == rows:
-            break  # every row is a pivot, so the remaining columns depend
-    return positions
-
-
-def column_rank(columns: Iterable[dict[int, int]], characteristic: int) -> int:
-    """Exact rank of the matrix with the given sparse columns ({row: entry})
-    over QQ (characteristic 0) or GF(p)."""
-    return len(_independent_columns(columns, characteristic))
-
-
-def _merge_edges(vertices: list[int], edges: list[int], dropped) -> list[int]:
-    """The edges that join two classes in a union-find over the vertices,
-    with every vertex outside `vertices` or in `dropped` one ground node:
-    a column basis of d_1 from `edges` to the rows of `vertices` not in
-    `dropped`, over every field."""
-    parent = {v: v for v in vertices if v not in dropped}
-    parent[0] = 0  # the ground node; 0 is no vertex's mask
-    merges = []
-    for e in edges:
-        low = e & -e
-        high = e ^ low
-        a, b = (low if low in parent else 0), (high if high in parent else 0)
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            merges.append(e)
-    return merges
-
-
-def _negative_faces(below: list[int], upper: list[int], dropped, characteristic: int) -> list[int]:
-    """The faces of `upper` whose boundary columns, over the rows of `below`
-    not in `dropped`, form a column basis; their number is the rank."""
-    size = upper[0].bit_count()
-    if size == 1:
-        return upper[:1]  # every vertex maps to the empty face
-    if size == 2:
-        return _merge_edges(below, upper, dropped)
-    rows = [m for m in below if m not in dropped] if dropped else below
-    # faces with the highest vertex come last in mask order, and where the
-    # pair is a cone from that vertex they alone span the boundaries; read
-    # from the end, the columns reach full rank early and the rest are left
-    backwards = upper[::-1]
-    columns = _iter_boundary_columns(rows, backwards)
-    return [backwards[k] for k in _independent_columns(columns, characteristic, len(rows))]
-
-
-def _ranks_from_faces(by_dim: dict[int, list[int]], field: CoefficientField,
-                      top: Optional[int] = None) -> ChainComplexRanks:
-    """Betti numbers upward from the bottom dimension; with `top`, stop after
-    top or at the first nonzero one.  A boundary rank is computed only when a
-    Betti number needs it, and with the negative faces of the map below
-    dropped from its rows (see the module docstring)."""
-    counts = {i: len(by_dim[i]) for i in sorted(by_dim)}
-    ranks: dict[int, int] = {}
-    negative: dict[int, set[int]] = {}
-
-    def rank(i: int) -> int:
-        # the loop below asks for rank(i - 1) first whenever dimension
-        # i - 1 has faces, so its negative faces are known here
-        if i not in ranks:
-            below, upper = by_dim.get(i - 1), by_dim.get(i)
-            faces = (_negative_faces(below, upper, negative.get(i - 1, ()), field.characteristic)
-                     if below and upper else ())
-            ranks[i], negative[i] = len(faces), set(faces)
-        return ranks[i]
-
-    betti: dict[int, int] = {}
-    for i in counts:
-        if top is not None and i > top:
-            break
-        betti[i] = counts[i] - rank(i) - rank(i + 1)
-        if top is not None and betti[i]:
-            break
-    return ChainComplexRanks(field, counts, ranks, betti, top)
-
-
 def clear_homology_cache() -> None:
     """Does nothing: homology results are recomputed on every call."""
 
@@ -303,15 +148,27 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     """Homology of the pair: chains on delta-minus-gamma faces, boundaries
     taken modulo gamma.  An empty pair has no chain groups at all.
 
-    With `top`, only faces of at most top + 2 vertices are listed and the
+    With `top`, only faces of at most top + 2 vertices are indexed and the
     result is truncated there (see ChainComplexRanks): it answers which
-    dimension up to top, if any, first carries homology.
+    dimension up to top, if any, first carries homology.  The pair is
+    ranked by the star steps at the empty face of its own index; a
+    dimension without faces gets no entry.
     """
-    faces = pair_faces(psi.delta.facets, psi.gamma.facets,
-                       psi.n if top is None else top + 2, FACE_CAP)
-    if faces is None:
+    index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+    last = max((f.bit_count() for f in psi.delta.facets), default=0) - 1 if top is None else top
+    stars = [index.star([], k) for k in range(last + 3)]
+    if None in stars:
         raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
-    return _ranks_from_faces(faces, field, top)
+    ranks: dict[int, int] = {}
+    betti: dict[int, int] = {}
+    for i, (faces, low, high) in enumerate(_star_steps(0, index, last, field.characteristic), -1):
+        if faces:
+            ranks[i], ranks[i + 1] = low, high
+            betti[i] = faces - low - high
+            if top is not None and betti[i]:
+                break
+    counts = {k - 1: star.bit_count() for k, star in enumerate(stars) if star}
+    return ChainComplexRanks(field, counts, ranks, betti, top)
 
 
 @dataclass(frozen=True)
@@ -338,12 +195,12 @@ class CmVerdict:
 
 
 class _Level:
-    """psi's faces of one size in ascending mask order, for each vertex the
-    bitset of the positions of the faces containing it, and, once needed,
-    each face's boundary as the positions of its facets in the size below
-    (facets in gamma dropped): over GF(2) as row positions, and over an odd
-    prime as signed entries (row, +-1), each built only when a star at
-    that size is ranked over that field."""
+    """A pair's faces of one size in ascending mask order, for each vertex
+    the bitset of the positions of the faces containing it, and, once
+    needed, each face's boundary as the positions of its facets in the size
+    below (facets in gamma dropped): over GF(2) as row positions, and over
+    an odd prime or QQ as signed entries (row, +-1), each built only when a
+    star at that size is ranked that way."""
 
     __slots__ = ("faces", "full", "bits", "columns", "signed")
 
@@ -361,16 +218,17 @@ class _Level:
 
 
 class _StarIndex:
-    """psi's faces by size, each size built the first time a star there is
-    needed (see _Level).  The star of F at a size, the faces there that
-    contain F, is the AND of F's vertex bitsets; removing F from them gives
-    the link pair at F.  At most FACE_CAP faces are held: a size that would
-    take the index past it is refused, and reads None."""
+    """The faces of the pair with facet tuples delta and gamma (gamma's
+    faces inside delta's) on n vertices, by size, each size built the
+    first time a star there is needed (see _Level).  The star of F at a
+    size, the faces there that contain F, is the AND of F's vertex bitsets;
+    removing F from them gives the link pair at F.  At most FACE_CAP faces
+    are held: a size that would take the index past it is refused, and
+    reads None."""
 
-    def __init__(self, psi: RelativeComplex):
-        self.psi = psi
-        self.delta = list(map(face_vertices, psi.delta.facets))
-        self.gamma = list(map(face_vertices, psi.gamma.facets))
+    def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
+        self.delta, self.gamma, self.n = delta, gamma, n
+        self.vertices = (list(map(face_vertices, delta)), list(map(face_vertices, gamma)))
         self.levels: dict[int, Optional[_Level]] = {}
         self.held = 0
 
@@ -385,8 +243,8 @@ class _StarIndex:
         """The bitset of the faces of k vertices that contain the face whose
         vertices have these bit indices; None if the size is refused."""
         if k not in self.levels:
-            faces = pair_faces_of_size(self.delta, self.gamma, k, FACE_CAP - self.held)
-            self.levels[k] = None if faces is None else _Level(sorted(faces), self.psi.n)
+            faces = pair_faces_of_size(*self.vertices, k, FACE_CAP - self.held)
+            self.levels[k] = None if faces is None else _Level(sorted(faces), self.n)
             self.held += len(faces) if faces else 0
         level = self.levels[k]
         if level is None:
@@ -453,11 +311,12 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
 
 def _signed_negatives(columns: list[tuple[tuple[int, int], ...]], star: int, rows: int,
                       p: int) -> int:
-    """_gf2_negatives over GF(p) on signed columns: each column in `star`,
-    restricted to `rows`, is reduced mod p against the kept ones by its
-    highest row, read from the last.  A kept column is scaled so that its
-    pivot is 1 and stored without it, so a step is one multiply-subtract."""
-    pivots: dict[int, dict[int, int]] = {}
+    """_gf2_negatives over GF(p), or over QQ for p = 0, on signed columns:
+    each column in `star`, restricted to `rows`, is reduced against the
+    kept ones by its highest row, read from the last.  A kept column is
+    scaled so that its pivot is 1 (by a Fraction over QQ where the pivot is
+    not +-1) and stored without it, so a step is one multiply-subtract."""
+    pivots: dict[int, dict] = {}
     negative = 0
     wanted = rows.bit_count()
     # kept[r] == "1" for each row r: indexing a string costs less than
@@ -475,30 +334,39 @@ def _signed_negatives(columns: list[tuple[tuple[int, int], ...]], star: int, row
             if other is None:
                 if factor == -1 or factor == p - 1:
                     col = {r: -v for r, v in col.items()}
-                elif factor != 1:
+                elif factor != 1 and p:
                     scale = pow(factor, -1, p)
                     col = {r: v * scale % p for r, v in col.items()}
+                elif factor != 1:
+                    col = {r: Fraction(v, factor) for r, v in col.items()}
                 pivots[low] = col
                 negative |= 1 << j
                 break
-            for r, v in other.items():
-                x = (col.get(r, 0) - factor * v) % p
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
+            if p:
+                for r, v in other.items():
+                    x = (col.get(r, 0) - factor * v) % p
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+            else:
+                for r, v in other.items():
+                    x = col.get(r, 0) - factor * v
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
         if len(pivots) == wanted:
             break
     return negative
 
 
-def _star_bettis(face: int, index: _StarIndex, top: int, p: int):
-    """The Betti numbers over GF(p) of the link pair at `face`, from
-    dimension -1 up to top, ranked on its star masks with the row
-    compression of _ranks_from_faces; None in place of the first one that
-    needs a size the index refuses.  d_0 and d_1 are totally unimodular, so
-    a column basis over GF(2) is one over every field and they are ranked
-    over GF(2); from d_2 up an odd p ranks the signed columns mod p."""
+def _star_steps(face: int, index: _StarIndex, top: int, p: int):
+    """For the link pair at `face`, from dimension -1 up to top, the face
+    count of each dimension i with the ranks of d_i and d_{i+1} over GF(p),
+    or over QQ for p = 0, ranked on its star masks with row compression (see
+    the module docstring); None in place of the first step that needs a
+    size the index refuses.  Each step ranks d_{i+1} only when it is read."""
     ids = [b for b in range(face.bit_length()) if face >> b & 1]
     k = face.bit_count()
     current, negative = index.star(ids, k), 0
@@ -514,53 +382,38 @@ def _star_bettis(face: int, index: _StarIndex, top: int, p: int):
             above = _gf2_negatives(index.columns(k + 1), upper, rows)
         else:
             above = _signed_negatives(index.columns(k + 1, signed=True), upper, rows, p)
-        yield current.bit_count() - negative.bit_count() - above.bit_count()
+        yield current.bit_count(), negative.bit_count(), above.bit_count()
         current, negative, k = upper, above, k + 1
 
 
-def _link_pair_faces(face: int, index: _StarIndex, max_size: int) -> dict[int, list[int]]:
-    """The link pair at `face` as pair_faces lists it, up to max_size
-    vertices: read from the star masks of psi's index, or listed from the
-    two link facet tuples where the index refuses a size.  Over FACE_CAP,
-    CapExceededError."""
-    ids = [b for b in range(face.bit_length()) if face >> b & 1]
-    size = face.bit_count()
-    by_dim = {}
-    for k in range(size, size + max_size + 1):
-        star = index.star(ids, k)
-        if star is None:
-            psi = index.psi
-            by_dim = pair_faces(link_facets(psi.delta.facets, face),
-                                link_facets(psi.gamma.facets, face), max_size, FACE_CAP)
-            if by_dim is None:
-                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
-            return by_dim
-        if star:
-            faces = index.levels[k].faces
-            by_dim[k - size - 1] = [faces[j] ^ face for j, c in enumerate(bin(star)[:1:-1])
-                                    if c == "1"]
-    return by_dim
+def _star_bettis(face: int, index: _StarIndex, top: int, p: int):
+    """The Betti numbers of the steps of _star_steps, None in place of its
+    None."""
+    for step in _star_steps(face, index, top, p):
+        yield None if step is None else step[0] - step[1] - step[2]
 
 
 def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
-                    top: int) -> Optional[int]:
+                    top: int, own: bool = False) -> Optional[int]:
     """The lowest dimension up to top in which the link pair at `face` has
     homology over `field`, or None.  Over a prime field the star-mask Betti
     numbers over that field are the answer.  Over QQ they are ranked over
     GF(2), and a zero one is final (b_i over QQ is at most b_i over GF(2));
-    a nonzero one above dimension 0 is recounted exactly on the pair listed
-    up to the next dimension.  Past a size the index refuses, the pair is
-    listed and ranked whole."""
+    a nonzero one above dimension 0 is recounted exactly on the same masks.
+    Where the index refuses a size, the link pair gets an index of its own
+    from its link facets (own) and is ranked from its empty face; a size
+    that index refuses raises CapExceededError."""
     p = field.characteristic
     for i, b in enumerate(_star_bettis(face, index, top, p or 2), -1):
         if b is None:
-            break
-        if b and (p or i < 1 or _ranks_from_faces(
-                _link_pair_faces(face, index, i + 2), field, i).betti_number(i)):
+            if own:
+                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+            pair = _StarIndex(link_facets(index.delta, face), link_facets(index.gamma, face),
+                              index.n)
+            return _first_homology(0, pair, field, top, own=True)
+        if b and (p or i < 1 or list(_star_bettis(face, index, i, 0))[-1]):
             return i
-    else:
-        return None
-    return _ranks_from_faces(_link_pair_faces(face, index, top + 2), field, top).first_nonzero()
+    return None
 
 
 def _classify_level(level: list[int], delta: SimplicialComplex,
@@ -613,13 +466,14 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     link pair is read from psi's index (_StarIndex), whose sizes are built
     when a star there is first needed and dropped once below the level or
     above b, and its first homology is found by _first_homology.  Where
-    the index refuses a size, the pair is listed from its link facets; a
-    needed pair over FACE_CAP stops the pass, as one homology call does.
+    the index refuses a size, the pair gets an index of its own from its
+    link facets; a needed pair over FACE_CAP stops the pass, as one
+    homology call does.
     The first (F, i) to set the final minimum is the witness.
     """
     best = dim = psi.dim + 1
     listed = 0
-    index = _StarIndex(psi)
+    index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
     witness_face = witness_dim = None
     size = 0
     while size < best:

@@ -4,16 +4,19 @@ These work on frozensets of 1-based indices and plain list matrices over
 Fractions, deliberately avoiding the bitmask and elimination code they are
 used to check.  The bool_* kernels are the one-byte-per-mask subset tables
 that the packed tables of `sqdepth.ideals` replaced.  The depth oracles
-reuse the package's link facets and untruncated link-pair homology, but
-neither its depth pass nor its truncation: `skeleton_scan_depth` is the
-skeleton scan with Reisner tests that the one-pass depth replaced, and
-`hochster_depth` evaluates Hochster's formula on every face.  `skeleton`,
+reuse the package's link facets and face lister, but neither its depth
+pass, its truncation nor its rank kernel: they rank link pairs with
+`listed_homology`.  `skeleton_scan_depth` is the skeleton scan with
+Reisner tests that the one-pass depth replaced, and `hochster_depth`
+evaluates Hochster's formula on every face.  `skeleton`,
 `link` and `dim_module_colon` are the facet-listing skeleton, the link as a
 complex and the colon path to the dimension, which no report uses;
 `pairwise_intersect` is the intersection before pruning.
-`uncompressed_ranks` ranks every boundary map in full with `column_rank`,
+`uncompressed_ranks` ranks a listed pair with every boundary map whole
+(`boundary_columns`, ranked by the sparse column reduction `column_rank`),
 and `classify_face` is the per-face cone test from the link facets; the
-depth pass replaced them with row compression and one cone test per level.
+package replaced them with row compression on star masks and one cone test
+per level.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1.
 """
 
@@ -32,15 +35,7 @@ from sqdepth.complexes import (
     pair_faces,
     relative_of_pair,
 )
-from sqdepth.homology import (
-    FACE_CAP,
-    RATIONALS,
-    ChainComplexRanks,
-    _boundary_columns,
-    _ranks_from_faces,
-    column_rank,
-    relative_homology,
-)
+from sqdepth.homology import FACE_CAP, RATIONALS, ChainComplexRanks
 from sqdepth.ideals import IdealPair, _canonical_masks, colon, minimalize
 
 
@@ -194,6 +189,68 @@ def columns(rows):
     return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols)]
 
 
+def boundary_columns(lower, upper):
+    """The boundary of each upper face as a sparse column {row: sign}.
+
+    The sign of dropping vertex v from a face is (-1)^position with vertices
+    in ascending order; faces absent from `lower` (relative case) are
+    dropped, which realizes the quotient chain complex.
+    """
+    index = {m: i for i, m in enumerate(lower)}
+    out = []
+    for m in upper:
+        column = {}
+        sign = 1
+        remaining = m
+        while remaining:
+            bit = remaining & -remaining
+            row = index.get(m ^ bit)
+            if row is not None:
+                column[row] = sign
+            sign = -sign
+            remaining ^= bit
+        out.append(column)
+    return out
+
+
+def column_rank(columns, characteristic):
+    """Exact rank of the matrix with the given sparse columns ({row: entry})
+    over QQ (characteristic 0) or GF(p).
+
+    Each column is reduced against the kept ones by its highest row until it
+    vanishes or its highest row is no kept column's; the kept columns then
+    have distinct highest rows, so they are independent and span the rest.
+    Over QQ a step is integer where the division is exact and a Fraction
+    otherwise.
+    """
+    p = characteristic
+    kept = {}
+    for column in columns:
+        col = {r: v % p if p else v for r, v in column.items()}
+        col = {r: v for r, v in col.items() if v}
+        while col:
+            low = max(col)
+            if low not in kept:
+                kept[low] = col
+                break
+            pivot_col = kept[low]
+            entry, pivot = col[low], pivot_col[low]
+            if p:
+                factor = entry * pow(pivot, -1, p) % p
+            else:
+                quotient, remainder = divmod(entry, pivot)
+                factor = Fraction(entry, pivot) if remainder else quotient
+            for row, v in pivot_col.items():
+                x = col.get(row, 0) - factor * v
+                if p:
+                    x %= p
+                if x:
+                    col[row] = x
+                else:
+                    col.pop(row, None)
+    return len(kept)
+
+
 def compose(columns_lower, column):
     """The sparse column columns_lower * column, zero entries dropped."""
     out = {}
@@ -340,7 +397,7 @@ def reisner_witness(psi, field=RATIONALS):
         lk = link_pair(psi, f)
         if lk.is_empty:
             continue
-        ranks = relative_homology(lk, field)
+        ranks = listed_homology(lk, field)
         for i in range(-1, lk.dim):
             if ranks.betti_number(i):
                 return f, i
@@ -367,7 +424,7 @@ def hochster_depth(pair, field=RATIONALS):
         lk = link_pair(psi, f)
         if lk.is_empty:
             continue
-        betti = relative_homology(lk, field).betti
+        betti = listed_homology(lk, field).betti
         i = next((d for d in sorted(betti) if betti[d]), None)
         if i is not None:
             candidate = f.bit_count() + 1 + i
@@ -380,7 +437,7 @@ def listed_pair_verdict(psi, field=RATIONALS):
     """depth_verdict's answer from listed link pairs, as (depth, dim,
     witness face, witness dim): the faces F of delta by size, then mask,
     while |F| is below the best value b so far, each link pair listed from
-    its two link facet tuples and ranked over `field` by _ranks_from_faces,
+    its two link facet tuples and ranked over `field` by uncompressed_ranks,
     truncated at b - |F| - 2."""
     best = dim = psi.dim + 1
     witness = (None, None)
@@ -390,23 +447,25 @@ def listed_pair_verdict(psi, field=RATIONALS):
             break
         faces = pair_faces(link_facets(psi.delta.facets, f), link_facets(psi.gamma.facets, f),
                            best - size, FACE_CAP)
-        i = _ranks_from_faces(faces, field, best - size - 2).first_nonzero()
+        i = uncompressed_ranks(faces, field, best - size - 2).first_nonzero()
         if i is not None:
             best, witness = size + 1 + i, (f, i)
     return (best, dim, *witness)
 
 
 def uncompressed_ranks(by_dim, field, top=None):
-    """_ranks_from_faces with every boundary map ranked whole: Betti numbers
-    upward from the bottom dimension, stopping after top or at the first
-    nonzero one, each boundary rank computed when a Betti number needs it."""
+    """The homology of a pair listed by dimension (as pair_faces lists it)
+    with every boundary map ranked whole: Betti numbers upward from the
+    bottom dimension, stopping after top or at the first nonzero one, each
+    boundary rank computed when a Betti number needs it.  This is the
+    ChainComplexRanks that relative_homology gives for the pair."""
     counts = {i: len(by_dim[i]) for i in sorted(by_dim)}
     ranks = {}
 
     def rank(i):
         if i not in ranks:
             below, upper = by_dim.get(i - 1), by_dim.get(i)
-            ranks[i] = (column_rank(_boundary_columns(below, upper), field.characteristic)
+            ranks[i] = (column_rank(boundary_columns(below, upper), field.characteristic)
                         if below and upper else 0)
         return ranks[i]
 
@@ -418,6 +477,14 @@ def uncompressed_ranks(by_dim, field, top=None):
         if top is not None and betti[i]:
             break
     return ChainComplexRanks(field, counts, ranks, betti, top)
+
+
+def listed_homology(psi, field=RATIONALS, top=None):
+    """relative_homology(psi, field, top) from the pair listed by pair_faces
+    and ranked by uncompressed_ranks."""
+    faces = pair_faces(psi.delta.facets, psi.gamma.facets, psi.n if top is None else top + 2,
+                       FACE_CAP)
+    return uncompressed_ranks(faces, field, top)
 
 
 def is_cone(facets):

@@ -20,7 +20,6 @@ from sqdepth.complexes import (
     relative_of_pair,
 )
 from sqdepth.homology import (
-    _boundary_columns,
     clear_homology_cache,
     depth,
     is_cm_relative,
@@ -49,6 +48,7 @@ from sqdepth.randgen import (
 
 import oracles
 from oracles import dim_module_colon, skeleton
+from test_homology import assert_star_columns_compose_to_zero
 from test_invariants import duval_ideal, section3_pair
 
 
@@ -236,7 +236,8 @@ def _assert_boundaries_compose_to_zero(c):
     for i in dims:
         if i - 1 not in by_dim or i + 1 not in by_dim:
             continue
-        lower = _boundary_columns(by_dim[i - 1], by_dim[i])
-        upper = _boundary_columns(by_dim[i], by_dim[i + 1])
+        lower = oracles.boundary_columns(by_dim[i - 1], by_dim[i])
+        upper = oracles.boundary_columns(by_dim[i], by_dim[i + 1])
         for column in upper:
             assert not oracles.compose(lower, column)
+    assert_star_columns_compose_to_zero(c, by_dim)

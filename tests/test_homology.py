@@ -16,8 +16,7 @@ from sqdepth.errors import CapExceededError
 from sqdepth.homology import (
     RATIONALS,
     CoefficientField,
-    _boundary_columns,
-    column_rank,
+    _StarIndex,
     depth,
     depth_verdict,
     is_cm_relative,
@@ -51,7 +50,7 @@ class TestRanks:
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            assert column_rank(oracles.columns(mat), 0) == oracles.fraction_rank(mat)
+            assert oracles.column_rank(oracles.columns(mat), 0) == oracles.fraction_rank(mat)
 
     def test_mod_p_on_unimodular_examples(self):
         rng = random.Random(9)
@@ -60,11 +59,11 @@ class TestRanks:
             cols = rng.randint(1, 7)
             mat = [[rng.choice((-1, 0, 1)) for _ in range(cols)] for _ in range(rows)]
             over_q = oracles.fraction_rank(mat)
-            assert column_rank(oracles.columns(mat), 32003) == over_q
+            assert oracles.column_rank(oracles.columns(mat), 32003) == over_q
 
     def test_mod_p_drop(self):
-        assert column_rank(oracles.columns([[5]]), 5) == 0
-        assert column_rank(oracles.columns([[5]]), 0) == 1
+        assert oracles.column_rank(oracles.columns([[5]]), 5) == 0
+        assert oracles.column_rank(oracles.columns([[5]]), 0) == 1
 
     @pytest.mark.parametrize("p", (2, 3, 32003, 2147483647))
     def test_matches_dense_oracles_over_qq_and_gf_p(self, p):
@@ -89,8 +88,8 @@ class TestRanks:
                 base = [[entry() for _ in range(cols)] for _ in range(rows)]
                 mat = base + [[x + p * rng.randint(-2, 2) for x in rng.choice(base)]
                               for _ in range(rng.randint(1, 3))]
-            assert column_rank(oracles.columns(mat), 0) == oracles.fraction_rank(mat)
-            assert column_rank(oracles.columns(mat), p) == oracles.mod_p_rank(mat, p)
+            assert oracles.column_rank(oracles.columns(mat), 0) == oracles.fraction_rank(mat)
+            assert oracles.column_rank(oracles.columns(mat), p) == oracles.mod_p_rank(mat, p)
 
 
 class TestReducedHomology:
@@ -115,6 +114,8 @@ class TestReducedHomology:
             reduced_homology(SimplicialComplex.void(2))
 
     def test_boundary_composition_vanishes(self):
+        # on the listed oracle's columns, and on the signed columns of the
+        # star index, which every exact rank above d_1 reads
         rng = random.Random(13)
         for _ in range(40):
             c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 6)))
@@ -123,9 +124,10 @@ class TestReducedHomology:
             for i in dims:
                 if i - 1 not in by_dim or i + 1 not in by_dim:
                     continue
-                d_i = _boundary_columns(by_dim[i - 1], by_dim[i])
-                d_next = _boundary_columns(by_dim[i], by_dim[i + 1])
+                d_i = oracles.boundary_columns(by_dim[i - 1], by_dim[i])
+                d_next = oracles.boundary_columns(by_dim[i], by_dim[i + 1])
                 assert all(not oracles.compose(d_i, col) for col in d_next)
+            assert_star_columns_compose_to_zero(c, by_dim)
 
     def test_reduced_euler_poincare(self):
         rng = random.Random(17)
@@ -140,6 +142,21 @@ class TestReducedHomology:
     def test_field_can_matter_only_through_ranks(self):
         # over GF(5) and QQ the circle looks the same
         assert reduced_homology(HOLLOW, GF5).betti == reduced_homology(HOLLOW).betti
+
+
+def assert_star_columns_compose_to_zero(c, by_dim):
+    """The star index of c holds its faces as listed in by_dim, its signed
+    columns are the oracle's boundary columns, and each composes to zero
+    with the one below."""
+    index = _StarIndex(c.facets, (), c.n)
+    sizes = range(c.dim + 3)
+    assert [index.star([], k).bit_count() for k in sizes] == [
+        len(by_dim.get(k - 1, ())) for k in sizes]
+    signed = {k: [dict(col) for col in index.columns(k, signed=True)] for k in sizes if k}
+    for k in signed:
+        assert signed[k] == oracles.boundary_columns(by_dim.get(k - 2, []), by_dim.get(k - 1, []))
+        if k + 1 in signed:
+            assert all(not oracles.compose(signed[k], col) for col in signed[k + 1])
 
 
 class TestRelativeHomology:
@@ -391,25 +408,40 @@ class TestTorsion:
     RP2 = Path(__file__).resolve().parent.parent / "corpus" / "rp2-qq.ideal"
 
     def _counted_verdict(self, monkeypatch, field, pair=None):
+        # the verdict and the star passes ranked over QQ (p = 0); the pass
+        # must build no index beside psi's own, that is, no link pair's
         from sqdepth import homology
 
-        calls = []
-        ranks = homology._ranks_from_faces
-        monkeypatch.setattr(homology, "_ranks_from_faces",
-                            lambda *args: calls.append(args) or ranks(*args))
+        calls, indexes = [], []
+        bettis, star_index = homology._star_bettis, homology._StarIndex
+
+        def counted_bettis(face, index, top, p):
+            if p == 0:
+                calls.append((face, index, top))
+            return bettis(face, index, top, p)
+
+        def counted_index(*args):
+            indexes.append(star_index(*args))
+            return indexes[-1]
+
+        monkeypatch.setattr(homology, "_star_bettis", counted_bettis)
+        monkeypatch.setattr(homology, "_StarIndex", counted_index)
         psi = relative_of_pair(pair or parse_problem_file(self.RP2).pair())
-        return depth_verdict(psi, field), calls
+        verdict = depth_verdict(psi, field)
+        assert len(indexes) == 1
+        return verdict, calls
 
     def test_exact_recount_clears_gf2_homology_over_qq(self, monkeypatch):
-        # at the empty face GF(2) finds H_1, so the pair is listed up to
-        # dimension 2 and recounted over QQ, where H_1 vanishes: the golden
-        # depth 3 (Cohen-Macaulay) stands
+        # at the empty face GF(2) finds H_1, so the pair is recounted over
+        # QQ on the same star masks up to dimension 1, which reads the
+        # triangles, and there H_1 vanishes: the golden depth 3
+        # (Cohen-Macaulay) stands
         verdict, calls = self._counted_verdict(monkeypatch, RATIONALS)
         assert (verdict.depth, verdict.dim, verdict.is_cm) == (3, 3, True)
         assert len(calls) == 1
-        faces, field, top = calls[0]
-        assert (field, top, max(faces)) == (RATIONALS, 1, 2)
-        assert len(faces[2]) == 10  # the ten triangles of RP^2
+        face, index, top = calls[0]
+        assert (face, top) == (0, 1)
+        assert index.star([], 3).bit_count() == 10  # the ten triangles of RP^2
 
     def test_gf2_answer_needs_no_recount(self, monkeypatch):
         verdict, calls = self._counted_verdict(monkeypatch, CoefficientField(2))
@@ -419,7 +451,8 @@ class TestTorsion:
 
     def test_odd_prime_ranks_on_signed_star_columns(self, monkeypatch):
         # over GF(3) the 2-torsion of RP^2 is invisible: the signed star
-        # kernel ranks every pair, none is listed, and depth 3 = dim stands
+        # kernel ranks every pair mod 3, none over QQ, and depth 3 = dim
+        # stands
         verdict, calls = self._counted_verdict(monkeypatch, CoefficientField(3))
         assert (verdict.depth, verdict.dim, verdict.is_cm) == (3, 3, True)
         assert calls == []
@@ -427,7 +460,8 @@ class TestTorsion:
     def test_odd_prime_torsion_found_on_signed_star_columns(self, monkeypatch):
         # a pseudo-projective plane with H_1 = Z/3: GF(2) sees nothing, but
         # over GF(3) the signed star kernel finds H_1 at the empty face
-        # without listing a pair, so depth 2 < dim 3
+        # with no pass over QQ, so depth 2 < dim 3; over QQ GF(2) sees no
+        # homology, so nothing is recounted
         pair = oracles.moore_space_mod_3()
         verdict, calls = self._counted_verdict(monkeypatch, CoefficientField(3), pair)
         assert (verdict.depth, verdict.dim) == (2, 3)
@@ -457,7 +491,8 @@ class TestFaceCap:
         # reads one link pair, at the empty face, which is psi itself (33 -
         # 16 = 17 faces); H_0 needs only psi's faces of at most two vertices,
         # none, {1} and {6}, and the four edges {1, v}, so 6 are indexed;
-        # under that the pair is listed whole from its link facets
+        # under that the pair gets an index of its own from its link facets,
+        # which refuses the same size
         from sqdepth import homology
 
         text = "n: 6\nJ: x1, x6\nI: " + ", ".join(f"x6*x{v}" for v in range(1, 6))

@@ -1,5 +1,7 @@
 """Hypothesis properties on ideals drawn as lists of generator masks."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,21 +14,16 @@ from sqdepth.complexes import (
     face_table,
     link_facets,
     pair_faces,
-    pair_faces_of_size,
     relative_of_pair,
 )
 from sqdepth.homology import (
     FACE_CAP,
     RATIONALS,
     CoefficientField,
-    _boundary_columns,
     _StarIndex,
     _classify_level,
-    _link_pair_faces,
-    _merge_edges,
-    _ranks_from_faces,
+    _signed_negatives,
     _star_bettis,
-    column_rank,
     depth,
     depth_verdict,
     relative_homology,
@@ -180,39 +177,61 @@ def test_pair_faces_match_the_face_table_and_stop_past_the_limit(pair, void_gamm
             assert faces == (None if count > limit else expected)
 
 
-def _refusing_sizes_above(top):
-    """pair_faces_of_size for psi's index that refuses every size above top."""
-    def lister(delta, gamma, k, limit):
-        return None if k > top else pair_faces_of_size(delta, gamma, k, limit)
-    return lister
+def _index(psi):
+    """The star index of psi, as a depth pass builds it."""
+    return _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+
+
+def _star_faces(index, face, size):
+    """The faces of the link pair at `face` read off its star at `size`."""
+    star = index.star([b for b in range(face.bit_length()) if face >> b & 1], size)
+    faces = index.levels[size].faces
+    return [faces[j] ^ face for j in range(star.bit_length()) if star >> j & 1]
 
 
 @settings(derandomize=True, deadline=None)
 @given(pairs(8), st.sampled_from(FIELDS))
 def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
     # depth_verdict reads the link pair at each F from the star masks of
-    # psi's index, or lists it from the link facets of F where the index
-    # refuses a size; either way, up to |F| + top + 2 vertices the pair
-    # must be the one built from the two link complexes, with the same
-    # homology
+    # psi's index, or, where that index refuses a size, from the empty
+    # face of an index of its own built from the link facets of F; either
+    # way, up to |F| + top + 2 vertices the pair must be the one built from
+    # the two link complexes, with the same homology
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     dim = psi.dim + 1
-    index = _StarIndex(psi)
+    index = _index(psi)
     for size in range(dim):
         for f in psi.delta.faces_of_size(size, FACE_CAP):
             lk = oracles.link_pair(psi, f)
-            faces = _link_pair_faces(f, index, dim - size)
-            assert (not faces) == lk.is_empty
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(homology, "pair_faces_of_size", _refusing_sizes_above(-1))
-                assert _link_pair_faces(f, _StarIndex(psi), dim - size) == faces
+            own = _StarIndex(link_facets(psi.delta.facets, f), link_facets(psi.gamma.facets, f),
+                             psi.n)
+            expected = _table_pair_faces(lk, dim - size)
+            for k in range(dim - size + 1):
+                assert _star_faces(index, f, size + k) == expected.get(k - 1, [])
+                assert _star_faces(own, 0, k) == expected.get(k - 1, [])
             for top in range(-1, dim - size - 1):
-                truncated = {d: hs for d, hs in faces.items() if d <= top + 1}
-                assert truncated == _table_pair_faces(lk, top + 2)
-                assert truncated == _link_pair_faces(f, index, top + 2)
-                expected = relative_homology(lk, field, top)
-                assert _ranks_from_faces(faces, field, top).betti == expected.betti
+                ranks = oracles.listed_homology(lk, field, top)
+                betti = [ranks.betti_number(i) for i in range(-1, top + 1)]
+                betti = betti[:next((j + 1 for j, b in enumerate(betti) if b), len(betti))]
+                for bettis in (_star_bettis(f, index, top, field.characteristic),
+                               _star_bettis(0, own, top, field.characteristic)):
+                    assert list(bettis)[:len(betti)] == betti
+
+
+def _refusing_psi_sizes_above(top):
+    """_StarIndex for one depth pass: its first index, psi's own, refuses
+    every size above top; the link pairs' own indexes after it do not."""
+    made = []
+
+    class Refusing(_StarIndex):
+        def star(self, ids, k):
+            return None if k > top else super().star(ids, k)
+
+    def index(*args):
+        made.append(Refusing(*args) if not made else _StarIndex(*args))
+        return made[-1]
+    return index
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -220,15 +239,15 @@ def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
 @example(IdealPair.quotient(parse_ideal("x1*x2*x3", 3)), RATIONALS)
 def test_depth_pass_lists_link_pairs_from_facets_when_psi_is_too_large(pair, field):
     # when psi's index refuses every size above some k, a link pair that
-    # needs one is listed from its link facets and ranked whole, after
-    # whatever the star masks of the smaller sizes gave: the verdict must
-    # not depend on the path
+    # needs one gets an index of its own from its link facets and is ranked
+    # from its empty face, after whatever the star masks of the smaller
+    # sizes gave: the verdict must not depend on the path
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     expected = depth_verdict(psi, field)
     for top in range(-1, psi.dim + 2):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(homology, "pair_faces_of_size", _refusing_sizes_above(top))
+            mp.setattr(homology, "_StarIndex", _refusing_psi_sizes_above(top))
             assert depth_verdict(psi, field) == expected
 
 
@@ -246,16 +265,17 @@ MOORE3 = oracles.moore_space_mod_3()
 def test_star_mask_betti_numbers_match_the_listed_pair(pair, field):
     # for every face of delta and every truncation, the Betti numbers over
     # GF(p) ranked on star masks (over GF(2) up to d_1, then on signed
-    # columns mod p) are those of _ranks_from_faces over GF(p) on the link
+    # columns mod p) are those of uncompressed_ranks over GF(p) on the link
     # pair listed from its link facets
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
-    index = _StarIndex(psi)
+    index = _index(psi)
     for f in sorted(psi.delta.face_masks()):
         lk_delta = link_facets(psi.delta.facets, f)
         lk_gamma = link_facets(psi.gamma.facets, f)
         for top in range(-1, psi.dim - f.bit_count() + 1):
-            ranks = _ranks_from_faces(pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP), field)
+            faces = pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP)
+            ranks = oracles.uncompressed_ranks(faces, field)
             expected = [ranks.betti_number(i) for i in range(-1, top + 1)]
             assert list(_star_bettis(f, index, top, field.characteristic)) == expected
 
@@ -286,50 +306,67 @@ matrices = st.integers(1, 8).flatmap(
 @settings(derandomize=True, deadline=None)
 @given(matrices)
 def test_column_rank_matches_dense_elimination(mat):
-    over_q = column_rank(oracles.columns(mat), 0)
+    over_q = oracles.column_rank(oracles.columns(mat), 0)
     assert over_q == oracles.fraction_rank(mat)
     for p in (2, 3, (1 << 31) - 1):
-        mod_p = column_rank(oracles.columns(mat), p)
+        mod_p = oracles.column_rank(oracles.columns(mat), p)
         assert mod_p == oracles.mod_p_rank(mat, p)
         assert mod_p <= over_q
+
+
+def _signed_rank_cases(seed, count):
+    """Random sparse columns of +-1 entries over up to 10 rows, with a
+    random star of columns and a random bitset of kept rows; each case is
+    (columns, star, rows, dense matrix of the star's columns on the rows)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        height, width = rng.randint(1, 10), rng.randint(1, 10)
+        columns = [tuple((r, rng.choice((-1, 1))) for r in range(height) if rng.random() < 0.4)
+                   for _ in range(width)]
+        star, rows = rng.getrandbits(width), rng.getrandbits(height)
+        kept = [r for r in range(height) if rows >> r & 1]
+        chosen = [dict(columns[j]) for j in range(width) if star >> j & 1]
+        cases.append((columns, star, rows, [[c.get(r, 0) for c in chosen] for r in kept]))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_signed_negatives_rank_matches_dense_elimination(seed):
+    # the kept columns of the one exact kernel are a column basis of the
+    # star's columns on the kept rows, over QQ (p = 0) and mod p
+    cases = _signed_rank_cases(seed, 150)
+    # d_2 of RP^2 and of the mod-3 Moore space on all their edges, each
+    # column twice: over QQ the eliminations meet pivots that are not +-1
+    # (their ranks over QQ and mod 2 or 3 differ), and every second copy
+    # must reduce to zero through them
+    for pair, ranks in ((RP2, (10, 9, 10)), (MOORE3, (27, 27, 26))):
+        triangles = relative_of_pair(pair).delta.facets
+        edges = sorted({t ^ (1 << b) for t in triangles for b in range(pair.n) if t >> b & 1})
+        d2 = oracles.boundary_columns(edges, triangles)
+        dense = [[c.get(r, 0) for c in d2 + d2] for r in range(len(edges))]
+        assert (oracles.fraction_rank(dense), oracles.mod_p_rank(dense, 2),
+                oracles.mod_p_rank(dense, 3)) == ranks
+        cases.append(([tuple(c.items()) for c in d2 + d2], (1 << 2 * len(d2)) - 1,
+                      (1 << len(edges)) - 1, dense))
+    for columns, star, rows, dense in cases:
+        assert _signed_negatives(columns, star, rows, 0).bit_count() == oracles.fraction_rank(dense)
+        for p in (3, (1 << 31) - 1):
+            assert _signed_negatives(columns, star, rows, p).bit_count() == (
+                oracles.mod_p_rank(dense, p))
 
 
 @settings(derandomize=True, deadline=None)
 @given(pairs(8), st.sampled_from(THREE_FIELDS))
 def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
-    # dropping the negative rows of each map from the next keeps every
-    # boundary rank, and the same ranks are computed as without it
+    # relative_homology ranks the pair on the star masks of its own index,
+    # with the negative rows of each map dropped from the next: face
+    # counts, boundary ranks and Betti numbers are those of the listed
+    # pair with every map ranked whole
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     for top in (None, *range(-1, psi.dim + 1)):
-        faces = pair_faces(psi.delta.facets, psi.gamma.facets,
-                           psi.n if top is None else top + 2, FACE_CAP)
-        assert _ranks_from_faces(faces, field, top) == oracles.uncompressed_ranks(faces, field, top)
-
-
-@st.composite
-def grounded_graphs(draw):
-    """Edges on vertices 0..7 as two-bit masks, the vertices present as rows
-    (the rest are ground), and the present vertices whose rows are dropped."""
-    vertices = [1 << v for v in range(8)]
-    present = sorted(draw(st.sets(st.sampled_from(vertices))))
-    dropped = draw(st.sets(st.sampled_from(present))) if present else set()
-    pairs_ = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
-    edges = sorted({a | b for a, b in draw(st.lists(pairs_, max_size=16)) if a != b})
-    return present, edges, dropped
-
-
-@settings(derandomize=True, deadline=None)
-@given(grounded_graphs())
-def test_union_find_rank_matches_column_rank(graph):
-    # d_1 with absent and dropped vertices as one ground node has the rank
-    # of its matrix over every field, and the merging edges are independent
-    present, edges, dropped = graph
-    rows = [v for v in present if v not in dropped]
-    merges = _merge_edges(present, edges, dropped)
-    for p in (0, 2, 3):
-        assert len(merges) == column_rank(_boundary_columns(rows, edges), p)
-        assert len(merges) == column_rank(_boundary_columns(rows, merges), p)
+        assert relative_homology(psi, field, top) == oracles.listed_homology(psi, field, top)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
