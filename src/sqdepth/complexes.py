@@ -8,9 +8,8 @@ the empty set has facet tuple (0,).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -65,10 +64,6 @@ class SimplicialComplex:
     def has_face(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
 
-    def face_masks(self, max_size: Optional[int] = None) -> set[int]:
-        """All faces; with max_size, only those of at most max_size vertices."""
-        return RelativeComplex(self, SimplicialComplex.void(self.n)).face_masks(max_size)
-
     def faces_of_size(self, k: int, limit: int) -> list[int]:
         """The faces of k vertices in ascending mask order.  Listing stops
         once more than `limit` are found, so a caller that compares the
@@ -90,29 +85,6 @@ def _faces_of_size(facets: Iterable[list[int]], k: int, limit: int) -> set[int]:
         if len(faces) > limit:
             break
     return faces
-
-
-def pair_faces(delta: tuple[int, ...], gamma: tuple[int, ...], max_size: int,
-               limit: int) -> Optional[dict[int, list[int]]]:
-    """The faces of delta outside gamma, for the pair with these facet
-    tuples, of at most max_size vertices: a list per dimension in ascending
-    mask order, with no entry for a dimension without faces.  None once
-    there are more than `limit`.
-
-    Sizes are listed in turn by pair_faces_of_size, each with what is left
-    of the limit, so the listing stops early past the limit.
-    """
-    delta, gamma = list(map(face_vertices, delta)), list(map(face_vertices, gamma))
-    by_dim: dict[int, list[int]] = {}
-    # delta has no faces of more vertices than its largest facet
-    for k in range(min(max_size, max(map(len, delta), default=-1)) + 1):
-        level = pair_faces_of_size(delta, gamma, k, limit)
-        if level is None:
-            return None
-        if level:
-            by_dim[k - 1] = sorted(level)
-            limit -= len(level)
-    return by_dim
 
 
 def pair_faces_of_size(delta: list[list[int]], gamma: list[list[int]], k: int,
@@ -158,14 +130,6 @@ class RelativeComplex:
         if not dims:
             raise ValueError("relative complex has no faces")
         return max(dims)
-
-    def face_masks(self, max_size: Optional[int] = None) -> set[int]:
-        """The faces of delta outside gamma; with max_size, only those of at
-        most max_size vertices.  Uncapped: no machine holds sys.maxsize // 2
-        faces."""
-        faces = pair_faces(self.delta.facets, self.gamma.facets,
-                           self.n if max_size is None else max_size, sys.maxsize // 2)
-        return set(chain.from_iterable(faces.values()))
 
 
 @dataclass(frozen=True)

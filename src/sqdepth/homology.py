@@ -8,8 +8,9 @@ dropped.
 
 Every homology here is ranked on the star masks of one index of a pair
 (_StarIndex), built one size at a time: per size, the faces in ascending
-mask order, one Python-int bitset per vertex, and each face's boundary as
-the positions of its facets one size down.  The star of a face F at a
+mask order, one Python-int bitset per vertex, and one boundary table, each
+face's facets (its vertices dropped in ascending order) as their positions
+one size down, so that entry t has sign (-1)^t.  The star of a face F at a
 size, the faces there that contain F, is the AND of F's vertex bitsets,
 and removing F from them gives the link pair at F; at the empty face it is
 the pair itself, which is how relative_homology ranks it.
@@ -24,9 +25,10 @@ stops once every row is a pivot.  d_0 and d_1 (a graph incidence matrix)
 are totally unimodular, so a column basis over GF(2) is one over every
 field: they are ranked over GF(2) by XOR elimination of Python ints, and
 b_{-1} and b_0 are exact over any field.  Over GF(2) the maps above are
-ranked the same way.  From d_2 up, an odd prime p ranks signed columns,
-entries (row, +-1), mod p with pivots scaled to 1, and QQ ranks the same
-columns with integer steps and a Fraction only where a pivot is not +-1.
+ranked the same way.  From d_2 up, an odd prime p ranks the same table,
+with the sign of each entry read from its position, mod p with pivots
+scaled to 1, and QQ ranks it with integer steps and a Fraction only where
+a pivot is not +-1.
 
 The depth pass tests the links of a whole level of faces for cones with
 one numpy computation, and on its last level, where only H_{-1} counts,
@@ -196,13 +198,11 @@ class CmVerdict:
 
 class _Level:
     """A pair's faces of one size in ascending mask order, for each vertex
-    the bitset of the positions of the faces containing it, and, once
-    needed, each face's boundary as the positions of its facets in the size
-    below (facets in gamma dropped): over GF(2) as row positions, and over
-    an odd prime or QQ as signed entries (row, +-1), each built only when a
-    star at that size is ranked that way."""
+    the bitset of the positions of the faces containing it, and, once a
+    star at that size is ranked, its boundary table (see
+    _StarIndex.columns), which every field's kernel reads."""
 
-    __slots__ = ("faces", "full", "bits", "columns", "signed")
+    __slots__ = ("faces", "full", "bits", "columns")
 
     def __init__(self, faces: list[int], n: int):
         self.faces = faces
@@ -214,7 +214,6 @@ class _Level:
         packed = np.packbits(flags, axis=1, bitorder="little")
         self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self.columns: Optional[list[tuple[int, ...]]] = None
-        self.signed: Optional[list[tuple[tuple[int, int], ...]]] = None
 
 
 class _StarIndex:
@@ -254,31 +253,28 @@ class _StarIndex:
             star &= level.bits[v]
         return star
 
-    def columns(self, k: int, signed: bool = False) -> list[tuple]:
-        """The boundary columns of size k, over GF(2) or, signed, as entries
-        (row, (-1)^position of the dropped vertex); size k - 1 must be held."""
+    def columns(self, k: int) -> list[tuple[int, ...]]:
+        """The boundary table of size k: for each face, the positions in
+        size k - 1 of its k facets, taken by dropping its vertices in
+        ascending order, so entry t has sign (-1)^t.  A facet in gamma gets
+        the position len(faces of size k - 1), a row that no star and no
+        rows bitset holds.  Size k - 1 must be held."""
         level = self.levels[k]
-        columns = level.signed if signed else level.columns
-        if columns is None:
-            rows = {h: r for r, h in enumerate(self.levels[k - 1].faces)}.get
+        if level.columns is None:
+            below = self.levels[k - 1].faces
+            rows = {h: r for r, h in enumerate(below)}.get
+            absent = len(below)
             columns = []
             for h in level.faces:
                 column = []
-                sign = 1
                 rest = h
                 while rest:
                     v = rest & -rest
-                    r = rows(h ^ v)
-                    if r is not None:
-                        column.append((r, sign) if signed else r)
-                    sign = -sign
+                    column.append(rows(h ^ v, absent))
                     rest ^= v
                 columns.append(tuple(column))
-            if signed:
-                level.signed = columns
-            else:
-                level.columns = columns
-        return columns
+            level.columns = columns
+        return level.columns
 
 
 def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
@@ -289,12 +285,16 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
     pivots: dict[int, int] = {}
     negative = 0
     wanted = rows.bit_count()
+    # a row past the last of `rows`, such as a facet in gamma, is never set:
+    # shifting to it would only widen the column
+    width = rows.bit_length()
     while star:
         j = star.bit_length() - 1
         star ^= 1 << j
         col = 0
         for r in columns[j]:
-            col |= 1 << r
+            if r < width:
+                col |= 1 << r
         col &= rows
         while col:
             low = col.bit_length() - 1
@@ -309,13 +309,13 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
     return negative
 
 
-def _signed_negatives(columns: list[tuple[tuple[int, int], ...]], star: int, rows: int,
-                      p: int) -> int:
-    """_gf2_negatives over GF(p), or over QQ for p = 0, on signed columns:
-    each column in `star`, restricted to `rows`, is reduced against the
-    kept ones by its highest row, read from the last.  A kept column is
-    scaled so that its pivot is 1 (by a Fraction over QQ where the pivot is
-    not +-1) and stored without it, so a step is one multiply-subtract."""
+def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: int) -> int:
+    """_gf2_negatives over GF(p), or over QQ for p = 0, on the same table,
+    entry t of a column with sign (-1)^t: each column in `star`, restricted
+    to `rows`, is reduced against the kept ones by its highest row, read
+    from the last.  A kept column is scaled so that its pivot is 1 (by a
+    Fraction over QQ where the pivot is not +-1) and stored without it, so
+    a step is one multiply-subtract."""
     pivots: dict[int, dict] = {}
     negative = 0
     wanted = rows.bit_count()
@@ -323,10 +323,14 @@ def _signed_negatives(columns: list[tuple[tuple[int, int], ...]], star: int, row
     # shifting a long bitset once per entry
     kept = bin(rows)[:1:-1]
     width = len(kept)
+    signs = (1, -1)  # signs[t] == (-1)^t, grown to the longest column read
     while star:
         j = star.bit_length() - 1
         star ^= 1 << j
-        col = {r: s for r, s in columns[j] if r < width and kept[r] == "1"}
+        column = columns[j]
+        if len(column) > len(signs):
+            signs = (1, -1) * len(column)
+        col = {r: s for r, s in zip(column, signs) if r < width and kept[r] == "1"}
         while col:
             low = max(col)
             other = pivots.get(low)
@@ -381,7 +385,7 @@ def _star_steps(face: int, index: _StarIndex, top: int, p: int):
         elif p == 2 or i < 2:
             above = _gf2_negatives(index.columns(k + 1), upper, rows)
         else:
-            above = _signed_negatives(index.columns(k + 1, signed=True), upper, rows, p)
+            above = _signed_negatives(index.columns(k + 1), upper, rows, p)
         yield current.bit_count(), negative.bit_count(), above.bit_count()
         current, negative, k = upper, above, k + 1
 

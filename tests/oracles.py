@@ -17,9 +17,13 @@ complex and the colon path to the dimension, which no report uses;
 and `classify_face` is the per-face cone test from the link facets; the
 package replaced them with row compression on star masks and one cone test
 per level.
+`pair_faces` and `face_masks` list a pair, or a complex, by dimension or
+as one set through the package's per-size lister `pair_faces_of_size`;
+no production path lists more than one size at a time.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1.
 """
 
+import sys
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -30,9 +34,10 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     complex_of_ideal,
+    face_vertices,
     ideal_of_complex,
     link_facets,
-    pair_faces,
+    pair_faces_of_size,
     relative_of_pair,
 )
 from sqdepth.homology import FACE_CAP, RATIONALS, ChainComplexRanks
@@ -57,6 +62,39 @@ def mask_to_set(mask):
 
 def set_to_mask(s):
     return sum(1 << (i - 1) for i in s)
+
+
+def pair_faces(delta, gamma, max_size, limit):
+    """The faces of delta outside gamma, for the pair with these facet
+    tuples, of at most max_size vertices: a list per dimension in ascending
+    mask order, with no entry for a dimension without faces.  None once
+    there are more than `limit`.
+
+    Sizes are listed in turn by pair_faces_of_size, each with what is left
+    of the limit, so the listing stops early past the limit.
+    """
+    delta, gamma = list(map(face_vertices, delta)), list(map(face_vertices, gamma))
+    by_dim = {}
+    # delta has no faces of more vertices than its largest facet
+    for k in range(min(max_size, max(map(len, delta), default=-1)) + 1):
+        level = pair_faces_of_size(delta, gamma, k, limit)
+        if level is None:
+            return None
+        if level:
+            by_dim[k - 1] = sorted(level)
+            limit -= len(level)
+    return by_dim
+
+
+def face_masks(x, max_size=None):
+    """The faces of a complex, or of a pair (delta outside gamma), as a set;
+    with max_size, only those of at most max_size vertices.  Uncapped: no
+    machine holds sys.maxsize // 2 faces."""
+    if isinstance(x, SimplicialComplex):
+        x = RelativeComplex(x, SimplicialComplex.void(x.n))
+    faces = pair_faces(x.delta.facets, x.gamma.facets,
+                       x.n if max_size is None else max_size, sys.maxsize // 2)
+    return set(chain.from_iterable(faces.values()))
 
 
 def ideal_gen_sets(ideal):
@@ -393,7 +431,7 @@ def reisner_witness(psi, field=RATIONALS):
     """The first face F (by size, then mask) whose link pair has homology in
     some dimension i below the pair's own dimension, as (F, i) with the
     lowest such i; None when psi passes Reisner's criterion."""
-    for f in sorted(psi.delta.face_masks(), key=lambda m: (m.bit_count(), m)):
+    for f in sorted(face_masks(psi.delta), key=lambda m: (m.bit_count(), m)):
         lk = link_pair(psi, f)
         if lk.is_empty:
             continue
@@ -420,7 +458,7 @@ def hochster_depth(pair, field=RATIONALS):
     dimension with nonzero homology of the full link pair at F."""
     psi = relative_of_pair(pair)
     best = None
-    for f in sorted(psi.delta.face_masks()):
+    for f in sorted(face_masks(psi.delta)):
         lk = link_pair(psi, f)
         if lk.is_empty:
             continue
@@ -441,7 +479,7 @@ def listed_pair_verdict(psi, field=RATIONALS):
     truncated at b - |F| - 2."""
     best = dim = psi.dim + 1
     witness = (None, None)
-    for f in sorted(psi.delta.face_masks(), key=lambda m: (m.bit_count(), m)):
+    for f in sorted(face_masks(psi.delta), key=lambda m: (m.bit_count(), m)):
         size = f.bit_count()
         if size >= best:
             break

@@ -15,7 +15,6 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     f_vector,
-    pair_faces,
     relative_facets_of_pair,
     relative_of_pair,
 )
@@ -231,7 +230,7 @@ def test_criterion_10_homology_sanity():
 
 
 def _assert_boundaries_compose_to_zero(c):
-    by_dim = pair_faces(c.facets, (), c.n, 100_000)
+    by_dim = oracles.pair_faces(c.facets, (), c.n, 100_000)
     dims = sorted(by_dim)
     for i in dims:
         if i - 1 not in by_dim or i + 1 not in by_dim:

@@ -9,7 +9,6 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     f_vector,
-    pair_faces,
     relative_of_pair,
 )
 from sqdepth.errors import CapExceededError
@@ -114,12 +113,12 @@ class TestReducedHomology:
             reduced_homology(SimplicialComplex.void(2))
 
     def test_boundary_composition_vanishes(self):
-        # on the listed oracle's columns, and on the signed columns of the
-        # star index, which every exact rank above d_1 reads
+        # on the listed oracle's columns, and on the boundary table of the
+        # star index, which every rank reads
         rng = random.Random(13)
         for _ in range(40):
             c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 6)))
-            by_dim = pair_faces(c.facets, (), c.n, 100_000)
+            by_dim = oracles.pair_faces(c.facets, (), c.n, 100_000)
             dims = sorted(by_dim)
             for i in dims:
                 if i - 1 not in by_dim or i + 1 not in by_dim:
@@ -144,22 +143,52 @@ class TestReducedHomology:
         assert reduced_homology(HOLLOW, GF5).betti == reduced_homology(HOLLOW).betti
 
 
-def assert_star_columns_compose_to_zero(c, by_dim):
-    """The star index of c holds its faces as listed in by_dim, its signed
-    columns are the oracle's boundary columns, and each composes to zero
-    with the one below."""
-    index = _StarIndex(c.facets, (), c.n)
-    sizes = range(c.dim + 3)
+def assert_star_columns_compose_to_zero(x, by_dim):
+    """The star index of x, a complex or a pair, holds its faces as listed
+    in by_dim; its boundary table, entry t read with sign (-1)^t and the
+    absent row (a facet in gamma) dropped, is the oracle's boundary columns
+    of the quotient complex, and each map composes to zero with the one
+    below.  Returns the number of absent entries."""
+    if isinstance(x, SimplicialComplex):
+        x = RelativeComplex(x, SimplicialComplex.void(x.n))
+    index = _StarIndex(x.delta.facets, x.gamma.facets, x.n)
+    sizes = range(x.delta.dim + 3)
     assert [index.star([], k).bit_count() for k in sizes] == [
         len(by_dim.get(k - 1, ())) for k in sizes]
-    signed = {k: [dict(col) for col in index.columns(k, signed=True)] for k in sizes if k}
-    for k in signed:
+    signed, absent = {}, 0
+    for k in sizes[1:]:
+        below, upper = index.levels[k - 1].faces, index.levels[k].faces
+        signed[k] = []
+        for h, column in zip(upper, index.columns(k)):
+            vertices = [v for v in range(x.n) if h >> v & 1]
+            assert len(column) == len(vertices)
+            for v, r in zip(vertices, column):
+                if r == len(below):
+                    assert x.gamma.has_face(h ^ 1 << v)
+                    absent += 1
+                else:
+                    assert below[r] == h ^ 1 << v
+            signed[k].append({r: (-1) ** t for t, r in enumerate(column) if r < len(below)})
         assert signed[k] == oracles.boundary_columns(by_dim.get(k - 2, []), by_dim.get(k - 1, []))
-        if k + 1 in signed:
-            assert all(not oracles.compose(signed[k], col) for col in signed[k + 1])
+        if k - 1 in signed:
+            assert all(not oracles.compose(signed[k - 1], col) for col in signed[k])
+    return absent
 
 
 class TestRelativeHomology:
+    def test_star_columns_with_facets_in_gamma_match_the_oracle(self):
+        # a facet in gamma sits at the absent row of the boundary table,
+        # which no star holds: read by position, the table must still be
+        # the boundary of the quotient complex
+        rng = random.Random(29)
+        absent = 0
+        for kind in (random_module_pair, random_pair):
+            for _ in range(150):
+                psi = relative_of_pair(kind(rng, rng.randint(2, 8)))
+                by_dim = oracles.pair_faces(psi.delta.facets, psi.gamma.facets, psi.n, 100_000)
+                absent += assert_star_columns_compose_to_zero(psi, by_dim)
+        assert absent > 1000
+
     def test_identical_pair_has_no_chains(self):
         ranks = relative_homology(RelativeComplex(HOLLOW, HOLLOW))
         assert ranks.betti == {} and ranks.face_counts == {}
@@ -307,7 +336,7 @@ class TestDepth:
             top_faces = [f for f in psi.delta.facets
                          if not psi.gamma.has_face(f)
                          and f.bit_count() - 1 == psi.dim]
-            if not top_faces or len(psi.face_masks()) < 2:
+            if not top_faces or len(oracles.face_masks(psi)) < 2:
                 continue
             lower1 = minimalize(list(pair.lower.generators) + [top_faces[0]], n)
             if lower1 == pair.upper:

@@ -13,7 +13,6 @@ from sqdepth.complexes import (
     SimplicialComplex,
     face_table,
     link_facets,
-    pair_faces,
     relative_of_pair,
 )
 from sqdepth.homology import (
@@ -171,9 +170,9 @@ def test_pair_faces_match_the_face_table_and_stop_past_the_limit(pair, void_gamm
     for max_size in range(psi.n + 2):
         expected = _table_pair_faces(psi, max_size)
         count = sum(map(len, expected.values()))
-        assert pair_faces(psi.delta.facets, psi.gamma.facets, max_size, FACE_CAP) == expected
+        assert oracles.pair_faces(psi.delta.facets, psi.gamma.facets, max_size, FACE_CAP) == expected
         for limit in {*range(6), *range(max(count - 1, 0), count + 2)}:
-            faces = pair_faces(psi.delta.facets, psi.gamma.facets, max_size, limit)
+            faces = oracles.pair_faces(psi.delta.facets, psi.gamma.facets, max_size, limit)
             assert faces == (None if count > limit else expected)
 
 
@@ -270,11 +269,11 @@ def test_star_mask_betti_numbers_match_the_listed_pair(pair, field):
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     index = _index(psi)
-    for f in sorted(psi.delta.face_masks()):
+    for f in sorted(oracles.face_masks(psi.delta)):
         lk_delta = link_facets(psi.delta.facets, f)
         lk_gamma = link_facets(psi.gamma.facets, f)
         for top in range(-1, psi.dim - f.bit_count() + 1):
-            faces = pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP)
+            faces = oracles.pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP)
             ranks = oracles.uncompressed_ranks(faces, field)
             expected = [ranks.betti_number(i) for i in range(-1, top + 1)]
             assert list(_star_bettis(f, index, top, field.characteristic)) == expected
@@ -314,20 +313,34 @@ def test_column_rank_matches_dense_elimination(mat):
         assert mod_p <= over_q
 
 
+def _positional(entries, absent):
+    """The column with these (row, sign) entries as _StarIndex.columns holds
+    it, entry t with sign (-1)^t: the row `absent`, which no rows bitset
+    holds, goes in front of each entry whose sign must flip."""
+    column = []
+    for r, s in entries:
+        if s != (-1) ** len(column):
+            column.append(absent)
+        column.append(r)
+    return tuple(column)
+
+
 def _signed_rank_cases(seed, count):
-    """Random sparse columns of +-1 entries over up to 10 rows, with a
-    random star of columns and a random bitset of kept rows; each case is
-    (columns, star, rows, dense matrix of the star's columns on the rows)."""
+    """Random sparse columns of +-1 entries over up to 10 rows, in
+    positional form, with a random star of columns and a random bitset of
+    kept rows; each case is (columns, star, rows, dense matrix of the
+    star's columns on the rows)."""
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
         height, width = rng.randint(1, 10), rng.randint(1, 10)
-        columns = [tuple((r, rng.choice((-1, 1))) for r in range(height) if rng.random() < 0.4)
+        entries = [[(r, rng.choice((-1, 1))) for r in range(height) if rng.random() < 0.4]
                    for _ in range(width)]
         star, rows = rng.getrandbits(width), rng.getrandbits(height)
         kept = [r for r in range(height) if rows >> r & 1]
-        chosen = [dict(columns[j]) for j in range(width) if star >> j & 1]
-        cases.append((columns, star, rows, [[c.get(r, 0) for c in chosen] for r in kept]))
+        chosen = [dict(entries[j]) for j in range(width) if star >> j & 1]
+        cases.append(([_positional(e, height) for e in entries], star, rows,
+                      [[c.get(r, 0) for c in chosen] for r in kept]))
     return cases
 
 
@@ -347,8 +360,8 @@ def test_signed_negatives_rank_matches_dense_elimination(seed):
         dense = [[c.get(r, 0) for c in d2 + d2] for r in range(len(edges))]
         assert (oracles.fraction_rank(dense), oracles.mod_p_rank(dense, 2),
                 oracles.mod_p_rank(dense, 3)) == ranks
-        cases.append(([tuple(c.items()) for c in d2 + d2], (1 << 2 * len(d2)) - 1,
-                      (1 << len(edges)) - 1, dense))
+        cases.append(([_positional(c.items(), len(edges)) for c in d2 + d2],
+                      (1 << 2 * len(d2)) - 1, (1 << len(edges)) - 1, dense))
     for columns, star, rows, dense in cases:
         assert _signed_negatives(columns, star, rows, 0).bit_count() == oracles.fraction_rank(dense)
         for p in (3, (1 << 31) - 1):
