@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -64,12 +64,6 @@ class SimplicialComplex:
     def has_face(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
 
-    def faces_of_size(self, k: int, limit: int) -> list[int]:
-        """The faces of k vertices in ascending mask order.  Listing stops
-        once more than `limit` are found, so a caller that compares the
-        length with its limit never holds much more than twice that many."""
-        return sorted(_faces_of_size(map(face_vertices, self.facets), k, limit))
-
 
 def face_vertices(face: int) -> list[int]:
     """The vertices of a face, as one-bit masks."""
@@ -85,19 +79,6 @@ def _faces_of_size(facets: Iterable[list[int]], k: int, limit: int) -> set[int]:
         if len(faces) > limit:
             break
     return faces
-
-
-def pair_faces_of_size(delta: list[list[int]], gamma: list[list[int]], k: int,
-                       limit: int) -> Optional[set[int]]:
-    """The faces of k vertices of delta outside gamma, for the pair with
-    these facets, each given by its face_vertices; None once there are more
-    than `limit`.  The faces of gamma are listed, then those of delta only
-    up to the limit plus that count."""
-    below = set().union(*(map(sum, combinations(vertices, k)) for vertices in gamma))
-    level = _faces_of_size(delta, k, limit + len(below))
-    if len(level) > limit + len(below):
-        return None
-    return level - below
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ faces of delta outside gamma, and boundary summands landing in gamma are
 dropped.
 
 Every homology here is ranked on the star masks of one index of a pair
-(_StarIndex), built one size at a time: per size, the faces in ascending
-mask order, one Python-int bitset per vertex, and one boundary table, each
-face's facets (its vertices dropped in ascending order) as their positions
-one size down, so that entry t has sign (-1)^t.  The star of a face F at a
-size, the faces there that contain F, is the AND of F's vertex bitsets,
-and removing F from them gives the link pair at F; at the empty face it is
-the pair itself, which is how relative_homology ranks it.
+(_StarIndex), built one size at a time from delta's faces alone: per size,
+those outside gamma in ascending mask order, one Python-int bitset per
+vertex, and one boundary table, each face's facets (its vertices dropped in
+ascending order) as their positions one size down, so that entry t has sign
+(-1)^t.  The star of a face F at a size, the faces there that contain F, is
+the AND of F's vertex bitsets, and removing F from them gives the link pair
+at F; at the empty face it is the pair itself, which is how
+relative_homology ranks it.
 
 Boundary maps are ranked bottom up, with row compression (Bauer, Kerber and
 Reininghaus, "Clear and Compress", 2014): the i-faces whose columns of
@@ -30,24 +31,25 @@ with the sign of each entry read from its position, mod p with pivots
 scaled to 1, and QQ ranks it with integer steps and a Fraction only where
 a pivot is not +-1.
 
-The depth pass tests the links of a whole level of faces for cones with
-one numpy computation, and on its last level, where only H_{-1} counts,
-reads the answer off the facets of delta and gamma instead of a link pair.
-Every other link pair is a star of one index of psi.  Over QQ the GF(2)
-ranks bound the answer: the boundary maps are integer matrices, whose
-rank over F_2 is at most their rank over Q, so each b_i(QQ) <= b_i(GF(2))
-(universal coefficients); a zero over GF(2) is final over QQ, and only a
-nonzero b_i with i >= 1 is recounted exactly on the same masks.  That
-bound fails for an odd prime p, since a torsion summand Z/p of H_{i-1}(Z)
-adds to b_i over GF(p) but not over GF(2); so over GF(p) the pair is
-ranked mod p directly.  Where psi's index refuses a size, the link pair
-gets an index of its own, built from its two link facet tuples, and is
-ranked from its empty face the same way.
+The depth pass reads its levels from psi's index, whose numpy test of a
+level also marks the faces whose links are cones, and on its last level,
+where only H_{-1} counts, reads the answer off the facets of delta and
+gamma instead of a link pair.  Every other link pair is a star of that
+index.  Over QQ the GF(2) ranks bound the answer: the boundary maps are
+integer matrices, whose rank over F_2 is at most their rank over Q, so each
+b_i(QQ) <= b_i(GF(2)) (universal coefficients); a zero over GF(2) is final
+over QQ, and only a nonzero b_i with i >= 1 is recounted exactly on the
+same masks.  That bound fails for an odd prime p, since a torsion summand
+Z/p of H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2); so over GF(p)
+the pair is ranked mod p directly.  Where psi's index refuses a size, the
+link pair gets an index of its own, built from its two link facet tuples,
+and is ranked from its empty face the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -56,16 +58,16 @@ from .errors import CapExceededError
 from .complexes import (
     RelativeComplex,
     SimplicialComplex,
+    _faces_of_size,
     face_vertices,
     link_facets,
-    pair_faces_of_size,
     relative_of_pair,
 )
 from .ideals import IdealPair
 
-# Most faces one homology call or one depth pass lists; read at call time.
+# Most pair faces an index holds and delta faces a depth pass visits; read at call time.
 FACE_CAP = 100_000
-# Most face-by-facet cells the depth pass's cone test holds at once; a level
+# Most face-by-facet cells one level's classification holds at once; a level
 # is classified in chunks of at most this many cells.  Read at call time.
 LEVEL_CELLS = 1 << 16
 # Ranks mod p are exact for any prime; the bound keeps _is_prime's trial
@@ -197,37 +199,43 @@ class CmVerdict:
 
 
 class _Level:
-    """A pair's faces of one size in ascending mask order, for each vertex
-    the bitset of the positions of the faces containing it, and, once a
-    star at that size is ranked, its boundary table (see
-    _StarIndex.columns), which every field's kernel reads."""
+    """An index's delta faces of one size (`level`, ascending), classified
+    once: the pair's faces, those outside gamma, with per vertex the bitset
+    of their positions and, once a star there is ranked, their boundary
+    table (see _StarIndex.columns); for the depth pass, the delta face
+    count, the faces the cone test keeps, and the facets of delta outside
+    gamma."""
 
-    __slots__ = ("faces", "full", "bits", "columns")
+    __slots__ = ("faces", "full", "bits", "columns", "listed", "visits", "facets")
 
-    def __init__(self, faces: list[int], n: int):
-        self.faces = faces
-        self.full = (1 << len(faces)) - 1
-        wide = n > 64
-        masks = np.array(faces, dtype=object if wide else np.uint64)
-        shifts = np.array(range(n), dtype=object if wide else np.uint64)
+    def __init__(self, level: list[int], index: _StarIndex):
+        skip, facet, in_gamma = _classify_level(level, index.delta, index.gamma, index.n)
+        self.faces = list(compress(level, (~in_gamma).tolist()))
+        self.full = (1 << len(self.faces)) - 1
+        wide = index.n > 64
+        masks = np.array(self.faces, dtype=object if wide else np.uint64)
+        shifts = np.array(range(index.n), dtype=object if wide else np.uint64)
         flags = ((masks[None, :] >> shifts[:, None]) & 1).astype(bool)
         packed = np.packbits(flags, axis=1, bitorder="little")
         self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self.columns: Optional[list[tuple[int, ...]]] = None
+        self.listed = len(level)
+        self.visits = list(compress(level, (~skip).tolist()))
+        self.facets = set(compress(level, facet.tolist()))
 
 
 class _StarIndex:
     """The faces of the pair with facet tuples delta and gamma (gamma's
-    faces inside delta's) on n vertices, by size, each size built the
-    first time a star there is needed (see _Level).  The star of F at a
-    size, the faces there that contain F, is the AND of F's vertex bitsets;
-    removing F from them gives the link pair at F.  At most FACE_CAP faces
-    are held: a size that would take the index past it is refused, and
-    reads None."""
+    faces inside delta's) on n vertices, by size, each size built from
+    delta's facets the first time it is needed (see _Level).  The star of F
+    at a size, the faces there that contain F, is the AND of F's vertex
+    bitsets; removing F from them gives the link pair at F.  At most
+    FACE_CAP faces of the pair are held: a size with more delta faces than
+    are left is refused, its listing stopped there, and reads None."""
 
     def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
         self.delta, self.gamma, self.n = delta, gamma, n
-        self.vertices = (list(map(face_vertices, delta)), list(map(face_vertices, gamma)))
+        self.vertices = list(map(face_vertices, delta))
         self.levels: dict[int, Optional[_Level]] = {}
         self.held = 0
 
@@ -238,14 +246,19 @@ class _StarIndex:
                 del self.levels[k]
                 self.held -= len(level.faces) if level else 0
 
+    def level(self, k: int) -> Optional[_Level]:
+        """The faces of k vertices (see _Level); None if the size is refused."""
+        if k not in self.levels:
+            limit = FACE_CAP - self.held
+            faces = _faces_of_size(self.vertices, k, limit)
+            self.levels[k] = level = None if len(faces) > limit else _Level(sorted(faces), self)
+            self.held += len(level.faces) if level else 0
+        return self.levels[k]
+
     def star(self, ids: list[int], k: int) -> Optional[int]:
         """The bitset of the faces of k vertices that contain the face whose
         vertices have these bit indices; None if the size is refused."""
-        if k not in self.levels:
-            faces = pair_faces_of_size(*self.vertices, k, FACE_CAP - self.held)
-            self.levels[k] = None if faces is None else _Level(sorted(faces), self.n)
-            self.held += len(faces) if faces else 0
-        level = self.levels[k]
+        level = self.level(k)
         if level is None:
             return None
         star = level.full
@@ -420,36 +433,39 @@ def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
     return None
 
 
-def _classify_level(level: list[int], delta: SimplicialComplex,
-                    gamma: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Two flags for each face F of delta in `level`: whether its link pair
+def _classify_level(level: list[int], delta: tuple[int, ...], gamma: tuple[int, ...],
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three flags for each face F in `level` of the pair with facet tuples
+    delta and gamma on n vertices, F a face of delta: whether its link pair
     is acyclic because its delta link is a cone and its gamma link is void
-    or a cone, and whether F is a facet of delta outside gamma, the one case
-    with H_{-1} of the pair nonzero.
+    or a cone; whether F is a facet of delta outside gamma, the one case
+    with H_{-1} of the pair nonzero; and whether F lies in gamma.
 
     The link of F is a cone exactly when the AND of the facets containing F
     has a vertex outside F.  The faces-by-facets tables are built in chunks
     of at most LEVEL_CELLS cells.
     """
-    dtype = np.uint64 if delta.n <= 64 else object
+    dtype = np.uint64 if n <= 64 else object
     everything = ~dtype(0) if dtype is np.uint64 else -1
     faces = np.array(level, dtype=dtype)
-    d = np.array(delta.facets, dtype=dtype)
-    g = np.array(gamma.facets, dtype=dtype)
-    skip = np.empty(len(level), dtype=bool)
-    facet_outside_gamma = np.empty(len(level), dtype=bool)
+    d = np.array(delta, dtype=dtype)
+    g = np.array(gamma, dtype=dtype)
+    skip, facet_outside_gamma, in_gamma = np.empty((3, len(level)), dtype=bool)
     rows = max(1, LEVEL_CELLS // max(len(d), len(g), 1))
     for start in range(0, len(level), rows):
         chunk = slice(start, start + rows)
         f = faces[chunk, None]
         in_d, in_g = (f & ~d) == 0, (f & ~g) == 0
         apex_d = np.bitwise_and.reduce(np.where(in_d, d, everything), axis=1)
-        apex_g = np.bitwise_and.reduce(np.where(in_g, g, everything), axis=1, initial=everything)
         f = f[:, 0]
-        gamma_void = ~in_g.any(axis=1)
-        skip[chunk] = (apex_d != f) & (gamma_void | (apex_g != f))
-        facet_outside_gamma[chunk] = (d == f[:, None]).any(axis=1) & gamma_void
-    return skip, facet_outside_gamma
+        inside = in_gamma[chunk] = in_g.any(axis=1)
+        cone = apex_d != f
+        both = cone & inside  # only there does the gamma link decide
+        apex_g = np.bitwise_and.reduce(np.where(in_g[both], g, everything), axis=1)
+        cone[both] = apex_g != f[both]
+        skip[chunk] = cone
+        facet_outside_gamma[chunk] = (d == f[:, None]).any(axis=1) & ~inside
+    return skip, facet_outside_gamma, in_gamma
 
 
 def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
@@ -459,20 +475,19 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
 
     Faces are visited by size, then mask.  A face can only lower the best
     value b so far through i <= b - |F| - 2, so the pass stops once |F|
-    reaches b, and each link pair's homology is truncated at that i.  The
-    faces of one size are listed only when the pass reaches that size, and
-    only listed faces count against FACE_CAP.  One numpy cone test per
-    level (_classify_level) skips the faces whose two links are cones, or
-    whose delta link is a cone and gamma link void: such a pair is acyclic.
-    Where only i = -1 can still lower b (|F| = b - 1), H_{-1} of the pair
-    is nonzero exactly when F is a facet of delta outside gamma, which the
-    same test reads off, so no pair there is read or ranked.  Every other
-    link pair is read from psi's index (_StarIndex), whose sizes are built
-    when a star there is first needed and dropped once below the level or
-    above b, and its first homology is found by _first_homology.  Where
-    the index refuses a size, the pair gets an index of its own from its
-    link facets; a needed pair over FACE_CAP stops the pass, as one
-    homology call does.
+    reaches b, and each link pair's homology is truncated at that i.  Each
+    level is read from psi's index (_StarIndex.level), built when the pass
+    or a star first needs it and dropped once below the level or above b;
+    its delta faces count against FACE_CAP, and a level the index refuses
+    stops the pass.  Its cone test (_classify_level) has skipped the faces
+    whose two links are cones, or whose delta link is a cone and gamma link
+    void: such a pair is acyclic.  Where only i = -1 can still lower b
+    (|F| = b - 1), H_{-1} of the pair is nonzero exactly when F is a facet
+    of delta outside gamma, which the same test reads off, so no pair there
+    is read or ranked.  Every other link pair is a star of the index, and its
+    first homology is found by _first_homology.  Where the index refuses a
+    size, the pair gets an index of its own from its link facets; a needed
+    pair over FACE_CAP stops the pass, as one homology call does.
     The first (F, i) to set the final minimum is the witness.
     """
     best = dim = psi.dim + 1
@@ -481,16 +496,14 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     witness_face = witness_dim = None
     size = 0
     while size < best:
-        level = psi.delta.faces_of_size(size, FACE_CAP - listed)
-        listed += len(level)
-        if listed > FACE_CAP:
-            raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
-        skip, facet_outside_gamma = _classify_level(level, psi.delta, psi.gamma)
         index.keep(size, best)
-        for j in np.flatnonzero(~skip).tolist():
-            f = level[j]
+        level = index.level(size)
+        if level is None or listed + level.listed > FACE_CAP:
+            raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+        listed += level.listed
+        for f in level.visits:
             if size == best - 1:  # only H_{-1} can lower best here
-                if facet_outside_gamma[j]:
+                if f in level.facets:
                     best, witness_face, witness_dim = size, f, -1
                     break
                 continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 from typing import Optional
 
@@ -76,8 +76,12 @@ class ReportBuilder:
         self.cm: Optional[bool] = None
         self.cm_witness = None
 
+    @cached_property
+    def psi(self):  # the relative complex, built once for depth and the skeleton check
+        return relative_of_pair(self.pair)
+
     def compute_depth(self) -> None:
-        verdict = depth_verdict(relative_of_pair(self.pair), self.field)
+        verdict = depth_verdict(self.psi, self.field)
         self.depth = verdict.depth
         self.cm = verdict.is_cm
         if verdict.witness_face is not None:
@@ -224,7 +228,7 @@ def _skeleton_h_check(b: ReportBuilder) -> dict:
     # so its face counts are the first d'+1 entries of the f-vector of psi,
     # and its h-vector at level d' is row d' of the f-vector's transform:
     # one table and one pass of rows serve every level.
-    faces = f_vector(relative_of_pair(b.pair)).entries
+    faces = f_vector(b.psi).entries
     h_rows = _transform_rows(faces, b.dim)
     for dprime in range(0, b.dim + 1):
         expected = b.betas[dprime].values

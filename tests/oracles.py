@@ -4,7 +4,7 @@ These work on frozensets of 1-based indices and plain list matrices over
 Fractions, deliberately avoiding the bitmask and elimination code they are
 used to check.  The bool_* kernels are the one-byte-per-mask subset tables
 that the packed tables of `sqdepth.ideals` replaced.  The depth oracles
-reuse the package's link facets and face lister, but neither its depth
+reuse the package's link facets, but neither its face lister, its depth
 pass, its truncation nor its rank kernel: they rank link pairs with
 `listed_homology`.  `skeleton_scan_depth` is the skeleton scan with
 Reisner tests that the one-pass depth replaced, and `hochster_depth`
@@ -18,14 +18,15 @@ and `classify_face` is the per-face cone test from the link facets; the
 package replaced them with row compression on star masks and one cone test
 per level.
 `pair_faces` and `face_masks` list a pair, or a complex, by dimension or
-as one set through the package's per-size lister `pair_faces_of_size`;
-no production path lists more than one size at a time.
+as one set, listing gamma's faces of each size and subtracting them, so
+they do not share the package's lister, which lists delta's faces of one
+size and never gamma's.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1.
 """
 
 import sys
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -37,7 +38,6 @@ from sqdepth.complexes import (
     face_vertices,
     ideal_of_complex,
     link_facets,
-    pair_faces_of_size,
     relative_of_pair,
 )
 from sqdepth.homology import FACE_CAP, RATIONALS, ChainComplexRanks
@@ -70,16 +70,22 @@ def pair_faces(delta, gamma, max_size, limit):
     mask order, with no entry for a dimension without faces.  None once
     there are more than `limit`.
 
-    Sizes are listed in turn by pair_faces_of_size, each with what is left
-    of the limit, so the listing stops early past the limit.
+    Sizes are listed in turn, each with what is left of the limit: gamma's
+    faces of the size are listed whole, then delta's only up to the limit
+    plus that count, and gamma's are subtracted, so the listing stops early
+    past the limit.
     """
     delta, gamma = list(map(face_vertices, delta)), list(map(face_vertices, gamma))
     by_dim = {}
     # delta has no faces of more vertices than its largest facet
     for k in range(min(max_size, max(map(len, delta), default=-1)) + 1):
-        level = pair_faces_of_size(delta, gamma, k, limit)
-        if level is None:
-            return None
+        below = set().union(*(map(sum, combinations(vertices, k)) for vertices in gamma))
+        level = set()
+        for vertices in delta:
+            level.update(islice(map(sum, combinations(vertices, k)), limit + len(below) + 1))
+            if len(level) > limit + len(below):
+                return None
+        level -= below
         if level:
             by_dim[k - 1] = sorted(level)
             limit -= len(level)

@@ -6,9 +6,11 @@ import pytest
 from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
+    _faces_of_size,
     complex_of_ideal,
     f_vector,
     face_table,
+    face_vertices,
     ideal_of_complex,
     pair_of_relative,
     relative_facets_of_pair,
@@ -194,12 +196,16 @@ class TestFacesOfSize:
             faces = oracles.face_masks(c)
             for k in range(c.n + 1):
                 expected = sorted(f for f in faces if f.bit_count() == k)
-                assert c.faces_of_size(k, len(faces)) == expected
+                listed = _faces_of_size(map(face_vertices, c.facets), k, len(faces))
+                assert sorted(listed) == expected
 
     def test_listing_stops_past_the_limit(self):
         # the 10-vertex faces of a 20-simplex number C(20, 10) = 184756
-        level = SimplicialComplex.full_simplex(20).faces_of_size(10, 100)
-        assert 100 < len(level) <= 201
+        level = _faces_of_size([face_vertices((1 << 20) - 1)], 10, 100)
+        assert len(level) == 101
+        # facet by facet, at most limit + 1 from each, stopping once past it
+        facets = [face_vertices(((1 << 8) - 1) << s) for s in range(13)]
+        assert 100 < len(_faces_of_size(facets, 5, 100)) <= 201
 
 
 class TestPairFaces:

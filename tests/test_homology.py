@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -519,17 +520,19 @@ class TestFaceCap:
         # delta is a 4-simplex plus a point and gamma a 3-simplex: the pass
         # reads one link pair, at the empty face, which is psi itself (33 -
         # 16 = 17 faces); H_0 needs only psi's faces of at most two vertices,
-        # none, {1} and {6}, and the four edges {1, v}, so 6 are indexed;
-        # under that the pair gets an index of its own from its link facets,
-        # which refuses the same size
+        # none, {1} and {6}, and the four edges {1, v}.  Sizes 0 and 1 hold
+        # 2 of them, and the 10 edges of delta are listed against what that
+        # leaves, so 12 lets the size be indexed; under that the pair gets
+        # an index of its own from its link facets, which refuses the same
+        # size
         from sqdepth import homology
 
         text = "n: 6\nJ: x1, x6\nI: " + ", ".join(f"x6*x{v}" for v in range(1, 6))
         psi = relative_of_pair(parse_problem_text(text).pair())
-        monkeypatch.setattr(homology, "FACE_CAP", 6)
+        monkeypatch.setattr(homology, "FACE_CAP", 12)
         assert depth_verdict(psi).depth == 1
-        monkeypatch.setattr(homology, "FACE_CAP", 5)
-        with pytest.raises(CapExceededError, match="face count exceeds the cap 5"):
+        monkeypatch.setattr(homology, "FACE_CAP", 11)
+        with pytest.raises(CapExceededError, match="face count exceeds the cap 11"):
             depth_verdict(psi)
 
     def test_only_link_pairs_count_when_psi_is_over_the_cap(self):
@@ -559,6 +562,29 @@ class TestBoundedListing:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20
+
+    def test_top_face_module_lists_no_gamma_faces(self, monkeypatch):
+        # J/I = (0, x1*...*x16): delta is the 15-simplex and gamma its
+        # boundary, so the pair is the one top face while gamma has 2^16 - 1
+        # faces; every list stops past what is left of the cap, so the pass
+        # reaches the cap error having built a few cap-sized lists, none of
+        # them of gamma
+        from sqdepth import complexes, homology
+
+        built = 0
+
+        def counted(vertices, k):
+            nonlocal built
+            for combo in combinations(vertices, k):
+                built += 1
+                yield combo
+
+        monkeypatch.setattr(complexes, "combinations", counted)
+        monkeypatch.setattr(homology, "FACE_CAP", 1000)
+        text = "n: 16\nJ: " + "*".join(f"x{v}" for v in range(1, 17)) + "\nI: zero"
+        with pytest.raises(CapExceededError, match="^face count exceeds the cap 1000$"):
+            depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
+        assert built < 4 * 1000
 
 
 class TestCoefficientField:

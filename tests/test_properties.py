@@ -11,7 +11,9 @@ from sqdepth import homology
 from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
+    _faces_of_size,
     face_table,
+    face_vertices,
     link_facets,
     relative_of_pair,
 )
@@ -201,7 +203,7 @@ def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
     dim = psi.dim + 1
     index = _index(psi)
     for size in range(dim):
-        for f in psi.delta.faces_of_size(size, FACE_CAP):
+        for f in sorted(_faces_of_size(map(face_vertices, psi.delta.facets), size, FACE_CAP)):
             lk = oracles.link_pair(psi, f)
             own = _StarIndex(link_facets(psi.delta.facets, f), link_facets(psi.gamma.facets, f),
                              psi.n)
@@ -388,7 +390,8 @@ def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
 def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cells):
     # the cone test of one level in chunks of `cells` cells, small ones
     # putting chunk edges inside every level, against the per-face test
-    # from the link facets; the facet flag is H_{-1} of the link pair
+    # from the link facets; the facet flag is H_{-1} of the link pair, and
+    # the gamma flag membership in gamma
     psi = relative_of_pair(pair)
     if void_gamma:
         psi = RelativeComplex(psi.delta, SimplicialComplex.void(psi.n))
@@ -396,10 +399,12 @@ def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cell
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "LEVEL_CELLS", cells)
         for size in range(psi.dim + 2):
-            level = psi.delta.faces_of_size(size, FACE_CAP)
-            skip, facet_outside_gamma = _classify_level(level, psi.delta, psi.gamma)
+            level = sorted(_faces_of_size(map(face_vertices, psi.delta.facets), size, FACE_CAP))
+            skip, facet_outside_gamma, in_gamma = _classify_level(
+                level, psi.delta.facets, psi.gamma.facets, psi.n)
             expected = [oracles.classify_face(psi, f) for f in level]
             assert list(zip(skip.tolist(), facet_outside_gamma.tolist())) == expected
+            assert in_gamma.tolist() == [psi.gamma.has_face(f) for f in level]
             for f, flag in zip(level, facet_outside_gamma.tolist()):
                 lk = oracles.link_pair(psi, f)
                 h = 0 if lk.is_empty else relative_homology(lk, RATIONALS, -1).betti_number(-1)
