@@ -231,29 +231,36 @@ class _StarIndex:
     at a size, the faces there that contain F, is the AND of F's vertex
     bitsets; removing F from them gives the link pair at F.  At most
     FACE_CAP faces of the pair are held: a size with more delta faces than
-    are left is refused, its listing stopped there, and reads None."""
+    are left is refused, its listing stopped there, and reads None.  A size
+    refused with L faces left has more than L delta faces, so it stays
+    refused, without being listed again, until more than L are left."""
 
     def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
         self.delta, self.gamma, self.n = delta, gamma, n
         self.vertices = list(map(face_vertices, delta))
-        self.levels: dict[int, Optional[_Level]] = {}
+        self.levels: dict[int, _Level] = {}
+        self.refused: dict[int, int] = {}  # size -> faces left when it was refused
         self.held = 0
 
     def keep(self, low: int, high: int) -> None:
-        """Forget the sizes outside low..high, and every refusal."""
-        for k, level in list(self.levels.items()):
-            if level is None or not low <= k <= high:
-                del self.levels[k]
-                self.held -= len(level.faces) if level else 0
+        """Forget the sizes outside low..high; refusals are kept."""
+        for k in [k for k in self.levels if not low <= k <= high]:
+            self.held -= len(self.levels.pop(k).faces)
 
     def level(self, k: int) -> Optional[_Level]:
         """The faces of k vertices (see _Level); None if the size is refused."""
-        if k not in self.levels:
-            limit = FACE_CAP - self.held
-            faces = _faces_of_size(self.vertices, k, limit)
-            self.levels[k] = level = None if len(faces) > limit else _Level(sorted(faces), self)
-            self.held += len(level.faces) if level else 0
-        return self.levels[k]
+        if k in self.levels:
+            return self.levels[k]
+        limit = FACE_CAP - self.held
+        if limit <= self.refused.get(k, -1):
+            return None
+        faces = _faces_of_size(self.vertices, k, limit)
+        if len(faces) > limit:
+            self.refused[k] = limit
+            return None
+        self.levels[k] = level = _Level(sorted(faces), self)
+        self.held += len(level.faces)
+        return level
 
     def star(self, ids: list[int], k: int) -> Optional[int]:
         """The bitset of the faces of k vertices that contain the face whose

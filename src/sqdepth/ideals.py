@@ -112,11 +112,40 @@ def minimalize(masks: Iterable[int], n: int) -> MonomialIdeal:
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
     # kept is a canonically ordered antichain of checked masks by
-    # construction, so the O(g^2) checks of __post_init__ are skipped
+    # construction
+    return _trusted_ideal(n, tuple(kept))
+
+
+def _trusted_ideal(n: int, generators: tuple[int, ...]) -> MonomialIdeal:
+    # For generators known to be a canonically ordered antichain of masks
+    # below 2^n: the O(g^2) checks of __post_init__ are skipped.
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "n", n)
-    object.__setattr__(ideal, "generators", tuple(kept))
+    object.__setattr__(ideal, "generators", generators)
     return ideal
+
+
+def relabel_onto(ideal: MonomialIdeal, support: int) -> MonomialIdeal:
+    """The ideal on max(1, |support|) variables whose generators are the
+    ideal's, each inside `support`, with the variables of `support`
+    renumbered 1, 2, ... in order.  The renumbering keeps divisibility,
+    degrees and the order of mask values, so the generators stay a
+    canonically ordered antichain.
+    """
+    n = max(support.bit_count(), 1)
+    if support & (support + 1) == 0:  # x_1..x_s: the masks stay as they are
+        return _trusted_ideal(n, ideal.generators)
+    renumbered = {1 << b: 1 << j for j, b in enumerate(
+        b for b in range(support.bit_length()) if support >> b & 1)}
+    generators = []
+    for g in ideal.generators:
+        mask = 0
+        while g:
+            low = g & -g
+            mask |= renumbered[low]
+            g ^= low
+        generators.append(mask)
+    return _trusted_ideal(n, tuple(generators))
 
 
 def _colon_single(ideal: MonomialIdeal, gmask: int) -> MonomialIdeal:

@@ -1,20 +1,22 @@
 """Counting invariants of a module J/I and their binomial transforms.
 
-alpha counts the subsets A with x_A in J \\ I by cardinality.  The level-q
-transform beta is the signed binomial transform of alpha; the Hilbert depth
-is the largest level at which every transform entry is nonnegative.
+alpha counts the subsets A with x_A in J \\ I by cardinality, on subset
+tables over the variables the generators of I and J use, each other
+variable multiplying the counts by (1 + t).  The level-q transform beta is
+the signed binomial transform of alpha; the Hilbert depth is the largest
+level at which every transform entry is nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import comb
-from operator import mul, sub
+from operator import add, mul, or_, sub
 from typing import Optional, Sequence
 
 from .complexes import ComplexLike, f_vector
-from .ideals import IdealPair, degree_counts, membership_table
+from .ideals import IdealPair, degree_counts, membership_table, relabel_onto
 from .macaulay import binomial_ext
 
 
@@ -103,9 +105,22 @@ def _direct_transform(counts: Sequence[int], q: int) -> tuple[int, ...]:
 
 
 def alpha(pair: IdealPair) -> AlphaVector:
-    """Count members of J \\ I by degree on packed tables of all 2^n masks."""
-    table = membership_table(pair.upper) & ~membership_table(pair.lower)
-    return AlphaVector(pair.n, degree_counts(table, pair.n))
+    """Count members of J \\ I by degree.
+
+    Whether x_A lies in J or in I depends only on the part of A in the
+    support, the variables some generator of I or J uses.  So both ideals
+    are relabeled onto those s variables (one if there are none) and
+    counted there on packed tables of all 2^s masks; each of the n - s
+    other variables is free, which multiplies the counts by (1 + t).  The
+    table budget bounds s, not n.
+    """
+    support = reduce(or_, pair.lower.generators + pair.upper.generators, 0)
+    upper, lower = relabel_onto(pair.upper, support), relabel_onto(pair.lower, support)
+    table = membership_table(upper) & ~membership_table(lower)
+    counts = degree_counts(table, upper.n)
+    for _ in range(pair.n - upper.n):  # times 1 + t: Pascal's rule
+        counts = (counts[0], *map(add, counts[1:], counts), counts[-1])
+    return AlphaVector(pair.n, counts)
 
 
 def beta(alpha_vec: AlphaVector, q: int) -> BetaVector:

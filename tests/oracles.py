@@ -21,6 +21,8 @@ per level.
 as one set, listing gamma's faces of each size and subtracting them, so
 they do not share the package's lister, which lists delta's faces of one
 size and never gamma's.
+`table_alpha` counts alpha on tables over all 2^n masks, which the
+package replaced with tables over the variables the generators use.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1.
 """
 
@@ -41,7 +43,14 @@ from sqdepth.complexes import (
     relative_of_pair,
 )
 from sqdepth.homology import FACE_CAP, RATIONALS, ChainComplexRanks
-from sqdepth.ideals import IdealPair, _canonical_masks, colon, minimalize
+from sqdepth.ideals import (
+    IdealPair,
+    _canonical_masks,
+    colon,
+    degree_counts,
+    membership_table,
+    minimalize,
+)
 
 
 def subsets(n):
@@ -362,6 +371,14 @@ def bool_degree_counts(table, n):
     for _ in range(n):
         sizes = np.concatenate([sizes, sizes + 1])
     return tuple(int(c) for c in np.bincount(sizes[table], minlength=n + 1))
+
+
+def table_alpha(pair):
+    """alpha of J/I from the packed membership tables of both ideals over
+    all 2^n masks, the package's alpha before it counted on the variables
+    the generators use."""
+    table = membership_table(pair.upper) & ~membership_table(pair.lower)
+    return degree_counts(table, pair.n)
 
 
 def bool_alpha(pair):

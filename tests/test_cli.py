@@ -113,13 +113,27 @@ class TestInvariantsCommand:
         assert captured.out == ""
 
     def test_table_too_large_for_memory(self, tmp_path, capsys):
-        # raising --max-n to 40 used to end in numpy's allocation error
+        # raising --max-n to 40 used to end in numpy's allocation error; the
+        # path x1*x2, ..., x39*x40 uses all 40 variables, so alpha's tables
+        # span 2^40 masks
+        path = ", ".join(f"x{v}*x{v + 1}" for v in range(1, 40))
         wide = tmp_path / "wide.ideal"
-        wide.write_text("n: 40\nJ: unit\nI: x1*x2, x39*x40\n", encoding="utf-8")
+        wide.write_text(f"n: 40\nJ: unit\nI: {path}\n", encoding="utf-8")
         assert main(["invariants", str(wide), "--max-n", "40"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "bytes" in err and "n=40" in err
+
+    def test_free_variables_need_no_table(self, tmp_path, capsys):
+        # x1*x2 and x39*x40 use 4 of the 40 variables: alpha is counted on
+        # 2^4 masks and the other 36 variables are free
+        wide = tmp_path / "wide.ideal"
+        wide.write_text("n: 40\nJ: unit\nI: x1*x2, x39*x40\n", encoding="utf-8")
+        assert main(["invariants", str(wide), "--max-n", "40"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        counts = next(line for line in out if line.startswith("alpha:")).split()[1:]
+        assert (counts[2], counts[38]) == ("778", "4")
+        assert "hdepth: 38" in out
 
 
 class TestUnreadableFiles:

@@ -586,6 +586,30 @@ class TestBoundedListing:
             depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
         assert built < 4 * 1000
 
+    def test_a_refused_size_is_not_listed_again(self, monkeypatch):
+        # J/I = (0, x1*...*x6) on 7 variables: delta is the 6-simplex, with
+        # 35 faces of 3 vertices, and gamma holds every smaller face, so no
+        # face of psi is held below that size and 30 faces are left for it
+        # at every level.  The size is refused at level 1, for the star at
+        # x7, needed again at level 2 for the stars at the edges {v, 7},
+        # and at level 3 as the level itself, which ends the pass; it is
+        # listed once, not once per level
+        from sqdepth import homology
+
+        listed = []
+        faces_of_size = homology._faces_of_size
+
+        def counted(vertices, k, limit):
+            listed.append((len(vertices[0]), k))
+            return faces_of_size(vertices, k, limit)
+
+        monkeypatch.setattr(homology, "_faces_of_size", counted)
+        monkeypatch.setattr(homology, "FACE_CAP", 30)
+        text = "n: 7\nJ: " + "*".join(f"x{v}" for v in range(1, 7)) + "\nI: zero"
+        with pytest.raises(CapExceededError, match="^face count exceeds the cap 30$"):
+            depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
+        assert [k for vertices, k in listed if vertices == 7] == [0, 1, 2, 3]
+
 
 class TestCoefficientField:
     def test_prime_validation(self):

@@ -1,9 +1,11 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from sqdepth.complexes import SimplicialComplex, relative_of_pair
+from sqdepth.errors import CapExceededError
 from sqdepth.ideals import IdealPair, MonomialIdeal, parse_ideal
 from sqdepth.invariants import (
     AlphaVector,
@@ -95,6 +97,25 @@ class TestAlpha:
         # n = 25 is beyond the enumeration cap of reports and the CLI
         a = alpha(IdealPair.quotient(MonomialIdeal(25, (1,))))
         assert a.counts == tuple(comb(24, k) for k in range(26))
+
+    def test_free_variables_multiply_by_binomials(self):
+        # x1*x2 uses 2 of 63 variables: the monomials outside (x1*x2) are
+        # those of degree k minus the multiples of x1*x2
+        a = alpha(IdealPair.quotient(parse_ideal("x1*x2", 63)))
+        assert a.counts == tuple(comb(63, k) - comb(61, k - 2) if k >= 2 else comb(63, k)
+                                 for k in range(64))
+
+    def test_budget_bounds_the_variables_the_generators_use(self, monkeypatch):
+        # the path x1*x2, ..., x31*x32 uses 32 variables, so its tables
+        # would span 2^32 masks: refused before numpy allocates them
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        path = ", ".join(f"x{v}*x{v + 1}" for v in range(1, 32))
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        monkeypatch.setattr(np, "full", no_allocation)
+        with pytest.raises(CapExceededError, match=r"n=32 needs about \d+ bytes"):
+            alpha(IdealPair.quotient(parse_ideal(path, 63)))
 
 
 class TestBeta:

@@ -39,6 +39,7 @@ from sqdepth.ideals import (
     parse_ideal,
 )
 from sqdepth.invariants import alpha, hdepth, hdepth_of_alpha
+from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
 
 import oracles
 
@@ -103,6 +104,31 @@ def test_minimalize_output_passes_full_validation(n_masks):
     n, masks = n_masks
     m = minimalize(masks, n)
     assert MonomialIdeal(n, m.generators) == m
+
+
+@st.composite
+def randgen_pairs(draw, max_n):
+    """A pair from one of the three randgen kinds over 1..max_n variables:
+    random generators of any degree, so some variables often go unused."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from((random_pair, random_quotient_pair, random_module_pair)))
+    return kind(draw(st.randoms(use_true_random=False)), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(randgen_pairs(20))
+@example(IdealPair(MonomialIdeal.zero(5), MonomialIdeal.unit(5)))  # S itself: no support
+@example(IdealPair.quotient(parse_ideal("x2*x4", 6)))  # J unit
+@example(IdealPair.module(parse_ideal("x1*x3, x5", 7)))  # I zero
+@example(IdealPair(parse_ideal("x1*x2*x3, x3*x4", 4), parse_ideal("x1, x3", 4)))  # all used
+@example(IdealPair.quotient(parse_ideal("x1*x2, x2*x3, x7*x8, x8*x9", 12)))  # two clusters
+def test_alpha_on_the_support_matches_the_tables_over_all_masks(pair):
+    counts = alpha(pair).counts
+    assert counts == oracles.table_alpha(pair)
+    if pair.n <= 8:
+        assert counts == oracles.brute_alpha(
+            oracles.ideal_gen_sets(pair.lower), oracles.ideal_gen_sets(pair.upper),
+            pair.n, unit_upper=pair.upper.is_unit)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
