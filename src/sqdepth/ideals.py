@@ -133,8 +133,6 @@ def relabel_onto(ideal: MonomialIdeal, support: int) -> MonomialIdeal:
     canonically ordered antichain.
     """
     n = max(support.bit_count(), 1)
-    if support & (support + 1) == 0:  # x_1..x_s: the masks stay as they are
-        return _trusted_ideal(n, ideal.generators)
     renumbered = {1 << b: 1 << j for j, b in enumerate(
         b for b in range(support.bit_length()) if support >> b & 1)}
     generators = []
@@ -270,11 +268,16 @@ def _valid_bits(n: int) -> np.uint64:
     return np.uint64((1 << (1 << min(n, 6))) - 1)
 
 
-def check_table_budget(n: int) -> None:
+def check_table_budget(n: int, of: int | None = None) -> None:
+    """Refuse subset tables over 2^n masks that exceed the budget, before
+    any is allocated.  `of`, if given, is the variable count of the input
+    whose n used variables the tables span; if it differs from n, the
+    message names both."""
     estimate = TABLES_PER_CALL * 8 * word_count(n)
     if estimate > TABLE_MEMORY_BUDGET:
+        count = f"n={n} needs" if of in (None, n) else f"{n} of the n={of} variables need"
         raise CapExceededError(
-            f"n={n} needs about {estimate} bytes of subset tables "
+            f"{count} about {estimate} bytes of subset tables "
             f"({TABLES_PER_CALL} of {8 * word_count(n)} bytes), over the "
             f"budget of {TABLE_MEMORY_BUDGET} bytes"
         )

@@ -16,7 +16,9 @@ from operator import add, mul, or_, sub
 from typing import Optional, Sequence
 
 from .complexes import ComplexLike, f_vector
-from .ideals import IdealPair, degree_counts, membership_table, relabel_onto
+from .ideals import (
+    IdealPair, check_table_budget, degree_counts, membership_table, relabel_onto,
+)
 from .macaulay import binomial_ext
 
 
@@ -116,6 +118,7 @@ def alpha(pair: IdealPair) -> AlphaVector:
     """
     support = reduce(or_, pair.lower.generators + pair.upper.generators, 0)
     upper, lower = relabel_onto(pair.upper, support), relabel_onto(pair.lower, support)
+    check_table_budget(upper.n, of=pair.n)
     table = membership_table(upper) & ~membership_table(lower)
     counts = degree_counts(table, upper.n)
     for _ in range(pair.n - upper.n):  # times 1 + t: Pascal's rule

@@ -106,15 +106,17 @@ class TestAlpha:
                                  for k in range(64))
 
     def test_budget_bounds_the_variables_the_generators_use(self, monkeypatch):
-        # the path x1*x2, ..., x31*x32 uses 32 variables, so its tables
-        # would span 2^32 masks: refused before numpy allocates them
+        # the path x1*x2, ..., x31*x32 uses 32 of the 63 variables, so its
+        # tables would span 2^32 masks, 4 of 2^26 words: refused before
+        # numpy allocates them, with both variable counts named
         def no_allocation(*args, **kwargs):
             raise AssertionError("a table was allocated")
 
         path = ", ".join(f"x{v}*x{v + 1}" for v in range(1, 32))
         monkeypatch.setattr(np, "zeros", no_allocation)
         monkeypatch.setattr(np, "full", no_allocation)
-        with pytest.raises(CapExceededError, match=r"n=32 needs about \d+ bytes"):
+        with pytest.raises(CapExceededError,
+                           match="32 of the n=63 variables need about 2147483648 bytes"):
             alpha(IdealPair.quotient(parse_ideal(path, 63)))
 
 
