@@ -171,7 +171,7 @@ def _run_random_sweep(args) -> int:
     print(f"{args.random - failed} of {args.random} random instances verified")
     if args.json is not None:
         payload = {"seed": args.seed, "count": args.random, "instances": documents}
-        _write_json(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.json, serialize_document(payload))
     return 1 if failed else 0
 
 

@@ -157,11 +157,15 @@ def hdepth_of_alpha(alpha_vec: AlphaVector) -> int:
     Scans downward from the degree bound max{k : alpha_k > 0}; the scan is
     guaranteed to stop at min{k : alpha_k > 0} or above.
     """
-    top = alpha_vec.max_degree
-    bottom = alpha_vec.min_degree
-    rows = _transform_rows(alpha_vec.counts, top)
-    for q in range(top, bottom - 1, -1):
-        if all(v >= 0 for v in rows[q]):
+    rows = _transform_rows(alpha_vec.counts, alpha_vec.max_degree)
+    return _hdepth_of_rows(rows, alpha_vec.min_degree)
+
+
+def _hdepth_of_rows(rows: Sequence[tuple[int, ...]], bottom: int) -> int:
+    """The largest level q >= bottom whose row is nonnegative, scanning down
+    from the last of the Pascal rows 0..max_degree of an alpha vector."""
+    for q in range(len(rows) - 1, bottom - 1, -1):
+        if min(rows[q]) >= 0:
             return q
     raise AssertionError("transform scan fell through its lower bound")
 

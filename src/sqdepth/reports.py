@@ -8,9 +8,9 @@ beta and h vectors are rendered as decimal strings, since they can outgrow
 
 from __future__ import annotations
 
-import json
 import time
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Optional
 
@@ -21,9 +21,10 @@ from .homology import CoefficientField, depth_verdict
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon
 from .invariants import (
     AlphaVector,
+    BetaVector,
+    _hdepth_of_rows,
     _transform_rows,
     alpha,
-    beta_table,
     first_recurrence_failure,
     hdepth_of_alpha,
 )
@@ -38,7 +39,7 @@ RELATIVE_CM_NOTE = (
 
 
 def _strings(values) -> list[str]:
-    return [str(int(v)) for v in values]
+    return list(map(str, values))
 
 
 def _face_label(mask: int) -> str:
@@ -68,9 +69,12 @@ class ReportBuilder:
         self.field = field
         self.label = label
         self.alpha = alpha(pair)
-        self.hdepth = hdepth_of_alpha(self.alpha)
         self.dim = self.alpha.max_degree
-        self.betas = beta_table(self.alpha, 0, self.dim)
+        # One pass of Pascal rows at levels 0..dim serves the beta table,
+        # the hdepth scan (which starts at dim) and the h-vector (row dim).
+        rows = _transform_rows(self.alpha.counts, self.dim)
+        self.hdepth = _hdepth_of_rows(rows, self.alpha.min_degree)
+        self.betas = [BetaVector(q, row) for q, row in enumerate(rows)]
         self.is_quotient = pair.upper.is_unit
         self.depth: Optional[int] = None
         self.cm: Optional[bool] = None
@@ -97,7 +101,7 @@ class ReportBuilder:
         ]
 
     def document(self, command: str, flags: dict) -> dict:
-        h = self.betas[self.dim]
+        beta_rows = self.beta_rows()  # its last row is level dim, the h-vector
         notes = []
         if self.depth is not None and not self.is_quotient:
             notes.append(RELATIVE_CM_NOTE)
@@ -120,11 +124,11 @@ class ReportBuilder:
             "field": self.field.label(),
             "flags": flags,
             "alpha": _strings(self.alpha.counts),
-            "beta_table": self.beta_rows(),
+            "beta_table": beta_rows,
             "hdepth": self.hdepth,
             "dim": self.dim,
             "depth": self.depth,
-            "h_vector": _strings(h.values),
+            "h_vector": list(beta_rows[-1]["values"]),
             "cm": self.cm,
             "cm_witness": self.cm_witness,
             "notes": notes,
@@ -302,7 +306,47 @@ def has_failures(doc: dict) -> bool:
 
 
 def serialize_document(doc: dict, include_timing: bool = True) -> str:
-    out = dict(doc)
+    """The document as JSON, byte-identical to
+    `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`.
+
+    The stdlib writes indented JSON through its pure-Python encoder; this
+    one covers only the types documents hold (dicts with str keys, lists,
+    str, int, bool, None) and joins a list of strings in one call.  Strings
+    are quoted by the stdlib's own ASCII escaper.  Any other type is a
+    TypeError.
+    """
     if not include_timing:
-        out.pop("timing_ms", None)
-    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+        doc = {key: value for key, value in doc.items() if key != "timing_ms"}
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    # `newline` is a line break plus the indent of the enclosing line.
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(v) is str for v in value):
+            items = map(_quote, value)
+        else:
+            items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # _quote raises the TypeError for a key that is not a str
+        items = [_quote(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
