@@ -9,6 +9,7 @@ the empty set has facet tuple (0,).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Union
 
@@ -37,6 +38,8 @@ class SimplicialComplex:
     facets: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n={self.n} is negative")
         masks = list(self.facets)
         if any(not 0 <= m < (1 << self.n) for m in masks):
             raise ValueError("facet mask out of range")
@@ -99,18 +102,22 @@ class RelativeComplex:
     def n(self) -> int:
         return self.delta.n
 
+    @cached_property
+    def facets(self) -> tuple[int, ...]:
+        """The facets of delta outside gamma, canonically ordered: every face
+        outside gamma sits inside one of them, so they are the maximal faces
+        of the pair."""
+        return tuple(f for f in self.delta.facets if not self.gamma.has_face(f))
+
     @property
     def is_empty(self) -> bool:
-        return all(self.gamma.has_face(f) for f in self.delta.facets)
+        return not self.facets
 
     @property
     def dim(self) -> int:
-        # Every face outside gamma sits inside a delta-facet outside gamma,
-        # so the maximum is attained on facets.
-        dims = [f.bit_count() - 1 for f in self.delta.facets if not self.gamma.has_face(f)]
-        if not dims:
+        if not self.facets:
             raise ValueError("relative complex has no faces")
-        return max(dims)
+        return max(f.bit_count() for f in self.facets) - 1
 
 
 @dataclass(frozen=True)
@@ -188,8 +195,3 @@ def link_facets(facets: tuple[int, ...], face: int) -> tuple[int, ...]:
     Removing the same bits from each keeps them distinct and canonical."""
     return tuple(f ^ face for f in facets if face & ~f == 0)
 
-
-def relative_facets_of_pair(pair: IdealPair) -> tuple[int, ...]:
-    """Facets of the relative complex of a pair: maximal A with x_A in J \\ I."""
-    table = membership_table(pair.upper) & ~membership_table(pair.lower)
-    return maximal_masks(table, pair.n)

@@ -33,17 +33,19 @@ a pivot is not +-1.
 
 The depth pass reads its levels from psi's index, whose numpy test of a
 level also marks the faces whose links are cones, and on its last level,
-where only H_{-1} counts, reads the answer off the facets of delta and
-gamma instead of a link pair.  Every other link pair is a star of that
-index.  Over QQ the GF(2) ranks bound the answer: the boundary maps are
-integer matrices, whose rank over F_2 is at most their rank over Q, so each
-b_i(QQ) <= b_i(GF(2)) (universal coefficients); a zero over GF(2) is final
-over QQ, and only a nonzero b_i with i >= 1 is recounted exactly on the
-same masks.  That bound fails for an odd prime p, since a torsion summand
-Z/p of H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2); so over GF(p)
-the pair is ranked mod p directly.  Where psi's index refuses a size, the
-link pair gets an index of its own, built from its two link facet tuples,
-and is ranked from its empty face the same way.
+where only H_{-1} counts, reads the answer off psi's facets instead of a
+link pair.  Every other link pair is a star of that index.  Over QQ the
+GF(2) ranks bound the answer: the boundary maps are integer matrices,
+whose rank over F_2 is at most their rank over Q, so each b_i(QQ) <=
+b_i(GF(2)) (universal coefficients); a zero over GF(2) is final over QQ,
+and only a nonzero b_i with i >= 1 is recounted exactly on the same masks.
+That bound fails for an odd prime p, since a torsion summand Z/p of
+H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2); so over GF(p) the
+pair is ranked mod p directly.  An index refuses a size past FACE_CAP by
+raising CapExceededError (_StarIndex.level); where psi's index refuses
+one that the link pair at a nonempty face needs, that pair gets an index
+of its own, built from its two link facet tuples, and is ranked from its
+empty face the same way.
 """
 from __future__ import annotations
 
@@ -161,8 +163,6 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
     last = max((f.bit_count() for f in psi.delta.facets), default=0) - 1 if top is None else top
     stars = [index.star([], k) for k in range(last + 3)]
-    if None in stars:
-        raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
     ranks: dict[int, int] = {}
     betti: dict[int, int] = {}
     for i, (faces, low, high) in enumerate(_star_steps(0, index, last, field.characteristic), -1):
@@ -203,13 +203,12 @@ class _Level:
     once: the pair's faces, those outside gamma, with per vertex the bitset
     of their positions and, once a star there is ranked, their boundary
     table (see _StarIndex.columns); for the depth pass, the delta face
-    count, the faces the cone test keeps, and the facets of delta outside
-    gamma."""
+    count and the faces the cone test keeps."""
 
-    __slots__ = ("faces", "full", "bits", "columns", "listed", "visits", "facets")
+    __slots__ = ("faces", "full", "bits", "columns", "listed", "visits")
 
     def __init__(self, level: list[int], index: _StarIndex):
-        skip, facet, in_gamma = _classify_level(level, index.delta, index.gamma, index.n)
+        skip, in_gamma = _classify_level(level, index.delta, index.gamma, index.n)
         self.faces = list(compress(level, (~in_gamma).tolist()))
         self.full = (1 << len(self.faces)) - 1
         wide = index.n > 64
@@ -221,7 +220,6 @@ class _Level:
         self.columns: Optional[list[tuple[int, ...]]] = None
         self.listed = len(level)
         self.visits = list(compress(level, (~skip).tolist()))
-        self.facets = set(compress(level, facet.tolist()))
 
 
 class _StarIndex:
@@ -231,9 +229,9 @@ class _StarIndex:
     at a size, the faces there that contain F, is the AND of F's vertex
     bitsets; removing F from them gives the link pair at F.  At most
     FACE_CAP faces of the pair are held: a size with more delta faces than
-    are left is refused, its listing stopped there, and reads None.  A size
-    refused with L faces left has more than L delta faces, so it stays
-    refused, without being listed again, until more than L are left."""
+    are left is refused, its listing stopped there, and raises on reading.
+    A size refused with L faces left has more than L delta faces, so it
+    stays refused, without being listed again, until more than L are left."""
 
     def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
         self.delta, self.gamma, self.n = delta, gamma, n
@@ -247,27 +245,24 @@ class _StarIndex:
         for k in [k for k in self.levels if not low <= k <= high]:
             self.held -= len(self.levels.pop(k).faces)
 
-    def level(self, k: int) -> Optional[_Level]:
-        """The faces of k vertices (see _Level); None if the size is refused."""
+    def level(self, k: int) -> _Level:
+        """The faces of k vertices (see _Level); CapExceededError if refused."""
         if k in self.levels:
             return self.levels[k]
         limit = FACE_CAP - self.held
-        if limit <= self.refused.get(k, -1):
-            return None
-        faces = _faces_of_size(self.vertices, k, limit)
-        if len(faces) > limit:
+        if limit > self.refused.get(k, -1):
+            faces = _faces_of_size(self.vertices, k, limit)
+            if len(faces) <= limit:
+                self.levels[k] = level = _Level(sorted(faces), self)
+                self.held += len(level.faces)
+                return level
             self.refused[k] = limit
-            return None
-        self.levels[k] = level = _Level(sorted(faces), self)
-        self.held += len(level.faces)
-        return level
+        raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
 
-    def star(self, ids: list[int], k: int) -> Optional[int]:
+    def star(self, ids: list[int], k: int) -> int:
         """The bitset of the faces of k vertices that contain the face whose
-        vertices have these bit indices; None if the size is refused."""
+        vertices have these bit indices (see level for a refused size)."""
         level = self.level(k)
-        if level is None:
-            return None
         star = level.full
         for v in ids:
             star &= level.bits[v]
@@ -389,16 +384,13 @@ def _star_steps(face: int, index: _StarIndex, top: int, p: int):
     """For the link pair at `face`, from dimension -1 up to top, the face
     count of each dimension i with the ranks of d_i and d_{i+1} over GF(p),
     or over QQ for p = 0, ranked on its star masks with row compression (see
-    the module docstring); None in place of the first step that needs a
-    size the index refuses.  Each step ranks d_{i+1} only when it is read."""
+    the module docstring).  Each step ranks d_{i+1} only when it is read; a
+    step that needs a size the index refuses raises CapExceededError."""
     ids = [b for b in range(face.bit_length()) if face >> b & 1]
     k = face.bit_count()
     current, negative = index.star(ids, k), 0
     for i in range(top + 2):
         upper = index.star(ids, k + 1)
-        if current is None or upper is None:
-            yield None
-            return
         rows = current & ~negative  # the rows of d_i
         if not (rows and upper):
             above = 0
@@ -411,42 +403,41 @@ def _star_steps(face: int, index: _StarIndex, top: int, p: int):
 
 
 def _star_bettis(face: int, index: _StarIndex, top: int, p: int):
-    """The Betti numbers of the steps of _star_steps, None in place of its
-    None."""
-    for step in _star_steps(face, index, top, p):
-        yield None if step is None else step[0] - step[1] - step[2]
+    """The Betti numbers of the steps of _star_steps."""
+    return (faces - low - high for faces, low, high in _star_steps(face, index, top, p))
 
 
 def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
-                    top: int, own: bool = False) -> Optional[int]:
+                    top: int) -> Optional[int]:
     """The lowest dimension up to top in which the link pair at `face` has
     homology over `field`, or None.  Over a prime field the star-mask Betti
     numbers over that field are the answer.  Over QQ they are ranked over
     GF(2), and a zero one is final (b_i over QQ is at most b_i over GF(2));
     a nonzero one above dimension 0 is recounted exactly on the same masks.
-    Where the index refuses a size, the link pair gets an index of its own
-    from its link facets (own) and is ranked from its empty face; a size
-    that index refuses raises CapExceededError."""
+    Where the index refuses a size at a nonempty face, the link pair gets an
+    index of its own from its link facets and is ranked from its empty face.
+    At the empty face the refusal stands: a depth pass reads that pair,
+    psi's own, at size 0, before any other size is built, so a second index
+    would refuse the same size."""
     p = field.characteristic
-    for i, b in enumerate(_star_bettis(face, index, top, p or 2), -1):
-        if b is None:
-            if own:
-                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
-            pair = _StarIndex(link_facets(index.delta, face), link_facets(index.gamma, face),
-                              index.n)
-            return _first_homology(0, pair, field, top, own=True)
-        if b and (p or i < 1 or list(_star_bettis(face, index, i, 0))[-1]):
-            return i
-    return None
+    try:
+        for i, b in enumerate(_star_bettis(face, index, top, p or 2), -1):
+            if b and (p or i < 1 or list(_star_bettis(face, index, i, 0))[-1]):
+                return i
+        return None
+    except CapExceededError:
+        if not face:
+            raise
+    pair = _StarIndex(link_facets(index.delta, face), link_facets(index.gamma, face), index.n)
+    return _first_homology(0, pair, field, top)
 
 
 def _classify_level(level: list[int], delta: tuple[int, ...], gamma: tuple[int, ...],
-                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three flags for each face F in `level` of the pair with facet tuples
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flags for each face F in `level` of the pair with facet tuples
     delta and gamma on n vertices, F a face of delta: whether its link pair
     is acyclic because its delta link is a cone and its gamma link is void
-    or a cone; whether F is a facet of delta outside gamma, the one case
-    with H_{-1} of the pair nonzero; and whether F lies in gamma.
+    or a cone, and whether F lies in gamma.
 
     The link of F is a cone exactly when the AND of the facets containing F
     has a vertex outside F.  The faces-by-facets tables are built in chunks
@@ -457,7 +448,7 @@ def _classify_level(level: list[int], delta: tuple[int, ...], gamma: tuple[int, 
     faces = np.array(level, dtype=dtype)
     d = np.array(delta, dtype=dtype)
     g = np.array(gamma, dtype=dtype)
-    skip, facet_outside_gamma, in_gamma = np.empty((3, len(level)), dtype=bool)
+    skip, in_gamma = np.empty((2, len(level)), dtype=bool)
     rows = max(1, LEVEL_CELLS // max(len(d), len(g), 1))
     for start in range(0, len(level), rows):
         chunk = slice(start, start + rows)
@@ -471,8 +462,7 @@ def _classify_level(level: list[int], delta: tuple[int, ...], gamma: tuple[int, 
         apex_g = np.bitwise_and.reduce(np.where(in_g[both], g, everything), axis=1)
         cone[both] = apex_g != f[both]
         skip[chunk] = cone
-        facet_outside_gamma[chunk] = (d == f[:, None]).any(axis=1) & ~inside
-    return skip, facet_outside_gamma, in_gamma
+    return skip, in_gamma
 
 
 def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
@@ -489,15 +479,15 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     stops the pass.  Its cone test (_classify_level) has skipped the faces
     whose two links are cones, or whose delta link is a cone and gamma link
     void: such a pair is acyclic.  Where only i = -1 can still lower b
-    (|F| = b - 1), H_{-1} of the pair is nonzero exactly when F is a facet
-    of delta outside gamma, which the same test reads off, so no pair there
-    is read or ranked.  Every other link pair is a star of the index, and its
-    first homology is found by _first_homology.  Where the index refuses a
-    size, the pair gets an index of its own from its link facets; a needed
-    pair over FACE_CAP stops the pass, as one homology call does.
+    (|F| = b - 1), H_{-1} of the pair is nonzero exactly when F is one of
+    psi.facets, so no pair there is read or ranked.  Every other link pair
+    is a star of the index, and its first homology is found by
+    _first_homology; a size it cannot index stops the pass, as one
+    homology call does.
     The first (F, i) to set the final minimum is the witness.
     """
     best = dim = psi.dim + 1
+    facets = set(psi.facets)
     listed = 0
     index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
     witness_face = witness_dim = None
@@ -505,12 +495,12 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     while size < best:
         index.keep(size, best)
         level = index.level(size)
-        if level is None or listed + level.listed > FACE_CAP:
+        if listed + level.listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
         listed += level.listed
         for f in level.visits:
             if size == best - 1:  # only H_{-1} can lower best here
-                if f in level.facets:
+                if f in facets:
                     best, witness_face, witness_dim = size, f, -1
                     break
                 continue

@@ -15,7 +15,7 @@ from math import comb
 from typing import Optional
 
 from . import __version__
-from .complexes import complex_of_ideal, f_vector, relative_facets_of_pair, relative_of_pair
+from .complexes import complex_of_ideal, f_vector, relative_of_pair
 from .errors import CapExceededError
 from .homology import CoefficientField, depth_verdict
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon
@@ -81,7 +81,7 @@ class ReportBuilder:
         self.cm_witness = None
 
     @cached_property
-    def psi(self):  # the relative complex, built once for depth and the skeleton check
+    def psi(self):  # the relative complex, built once for depth and the verify checks
         return relative_of_pair(self.pair)
 
     def compute_depth(self) -> None:
@@ -195,7 +195,7 @@ def _run_checks(b: ReportBuilder) -> list[dict]:
         f"alpha path {b.dim}, colon path {colon_dim}",
     ))
 
-    psi_facets = relative_facets_of_pair(b.pair)
+    psi_facets = b.psi.facets  # from Delta(I) and Delta(J)
     colon_facets = colon_complex.facets
     checks.append(_check(
         "facet-colon-agreement", _passfail(psi_facets == colon_facets),

@@ -22,7 +22,9 @@ as one set, listing gamma's faces of each size and subtracting them, so
 they do not share the package's lister, which lists delta's faces of one
 size and never gamma's.
 `table_alpha` counts alpha on tables over all 2^n masks, which the
-package replaced with tables over the variables the generators use.
+package replaced with tables over the variables the generators use, and
+`relative_facets_of_pair` reads the facets of a pair off two such tables,
+which the package replaced with `RelativeComplex.facets`.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1.
 """
 
@@ -48,6 +50,7 @@ from sqdepth.ideals import (
     _canonical_masks,
     colon,
     degree_counts,
+    maximal_masks,
     membership_table,
     minimalize,
 )
@@ -385,6 +388,14 @@ def bool_alpha(pair):
     """alpha of J/I from the bool membership tables of both ideals."""
     table = bool_membership_table(pair.upper) & ~bool_membership_table(pair.lower)
     return bool_degree_counts(table, pair.n)
+
+
+def relative_facets_of_pair(pair):
+    """Facets of the relative complex of a pair read off the packed tables:
+    maximal A with x_A in J \\ I.  The package reads them off the facets
+    of Delta(I) and Delta(J) instead (RelativeComplex.facets)."""
+    table = membership_table(pair.upper) & ~membership_table(pair.lower)
+    return maximal_masks(table, pair.n)
 
 
 def bool_relative_facets(pair):

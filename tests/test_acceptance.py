@@ -15,7 +15,6 @@ from sqdepth.complexes import (
     SimplicialComplex,
     complex_of_ideal,
     f_vector,
-    relative_facets_of_pair,
     relative_of_pair,
 )
 from sqdepth.homology import (
@@ -177,7 +176,7 @@ def test_criterion_8_identities_on_random_pairs():
 
             assert dim_module_colon(pair) == a.max_degree
             colon_facets = complex_of_ideal(colon(pair.lower, pair.upper)).facets
-            assert relative_facets_of_pair(pair) == colon_facets
+            assert psi.facets == colon_facets
 
 
 def test_criterion_9_depth_hdepth_dim_chain():

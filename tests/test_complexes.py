@@ -13,7 +13,6 @@ from sqdepth.complexes import (
     face_vertices,
     ideal_of_complex,
     pair_of_relative,
-    relative_facets_of_pair,
     relative_of_pair,
 )
 from sqdepth.homology import FACE_CAP
@@ -272,6 +271,15 @@ class TestLink:
             assert len(oracles.face_masks(lk)) == containing
 
 
+class TestSimplicialComplex:
+    def test_negative_n_is_rejected(self):
+        for facets in ((), (0,)):
+            with pytest.raises(ValueError, match="^n=-1 is negative$"):
+                SimplicialComplex(-1, facets)
+        assert SimplicialComplex(0, ()).is_void
+        assert SimplicialComplex(0, (0,)).dim == -1
+
+
 class TestRelative:
     def test_nesting_enforced(self):
         delta = SimplicialComplex(3, (0b011,))
@@ -299,7 +307,7 @@ class TestRelative:
                 and not oracles.member(lower, s)
             }
             expected = oracles.brute_facets(members)
-            got = {oracles.mask_to_set(m) for m in relative_facets_of_pair(pair)}
+            got = {oracles.mask_to_set(m) for m in relative_of_pair(pair).facets}
             assert got == expected
 
     def test_dim_of_relative(self):

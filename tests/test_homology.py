@@ -522,9 +522,8 @@ class TestFaceCap:
         # 16 = 17 faces); H_0 needs only psi's faces of at most two vertices,
         # none, {1} and {6}, and the four edges {1, v}.  Sizes 0 and 1 hold
         # 2 of them, and the 10 edges of delta are listed against what that
-        # leaves, so 12 lets the size be indexed; under that the pair gets
-        # an index of its own from its link facets, which refuses the same
-        # size
+        # leaves, so 12 lets the size be indexed; under that psi's index
+        # refuses the size at the empty face, which stops the pass
         from sqdepth import homology
 
         text = "n: 6\nJ: x1, x6\nI: " + ", ".join(f"x6*x{v}" for v in range(1, 6))
@@ -609,6 +608,37 @@ class TestBoundedListing:
         with pytest.raises(CapExceededError, match="^face count exceeds the cap 30$"):
             depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
         assert [k for vertices, k in listed if vertices == 7] == [0, 1, 2, 3]
+
+    def test_a_refusal_at_the_empty_face_builds_no_second_index(self, monkeypatch):
+        # J/I = (0, J) with J the edge ideal of the 8-cycle: delta is the
+        # 7-simplex, and the pass reads the pair at the empty face, psi
+        # itself, first.  Under a cap of 60, psi's index holds the 8 pair
+        # faces of sizes 0..2 and refuses size 3 (56 delta faces, 52 left);
+        # an index of psi's own pair would hold the same and refuse the
+        # same size, so the pass stops with one index and one cone test
+        # per held size
+        from sqdepth import homology
+
+        built, classified = [], []
+        star_index, classify_level = homology._StarIndex, homology._classify_level
+
+        def index(*args):
+            built.append(args)
+            return star_index(*args)
+
+        def classify(level, *args):
+            classified.append(len(level))
+            return classify_level(level, *args)
+
+        monkeypatch.setattr(homology, "_StarIndex", index)
+        monkeypatch.setattr(homology, "_classify_level", classify)
+        monkeypatch.setattr(homology, "FACE_CAP", 60)
+        gens = ", ".join(f"x{i}*x{i % 8 + 1}" for i in range(1, 9))
+        psi = relative_of_pair(parse_problem_text(f"n: 8\nJ: {gens}\nI: zero").pair())
+        with pytest.raises(CapExceededError, match="^face count exceeds the cap 60$"):
+            depth_verdict(psi)
+        assert len(built) == 1
+        assert classified == [1, 8, 28]
 
 
 class TestCoefficientField:

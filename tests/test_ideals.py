@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from sqdepth.complexes import relative_facets_of_pair
+from sqdepth.complexes import relative_of_pair
 from sqdepth.errors import CapExceededError, InvalidPairError, ParseError
 from sqdepth.homology import RATIONALS
 from sqdepth.ideals import (
@@ -335,4 +335,5 @@ class TestPackedTables:
         for _ in range(2):
             pair = kind(rng, 20)
             assert alpha(pair).counts == oracles.bool_alpha(pair)
-            assert relative_facets_of_pair(pair) == oracles.bool_relative_facets(pair)
+            facets = oracles.bool_relative_facets(pair)
+            assert oracles.relative_facets_of_pair(pair) == facets == relative_of_pair(pair).facets

@@ -17,6 +17,7 @@ from sqdepth.complexes import (
     link_facets,
     relative_of_pair,
 )
+from sqdepth.errors import CapExceededError
 from sqdepth.homology import (
     FACE_CAP,
     RATIONALS,
@@ -204,6 +205,30 @@ def test_pair_faces_match_the_face_table_and_stop_past_the_limit(pair, void_gamm
             assert faces == (None if count > limit else expected)
 
 
+@settings(derandomize=True, deadline=None)
+@given(pairs(8), st.booleans())
+@example(IdealPair(parse_ideal("x1*x2", 2), parse_ideal("x1", 2)), False)  # facet {2} in gamma
+def test_relative_facets_are_the_maximal_faces_outside_gamma(pair, void_gamma):
+    # psi's facets, read off the facets of delta and gamma, are the maximal
+    # faces of the listed pair in canonical order, and for the pair's own
+    # gamma the facets read off the membership tables of I and J; dim and
+    # is_empty read them as the listed pair says
+    psi = relative_of_pair(pair)
+    if void_gamma:
+        psi = RelativeComplex(psi.delta, SimplicialComplex.void(psi.n))
+    else:
+        assert psi.facets == oracles.relative_facets_of_pair(pair)
+    faces = oracles.face_masks(psi)
+    maximal = [f for f in faces if not any(f != g and f & ~g == 0 for g in faces)]
+    assert psi.facets == _canonical_masks(maximal)
+    assert psi.is_empty == (not faces)
+    if faces:
+        assert psi.dim == max(f.bit_count() for f in faces) - 1
+    else:
+        with pytest.raises(ValueError, match="relative complex has no faces"):
+            psi.dim
+
+
 def _index(psi):
     """The star index of psi, as a depth pass builds it."""
     return _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
@@ -248,12 +273,16 @@ def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
 
 def _refusing_psi_sizes_above(top):
     """_StarIndex for one depth pass: its first index, psi's own, refuses
-    every size above top; the link pairs' own indexes after it do not."""
+    every size above top for the stars of nonempty faces, the one place
+    where its refusal differs from an index of the link pair's own; the
+    link pairs' own indexes after it do not refuse."""
     made = []
 
     class Refusing(_StarIndex):
         def star(self, ids, k):
-            return None if k > top else super().star(ids, k)
+            if ids and k > top:
+                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+            return super().star(ids, k)
 
     def index(*args):
         made.append(Refusing(*args) if not made else _StarIndex(*args))
@@ -265,10 +294,11 @@ def _refusing_psi_sizes_above(top):
 @given(pairs(8), st.sampled_from(THREE_FIELDS))
 @example(IdealPair.quotient(parse_ideal("x1*x2*x3", 3)), RATIONALS)
 def test_depth_pass_lists_link_pairs_from_facets_when_psi_is_too_large(pair, field):
-    # when psi's index refuses every size above some k, a link pair that
-    # needs one gets an index of its own from its link facets and is ranked
-    # from its empty face, after whatever the star masks of the smaller
-    # sizes gave: the verdict must not depend on the path
+    # when psi's index refuses every size above some k at nonempty faces,
+    # a link pair that needs one gets an index of its own from its link
+    # facets and is ranked from its empty face, after whatever the star
+    # masks of the smaller sizes gave: the verdict must not depend on the
+    # path
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     expected = depth_verdict(psi, field)
@@ -416,22 +446,24 @@ def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
 def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cells):
     # the cone test of one level in chunks of `cells` cells, small ones
     # putting chunk edges inside every level, against the per-face test
-    # from the link facets; the facet flag is H_{-1} of the link pair, and
-    # the gamma flag membership in gamma
+    # from the link facets, and the gamma flag against membership in gamma;
+    # psi's facets, which the depth pass reads on its last level, are the
+    # faces with H_{-1} of the link pair nonzero
     psi = relative_of_pair(pair)
     if void_gamma:
         psi = RelativeComplex(psi.delta, SimplicialComplex.void(psi.n))
     assume(not psi.is_empty)
+    facets = set(psi.facets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "LEVEL_CELLS", cells)
         for size in range(psi.dim + 2):
             level = sorted(_faces_of_size(map(face_vertices, psi.delta.facets), size, FACE_CAP))
-            skip, facet_outside_gamma, in_gamma = _classify_level(
-                level, psi.delta.facets, psi.gamma.facets, psi.n)
+            skip, in_gamma = _classify_level(level, psi.delta.facets, psi.gamma.facets, psi.n)
+            facet_flags = [f in facets for f in level]
             expected = [oracles.classify_face(psi, f) for f in level]
-            assert list(zip(skip.tolist(), facet_outside_gamma.tolist())) == expected
+            assert list(zip(skip.tolist(), facet_flags)) == expected
             assert in_gamma.tolist() == [psi.gamma.has_face(f) for f in level]
-            for f, flag in zip(level, facet_outside_gamma.tolist()):
+            for f, flag in zip(level, facet_flags):
                 lk = oracles.link_pair(psi, f)
                 h = 0 if lk.is_empty else relative_homology(lk, RATIONALS, -1).betti_number(-1)
                 assert flag == (h != 0)
