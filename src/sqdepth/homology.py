@@ -32,9 +32,9 @@ scaled to 1, and QQ ranks it with integer steps and a Fraction only where
 a pivot is not +-1.
 
 The depth pass reads its levels from psi's index, whose numpy test of a
-level also marks the faces whose links are cones, and on its last level,
-where only H_{-1} counts, reads the answer off psi's facets instead of a
-link pair.  Every other link pair is a star of that index.  Over QQ the
+level also marks the faces whose links are cones, and stops before the
+level where only H_{-1} could count, since a facet of psi never sets the
+minimum there.  Every link pair is a star of that index.  Over QQ the
 GF(2) ranks bound the answer: the boundary maps are integer matrices,
 whose rank over F_2 is at most their rank over Q, so each b_i(QQ) <=
 b_i(GF(2)) (universal coefficients); a zero over GF(2) is final over QQ,
@@ -471,44 +471,42 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     H_i(lk_delta F, lk_gamma F) != 0, or dim = psi.dim + 1 when smaller.
 
     Faces are visited by size, then mask.  A face can only lower the best
-    value b so far through i <= b - |F| - 2, so the pass stops once |F|
-    reaches b, and each link pair's homology is truncated at that i.  Each
-    level is read from psi's index (_StarIndex.level), built when the pass
-    or a star first needs it and dropped once below the level or above b;
-    its delta faces count against FACE_CAP, and a level the index refuses
-    stops the pass.  Its cone test (_classify_level) has skipped the faces
-    whose two links are cones, or whose delta link is a cone and gamma link
-    void: such a pair is acyclic.  Where only i = -1 can still lower b
-    (|F| = b - 1), H_{-1} of the pair is nonzero exactly when F is one of
-    psi.facets, so no pair there is read or ranked.  Every other link pair
-    is a star of the index, and its first homology is found by
-    _first_homology; a size it cannot index stops the pass, as one
-    homology call does.
+    value b so far through i <= b - |F| - 2, and each link pair's homology
+    is truncated there; the pass stops once |F| reaches b - 1, where only a
+    facet of psi could (i = -1), and none does (see the lemma below).
+    Levels come from psi's index (_StarIndex.level); their delta faces
+    count against FACE_CAP, and a refused level stops the pass, as does a
+    size that _first_homology cannot index.  The cone test (_classify_level)
+    has skipped the faces whose link pair is acyclic.
     The first (F, i) to set the final minimum is the witness.
     """
+    # Lemma: no visited face is a facet F of psi (of delta, outside gamma),
+    # so H_{-1} never sets best.  Let s = |F| < dim.  Take G < F maximal
+    # with G in gamma or in a facet of delta other than F (one exists, or psi
+    # is the simplex on F with gamma void and s = dim), and T = F - G.  By
+    # maximality lk_delta G is the simplex on T plus a part with no vertex
+    # in T, and lk_gamma G has no vertex in T.  If G is in gamma, each {t},
+    # t in T, is a relative cycle, and every boundary sums to 0 on T; if
+    # not, lk_gamma G is void and the other facet adds a vertex outside T,
+    # so lk_delta G is disconnected.  So H_0 != 0 at G over every field, the
+    # cone test keeps G, and level |G| < s sets best <= s before level s.
     best = dim = psi.dim + 1
-    facets = set(psi.facets)
     listed = 0
     index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
     witness_face = witness_dim = None
     size = 0
-    while size < best:
+    while size < best - 1:
         index.keep(size, best)
         level = index.level(size)
         if listed + level.listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
         listed += level.listed
         for f in level.visits:
-            if size == best - 1:  # only H_{-1} can lower best here
-                if f in facets:
-                    best, witness_face, witness_dim = size, f, -1
-                    break
-                continue
             i = _first_homology(f, index, field, best - size - 2)
             if i is not None:
                 best = size + 1 + i
                 witness_face, witness_dim = f, i
-                if size >= best:
+                if size >= best - 1:
                     break
         size += 1
     return CmVerdict(best, dim, field, witness_face, witness_dim)

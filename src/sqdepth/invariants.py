@@ -172,10 +172,7 @@ def _hdepth_of_rows(rows: Sequence[tuple[int, ...]], bottom: int) -> int:
 
 def hdepth(pair: IdealPair) -> int:
     """Hilbert depth of J/I."""
-    a = alpha(pair)
-    if a.counts == (0,) * (pair.n + 1):
-        raise ValueError("alpha vanishes identically; I and J coincide as ideals")
-    return hdepth_of_alpha(a)
+    return hdepth_of_alpha(alpha(pair))
 
 
 def dim_module(pair: IdealPair) -> int:

@@ -510,7 +510,10 @@ def listed_pair_verdict(psi, field=RATIONALS):
     witness face, witness dim): the faces F of delta by size, then mask,
     while |F| is below the best value b so far, each link pair listed from
     its two link facet tuples and ranked over `field` by uncompressed_ranks,
-    truncated at b - |F| - 2."""
+    truncated at b - |F| - 2.  Unlike the pass, it also visits |F| = b - 1,
+    where only H_{-1} counts: it does not assume the lemma in depth_verdict
+    that no facet of psi sets the minimum there, so comparing the two tests
+    that lemma."""
     best = dim = psi.dim + 1
     witness = (None, None)
     for f in sorted(face_masks(psi.delta), key=lambda m: (m.bit_count(), m)):

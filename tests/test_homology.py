@@ -504,16 +504,16 @@ class TestTorsion:
 
 class TestFaceCap:
     def test_listed_delta_faces_count(self, monkeypatch):
-        # S over six variables: every link before the last level is a
-        # simplex, so the pass lists the 63 delta faces of 0..5 vertices and
-        # computes no link homology
+        # S over six variables: every link is a simplex, and the pass stops
+        # below size dim - 1 = 5, so it lists the 57 delta faces of 0..4
+        # vertices and computes no link homology
         from sqdepth import homology
 
         psi = relative_of_pair(IdealPair(MonomialIdeal.zero(6), MonomialIdeal.unit(6)))
-        monkeypatch.setattr(homology, "FACE_CAP", 63)
+        monkeypatch.setattr(homology, "FACE_CAP", 57)
         assert depth_verdict(psi).depth == 6
-        monkeypatch.setattr(homology, "FACE_CAP", 62)
-        with pytest.raises(CapExceededError, match="face count exceeds the cap 62"):
+        monkeypatch.setattr(homology, "FACE_CAP", 56)
+        with pytest.raises(CapExceededError, match="face count exceeds the cap 56"):
             depth_verdict(psi)
 
     def test_link_pair_faces_count(self, monkeypatch):

@@ -355,6 +355,51 @@ def test_depth_pass_matches_the_listed_pair_oracle(pair, field):
         oracles.listed_pair_verdict(psi, field))
 
 
+# the two cases of the lemma in depth_verdict, each with G the empty face:
+# G in gamma (J = (x2, x3)), and G outside a void gamma (the quotient)
+LEMMA_G_IN_GAMMA = IdealPair(parse_ideal("x1*x3, x2*x3", 3), parse_ideal("x2, x3", 3))
+LEMMA_G_OUTSIDE_GAMMA = IdealPair.quotient(parse_ideal("x1*x3, x2*x3", 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs(7))
+@example(LEMMA_G_IN_GAMMA)
+@example(LEMMA_G_OUTSIDE_GAMMA)
+def test_a_facet_of_psi_below_dim_never_sets_the_depth(pair):
+    # every facet F of psi with |F| < dim has a proper face G whose listed
+    # link pair has homology in some dimension i with |G| + 1 + i <= |F|,
+    # so H_{-1} at F never lowers the minimum, and the pass, which stops
+    # before the level where only H_{-1} counts, never reports i = -1
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    dim = psi.dim + 1
+    for field in FIELDS:
+        for f in psi.facets:
+            size = f.bit_count()
+            if size >= dim:
+                continue
+            bounds = []
+            g = f
+            while g:
+                g = (g - 1) & f
+                i = oracles.listed_homology(oracles.link_pair(psi, g), field).first_nonzero()
+                if i is not None:
+                    bounds.append(g.bit_count() + 1 + i)
+            assert min(bounds, default=size + 1) <= size
+        assert depth_verdict(psi, field).witness_dim != -1
+
+
+@pytest.mark.parametrize("pair", [LEMMA_G_IN_GAMMA, LEMMA_G_OUTSIDE_GAMMA])
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_lemma_cases_have_their_witness_at_the_empty_face(pair, field):
+    # facet {x3} of psi has |F| = 1 < dim 2; H_0 at the empty face sets
+    # depth 1 first, and the listed oracle, which also visits size 1, agrees
+    psi = relative_of_pair(pair)
+    verdict = depth_verdict(psi, field)
+    assert (verdict.depth, verdict.dim, verdict.witness_face, verdict.witness_dim) == (1, 2, 0, 0)
+    assert oracles.listed_pair_verdict(psi, field) == (1, 2, 0, 0)
+
+
 matrices = st.integers(1, 8).flatmap(
     lambda cols: st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
                           min_size=1, max_size=8))
