@@ -16,42 +16,52 @@ the AND of F's vertex bitsets, and removing F from them gives the link pair
 at F; at the empty face it is the pair itself, which is how
 relative_homology ranks it.
 
-Boundary maps are ranked bottom up, with row compression (Bauer, Kerber and
-Reininghaus, "Clear and Compress", 2014): the i-faces whose columns of
-d_i stay nonzero in the reduction (the negative faces) index a column basis
-of d_i, so no nonzero cycle of d_i lies on them alone, and dropping their
-rows from d_{i+1} keeps its rank.  Each map is reduced from its last column
-to its first, each column against the kept ones by its highest row, and
-stops once every row is a pivot.  d_0 and d_1 (a graph incidence matrix)
-are totally unimodular, so a column basis over GF(2) is one over every
-field: they are ranked over GF(2) by XOR elimination of Python ints, and
-b_{-1} and b_0 are exact over any field.  Over GF(2) the maps above are
-ranked the same way.  From d_2 up, an odd prime p ranks the same table,
-with the sign of each entry read from its position, mod p with pivots
-scaled to 1, and QQ ranks it with integer steps and a Fraction only where
-a pivot is not +-1.
+Boundary maps are ranked bottom up in one loop (_star_steps), with row
+compression (Bauer, Kerber and Reininghaus, "Clear and Compress", 2014):
+the i-faces whose columns of d_i stay nonzero in the reduction (the
+negative faces) index a column basis of d_i, so no nonzero cycle of d_i
+lies on them alone, and dropping their rows from d_{i+1} keeps its rank.
+Each map is reduced from its last column to its first, each column against
+the kept ones by its highest row, and stops once every row is a pivot; a
+step whose star is empty ranks nothing.  There are two kernels.  XOR
+elimination of Python ints ranks over GF(2); d_0 and d_1 (a graph
+incidence matrix) are totally unimodular, so a column basis over GF(2) is
+one over every field, and b_{-1} and b_0 are exact over any field.  The
+signed kernel ranks the same table mod p with pivots scaled to 1, or over
+QQ with integer steps and a Fraction only where a pivot is not +-1, the
+sign of each entry read from its position.  From d_2 up:
+- over QQ, XOR first: the maps are integer matrices, whose rank over F_2 is
+  at most their rank over Q, so b_i(QQ) <= b_i(GF(2)) on the same rows
+  (universal coefficients).  Where that leaves b_i = 0, the GF(2) basis of
+  d_{i+1} has the QQ rank and is independent over QQ, so it is a QQ basis;
+  otherwise d_{i+1} is reranked by the signed kernel on the same rows.
+- over an odd prime p that bound fails, since a torsion summand Z/p of
+  H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2).  XOR is tried with
+  a certificate (_gf2_negatives): every row a pivot, and every kept column
+  kept before any XOR.  Taken by pivot row, such columns are triangular on
+  the pivot rows with +-1 on the diagonal, so independent over every field,
+  and as many as the rows, so a column basis over GF(p).  Without it the
+  signed kernel ranks the map mod p.
 
-The depth pass reads its levels from psi's index, whose numpy test of a
-level also marks the faces whose links are cones, and stops before the
-level where only H_{-1} could count, since a facet of psi never sets the
-minimum there.  Every link pair is a star of that index.  Over QQ the
-GF(2) ranks bound the answer: the boundary maps are integer matrices,
-whose rank over F_2 is at most their rank over Q, so each b_i(QQ) <=
-b_i(GF(2)) (universal coefficients); a zero over GF(2) is final over QQ,
-and only a nonzero b_i with i >= 1 is recounted exactly on the same masks.
-That bound fails for an odd prime p, since a torsion summand Z/p of
-H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2); so over GF(p) the
-pair is ranked mod p directly.  An index refuses a size past FACE_CAP by
-raising CapExceededError (_StarIndex.level); where psi's index refuses
-one that the link pair at a nonempty face needs, that pair gets an index
-of its own, built from its two link facet tuples, and is ranked from its
-empty face the same way.
+The depth pass first takes the cone vertices, the AND of the facets of
+delta and gamma: a face that misses one has an acyclic link pair, so the
+pass runs on the link pair at them (see depth_verdict).  It reads its
+levels from that pair's index; the cone test of a level, which marks the
+faces whose links are cones, runs the first time the pass visits it, and
+the pass stops before the level where only H_{-1} could count, since a
+facet of psi never sets the minimum there.  Every link pair is a star of
+that index, ranked up to its first nonzero Betti number.  An index refuses
+a size past FACE_CAP by raising CapExceededError (_StarIndex.level); where
+the pass's index refuses one that the link pair at a nonempty face needs,
+that pair gets an index of its own, built from its two link facet tuples,
+and is ranked from its empty face the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from functools import reduce
+from operator import and_
 from typing import Optional
 
 import numpy as np
@@ -165,12 +175,11 @@ def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
     stars = [index.star([], k) for k in range(last + 3)]
     ranks: dict[int, int] = {}
     betti: dict[int, int] = {}
-    for i, (faces, low, high) in enumerate(_star_steps(0, index, last, field.characteristic), -1):
+    steps = _star_steps(0, index, last, field.characteristic, first=top is not None)
+    for i, (faces, low, high) in enumerate(steps, -1):
         if faces:
             ranks[i], ranks[i + 1] = low, high
             betti[i] = faces - low - high
-            if top is not None and betti[i]:
-                break
     counts = {k - 1: star.bit_count() for k, star in enumerate(stars) if star}
     return ChainComplexRanks(field, counts, ranks, betti, top)
 
@@ -199,27 +208,37 @@ class CmVerdict:
 
 
 class _Level:
-    """An index's delta faces of one size (`level`, ascending), classified
-    once: the pair's faces, those outside gamma, with per vertex the bitset
-    of their positions and, once a star there is ranked, their boundary
-    table (see _StarIndex.columns); for the depth pass, the delta face
-    count and the faces the cone test keeps."""
+    """An index's delta faces of one size, in ascending mask order, with
+    their gamma flags (_classify_level): the pair's faces, those outside
+    gamma, with per vertex the bitset of their positions and, once a star
+    there is ranked, their boundary table (see _StarIndex.columns); for the
+    depth pass, the delta face count and, the first time the pass reads
+    them, the faces the cone test keeps (visits)."""
 
-    __slots__ = ("faces", "full", "bits", "columns", "listed", "visits")
+    __slots__ = ("faces", "full", "bits", "columns", "listed", "delta_faces", "in_gamma", "kept")
 
     def __init__(self, level: list[int], index: _StarIndex):
-        skip, in_gamma = _classify_level(level, index.delta, index.gamma, index.n)
-        self.faces = list(compress(level, (~in_gamma).tolist()))
+        self.delta_faces = np.array(level, dtype=index.dtype)
+        self.in_gamma = _classify_level(self.delta_faces, index)
+        pair = self.delta_faces[~self.in_gamma]
+        self.faces = pair.tolist()
         self.full = (1 << len(self.faces)) - 1
-        wide = index.n > 64
-        masks = np.array(self.faces, dtype=object if wide else np.uint64)
-        shifts = np.array(range(index.n), dtype=object if wide else np.uint64)
-        flags = ((masks[None, :] >> shifts[:, None]) & 1).astype(bool)
-        packed = np.packbits(flags, axis=1, bitorder="little")
-        self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        self.bits = [0] * index.n
+        if self.faces:
+            flags = ((pair[None, :] >> index.shifts[:, None]) & 1).astype(bool)
+            packed = np.packbits(flags, axis=1, bitorder="little")
+            self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self.columns: Optional[list[tuple[int, ...]]] = None
         self.listed = len(level)
-        self.visits = list(compress(level, (~skip).tolist()))
+        self.kept: Optional[list[int]] = None
+
+    def visits(self, index: _StarIndex) -> list[int]:
+        """The delta faces whose link pair the cone test (_cone_test) does
+        not find acyclic, tested the first time they are read."""
+        if self.kept is None:
+            skip = _cone_test(self.delta_faces, self.in_gamma, index)
+            self.kept = self.delta_faces[~skip].tolist()
+        return self.kept
 
 
 class _StarIndex:
@@ -231,11 +250,19 @@ class _StarIndex:
     FACE_CAP faces of the pair are held: a size with more delta faces than
     are left is refused, its listing stopped there, and raises on reading.
     A size refused with L faces left has more than L delta faces, so it
-    stays refused, without being listed again, until more than L are left."""
+    stays refused, without being listed again, until more than L are left.
+    The facet tuples and the vertex shifts are held as numpy arrays too,
+    for the level tests."""
 
     def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
         self.delta, self.gamma, self.n = delta, gamma, n
         self.vertices = list(map(face_vertices, delta))
+        self.dtype = np.uint64 if n <= 64 else object
+        self.everything = ~np.uint64(0) if n <= 64 else -1
+        self.delta_array = np.array(delta, dtype=self.dtype)
+        self.gamma_array = np.array(gamma, dtype=self.dtype)
+        self.outside_delta, self.outside_gamma = ~self.delta_array, ~self.gamma_array
+        self.shifts = np.array(range(n), dtype=self.dtype)
         self.levels: dict[int, _Level] = {}
         self.refused: dict[int, int] = {}  # size -> faces left when it was refused
         self.held = 0
@@ -292,11 +319,17 @@ class _StarIndex:
         return level.columns
 
 
-def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
+def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int,
+                   certify: bool = False) -> Optional[int]:
     """The columns in `star`, restricted to `rows` (both bitsets of
     positions), that stay nonzero when each is reduced over GF(2) against
     the kept ones by its highest row, read from the last: a column basis,
-    as a bitset.  The scan stops once every row is a pivot."""
+    as a bitset.  The scan stops once every row is a pivot.
+
+    With `certify`, the result is None unless every row became a pivot and
+    every kept column was kept before any XOR: then the kept columns, taken
+    by pivot row, are triangular on the pivot rows with +-1 on the
+    diagonal, so they are a column basis over every field."""
     pivots: dict[int, int] = {}
     negative = 0
     wanted = rows.bit_count()
@@ -311,17 +344,20 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> int:
             if r < width:
                 col |= 1 << r
         col &= rows
+        read = col
         while col:
             low = col.bit_length() - 1
             other = pivots.get(low)
             if other is None:
+                if certify and col != read:
+                    return None
                 pivots[low] = col
                 negative |= 1 << j
                 break
             col ^= other
         if len(pivots) == wanted:
-            break
-    return negative
+            return negative
+    return None if certify else negative
 
 
 def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: int) -> int:
@@ -380,89 +416,101 @@ def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: i
     return negative
 
 
-def _star_steps(face: int, index: _StarIndex, top: int, p: int):
-    """For the link pair at `face`, from dimension -1 up to top, the face
-    count of each dimension i with the ranks of d_i and d_{i+1} over GF(p),
-    or over QQ for p = 0, ranked on its star masks with row compression (see
-    the module docstring).  Each step ranks d_{i+1} only when it is read; a
-    step that needs a size the index refuses raises CapExceededError."""
-    ids = [b for b in range(face.bit_length()) if face >> b & 1]
+def _star_steps(face: int, index: _StarIndex, top: int, p: int,
+                first: bool = False) -> list[tuple[int, int, int]]:
+    """For the link pair at `face`, from dimension -1 up to top, or with
+    `first` up to the first nonzero Betti number, the face count of each
+    dimension i with the ranks of d_i and d_{i+1} over GF(p), or over QQ
+    for p = 0, ranked on its star masks with row compression (see the
+    module docstring).  A step that needs a size the index refuses raises
+    CapExceededError."""
+    ids = []
+    rest = face
+    while rest:
+        v = rest & -rest
+        ids.append(v.bit_length() - 1)
+        rest ^= v
     k = face.bit_count()
     current, negative = index.star(ids, k), 0
-    for i in range(top + 2):
+    steps = []
+    for i in range(-1, top + 1):
         upper = index.star(ids, k + 1)
-        rows = current & ~negative  # the rows of d_i
-        if not (rows and upper):
-            above = 0
-        elif p == 2 or i < 2:
-            above = _gf2_negatives(index.columns(k + 1), upper, rows)
-        else:
-            above = _signed_negatives(index.columns(k + 1), upper, rows, p)
-        yield current.bit_count(), negative.bit_count(), above.bit_count()
+        faces = low = high = above = 0
+        if current:  # else the step has no faces and no map to rank
+            faces, low = current.bit_count(), negative.bit_count()
+            rows = current & ~negative  # the rows of d_{i+1}
+            if rows and upper:
+                columns = index.columns(k + 1)
+                above = _gf2_negatives(columns, upper, rows, certify=p > 2 and i > 0)
+                # None: no certificate; over QQ, a nonzero b_i over GF(2) is only a bound
+                if above is None or (p == 0 and i > 0 and above.bit_count() < faces - low):
+                    above = _signed_negatives(columns, upper, rows, p)
+                high = above.bit_count()
+        steps.append((faces, low, high))
+        if first and faces > low + high:
+            break
         current, negative, k = upper, above, k + 1
-
-
-def _star_bettis(face: int, index: _StarIndex, top: int, p: int):
-    """The Betti numbers of the steps of _star_steps."""
-    return (faces - low - high for faces, low, high in _star_steps(face, index, top, p))
+    return steps
 
 
 def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
                     top: int) -> Optional[int]:
     """The lowest dimension up to top in which the link pair at `face` has
-    homology over `field`, or None.  Over a prime field the star-mask Betti
-    numbers over that field are the answer.  Over QQ they are ranked over
-    GF(2), and a zero one is final (b_i over QQ is at most b_i over GF(2));
-    a nonzero one above dimension 0 is recounted exactly on the same masks.
-    Where the index refuses a size at a nonempty face, the link pair gets an
-    index of its own from its link facets and is ranked from its empty face.
-    At the empty face the refusal stands: a depth pass reads that pair,
-    psi's own, at size 0, before any other size is built, so a second index
-    would refuse the same size."""
-    p = field.characteristic
+    homology over `field`, or None: the last of its star steps, which stop
+    at the first nonzero Betti number.  Where the index refuses a size at a
+    nonempty face, the link pair gets an index of its own from its link
+    facets and is ranked from its empty face.  At the empty face the
+    refusal stands: a depth pass reads that pair, psi's own, at size 0,
+    before any other size is built, so a second index would refuse the same
+    size."""
     try:
-        for i, b in enumerate(_star_bettis(face, index, top, p or 2), -1):
-            if b and (p or i < 1 or list(_star_bettis(face, index, i, 0))[-1]):
-                return i
-        return None
+        steps = _star_steps(face, index, top, field.characteristic, first=True)
     except CapExceededError:
         if not face:
             raise
-    pair = _StarIndex(link_facets(index.delta, face), link_facets(index.gamma, face), index.n)
-    return _first_homology(0, pair, field, top)
+        pair = _StarIndex(link_facets(index.delta, face), link_facets(index.gamma, face), index.n)
+        return _first_homology(0, pair, field, top)
+    faces, low, high = steps[-1]
+    return len(steps) - 2 if faces > low + high else None
 
 
-def _classify_level(level: list[int], delta: tuple[int, ...], gamma: tuple[int, ...],
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flags for each face F in `level` of the pair with facet tuples
-    delta and gamma on n vertices, F a face of delta: whether its link pair
-    is acyclic because its delta link is a cone and its gamma link is void
-    or a cone, and whether F lies in gamma.
+def _classify_level(faces: np.ndarray, index: _StarIndex) -> np.ndarray:
+    """Whether each face in `faces`, faces of delta of one size of the
+    index's pair, lies in gamma, that is, inside one of its facets.  The
+    faces-by-facets table is built in chunks of at most LEVEL_CELLS cells."""
+    outside = index.outside_gamma
+    in_gamma = np.empty(len(faces), dtype=bool)
+    rows = max(1, LEVEL_CELLS // max(len(outside), 1))
+    for start in range(0, len(faces), rows):
+        chunk = faces[start:start + rows, None]
+        in_gamma[start:start + rows] = ((chunk & outside) == 0).any(axis=1)
+    return in_gamma
+
+
+def _cone_test(faces: np.ndarray, in_gamma: np.ndarray, index: _StarIndex) -> np.ndarray:
+    """Whether the link pair at each face in `faces`, faces of delta of one
+    size of the index's pair with their gamma flags, is acyclic because its
+    delta link is a cone and its gamma link is void or a cone.
 
     The link of F is a cone exactly when the AND of the facets containing F
     has a vertex outside F.  The faces-by-facets tables are built in chunks
     of at most LEVEL_CELLS cells.
     """
-    dtype = np.uint64 if n <= 64 else object
-    everything = ~dtype(0) if dtype is np.uint64 else -1
-    faces = np.array(level, dtype=dtype)
-    d = np.array(delta, dtype=dtype)
-    g = np.array(gamma, dtype=dtype)
-    skip, in_gamma = np.empty((2, len(level)), dtype=bool)
+    d, g, everything = index.delta_array, index.gamma_array, index.everything
+    skip = np.empty(len(faces), dtype=bool)
     rows = max(1, LEVEL_CELLS // max(len(d), len(g), 1))
-    for start in range(0, len(level), rows):
-        chunk = slice(start, start + rows)
-        f = faces[chunk, None]
-        in_d, in_g = (f & ~d) == 0, (f & ~g) == 0
-        apex_d = np.bitwise_and.reduce(np.where(in_d, d, everything), axis=1)
-        f = f[:, 0]
-        inside = in_gamma[chunk] = in_g.any(axis=1)
-        cone = apex_d != f
-        both = cone & inside  # only there does the gamma link decide
-        apex_g = np.bitwise_and.reduce(np.where(in_g[both], g, everything), axis=1)
-        cone[both] = apex_g != f[both]
-        skip[chunk] = cone
-    return skip, in_gamma
+    for start in range(0, len(faces), rows):
+        f = faces[start:start + rows]
+        apex = np.bitwise_and.reduce(
+            np.where((f[:, None] & index.outside_delta) == 0, d, everything), axis=1)
+        cone = apex != f
+        both = cone & in_gamma[start:start + rows]  # only there does the gamma link decide
+        f = f[both]
+        apex = np.bitwise_and.reduce(
+            np.where((f[:, None] & index.outside_gamma) == 0, g, everything), axis=1)
+        cone[both] = apex != f
+        skip[start:start + rows] = cone
+    return skip
 
 
 def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
@@ -470,15 +518,24 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     the minimum of |F| + 1 + i over faces F of delta and dimensions i with
     H_i(lk_delta F, lk_gamma F) != 0, or dim = psi.dim + 1 when smaller.
 
-    Faces are visited by size, then mask.  A face can only lower the best
-    value b so far through i <= b - |F| - 2, and each link pair's homology
-    is truncated there; the pass stops once |F| reaches b - 1, where only a
-    facet of psi could (i = -1), and none does (see the lemma below).
-    Levels come from psi's index (_StarIndex.level); their delta faces
-    count against FACE_CAP, and a refused level stops the pass, as does a
-    size that _first_homology cannot index.  The cone test (_classify_level)
-    has skipped the faces whose link pair is acyclic.
-    The first (F, i) to set the final minimum is the witness.
+    Let Z, the cone vertices, be the AND of the facets of delta and gamma.
+    A face that misses a vertex of Z has a cone for its delta link and a
+    void or cone gamma link, so an acyclic link pair; every other face is
+    F | Z, whose link pair is the link pair of F in psi' = psi's link pair
+    at Z.  So the pass runs on psi', which holds only the faces of delta
+    that contain Z, and adds |Z| to its depth, its dim and its witness
+    face; masks F | Z compare as the F do, so the visiting order is kept.
+
+    Faces of psi' are visited by size, then mask.  A face can only lower
+    the best value b so far through i <= b - |F| - 2, and each link pair's
+    homology is truncated there; the pass stops once |F| reaches b - 1,
+    where only a facet of psi' could (i = -1), and none does (see the lemma
+    below).  Levels come from the index of psi' (_StarIndex.level); their
+    delta faces count against FACE_CAP, and a refused level stops the pass, as
+    does a size that _first_homology cannot index.  The cone test
+    (_cone_test), run on a level when the pass reaches it, has skipped the
+    faces whose link pair is acyclic.  The first (F, i) to set the final
+    minimum is the witness.
     """
     # Lemma: no visited face is a facet F of psi (of delta, outside gamma),
     # so H_{-1} never sets best.  Let s = |F| < dim.  Take G < F maximal
@@ -490,9 +547,12 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     # not, lk_gamma G is void and the other facet adds a vertex outside T,
     # so lk_delta G is disconnected.  So H_0 != 0 at G over every field, the
     # cone test keeps G, and level |G| < s sets best <= s before level s.
-    best = dim = psi.dim + 1
+    # The same holds for psi', a pair in its own right.
+    z = reduce(and_, psi.delta.facets + psi.gamma.facets)
+    shift = z.bit_count()
+    best = dim = psi.dim + 1 - shift
     listed = 0
-    index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+    index = _StarIndex(link_facets(psi.delta.facets, z), link_facets(psi.gamma.facets, z), psi.n)
     witness_face = witness_dim = None
     size = 0
     while size < best - 1:
@@ -501,15 +561,15 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
         if listed + level.listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
         listed += level.listed
-        for f in level.visits:
+        for f in level.visits(index):
             i = _first_homology(f, index, field, best - size - 2)
             if i is not None:
                 best = size + 1 + i
-                witness_face, witness_dim = f, i
+                witness_face, witness_dim = f | z, i
                 if size >= best - 1:
                     break
         size += 1
-    return CmVerdict(best, dim, field, witness_face, witness_dim)
+    return CmVerdict(best + shift, dim + shift, field, witness_face, witness_dim)
 
 
 def is_cohen_macaulay(complex_: SimplicialComplex,

@@ -205,15 +205,42 @@ class TestDepthCommand:
         assert "2^31" in captured.err
 
     def test_face_cap_exceeded(self, tmp_path, monkeypatch, capsys):
+        # the top-face module on six variables has no cone vertex, and its
+        # pass lists 22 delta faces by level 2
         from sqdepth import homology
 
-        path = tmp_path / "s6.ideal"
-        path.write_text("n: 6\nJ: unit\nI: zero\n", encoding="utf-8")
+        path = tmp_path / "top-face-6.ideal"
+        path.write_text("n: 6\nJ: x1*x2*x3*x4*x5*x6\nI: zero\n", encoding="utf-8")
         monkeypatch.setattr(homology, "FACE_CAP", 20)
         assert main(["depth", str(path)]) == 1
         captured = capsys.readouterr()
         assert "depth:" not in captured.out
         assert captured.err.startswith("error: face count exceeds the cap 20")
+
+    def test_cone_vertices_count_nothing_against_the_cap(self, tmp_path, monkeypatch, capsys):
+        # S on six variables: every vertex is a cone vertex, so the pass
+        # lists no face and answers under the cap that the module above
+        # exceeds
+        from sqdepth import homology
+
+        path = tmp_path / "s6.ideal"
+        path.write_text("n: 6\nJ: unit\nI: zero\n", encoding="utf-8")
+        monkeypatch.setattr(homology, "FACE_CAP", 20)
+        assert main(["depth", str(path)]) == 0
+        assert "depth: 6  (QQ)" in capsys.readouterr().out.splitlines()
+
+    def test_free_variables_answer(self, tmp_path):
+        # x1*x2 and x23*x24 leave x3..x22 in every facet of delta: the pass
+        # runs on the link pair at those 20 cone vertices, four vertices
+        # and two missing edges, not on the 2^24 faces of delta
+        path = tmp_path / "free-24.ideal"
+        path.write_text("n: 24\nJ: unit\nI: x1*x2, x23*x24\n", encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "sqdepth", "depth", str(path)],
+                             capture_output=True, text=True, env=env, timeout=10)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "depth: 22  (QQ)" in run.stdout.splitlines()
 
     def test_witness_on_non_cm(self, tmp_path, capsys):
         path = tmp_path / "disc.ideal"

@@ -438,23 +438,31 @@ class TestTorsion:
     RP2 = Path(__file__).resolve().parent.parent / "corpus" / "rp2-qq.ideal"
 
     def _counted_verdict(self, monkeypatch, field, pair=None):
-        # the verdict and the star passes ranked over QQ (p = 0); the pass
-        # must build no index beside psi's own, that is, no link pair's
+        # the verdict and the exact recounts over QQ (the signed kernel at
+        # p = 0), each as the face, index and top of the star steps it
+        # ranks in; the pass must build no index beside psi's own, that is,
+        # no link pair's
         from sqdepth import homology
 
-        calls, indexes = [], []
-        bettis, star_index = homology._star_bettis, homology._StarIndex
+        calls, indexes, passes = [], [], []
+        steps, negatives = homology._star_steps, homology._signed_negatives
+        star_index = homology._StarIndex
 
-        def counted_bettis(face, index, top, p):
+        def counted_steps(face, index, top, p, first=False):
+            passes.append((face, index, top))
+            return steps(face, index, top, p, first)
+
+        def counted_negatives(columns, star, rows, p):
             if p == 0:
-                calls.append((face, index, top))
-            return bettis(face, index, top, p)
+                calls.append(passes[-1])
+            return negatives(columns, star, rows, p)
 
         def counted_index(*args):
             indexes.append(star_index(*args))
             return indexes[-1]
 
-        monkeypatch.setattr(homology, "_star_bettis", counted_bettis)
+        monkeypatch.setattr(homology, "_star_steps", counted_steps)
+        monkeypatch.setattr(homology, "_signed_negatives", counted_negatives)
         monkeypatch.setattr(homology, "_StarIndex", counted_index)
         psi = relative_of_pair(pair or parse_problem_file(self.RP2).pair())
         verdict = depth_verdict(psi, field)
@@ -501,20 +509,47 @@ class TestTorsion:
         assert (verdict.depth, verdict.dim, verdict.is_cm) == (3, 3, True)
         assert calls == []
 
+    @pytest.mark.parametrize("pair, depths", [
+        ("rp2", (3, 2, 3, 3)),  # H_1 = Z/2: GF(2) only
+        ("moore3", (3, 3, 2, 3)),  # H_1 = Z/3: GF(3) only
+    ])
+    def test_depth_over_four_fields(self, pair, depths):
+        # the XOR ranks certified for odd primes must decline on the torsion
+        # that only GF(3) sees, and the QQ recount must clear GF(2)'s
+        pair = (parse_problem_file(self.RP2).pair() if pair == "rp2"
+                else oracles.moore_space_mod_3())
+        psi = relative_of_pair(pair)
+        for p, expected in zip((0, 2, 3, 32003), depths):
+            verdict = depth_verdict(psi, CoefficientField(p))
+            assert (verdict.depth, verdict.dim) == (expected, 3)
+
 
 class TestFaceCap:
     def test_listed_delta_faces_count(self, monkeypatch):
-        # S over six variables: every link is a simplex, and the pass stops
-        # below size dim - 1 = 5, so it lists the 57 delta faces of 0..4
-        # vertices and computes no link homology
+        # J/I = (0, x1*...*x6): delta is the 5-simplex and gamma its
+        # boundary, so no vertex is in every facet; the pass stops below
+        # size dim - 1 = 5, so it lists the 57 delta faces of 0..4 vertices,
+        # whose link pairs have homology only in the dimension that gives 6
         from sqdepth import homology
 
-        psi = relative_of_pair(IdealPair(MonomialIdeal.zero(6), MonomialIdeal.unit(6)))
+        psi = relative_of_pair(IdealPair.module(parse_ideal("x1*x2*x3*x4*x5*x6", 6)))
         monkeypatch.setattr(homology, "FACE_CAP", 57)
         assert depth_verdict(psi).depth == 6
         monkeypatch.setattr(homology, "FACE_CAP", 56)
         with pytest.raises(CapExceededError, match="face count exceeds the cap 56"):
             depth_verdict(psi)
+
+    def test_cone_vertices_list_no_faces(self, monkeypatch):
+        # S over six variables: delta is the 5-simplex and gamma is void,
+        # so all six vertices are cone vertices and the pass runs on the
+        # link pair at the whole simplex, which has no face to visit: it
+        # answers under any cap, with nothing listed
+        from sqdepth import homology
+
+        psi = relative_of_pair(IdealPair(MonomialIdeal.zero(6), MonomialIdeal.unit(6)))
+        monkeypatch.setattr(homology, "FACE_CAP", 0)
+        verdict = depth_verdict(psi)
+        assert (verdict.depth, verdict.dim, verdict.witness_face) == (6, 6, None)
 
     def test_link_pair_faces_count(self, monkeypatch):
         # delta is a 4-simplex plus a point and gamma a 3-simplex: the pass
@@ -586,28 +621,56 @@ class TestBoundedListing:
         assert built < 4 * 1000
 
     def test_a_refused_size_is_not_listed_again(self, monkeypatch):
-        # J/I = (0, x1*...*x6) on 7 variables: delta is the 6-simplex, with
-        # 35 faces of 3 vertices, and gamma holds every smaller face, so no
-        # face of psi is held below that size and 30 faces are left for it
-        # at every level.  The size is refused at level 1, for the star at
-        # x7, needed again at level 2 for the stars at the edges {v, 7},
-        # and at level 3 as the level itself, which ends the pass; it is
-        # listed once, not once per level
+        # J/I = (0, x1*...*x6): delta is the 5-simplex, with 20 faces of 3
+        # vertices, and gamma its boundary, so psi's index holds no face
+        # below size 6 and, under a cap of 19, 19 faces are left for size 3.
+        # The size is refused when the star at the empty face first reads
+        # it; read again, at a vertex or as a level, it is refused without
+        # being listed, until more than 19 faces are left.  The depth pass
+        # reads it at the empty face, where the refusal ends the pass
         from sqdepth import homology
 
         listed = []
         faces_of_size = homology._faces_of_size
 
         def counted(vertices, k, limit):
-            listed.append((len(vertices[0]), k))
+            listed.append(k)
             return faces_of_size(vertices, k, limit)
 
         monkeypatch.setattr(homology, "_faces_of_size", counted)
-        monkeypatch.setattr(homology, "FACE_CAP", 30)
+        monkeypatch.setattr(homology, "FACE_CAP", 19)
+        psi = relative_of_pair(IdealPair.module(parse_ideal("x1*x2*x3*x4*x5*x6", 6)))
+        index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+        for read in (lambda: index.star([], 3), lambda: index.star([0], 3),
+                     lambda: index.level(3)):
+            with pytest.raises(CapExceededError, match="^face count exceeds the cap 19$"):
+                read()
+        assert listed == [3]
+        monkeypatch.setattr(homology, "FACE_CAP", 20)
+        assert index.star([], 3) == 0  # every face of 3 vertices is in gamma
+        assert listed == [3, 3]
+        listed.clear()
+        monkeypatch.setattr(homology, "FACE_CAP", 19)
+        with pytest.raises(CapExceededError, match="^face count exceeds the cap 19$"):
+            depth_verdict(psi)
+        assert listed == [0, 1, 2, 3]
+
+    def test_a_cone_vertex_answers_below_the_old_refusal(self, monkeypatch):
+        # J/I = (0, x1*...*x6) on 7 variables: x7 is in every facet of
+        # delta (the 6-simplex) and of gamma, so the pass runs on the link
+        # pair at x7, the module above on six variables, and lists its 57
+        # faces of 0..4 vertices, not the 120 faces of 0..5 vertices of the
+        # 6-simplex; its depth and dim gain one for x7
+        from sqdepth import homology
+
         text = "n: 7\nJ: " + "*".join(f"x{v}" for v in range(1, 7)) + "\nI: zero"
-        with pytest.raises(CapExceededError, match="^face count exceeds the cap 30$"):
-            depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
-        assert [k for vertices, k in listed if vertices == 7] == [0, 1, 2, 3]
+        psi = relative_of_pair(parse_problem_text(text).pair())
+        monkeypatch.setattr(homology, "FACE_CAP", 57)
+        verdict = depth_verdict(psi)
+        assert (verdict.depth, verdict.dim, verdict.witness_face) == (7, 7, None)
+        monkeypatch.setattr(homology, "FACE_CAP", 56)
+        with pytest.raises(CapExceededError, match="^face count exceeds the cap 56$"):
+            depth_verdict(psi)
 
     def test_a_refusal_at_the_empty_face_builds_no_second_index(self, monkeypatch):
         # J/I = (0, J) with J the edge ideal of the 8-cycle: delta is the
@@ -615,8 +678,8 @@ class TestBoundedListing:
         # itself, first.  Under a cap of 60, psi's index holds the 8 pair
         # faces of sizes 0..2 and refuses size 3 (56 delta faces, 52 left);
         # an index of psi's own pair would hold the same and refuse the
-        # same size, so the pass stops with one index and one cone test
-        # per held size
+        # same size, so the pass stops with one index and one gamma
+        # classification per held size
         from sqdepth import homology
 
         built, classified = [], []
@@ -639,6 +702,30 @@ class TestBoundedListing:
             depth_verdict(psi)
         assert len(built) == 1
         assert classified == [1, 8, 28]
+
+    def test_cone_test_runs_only_on_visited_levels(self, monkeypatch):
+        # RP^2 over QQ: the pass visits sizes 0 and 1 (dim 3) and reads
+        # the stars of sizes 0..3; every built size gets its gamma flags,
+        # and only the two visited sizes get the cone test
+        from sqdepth import homology
+
+        classified, tested = [], []
+        classify_level, cone_test = homology._classify_level, homology._cone_test
+
+        def classify(faces, *args):
+            classified.append(len(faces))
+            return classify_level(faces, *args)
+
+        def test(faces, *args):
+            tested.append(len(faces))
+            return cone_test(faces, *args)
+
+        monkeypatch.setattr(homology, "_classify_level", classify)
+        monkeypatch.setattr(homology, "_cone_test", test)
+        psi = relative_of_pair(parse_problem_file(TestTorsion.RP2).pair())
+        assert depth_verdict(psi).depth == 3
+        assert classified == [1, 6, 15, 10]
+        assert tested == [1, 6]
 
 
 class TestCoefficientField:

@@ -24,8 +24,10 @@ from sqdepth.homology import (
     CoefficientField,
     _StarIndex,
     _classify_level,
+    _cone_test,
+    _gf2_negatives,
     _signed_negatives,
-    _star_bettis,
+    _star_steps,
     depth,
     depth_verdict,
     relative_homology,
@@ -234,6 +236,11 @@ def _index(psi):
     return _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
 
 
+def _star_bettis(face, index, top, p):
+    """The Betti numbers of the star steps at `face` from dimension -1 up to top."""
+    return [faces - low - high for faces, low, high in _star_steps(face, index, top, p)]
+
+
 def _star_faces(index, face, size):
     """The faces of the link pair at `face` read off its star at `size`."""
     star = index.star([b for b in range(face.bit_length()) if face >> b & 1], size)
@@ -355,6 +362,29 @@ def test_depth_pass_matches_the_listed_pair_oracle(pair, field):
         oracles.listed_pair_verdict(psi, field))
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs(6), st.integers(1, 3), st.sampled_from(THREE_FIELDS), st.data())
+def test_free_variables_match_the_listed_pair_oracle(pair, extra, field, data):
+    # generators that miss some variables leave them in every facet of
+    # delta and gamma: the pass runs on the link pair at those cone
+    # vertices and must give the depth, dim and witness of the oracle on
+    # the whole pair, each free variable adding one to depth and dim
+    n = pair.n + extra
+    vertex = data.draw(st.permutations(range(n)))
+
+    def spread(ideal):
+        return minimalize((sum(1 << vertex[i] for i in range(pair.n) if g >> i & 1)
+                           for g in ideal.generators), n)
+
+    psi = relative_of_pair(IdealPair(spread(pair.lower), spread(pair.upper)))
+    assume(not psi.is_empty)
+    verdict = depth_verdict(psi, field)
+    assert (verdict.depth, verdict.dim, verdict.witness_face, verdict.witness_dim) == (
+        oracles.listed_pair_verdict(psi, field))
+    narrow = depth_verdict(relative_of_pair(pair), field)
+    assert (verdict.depth, verdict.dim) == (narrow.depth + extra, narrow.dim + extra)
+
+
 # the two cases of the lemma in depth_verdict, each with G the empty face:
 # G in gamma (J = (x2, x3)), and G outside a void gamma (the quotient)
 LEMMA_G_IN_GAMMA = IdealPair(parse_ideal("x1*x3, x2*x3", 3), parse_ideal("x2, x3", 3))
@@ -472,6 +502,66 @@ def test_signed_negatives_rank_matches_dense_elimination(seed):
                 oracles.mod_p_rank(dense, p))
 
 
+def _assert_certificate_holds(columns, star, rows):
+    """A certified GF(2) result is None, or the full row count of columns,
+    each alone of signed rank that count over QQ and the odd primes, so a
+    column basis on the rows over each, as _signed_negatives finds one."""
+    certified = _gf2_negatives(columns, star, rows, certify=True)
+    if certified is None:
+        return False
+    wanted = rows.bit_count()
+    assert certified.bit_count() == wanted
+    assert certified & ~star == 0
+    for p in (0, 3, 32003):
+        assert _signed_negatives(columns, star, rows, p).bit_count() == wanted
+        assert _signed_negatives(columns, certified, rows, p).bit_count() == wanted
+    return True
+
+
+@settings(derandomize=True, deadline=None)
+@given(pairs(8), st.randoms(use_true_random=False))
+@example(RP2, random.Random(0))
+@example(MOORE3, random.Random(0))
+def test_certified_xor_ranks_are_bases_over_every_field(pair, rng):
+    # on the stars of psi's index, with rows that are all faces one size
+    # down or a random part of them: the certificate accepts only a full
+    # row rank whose kept columns were never reduced, and those are then
+    # independent over QQ, GF(3) and GF(32003) as well
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    index = _index(psi)
+    for k in range(1, psi.dim + 2):
+        star, below = index.star([], k), index.star([], k - 1)
+        for rows in (below, below & rng.getrandbits(max(below.bit_length(), 1))):
+            for chosen in (star, star & rng.getrandbits(max(star.bit_length(), 1))):
+                _assert_certificate_holds(index.columns(k), chosen, rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_xor_ranks_on_random_columns(seed):
+    # the same on random sparse +-1 columns, where it accepts some stars
+    accepted = sum(_assert_certificate_holds(columns, star, rows)
+                   for columns, star, rows, dense in _signed_rank_cases(seed, 300))
+    assert accepted
+
+
+def test_certificate_declines_where_gf2_and_gf3_ranks_differ():
+    # d_2 of the mod-3 Moore space on the edges outside a GF(2) column
+    # basis of d_1: full row rank over GF(2) (b_1 = 0 there), one less over
+    # GF(3) (b_1 = 1), so some kept column must have been reduced
+    triangles = relative_of_pair(MOORE3).delta.facets
+    edges = sorted({t ^ (1 << b) for t in triangles for b in range(MOORE3.n) if t >> b & 1})
+    vertices = [1 << b for b in range(MOORE3.n)]
+    d1 = [_positional(c.items(), len(vertices)) for c in oracles.boundary_columns(vertices, edges)]
+    d2 = [_positional(c.items(), len(edges)) for c in oracles.boundary_columns(edges, triangles)]
+    rows = ((1 << len(edges)) - 1) & ~_gf2_negatives(d1, (1 << len(edges)) - 1,
+                                                     (1 << len(vertices)) - 1)
+    star = (1 << len(d2)) - 1
+    assert _gf2_negatives(d2, star, rows).bit_count() == rows.bit_count()
+    assert _signed_negatives(d2, star, rows, 3).bit_count() == rows.bit_count() - 1
+    assert _gf2_negatives(d2, star, rows, certify=True) is None
+
+
 @settings(derandomize=True, deadline=None)
 @given(pairs(8), st.sampled_from(THREE_FIELDS))
 def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
@@ -503,7 +593,10 @@ def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cell
         mp.setattr(homology, "LEVEL_CELLS", cells)
         for size in range(psi.dim + 2):
             level = sorted(_faces_of_size(map(face_vertices, psi.delta.facets), size, FACE_CAP))
-            skip, in_gamma = _classify_level(level, psi.delta.facets, psi.gamma.facets, psi.n)
+            index = _index(psi)
+            faces = np.array(level, dtype=index.dtype)
+            in_gamma = _classify_level(faces, index)
+            skip = _cone_test(faces, in_gamma, index)
             facet_flags = [f in facets for f in level]
             expected = [oracles.classify_face(psi, f) for f in level]
             assert list(zip(skip.tolist(), facet_flags)) == expected
