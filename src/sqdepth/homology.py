@@ -46,15 +46,16 @@ sign of each entry read from its position.  From d_2 up:
 The depth pass first takes the cone vertices, the AND of the facets of
 delta and gamma: a face that misses one has an acyclic link pair, so the
 pass runs on the link pair at them (see depth_verdict).  It reads its
-levels from that pair's index; the cone test of a level, which marks the
-faces whose links are cones, runs the first time the pass visits it, and
-the pass stops before the level where only H_{-1} could count, since a
-facet of psi never sets the minimum there.  Every link pair is a star of
-that index, ranked up to its first nonzero Betti number.  An index refuses
-a size past FACE_CAP by raising CapExceededError (_StarIndex.level); where
-the pass's index refuses one that the link pair at a nonempty face needs,
-that pair gets an index of its own, built from its two link facet tuples,
-and is ranked from its empty face the same way.
+levels from that pair's index, whose one level test (_classify_level)
+marks, as the index builds a size, both the faces in gamma and the faces
+whose link pairs are acyclic as cones; the pass stops before the level
+where only H_{-1} could count, since a facet of psi never sets the minimum
+there.  Every link pair is a star of that index, ranked up to its first
+nonzero Betti number.  An index refuses a size past FACE_CAP by raising
+CapExceededError (_StarIndex.level); where the pass's index refuses one
+that the link pair at a nonempty face needs, that pair gets an index of its
+own, built from its two link facet tuples, and is ranked from its empty
+face the same way.
 """
 from __future__ import annotations
 
@@ -208,19 +209,20 @@ class CmVerdict:
 
 
 class _Level:
-    """An index's delta faces of one size, in ascending mask order, with
-    their gamma flags (_classify_level): the pair's faces, those outside
-    gamma, with per vertex the bitset of their positions and, once a star
-    there is ranked, their boundary table (see _StarIndex.columns); for the
-    depth pass, the delta face count and, the first time the pass reads
-    them, the faces the cone test keeps (visits)."""
+    """An index's delta faces of one size, classified by _classify_level:
+    the pair's faces, those outside gamma, in ascending mask order, with per
+    vertex the bitset of their positions and, once a star there is ranked,
+    their boundary table (see _StarIndex.columns); for the depth pass, the
+    delta face count and the delta faces whose link pair the cone test does
+    not find acyclic (visits), as a numpy array."""
 
-    __slots__ = ("faces", "full", "bits", "columns", "listed", "delta_faces", "in_gamma", "kept")
+    __slots__ = ("faces", "full", "bits", "columns", "listed", "visits")
 
     def __init__(self, level: list[int], index: _StarIndex):
-        self.delta_faces = np.array(level, dtype=index.dtype)
-        self.in_gamma = _classify_level(self.delta_faces, index)
-        pair = self.delta_faces[~self.in_gamma]
+        faces = np.array(level, dtype=index.dtype)
+        skip, in_gamma = _classify_level(faces, index)
+        self.visits = faces[~skip]
+        pair = faces[~in_gamma]
         self.faces = pair.tolist()
         self.full = (1 << len(self.faces)) - 1
         self.bits = [0] * index.n
@@ -230,15 +232,6 @@ class _Level:
             self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         self.columns: Optional[list[tuple[int, ...]]] = None
         self.listed = len(level)
-        self.kept: Optional[list[int]] = None
-
-    def visits(self, index: _StarIndex) -> list[int]:
-        """The delta faces whose link pair the cone test (_cone_test) does
-        not find acyclic, tested the first time they are read."""
-        if self.kept is None:
-            skip = _cone_test(self.delta_faces, self.in_gamma, index)
-            self.kept = self.delta_faces[~skip].tolist()
-        return self.kept
 
 
 class _StarIndex:
@@ -251,17 +244,17 @@ class _StarIndex:
     are left is refused, its listing stopped there, and raises on reading.
     A size refused with L faces left has more than L delta faces, so it
     stays refused, without being listed again, until more than L are left.
-    The facet tuples and the vertex shifts are held as numpy arrays too,
-    for the level tests."""
+    Delta's facets followed by gamma's, their complements and the vertex
+    shifts are held as numpy arrays too, for the level test
+    (_classify_level)."""
 
     def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
         self.delta, self.gamma, self.n = delta, gamma, n
         self.vertices = list(map(face_vertices, delta))
         self.dtype = np.uint64 if n <= 64 else object
         self.everything = ~np.uint64(0) if n <= 64 else -1
-        self.delta_array = np.array(delta, dtype=self.dtype)
-        self.gamma_array = np.array(gamma, dtype=self.dtype)
-        self.outside_delta, self.outside_gamma = ~self.delta_array, ~self.gamma_array
+        self.facet_array = np.array(delta + gamma, dtype=self.dtype)
+        self.outside_facets = ~self.facet_array
         self.shifts = np.array(range(n), dtype=self.dtype)
         self.levels: dict[int, _Level] = {}
         self.refused: dict[int, int] = {}  # size -> faces left when it was refused
@@ -474,43 +467,30 @@ def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
     return len(steps) - 2 if faces > low + high else None
 
 
-def _classify_level(faces: np.ndarray, index: _StarIndex) -> np.ndarray:
-    """Whether each face in `faces`, faces of delta of one size of the
-    index's pair, lies in gamma, that is, inside one of its facets.  The
-    faces-by-facets table is built in chunks of at most LEVEL_CELLS cells."""
-    outside = index.outside_gamma
-    in_gamma = np.empty(len(faces), dtype=bool)
-    rows = max(1, LEVEL_CELLS // max(len(outside), 1))
-    for start in range(0, len(faces), rows):
-        chunk = faces[start:start + rows, None]
-        in_gamma[start:start + rows] = ((chunk & outside) == 0).any(axis=1)
-    return in_gamma
-
-
-def _cone_test(faces: np.ndarray, in_gamma: np.ndarray, index: _StarIndex) -> np.ndarray:
-    """Whether the link pair at each face in `faces`, faces of delta of one
-    size of the index's pair with their gamma flags, is acyclic because its
-    delta link is a cone and its gamma link is void or a cone.
+def _classify_level(faces: np.ndarray, index: _StarIndex) -> tuple[np.ndarray, np.ndarray]:
+    """For each face in `faces`, faces of delta of one size of the index's
+    pair, whether its link pair is acyclic because its delta link is a cone
+    and its gamma link is void or a cone (skip), and whether it lies in
+    gamma, inside one of gamma's facets (in_gamma).
 
     The link of F is a cone exactly when the AND of the facets containing F
-    has a vertex outside F.  The faces-by-facets tables are built in chunks
-    of at most LEVEL_CELLS cells.
+    has a vertex outside F; where no facet of gamma contains F, that AND is
+    every vertex, so a void gamma link passes too.  Both flags are read
+    from one table of the faces by the facets of delta, then gamma, built
+    in chunks of at most LEVEL_CELLS cells.
     """
-    d, g, everything = index.delta_array, index.gamma_array, index.everything
+    facets, cut, everything = index.facet_array, len(index.delta), index.everything
     skip = np.empty(len(faces), dtype=bool)
-    rows = max(1, LEVEL_CELLS // max(len(d), len(g), 1))
+    in_gamma = np.empty(len(faces), dtype=bool)
+    rows = max(1, LEVEL_CELLS // max(len(facets), 1))
     for start in range(0, len(faces), rows):
         f = faces[start:start + rows]
-        apex = np.bitwise_and.reduce(
-            np.where((f[:, None] & index.outside_delta) == 0, d, everything), axis=1)
-        cone = apex != f
-        both = cone & in_gamma[start:start + rows]  # only there does the gamma link decide
-        f = f[both]
-        apex = np.bitwise_and.reduce(
-            np.where((f[:, None] & index.outside_gamma) == 0, g, everything), axis=1)
-        cone[both] = apex != f
-        skip[start:start + rows] = cone
-    return skip
+        inside = (f[:, None] & index.outside_facets) == 0
+        apex = np.where(inside, facets, everything)
+        in_gamma[start:start + rows] = inside[:, cut:].any(axis=1)
+        skip[start:start + rows] = ((np.bitwise_and.reduce(apex[:, :cut], axis=1) != f)
+                                    & (np.bitwise_and.reduce(apex[:, cut:], axis=1) != f))
+    return skip, in_gamma
 
 
 def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
@@ -532,10 +512,10 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     where only a facet of psi' could (i = -1), and none does (see the lemma
     below).  Levels come from the index of psi' (_StarIndex.level); their
     delta faces count against FACE_CAP, and a refused level stops the pass, as
-    does a size that _first_homology cannot index.  The cone test
-    (_cone_test), run on a level when the pass reaches it, has skipped the
-    faces whose link pair is acyclic.  The first (F, i) to set the final
-    minimum is the witness.
+    does a size that _first_homology cannot index.  The cone test of each
+    level (_classify_level), run as the index builds it, has left out of
+    its visits the faces whose link pair is acyclic.  The first (F, i) to
+    set the final minimum is the witness.
     """
     # Lemma: no visited face is a facet F of psi (of delta, outside gamma),
     # so H_{-1} never sets best.  Let s = |F| < dim.  Take G < F maximal
@@ -561,7 +541,7 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
         if listed + level.listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
         listed += level.listed
-        for f in level.visits(index):
+        for f in level.visits.tolist():
             i = _first_homology(f, index, field, best - size - 2)
             if i is not None:
                 best = size + 1 + i

@@ -186,11 +186,7 @@ def h_vector(x: ComplexLike, level: Optional[int] = None) -> BetaVector:
     The default level is dim+1; an explicit level is used when transforming
     skeleta, where the truncation may sit below the requested level.
     """
-    return h_vector_of_counts(f_vector(x).entries, level)
-
-
-def h_vector_of_counts(counts: Sequence[int], level: Optional[int] = None) -> BetaVector:
-    """h-vector from face counts by size: counts[i] faces with i vertices."""
+    counts = f_vector(x).entries
     if level is None:
         if not counts:
             raise ValueError("empty complex has no intrinsic level; pass one explicitly")

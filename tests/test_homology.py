@@ -571,13 +571,70 @@ class TestFaceCap:
 
     def test_only_link_pairs_count_when_psi_is_over_the_cap(self):
         # delta is a cone from vertex 1 over a 15-simplex plus the point 18,
-        # 2^17 + 2 faces, more than the cap; the empty face is a cone and is
-        # skipped, and the pair at vertex 1 has 2^16 + 1 faces, under it, so
-        # the pass lists that pair from its facets and finds H_0 there
+        # 2^17 + 2 faces, more than the cap; vertex 1 is in every facet, so
+        # the pass strips it and runs on the link pair at it, a 15-simplex
+        # plus a point, and finds H_0 at that pair's empty face from its
+        # faces of at most two vertices: depth 1 + 1, witnessed at {1}
         text = "n: 18\nJ: unit\nI: " + ", ".join(f"x{v}*x18" for v in range(2, 18))
         verdict = depth_verdict(relative_of_pair(parse_problem_text(text).pair()))
         assert (verdict.depth, verdict.dim) == (2, 17)
         assert (verdict.witness_face, verdict.witness_dim) == (0b1, 0)
+
+    @staticmethod
+    def _counted_indexes(monkeypatch) -> list:
+        from sqdepth import homology
+
+        built = []
+        star_index = homology._StarIndex
+
+        def index(*args):
+            built.append(args)
+            return star_index(*args)
+
+        monkeypatch.setattr(homology, "_StarIndex", index)
+        return built
+
+    def test_a_refusal_at_a_nonempty_face_ranks_its_pair_on_an_index_of_its_own(self, monkeypatch):
+        # delta is a cone from vertex 1 over the edges {2, 3} and {4, 5},
+        # and gamma the edge {2, 3}: no vertex is in every facet, and both
+        # links at the empty face are cones, so it is skipped.  Under a cap
+        # of 9 psi's index holds the 8 pair faces of sizes 0..2 and refuses
+        # size 3 (2 faces, 1 left), which H_0 of the link pair at {1}, two
+        # disjoint edges, needs to rank d_1; that pair gets an index of its
+        # own and gives depth 1 + 1 + 0.  Under the default cap one index
+        # holds it all
+        from sqdepth import homology
+
+        built = self._counted_indexes(monkeypatch)
+        text = "n: 5\nJ: x1, x4, x5\nI: x2*x4, x2*x5, x3*x4, x3*x5"
+        psi = relative_of_pair(parse_problem_text(text).pair())
+        for cap, indexes in ((9, 2), (100_000, 1)):
+            monkeypatch.setattr(homology, "FACE_CAP", cap)
+            for field in FIELDS:
+                built.clear()
+                verdict = depth_verdict(psi, field)
+                assert (verdict.depth, verdict.dim) == (2, 3)
+                assert (verdict.witness_face, verdict.witness_dim) == (0b1, 0)
+                assert len(built) == indexes
+
+    def test_a_refusal_at_a_nonempty_face_of_a_cm_module(self, monkeypatch):
+        # J/I = (x1, x2)/(x2*x3*x4): delta has the facets {1,2,3}, {1,2,4}
+        # and {1,3,4}, and gamma is the edge {3, 4}.  The empty face and
+        # the vertices 2, 3 and 4 have cone links; under a cap of 8 psi's
+        # index holds the 7 pair faces of sizes 0..2 and refuses size 3 (3
+        # faces, 1 left), which the link pair at {1}, a hollow triangle,
+        # needs to rank d_1.  That pair, acyclic up to H_0, gets an index of
+        # its own, and the pass finds depth 3 = dim
+        from sqdepth import homology
+
+        built = self._counted_indexes(monkeypatch)
+        psi = relative_of_pair(parse_problem_text("n: 4\nJ: x1, x2\nI: x2*x3*x4").pair())
+        monkeypatch.setattr(homology, "FACE_CAP", 8)
+        for field in FIELDS:
+            built.clear()
+            verdict = depth_verdict(psi, field)
+            assert (verdict.depth, verdict.dim, verdict.witness_face) == (3, 3, None)
+            assert len(built) == 2
 
 
 class TestBoundedListing:
@@ -703,29 +760,23 @@ class TestBoundedListing:
         assert len(built) == 1
         assert classified == [1, 8, 28]
 
-    def test_cone_test_runs_only_on_visited_levels(self, monkeypatch):
+    def test_each_built_size_is_classified_once(self, monkeypatch):
         # RP^2 over QQ: the pass visits sizes 0 and 1 (dim 3) and reads
-        # the stars of sizes 0..3; every built size gets its gamma flags,
-        # and only the two visited sizes get the cone test
+        # the stars of sizes 0..3; each size the index builds gets its
+        # gamma flags and its cone flags from one level test, once
         from sqdepth import homology
 
-        classified, tested = [], []
-        classify_level, cone_test = homology._classify_level, homology._cone_test
+        classified = []
+        classify_level = homology._classify_level
 
         def classify(faces, *args):
             classified.append(len(faces))
             return classify_level(faces, *args)
 
-        def test(faces, *args):
-            tested.append(len(faces))
-            return cone_test(faces, *args)
-
         monkeypatch.setattr(homology, "_classify_level", classify)
-        monkeypatch.setattr(homology, "_cone_test", test)
         psi = relative_of_pair(parse_problem_file(TestTorsion.RP2).pair())
         assert depth_verdict(psi).depth == 3
         assert classified == [1, 6, 15, 10]
-        assert tested == [1, 6]
 
 
 class TestCoefficientField:

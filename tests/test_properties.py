@@ -24,7 +24,6 @@ from sqdepth.homology import (
     CoefficientField,
     _StarIndex,
     _classify_level,
-    _cone_test,
     _gf2_negatives,
     _signed_negatives,
     _star_steps,
@@ -579,9 +578,9 @@ def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
 @given(pairs(8), st.booleans(), st.sampled_from((1, 2, 3, 5, 7, 1 << 16)))
 @example(IdealPair(parse_ideal("x1*x2", 2), parse_ideal("x1", 2)), False, 1)  # facet {2} in gamma
 def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cells):
-    # the cone test of one level in chunks of `cells` cells, small ones
-    # putting chunk edges inside every level, against the per-face test
-    # from the link facets, and the gamma flag against membership in gamma;
+    # the level test in chunks of `cells` cells, small ones putting chunk
+    # edges inside every level: its cone flags against the per-face test
+    # from the link facets, and its gamma flags against membership in gamma;
     # psi's facets, which the depth pass reads on its last level, are the
     # faces with H_{-1} of the link pair nonzero
     psi = relative_of_pair(pair)
@@ -595,8 +594,7 @@ def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cell
             level = sorted(_faces_of_size(map(face_vertices, psi.delta.facets), size, FACE_CAP))
             index = _index(psi)
             faces = np.array(level, dtype=index.dtype)
-            in_gamma = _classify_level(faces, index)
-            skip = _cone_test(faces, in_gamma, index)
+            skip, in_gamma = _classify_level(faces, index)
             facet_flags = [f in facets for f in level]
             expected = [oracles.classify_face(psi, f) for f in level]
             assert list(zip(skip.tolist(), facet_flags)) == expected
