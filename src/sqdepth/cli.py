@@ -111,7 +111,7 @@ def _print_report(doc: dict) -> None:
         print(f"cohen-macaulay: {doc['cm']}")
         if doc["cm_witness"]:
             w = doc["cm_witness"]
-            size = w["face"].count(",") + 1 if w["face"] != "{}" else 0
+            size = doc["depth"] - 1 - w["dimension"]  # |F|, since depth = |F| + 1 + i
             print(f"  depth witness: face {w['face']}, homology dimension {w['dimension']}"
                   f" (depth = {size} + 1 + {w['dimension']})")
     for note in doc["notes"]:

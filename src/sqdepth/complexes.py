@@ -22,6 +22,7 @@ from .ideals import (
     complement,
     degree_counts,
     downward_closure_table,
+    face_vertices,  # re-exported: the vertices of a face
     maximal_masks,
     membership_table,
     minimal_masks,
@@ -66,11 +67,6 @@ class SimplicialComplex:
 
     def has_face(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
-
-
-def face_vertices(face: int) -> list[int]:
-    """The vertices of a face, as one-bit masks."""
-    return [1 << b for b in range(face.bit_length()) if face >> b & 1]
 
 
 def _faces_of_size(facets: Iterable[list[int]], k: int, limit: int) -> set[int]:
@@ -118,16 +114,6 @@ class RelativeComplex:
         if not self.facets:
             raise ValueError("relative complex has no faces")
         return max(f.bit_count() for f in self.facets) - 1
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts; entries[i] is the number of faces of dimension i-1."""
-
-    entries: tuple[int, ...]
-
-    def f(self, i: int) -> int:
-        return self.entries[i + 1] if -1 <= i < len(self.entries) - 1 else 0
 
 
 ComplexLike = Union[SimplicialComplex, RelativeComplex]
@@ -181,12 +167,13 @@ def face_table(x: ComplexLike) -> np.ndarray:
     return downward_closure_table(x.facets, x.n)
 
 
-def f_vector(x: ComplexLike) -> FVector:
-    """Face counts by dimension; relative counts are delta minus gamma."""
+def f_vector(x: ComplexLike) -> tuple[int, ...]:
+    """Face counts by dimension, up to the last nonzero one: entry i counts
+    the faces of dimension i - 1; relative counts are delta minus gamma."""
     entries = list(degree_counts(face_table(x), x.n))
     while entries and entries[-1] == 0:
         entries.pop()
-    return FVector(tuple(entries))
+    return tuple(entries)
 
 
 def link_facets(facets: tuple[int, ...], face: int) -> tuple[int, ...]:

@@ -47,15 +47,15 @@ The depth pass first takes the cone vertices, the AND of the facets of
 delta and gamma: a face that misses one has an acyclic link pair, so the
 pass runs on the link pair at them (see depth_verdict).  It reads its
 levels from that pair's index, whose one level test (_classify_level)
-marks, as the index builds a size, both the faces in gamma and the faces
-whose link pairs are acyclic as cones; the pass stops before the level
-where only H_{-1} could count, since a facet of psi never sets the minimum
-there.  Every link pair is a star of that index, ranked up to its first
-nonzero Betti number.  An index refuses a size past FACE_CAP by raising
-CapExceededError (_StarIndex.level); where the pass's index refuses one
-that the link pair at a nonempty face needs, that pair gets an index of its
-own, built from its two link facet tuples, and is ranked from its empty
-face the same way.
+marks, as the index builds a size, the faces in gamma and, on the sizes
+the pass can still visit, the faces whose link pairs are acyclic as cones;
+the pass stops before the level where only H_{-1} could count, since a
+facet of psi never sets the minimum there.  Every link pair is a star of
+that index, ranked up to its first nonzero Betti number.  An index refuses
+a size past FACE_CAP by raising CapExceededError (_StarIndex.level); where
+the pass's index refuses one that the link pair at a nonempty face needs,
+that pair gets an index of its own, built from its two link facet tuples,
+and is ranked from its empty face the same way.
 """
 from __future__ import annotations
 
@@ -72,11 +72,10 @@ from .complexes import (
     RelativeComplex,
     SimplicialComplex,
     _faces_of_size,
-    face_vertices,
     link_facets,
     relative_of_pair,
 )
-from .ideals import IdealPair
+from .ideals import IdealPair, face_vertices
 
 # Most pair faces an index holds and delta faces a depth pass visits; read at call time.
 FACE_CAP = 100_000
@@ -213,15 +212,16 @@ class _Level:
     the pair's faces, those outside gamma, in ascending mask order, with per
     vertex the bitset of their positions and, once a star there is ranked,
     their boundary table (see _StarIndex.columns); for the depth pass, the
-    delta face count and the delta faces whose link pair the cone test does
-    not find acyclic (visits), as a numpy array."""
+    delta face count and, on a size it can visit (`cones`), the delta faces
+    whose link pair the cone test does not find acyclic (visits), as a
+    numpy array."""
 
     __slots__ = ("faces", "full", "bits", "columns", "listed", "visits")
 
-    def __init__(self, level: list[int], index: _StarIndex):
+    def __init__(self, level: list[int], index: _StarIndex, cones: bool):
         faces = np.array(level, dtype=index.dtype)
-        skip, in_gamma = _classify_level(faces, index)
-        self.visits = faces[~skip]
+        skip, in_gamma = _classify_level(faces, index, cones)
+        self.visits = None if skip is None else faces[~skip]
         pair = faces[~in_gamma]
         self.faces = pair.tolist()
         self.full = (1 << len(self.faces)) - 1
@@ -246,7 +246,8 @@ class _StarIndex:
     stays refused, without being listed again, until more than L are left.
     Delta's facets followed by gamma's, their complements and the vertex
     shifts are held as numpy arrays too, for the level test
-    (_classify_level)."""
+    (_classify_level), which marks cones only on the sizes a depth pass can
+    still visit (see keep)."""
 
     def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
         self.delta, self.gamma, self.n = delta, gamma, n
@@ -259,9 +260,13 @@ class _StarIndex:
         self.levels: dict[int, _Level] = {}
         self.refused: dict[int, int] = {}  # size -> faces left when it was refused
         self.held = 0
+        self.high = 0  # no cone flags until a depth pass calls keep
 
     def keep(self, low: int, high: int) -> None:
-        """Forget the sizes outside low..high; refusals are kept."""
+        """Forget the sizes outside low..high; refusals are kept.  The depth
+        pass calls this with high its best value, which never grows, and
+        visits only sizes below high - 1: only those get cone flags."""
+        self.high = high
         for k in [k for k in self.levels if not low <= k <= high]:
             self.held -= len(self.levels.pop(k).faces)
 
@@ -273,7 +278,7 @@ class _StarIndex:
         if limit > self.refused.get(k, -1):
             faces = _faces_of_size(self.vertices, k, limit)
             if len(faces) <= limit:
-                self.levels[k] = level = _Level(sorted(faces), self)
+                self.levels[k] = level = _Level(sorted(faces), self, k < self.high - 1)
                 self.held += len(level.faces)
                 return level
             self.refused[k] = limit
@@ -299,16 +304,8 @@ class _StarIndex:
             below = self.levels[k - 1].faces
             rows = {h: r for r, h in enumerate(below)}.get
             absent = len(below)
-            columns = []
-            for h in level.faces:
-                column = []
-                rest = h
-                while rest:
-                    v = rest & -rest
-                    column.append(rows(h ^ v, absent))
-                    rest ^= v
-                columns.append(tuple(column))
-            level.columns = columns
+            level.columns = [tuple([rows(h ^ v, absent) for v in face_vertices(h)])
+                             for h in level.faces]
         return level.columns
 
 
@@ -417,12 +414,7 @@ def _star_steps(face: int, index: _StarIndex, top: int, p: int,
     for p = 0, ranked on its star masks with row compression (see the
     module docstring).  A step that needs a size the index refuses raises
     CapExceededError."""
-    ids = []
-    rest = face
-    while rest:
-        v = rest & -rest
-        ids.append(v.bit_length() - 1)
-        rest ^= v
+    ids = [v.bit_length() - 1 for v in face_vertices(face)]
     k = face.bit_count()
     current, negative = index.star(ids, k), 0
     steps = []
@@ -467,29 +459,34 @@ def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
     return len(steps) - 2 if faces > low + high else None
 
 
-def _classify_level(faces: np.ndarray, index: _StarIndex) -> tuple[np.ndarray, np.ndarray]:
+def _classify_level(faces: np.ndarray, index: _StarIndex,
+                    cones: bool) -> tuple[Optional[np.ndarray], np.ndarray]:
     """For each face in `faces`, faces of delta of one size of the index's
-    pair, whether its link pair is acyclic because its delta link is a cone
-    and its gamma link is void or a cone (skip), and whether it lies in
-    gamma, inside one of gamma's facets (in_gamma).
+    pair, whether it lies in gamma, inside one of gamma's facets
+    (in_gamma), and with `cones`, whether its link pair is acyclic because
+    its delta link is a cone and its gamma link is void or a cone (skip,
+    else None).
 
     The link of F is a cone exactly when the AND of the facets containing F
     has a vertex outside F; where no facet of gamma contains F, that AND is
     every vertex, so a void gamma link passes too.  Both flags are read
-    from one table of the faces by the facets of delta, then gamma, built
-    in chunks of at most LEVEL_CELLS cells.
+    from one table of the faces by the facets of delta, then gamma (gamma
+    alone without `cones`), built in chunks of at most LEVEL_CELLS cells.
     """
-    facets, cut, everything = index.facet_array, len(index.delta), index.everything
-    skip = np.empty(len(faces), dtype=bool)
+    facets, outside, cut = index.facet_array, index.outside_facets, len(index.delta)
+    if not cones:
+        facets, outside, cut = facets[cut:], outside[cut:], 0
+    skip = np.empty(len(faces), dtype=bool) if cones else None
     in_gamma = np.empty(len(faces), dtype=bool)
     rows = max(1, LEVEL_CELLS // max(len(facets), 1))
     for start in range(0, len(faces), rows):
         f = faces[start:start + rows]
-        inside = (f[:, None] & index.outside_facets) == 0
-        apex = np.where(inside, facets, everything)
+        inside = (f[:, None] & outside) == 0
         in_gamma[start:start + rows] = inside[:, cut:].any(axis=1)
-        skip[start:start + rows] = ((np.bitwise_and.reduce(apex[:, :cut], axis=1) != f)
-                                    & (np.bitwise_and.reduce(apex[:, cut:], axis=1) != f))
+        if cones:
+            apex = np.where(inside, facets, index.everything)
+            skip[start:start + rows] = ((np.bitwise_and.reduce(apex[:, :cut], axis=1) != f)
+                                        & (np.bitwise_and.reduce(apex[:, cut:], axis=1) != f))
     return skip, in_gamma
 
 
@@ -515,8 +512,11 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     does a size that _first_homology cannot index.  The cone test of each
     level (_classify_level), run as the index builds it, has left out of
     its visits the faces whose link pair is acyclic.  The first (F, i) to
-    set the final minimum is the witness.
+    set the final minimum is the witness.  A pair without faces is a
+    ValueError.
     """
+    if psi.is_empty:
+        raise ValueError("the relative complex has no faces to test")
     # Lemma: no visited face is a facet F of psi (of delta, outside gamma),
     # so H_{-1} never sets best.  Let s = |F| < dim.  Take G < F maximal
     # with G in gamma or in a facet of delta other than F (one exists, or psi
@@ -562,8 +562,6 @@ def is_cohen_macaulay(complex_: SimplicialComplex,
 
 def is_cm_relative(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
     """Cohen-Macaulayness of a nonempty relative complex."""
-    if psi.is_empty:
-        raise ValueError("the relative complex has no faces to test")
     return depth_verdict(psi, field)
 
 

@@ -41,11 +41,22 @@ def _check_masks(masks: Iterable[int], n: int) -> None:
             raise ValueError(f"mask {m:#x} out of range for n={n}")
 
 
+def face_vertices(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first, as one-bit masks: the
+    vertices of a face, or the variables of a monomial."""
+    vertices = []
+    while mask:
+        v = mask & -mask
+        vertices.append(v)
+        mask ^= v
+    return vertices
+
+
 def _monomial_text(mask: int) -> str:
     """x_A as text: the product of its variables, or 1 for the empty mask."""
     if mask == 0:
         return "1"
-    return "*".join(f"x{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
+    return "*".join(f"x{v.bit_length()}" for v in face_vertices(mask))
 
 
 @dataclass(frozen=True)
@@ -133,16 +144,8 @@ def relabel_onto(ideal: MonomialIdeal, support: int) -> MonomialIdeal:
     canonically ordered antichain.
     """
     n = max(support.bit_count(), 1)
-    renumbered = {1 << b: 1 << j for j, b in enumerate(
-        b for b in range(support.bit_length()) if support >> b & 1)}
-    generators = []
-    for g in ideal.generators:
-        mask = 0
-        while g:
-            low = g & -g
-            mask |= renumbered[low]
-            g ^= low
-        generators.append(mask)
+    renumbered = {v: 1 << j for j, v in enumerate(face_vertices(support))}
+    generators = (sum(map(renumbered.get, face_vertices(g))) for g in ideal.generators)
     return _trusted_ideal(n, tuple(generators))
 
 

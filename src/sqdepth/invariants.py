@@ -186,7 +186,7 @@ def h_vector(x: ComplexLike, level: Optional[int] = None) -> BetaVector:
     The default level is dim+1; an explicit level is used when transforming
     skeleta, where the truncation may sit below the requested level.
     """
-    counts = f_vector(x).entries
+    counts = f_vector(x)
     if level is None:
         if not counts:
             raise ValueError("empty complex has no intrinsic level; pass one explicitly")

@@ -18,7 +18,7 @@ from . import __version__
 from .complexes import complex_of_ideal, f_vector, relative_of_pair
 from .errors import CapExceededError
 from .homology import CoefficientField, depth_verdict
-from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon
+from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon, face_vertices
 from .invariants import (
     AlphaVector,
     BetaVector,
@@ -43,8 +43,7 @@ def _strings(values) -> list[str]:
 
 
 def _face_label(mask: int) -> str:
-    vertices = [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-    return "{" + ",".join(str(v) for v in vertices) + "}"
+    return "{" + ",".join(str(v.bit_length()) for v in face_vertices(mask)) + "}"
 
 
 def _check(name: str, status: str, details: str) -> dict:
@@ -138,20 +137,11 @@ class ReportBuilder:
 
 
 def build_invariants_document(pair, field, flags, label=None, cap=DEFAULT_ENUMERATION_CAP):
-    start = time.perf_counter()
-    builder = ReportBuilder(pair, field, cap=cap, label=label)
-    doc = builder.document("invariants", flags)
-    doc["timing_ms"] = int((time.perf_counter() - start) * 1000)
-    return doc
+    return _timed_document("invariants", pair, field, flags, label, cap, with_depth=False)
 
 
 def build_depth_document(pair, field, flags, label=None, cap=DEFAULT_ENUMERATION_CAP):
-    start = time.perf_counter()
-    builder = ReportBuilder(pair, field, cap=cap, label=label)
-    builder.compute_depth()
-    doc = builder.document("depth", flags)
-    doc["timing_ms"] = int((time.perf_counter() - start) * 1000)
-    return doc
+    return _timed_document("depth", pair, field, flags, label, cap, with_depth=True)
 
 
 def build_verify_document(pair, field, flags, label=None, skip_depth=False,
@@ -161,12 +151,19 @@ def build_verify_document(pair, field, flags, label=None, skip_depth=False,
     Every asserted relation is a proved statement, so a failure indicates an
     implementation bug, never a property of the input.
     """
+    return _timed_document("verify", pair, field, flags, label, cap, with_depth=not skip_depth)
+
+
+def _timed_document(command, pair, field, flags, label, cap, with_depth: bool) -> dict:
+    # The body of the three builders: the report of `command`, with depth
+    # when asked, the checks for verify, and its wall time in timing_ms.
     start = time.perf_counter()
     builder = ReportBuilder(pair, field, cap=cap, label=label)
-    if not skip_depth:
+    if with_depth:
         builder.compute_depth()
-    doc = builder.document("verify", flags)
-    doc["checks"] = _run_checks(builder)
+    doc = builder.document(command, flags)
+    if command == "verify":
+        doc["checks"] = _run_checks(builder)
     doc["timing_ms"] = int((time.perf_counter() - start) * 1000)
     return doc
 
@@ -232,7 +229,7 @@ def _skeleton_h_check(b: ReportBuilder) -> dict:
     # so its face counts are the first d'+1 entries of the f-vector of psi,
     # and its h-vector at level d' is row d' of the f-vector's transform:
     # one table and one pass of rows serve every level.
-    faces = f_vector(b.psi).entries
+    faces = f_vector(b.psi)
     h_rows = _transform_rows(faces, b.dim)
     for dprime in range(0, b.dim + 1):
         expected = b.betas[dprime].values

@@ -152,29 +152,10 @@ def brute_colon_generators(ideal, other):
     return _canonical_masks(set_to_mask(s) for s in minimal)
 
 
-def brute_faces(ideal_gens, n):
-    """Faces of the complex of an ideal: subsets avoiding every generator."""
-    return [s for s in subsets(n) if not member(ideal_gens, s)]
-
-
-def brute_f_vector(faces):
-    if not faces:
-        return ()
-    top = max(len(s) for s in faces)
-    counts = [0] * (top + 1)
-    for s in faces:
-        counts[len(s)] += 1
-    return tuple(counts)
-
-
 def brute_facets(faces):
     face_set = set(faces)
     return {s for s in face_set
             if not any(s < t for t in face_set)}
-
-
-def brute_link(faces, f):
-    return [s for s in faces if not (s & f) and (s | f) in set(faces)]
 
 
 def brute_transform(counts, q):

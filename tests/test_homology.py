@@ -135,7 +135,7 @@ class TestReducedHomology:
             c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 7)))
             ranks = reduced_homology(c)
             fv = f_vector(c)
-            lhs = sum((-1) ** i * fv.f(i) for i in range(-1, c.dim + 1))
+            lhs = sum((-1) ** i * fv[i + 1] for i in range(-1, c.dim + 1))
             rhs = sum((-1) ** i * b for i, b in ranks.betti.items())
             assert lhs == rhs
 
@@ -275,6 +275,14 @@ class TestReisner:
         ctx = 2
         pair = IdealPair(parse_ideal("x1*x2", ctx), parse_ideal("x1, x2", ctx))
         assert is_cm_relative(relative_of_pair(pair)).is_cm
+
+    @pytest.mark.parametrize("delta", [SimplicialComplex.void(3), HOLLOW])
+    def test_pair_without_faces_is_refused(self, delta):
+        # psi = (delta, delta) has no faces: no cone vertices to AND, no dim
+        psi = RelativeComplex(delta, delta)
+        for check in (depth_verdict, is_cm_relative):
+            with pytest.raises(ValueError, match="^the relative complex has no faces to test$"):
+                check(psi)
 
 
 class TestDepth:

@@ -594,7 +594,7 @@ def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cell
             level = sorted(_faces_of_size(map(face_vertices, psi.delta.facets), size, FACE_CAP))
             index = _index(psi)
             faces = np.array(level, dtype=index.dtype)
-            skip, in_gamma = _classify_level(faces, index)
+            skip, in_gamma = _classify_level(faces, index, True)
             facet_flags = [f in facets for f in level]
             expected = [oracles.classify_face(psi, f) for f in level]
             assert list(zip(skip.tolist(), facet_flags)) == expected
