@@ -23,25 +23,36 @@ negative faces) index a column basis of d_i, so no nonzero cycle of d_i
 lies on them alone, and dropping their rows from d_{i+1} keeps its rank.
 Each map is reduced from its last column to its first, each column against
 the kept ones by its highest row, and stops once every row is a pivot; a
-step whose star is empty ranks nothing.  There are two kernels.  XOR
-elimination of Python ints ranks over GF(2); d_0 and d_1 (a graph
-incidence matrix) are totally unimodular, so a column basis over GF(2) is
-one over every field, and b_{-1} and b_0 are exact over any field.  The
-signed kernel ranks the same table mod p with pivots scaled to 1, or over
-QQ with integer steps and a Fraction only where a pivot is not +-1, the
-sign of each entry read from its position.  From d_2 up:
-- over QQ, XOR first: the maps are integer matrices, whose rank over F_2 is
-  at most their rank over Q, so b_i(QQ) <= b_i(GF(2)) on the same rows
-  (universal coefficients).  Where that leaves b_i = 0, the GF(2) basis of
-  d_{i+1} has the QQ rank and is independent over QQ, so it is a QQ basis;
-  otherwise d_{i+1} is reranked by the signed kernel on the same rows.
-- over an odd prime p that bound fails, since a torsion summand Z/p of
-  H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2).  XOR is tried with
-  a certificate (_gf2_negatives): every row a pivot, and every kept column
-  kept before any XOR.  Taken by pivot row, such columns are triangular on
-  the pivot rows with +-1 on the diagonal, so independent over every field,
-  and as many as the rows, so a column basis over GF(p).  Without it the
-  signed kernel ranks the map mod p.
+step whose star is empty ranks nothing.  There are three kernels, tried
+in this order, on the same table:
+- certified XOR (_gf2_negatives): elimination of Python ints over GF(2).
+  d_0 and d_1 (a graph incidence matrix) are totally unimodular, so a
+  column basis over GF(2) is one over every field, and b_{-1} and b_0 are
+  exact over any field.  From d_2 up, over an odd prime p, XOR runs with a
+  certificate: every row a pivot, and every kept column kept before any
+  XOR.  Taken by pivot row, such columns are triangular on the pivot rows
+  with +-1 on the diagonal, so independent over every field, and as many
+  as the rows, so a column basis over GF(p).  Over QQ it runs without
+  one: the maps are integer matrices, whose rank over F_2 is at most their
+  rank over Q, so b_i(QQ) <= b_i(GF(2)) on the same rows (universal
+  coefficients), and where that leaves b_i = 0 the GF(2) basis of d_{i+1}
+  has the QQ rank and is independent over QQ, so it is a QQ basis.  The
+  bound fails over an odd prime p, since a torsion summand Z/p of
+  H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2).
+- unit-signed (_unit_negatives), where the certificate declines or the QQ
+  bound leaves b_i(GF(2)) > 0: the same elimination over the integers, on
+  two bitsets per column (its nonzero entries, and those that are -1),
+  each kept column negated to pivot +1.  Every step adds +-1 times a kept
+  column, an integer column operation that keeps the span over every
+  field; if none makes an entry +-2, the kept columns, taken by pivot row,
+  are triangular with +1 on the diagonal, independent over every field,
+  and the others reduced to zero over the integers (or left once every
+  row is a pivot), so the kept ones are a column basis over every field.
+  Otherwise it gives up.
+- signed (_signed_negatives), only after the unit kernel gives up, as on
+  torsion: the table mod p with pivots scaled to 1, or over QQ with
+  integer steps and a Fraction only where a pivot is not +-1, the sign of
+  each entry read from its position.
 
 The depth pass first takes the cone vertices, the AND of the facets of
 delta and gamma: a face that misses one has an acyclic link pair, so the
@@ -63,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -304,8 +315,16 @@ class _StarIndex:
             below = self.levels[k - 1].faces
             rows = {h: r for r, h in enumerate(below)}.get
             absent = len(below)
-            level.columns = [tuple([rows(h ^ v, absent) for v in face_vertices(h)])
-                             for h in level.faces]
+            table = []
+            for h in level.faces:
+                column = []
+                rest = h
+                while rest:
+                    v = rest & -rest
+                    column.append(rows(h ^ v, absent))
+                    rest ^= v
+                table.append(tuple(column))
+            level.columns = table
         return level.columns
 
 
@@ -348,6 +367,55 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int,
         if len(pivots) == wanted:
             return negative
     return None if certify else negative
+
+
+def _unit_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> Optional[int]:
+    """_gf2_negatives' elimination over the integers, on the same table and
+    in the same order, each column held as the bitset of its nonzero
+    entries and the bitset of those that are -1 (entry t has sign (-1)^t).
+    A kept column is negated so that its pivot is +1, and a step subtracts
+    the kept column times the reduced one's entry at its pivot row: an
+    integer column operation with a unit pivot.  If a step would make an
+    entry +-2, the result is None; otherwise every entry stays in {0, +-1},
+    and the kept columns, taken by pivot row, are triangular with +1 on the
+    diagonal after steps that keep their span, so they are a column basis
+    over every field."""
+    pivots: dict[int, tuple[int, int]] = {}
+    negative = 0
+    wanted = rows.bit_count()
+    width = rows.bit_length()
+    while star:
+        j = star.bit_length() - 1
+        star ^= 1 << j
+        column = columns[j]
+        col = neg = 0
+        for r in column:
+            if r < width:
+                col |= 1 << r
+        for r in column[1::2]:
+            if r < width:
+                neg |= 1 << r
+        col &= rows
+        neg &= col
+        while col:
+            low = col.bit_length() - 1
+            other = pivots.get(low)
+            if other is None:
+                if neg >> low & 1:
+                    neg ^= col
+                pivots[low] = (col, neg)
+                negative |= 1 << j
+                break
+            other_col, other_neg = other
+            # the -1 entries of the kept column times -(entry at low)
+            added = other_neg if neg >> low & 1 else other_col ^ other_neg
+            if col & other_col & ~(neg ^ added):
+                return None  # two entries of one sign add up to +-2
+            col ^= other_col
+            neg = (neg ^ added) & col
+        if len(pivots) == wanted:
+            return negative
+    return negative
 
 
 def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: int) -> int:
@@ -407,56 +475,67 @@ def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: i
 
 
 def _star_steps(face: int, index: _StarIndex, top: int, p: int,
-                first: bool = False) -> list[tuple[int, int, int]]:
+                first: bool = False) -> Iterator[tuple[int, int, int]]:
     """For the link pair at `face`, from dimension -1 up to top, or with
     `first` up to the first nonzero Betti number, the face count of each
     dimension i with the ranks of d_i and d_{i+1} over GF(p), or over QQ
     for p = 0, ranked on its star masks with row compression (see the
     module docstring).  A step that needs a size the index refuses raises
     CapExceededError."""
-    ids = [v.bit_length() - 1 for v in face_vertices(face)]
-    k = face.bit_count()
-    current, negative = index.star(ids, k), 0
-    steps = []
-    for i in range(-1, top + 1):
-        upper = index.star(ids, k + 1)
-        faces = low = high = above = 0
+    ids = []
+    while face:
+        v = face & -face
+        ids.append(v.bit_length() - 1)
+        face ^= v
+    k = len(ids)
+    levels = index.levels
+    current = above = 0
+    for i in range(-2, top + 1):  # i = -2 only reads the star at |F|
+        level = levels[k] if k in levels else index.level(k)
+        upper, bits = level.full, level.bits
+        for v in ids:
+            upper &= bits[v]
+        faces = low = high = 0
+        negative, above = above, 0
         if current:  # else the step has no faces and no map to rank
             faces, low = current.bit_count(), negative.bit_count()
             rows = current & ~negative  # the rows of d_{i+1}
             if rows and upper:
-                columns = index.columns(k + 1)
+                columns = level.columns or index.columns(k)
                 above = _gf2_negatives(columns, upper, rows, certify=p > 2 and i > 0)
                 # None: no certificate; over QQ, a nonzero b_i over GF(2) is only a bound
                 if above is None or (p == 0 and i > 0 and above.bit_count() < faces - low):
-                    above = _signed_negatives(columns, upper, rows, p)
+                    above = _unit_negatives(columns, upper, rows)
+                    if above is None:  # a step met +-2: a pivot other than +-1 may be needed
+                        above = _signed_negatives(columns, upper, rows, p)
                 high = above.bit_count()
-        steps.append((faces, low, high))
-        if first and faces > low + high:
-            break
-        current, negative, k = upper, above, k + 1
-    return steps
+        if i > -2:
+            yield faces, low, high
+            if first and faces > low + high:
+                return
+        current, k = upper, k + 1
 
 
 def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
                     top: int) -> Optional[int]:
     """The lowest dimension up to top in which the link pair at `face` has
-    homology over `field`, or None: the last of its star steps, which stop
-    at the first nonzero Betti number.  Where the index refuses a size at a
-    nonempty face, the link pair gets an index of its own from its link
-    facets and is ranked from its empty face.  At the empty face the
-    refusal stands: a depth pass reads that pair, psi's own, at size 0,
-    before any other size is built, so a second index would refuse the same
-    size."""
+    homology over `field`, or None, from its star steps.  Where the index
+    refuses a size at a nonempty face, the link pair gets an index of its
+    own from its link facets and is ranked from its empty face.  At the
+    empty face the refusal stands: a depth pass reads that pair, psi's own,
+    at size 0, before any other size is built, so a second index would
+    refuse the same size."""
+    steps = _star_steps(face, index, top, field.characteristic)
     try:
-        steps = _star_steps(face, index, top, field.characteristic, first=True)
+        for i, (faces, low, high) in enumerate(steps, -1):
+            if faces > low + high:
+                return i
     except CapExceededError:
         if not face:
             raise
         pair = _StarIndex(link_facets(index.delta, face), link_facets(index.gamma, face), index.n)
         return _first_homology(0, pair, field, top)
-    faces, low, high = steps[-1]
-    return len(steps) - 2 if faces > low + high else None
+    return None
 
 
 def _classify_level(faces: np.ndarray, index: _StarIndex,

@@ -517,6 +517,43 @@ class TestTorsion:
         assert (verdict.depth, verdict.dim, verdict.is_cm) == (3, 3, True)
         assert calls == []
 
+    def test_signed_kernel_runs_only_where_unit_steps_overflow(self, monkeypatch):
+        # over an odd prime a map whose XOR certificate fails goes to the
+        # unit kernel, and to the signed one only when that returns None: on
+        # seeded pairs, where unit steps settle every map, the signed kernel
+        # never runs; on RP^2 and the mod-3 Moore space, whose torsion no
+        # unit steps can rank, it runs right after each overflow
+        from sqdepth import homology
+
+        calls = []
+        unit, negatives = homology._unit_negatives, homology._signed_negatives
+
+        def counted_unit(columns, star, rows):
+            result = unit(columns, star, rows)
+            calls.append(("unit", star, rows, result is None))
+            return result
+
+        def counted_negatives(columns, star, rows, p):
+            calls.append(("signed", star, rows, p))
+            return negatives(columns, star, rows, p)
+
+        monkeypatch.setattr(homology, "_unit_negatives", counted_unit)
+        monkeypatch.setattr(homology, "_signed_negatives", counted_negatives)
+        field = CoefficientField(32003)
+        rng = random.Random(27)
+        kinds = (random_quotient_pair, random_module_pair, random_pair)
+        for i in range(45):
+            depth_verdict(relative_of_pair(kinds[i % 3](rng, rng.randint(4, 10))), field)
+        assert calls and all(kind == "unit" and not overflow for kind, *_, overflow in calls)
+        calls.clear()
+        for pair in (parse_problem_file(self.RP2).pair(), oracles.moore_space_mod_3()):
+            depth_verdict(relative_of_pair(pair), field)
+        signed = [j for j, call in enumerate(calls) if call[0] == "signed"]
+        assert signed
+        for j in signed:
+            assert calls[j - 1][:3] == ("unit", *calls[j][1:3]) and calls[j - 1][3]
+            assert calls[j][3] == 32003
+
     @pytest.mark.parametrize("pair, depths", [
         ("rp2", (3, 2, 3, 3)),  # H_1 = Z/2: GF(2) only
         ("moore3", (3, 3, 2, 3)),  # H_1 = Z/3: GF(3) only

@@ -27,6 +27,7 @@ from sqdepth.homology import (
     _gf2_negatives,
     _signed_negatives,
     _star_steps,
+    _unit_negatives,
     depth,
     depth_verdict,
     relative_homology,
@@ -277,23 +278,28 @@ def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
                     assert list(bettis)[:len(betti)] == betti
 
 
-def _refusing_psi_sizes_above(top):
-    """_StarIndex for one depth pass: its first index, psi's own, refuses
-    every size above top for the stars of nonempty faces, the one place
-    where its refusal differs from an index of the link pair's own; the
-    link pairs' own indexes after it do not refuse."""
+def _refusing_psi_sizes_above(top, mp):
+    """Patches _StarIndex and _star_steps for one depth pass: its first
+    index, psi's own, refuses every size above top for the star steps of
+    nonempty faces, the one place where its refusal differs from an index
+    of the link pair's own; the link pairs' own indexes after it do not
+    refuse."""
     made = []
-
-    class Refusing(_StarIndex):
-        def star(self, ids, k):
-            if ids and k > top:
-                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
-            return super().star(ids, k)
+    star_index, star_steps = homology._StarIndex, homology._star_steps
 
     def index(*args):
-        made.append(Refusing(*args) if not made else _StarIndex(*args))
+        made.append(star_index(*args))
         return made[-1]
-    return index
+
+    def steps(face, index, last, p, first=False):
+        for i, step in enumerate(star_steps(face, index, last, p, first), -1):
+            # step i reads the stars of F up to |F| + i + 2 vertices
+            if face and index is made[0] and face.bit_count() + i + 2 > top:
+                raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+            yield step
+
+    mp.setattr(homology, "_StarIndex", index)
+    mp.setattr(homology, "_star_steps", steps)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -310,7 +316,7 @@ def test_depth_pass_lists_link_pairs_from_facets_when_psi_is_too_large(pair, fie
     expected = depth_verdict(psi, field)
     for top in range(-1, psi.dim + 2):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(homology, "_StarIndex", _refusing_psi_sizes_above(top))
+            _refusing_psi_sizes_above(top, mp)
             assert depth_verdict(psi, field) == expected
 
 
@@ -559,6 +565,85 @@ def test_certificate_declines_where_gf2_and_gf3_ranks_differ():
     assert _gf2_negatives(d2, star, rows).bit_count() == rows.bit_count()
     assert _signed_negatives(d2, star, rows, 3).bit_count() == rows.bit_count() - 1
     assert _gf2_negatives(d2, star, rows, certify=True) is None
+
+
+def _dense(columns, chosen, rows):
+    """The columns in `chosen` restricted to `rows` (both bitsets of
+    positions) as a dense matrix, row by row, entry t of a column with sign
+    (-1)^t."""
+    kept = [r for r in range(rows.bit_length()) if rows >> r & 1]
+    picked = []
+    for j in range(chosen.bit_length()):
+        if chosen >> j & 1:
+            column = {}
+            for t, r in enumerate(columns[j]):
+                column[r] = column.get(r, 0) + (-1) ** t
+            picked.append(column)
+    return [[c.get(r, 0) for c in picked] for r in kept]
+
+
+def _assert_unit_basis(columns, star, rows):
+    """A unit-signed result is None, or a bitset of columns in `star` whose
+    count is the rank of the star's columns on the rows over QQ, GF(2),
+    GF(3) and GF(2^31 - 1), and which alone have that rank over each."""
+    unit = _unit_negatives(columns, star, rows)
+    if unit is None:
+        return False
+    assert unit & ~star == 0
+    whole, chosen = _dense(columns, star, rows), _dense(columns, unit, rows)
+    wanted = unit.bit_count()
+    assert oracles.fraction_rank(whole) == oracles.fraction_rank(chosen) == wanted
+    for p in (2, 3, (1 << 31) - 1):
+        assert oracles.mod_p_rank(whole, p) == oracles.mod_p_rank(chosen, p) == wanted
+    return True
+
+
+@settings(derandomize=True, deadline=None)
+@given(pairs(8), st.randoms(use_true_random=False))
+@example(RP2, random.Random(0))
+@example(MOORE3, random.Random(0))
+def test_unit_signed_ranks_are_bases_over_every_field(pair, rng):
+    # on the stars of psi's index, with the rows and stars of the certified
+    # XOR test: whenever every step of the unit kernel keeps its entries in
+    # {0, +-1}, its kept columns are a column basis over every field
+    psi = relative_of_pair(pair)
+    assume(not psi.is_empty)
+    index = _index(psi)
+    for k in range(1, psi.dim + 2):
+        star, below = index.star([], k), index.star([], k - 1)
+        for rows in (below, below & rng.getrandbits(max(below.bit_length(), 1))):
+            for chosen in (star, star & rng.getrandbits(max(star.bit_length(), 1))):
+                _assert_unit_basis(index.columns(k), chosen, rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_signed_ranks_on_random_columns(seed):
+    # the same on random sparse +-1 columns, where it must settle some
+    # stars that the XOR certificate declines
+    settled = 0
+    for columns, star, rows, dense in _signed_rank_cases(seed, 300):
+        assert _dense(columns, star, rows) == dense
+        if _assert_unit_basis(columns, star, rows):
+            settled += _gf2_negatives(columns, star, rows, certify=True) is None
+    assert settled
+
+
+@pytest.mark.parametrize("pair", [RP2, MOORE3])
+def test_unit_kernel_overflows_on_torsion(pair):
+    # d_2 of RP^2 (H_1 = Z/2) and of the mod-3 Moore space (H_1 = Z/3), on
+    # all edges and on the edges outside a GF(2) column basis of d_1: its
+    # rank over QQ differs from its rank over GF(2) or GF(3) on both, and a
+    # unit-signed result has one rank over every field, so it must be None
+    triangles = relative_of_pair(pair).delta.facets
+    edges = sorted({t ^ (1 << b) for t in triangles for b in range(pair.n) if t >> b & 1})
+    vertices = [1 << b for b in range(pair.n)]
+    d1 = [_positional(c.items(), len(vertices)) for c in oracles.boundary_columns(vertices, edges)]
+    d2 = [_positional(c.items(), len(edges)) for c in oracles.boundary_columns(edges, triangles)]
+    every = (1 << len(edges)) - 1
+    for rows in (every, every & ~_gf2_negatives(d1, every, (1 << len(vertices)) - 1)):
+        dense = _dense(d2, (1 << len(d2)) - 1, rows)
+        assert oracles.fraction_rank(dense) != min(oracles.mod_p_rank(dense, p) for p in (2, 3))
+        assert _unit_negatives(d2, (1 << len(d2)) - 1, rows) is None
 
 
 @settings(derandomize=True, deadline=None)
