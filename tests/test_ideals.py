@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from sqdepth import ideals
 from sqdepth.complexes import relative_of_pair
 from sqdepth.errors import CapExceededError, InvalidPairError, ParseError
 from sqdepth.homology import RATIONALS
@@ -313,6 +314,46 @@ class TestPackedTables:
                 gens = oracles.ideal_gen_sets(i)
                 assert [oracles.member(gens, oracles.mask_to_set(a))
                         for a in range(1 << n)] == oracles.unpack(table, n).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_packed_path_table_operations_match_bool_kernels(self, n, monkeypatch):
+        # the tests above run tables this small as one int; these rerun them
+        # with every table on the packed uint64 kernels
+        monkeypatch.setattr(ideals, "SMALL_TABLE", -1)
+        self.test_table_operations_match_bool_kernels(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_packed_path_closures_match_bool_kernels(self, n, monkeypatch):
+        monkeypatch.setattr(ideals, "SMALL_TABLE", -1)
+        self.test_closures_match_bool_kernels(n)
+
+    @pytest.mark.parametrize("n", (14, 15))
+    def test_int_and_packed_paths_agree_at_the_switch(self, n, monkeypatch):
+        # n = 14 is the largest table held as one int, n = 15 the smallest
+        # packed one at the default switch
+        rng = random.Random(400 + n)
+        bool_tables = [np.random.default_rng(400 + n).random(1 << n) < p
+                       for p in (0.01, 0.5, 0.99)]
+        seed_sets = [rng.sample(range(1 << n), k) for k in (1, 8, 40)]
+
+        def run():
+            tables = [oracles.pack(bools) for bools in bool_tables]
+            for seeds in seed_sets:
+                tables += [downward_closure_table(seeds, n),
+                           membership_table(minimalize(seeds, n))]
+            tables += [complement(t, n) for t in tables]
+            return tables, [(maximal_masks(t, n), minimal_masks(t, n), degree_counts(t, n))
+                            for t in tables]
+
+        monkeypatch.setattr(ideals, "SMALL_TABLE", -1)
+        packed, packed_results = run()
+        monkeypatch.undo()
+        default, default_results = run()
+        for a, b in zip(packed, default):
+            assert a.dtype == b.dtype == np.uint64
+            assert _tail_clear(a, n) and _tail_clear(b, n)
+            assert np.array_equal(a, b)
+        assert packed_results == default_results
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_alpha_matches_brute_force(self, n):

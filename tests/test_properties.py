@@ -1,6 +1,7 @@
 """Hypothesis properties on ideals drawn as lists of generator masks."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     _faces_of_size,
+    complex_of_ideal,
+    f_vector,
     face_table,
     face_vertices,
+    ideal_of_complex,
     link_facets,
     relative_of_pair,
 )
@@ -110,10 +114,10 @@ def test_minimalize_output_passes_full_validation(n_masks):
 
 
 @st.composite
-def randgen_pairs(draw, max_n):
-    """A pair from one of the three randgen kinds over 1..max_n variables:
+def randgen_pairs(draw, max_n, min_n=1):
+    """A pair from one of the three randgen kinds over min_n..max_n variables:
     random generators of any degree, so some variables often go unused."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from((random_pair, random_quotient_pair, random_module_pair)))
     return kind(draw(st.randoms(use_true_random=False)), n)
 
@@ -132,6 +136,22 @@ def test_alpha_on_the_support_matches_the_tables_over_all_masks(pair):
         assert counts == oracles.brute_alpha(
             oracles.ideal_gen_sets(pair.lower), oracles.ideal_gen_sets(pair.upper),
             pair.n, unit_upper=pair.upper.is_unit)
+
+
+@settings(derandomize=True, deadline=None)
+@given(randgen_pairs(16, min_n=2))
+def test_int_and_packed_table_kernels_agree_on_reports(pair):
+    # tables over at most 2^14 masks are worked on as one int by default;
+    # with the switch at -1 every table goes through the packed kernels
+    def tables_read():
+        psi = relative_of_pair(pair)
+        non_unit = [i for i in (pair.lower, pair.upper) if not i.is_unit]
+        return (alpha(pair).counts, psi.facets, f_vector(psi),
+                [ideal_of_complex(complex_of_ideal(i)) for i in non_unit])
+
+    with mock.patch("sqdepth.ideals.SMALL_TABLE", -1):
+        packed = tables_read()
+    assert tables_read() == packed
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
