@@ -155,8 +155,10 @@ def pair_of_relative(psi: RelativeComplex) -> IdealPair:
     return IdealPair(lower, upper)
 
 
-def face_table(x: ComplexLike) -> np.ndarray:
-    """Packed table (see `sqdepth.ideals`) over all 2^n masks: the faces of x.
+def face_table(x: ComplexLike) -> int | np.ndarray:
+    """Subset table over all 2^n masks: the faces of x.  Its size picks its
+    container (see `sqdepth.ideals`): one int for n <= ideals.SMALL_TABLE
+    (14), packed uint64 words above.
 
     Built from the facets alone (downward closures); a relative complex
     keeps the faces of delta that are not faces of gamma.  Masking the table

@@ -228,20 +228,20 @@ class IdealPair:
 # ---------------------------------------------------------------------------
 # Subset tables.  All 2^n enumeration funnels through these kernels.
 #
-# A table is a set of masks packed into uint64 words: bit m & 63 of word
-# m >> 6 stands for mask m.  For n < 6 there is one word and its bits at and
-# above 2^n stay clear.  This packed array is the only table format that
-# callers see.  A kernel walks the n mask bits of a table one at a time.
-# Above SMALL_TABLE variables it works on the packed words with numpy: mask
-# bits 0..5 index positions inside a word and are handled with shift-and-mask
-# ops; bits 6.. index words and are handled with strided views, as on a plain
-# array of 2^(n-6) entries.  A table of at most 2^SMALL_TABLE masks is read
-# into one Python int of 2^n bits instead, on which every mask bit is such an
-# in-word step, and written back once.  Tables that small are at most 256
-# words, where numpy's cost per call outweighs its speed per word: measured
-# on a closure, complement, maximal masks and degree counts, the int path is
-# 2-5x faster up to n = 14, about even at n = 15-16 and 3-5x slower from
-# n = 18 on.
+# A table is a set of masks, bit m standing for mask m, and its size picks
+# its container.  A table over at most 2^SMALL_TABLE masks is one Python int
+# of 2^n bits.  A larger one is packed into uint64 words: bit m & 63 of word
+# m >> 6 (the bits the int holds, little-endian).  A table stays in its
+# container from the closure that builds it to the count or extremal-mask
+# read that uses it, and callers combine tables with & and & ~ in either.
+# A kernel walks the n mask bits of a table one at a time and picks its path
+# from the container.  Mask bits inside a word (all n of an int, 0..5 of a
+# packed word) are shift-and-mask steps; bits 6.. of a packed table index
+# words and are handled with strided views, as on a plain array of 2^(n-6)
+# entries.  A table over 2^14 masks is 256 words, where numpy's cost per
+# call outweighs its speed per word: measured on a closure, complement,
+# maximal masks and degree counts, the int path is 2-5x faster up to
+# n = 14, about even at n = 15-16 and 3-5x slower from n = 18 on.
 # ---------------------------------------------------------------------------
 
 # A call holds up to this many tables of one size at once (alpha: two
@@ -249,18 +249,22 @@ class IdealPair:
 # allocating when their estimated size exceeds the budget.
 TABLES_PER_CALL = 4
 TABLE_MEMORY_BUDGET = 1 << 30
-# Tables over at most 2^SMALL_TABLE masks are worked on as one int.
+# Tables over at most 2^SMALL_TABLE masks are one int.
 SMALL_TABLE = 14
 
-# (2^b, in-word positions whose bit b is clear) for b = 0..5.
-_WORD_STEPS = tuple(
-    (np.uint64(1 << b), np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)))
-    for b in range(6)
-)
-# _DEG[t]: in-word positions of popcount t.
-_DEG = tuple(
-    np.uint64(sum(1 << p for p in range(64) if p.bit_count() == t)) for t in range(7)
-)
+
+class _IntTable(int):
+    """A closed or complemented table as one int, whose len() is the word
+    count of its packed table, as for a packed array (perfbench/spans.py
+    sizes membership tables so).  & and ~ on it give plain ints."""
+
+    def __new__(cls, bits: int, n: int):
+        table = super().__new__(cls, bits)
+        table.n = n
+        return table
+
+    def __len__(self) -> int:
+        return word_count(self.n)
 
 
 @lru_cache(maxsize=None)
@@ -276,10 +280,6 @@ def popcount_table(n: int) -> np.ndarray:
 def word_count(n: int) -> int:
     """Number of uint64 words in a packed table over 2^n masks."""
     return 1 << max(n - 6, 0)
-
-
-def _valid_bits(n: int) -> np.uint64:
-    return np.uint64((1 << (1 << min(n, 6))) - 1)
 
 
 def check_table_budget(n: int, of: int | None = None) -> None:
@@ -299,12 +299,10 @@ def check_table_budget(n: int, of: int | None = None) -> None:
 
 @lru_cache(maxsize=None)
 def _int_masks(size: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """For tables held as one int of at most 2^size bits: (2^b, positions
-    whose bit b is clear) for b < size, a run of 2^b ones in every 2^(b+1)
-    bits, and the positions of popcount t for t <= size.  Below 2^n the
-    masks for n variables are these same ones, so a smaller table uses them
-    as they are: an AND of two nonnegative ints reads no further than the
-    shorter one."""
+    """For a word of 2^size bits: (2^b, positions whose bit b is clear) for
+    b < size, a run of 2^b ones in every 2^(b+1) bits, and the positions of
+    popcount t for t <= size.  A word of 2^n < 2^size bits uses them as they
+    are, since an AND of nonnegative ints stops at the shorter one."""
     steps = []
     for b in range(size):
         low, width = (1 << (1 << b)) - 1, 2 << b
@@ -318,30 +316,18 @@ def _int_masks(size: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
     return tuple(steps), degrees
 
 
-def _layout(n: int) -> tuple[tuple, range]:
+@lru_cache(maxsize=None)
+def _layout(n: int, packed: bool) -> tuple[tuple, tuple, range]:
     """How a kernel walks the mask bits of a table over 2^n masks: the
-    in-word steps, (2^b, positions whose bit b is clear) for each bit b
-    handled inside a word, and the bits that index words.  A small table
-    is one int and every bit is an in-word step."""
-    if n <= SMALL_TABLE:
-        return _int_masks(SMALL_TABLE)[0][:n], range(0)
-    return _WORD_STEPS[:n], range(6, n)
-
-
-def _int_of(table: np.ndarray) -> int:
-    return int.from_bytes(table.astype("<u8", copy=False).tobytes(), "little")
-
-
-def _packed(x: int, n: int) -> np.ndarray:
-    data = bytearray(x.to_bytes(8 * word_count(n), "little"))
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64, copy=False)
-
-
-def _seeded(seeds: np.ndarray, n: int) -> np.ndarray:
-    words = np.zeros(word_count(n), dtype=np.uint64)
-    np.bitwise_or.at(words, (seeds >> np.uint64(6)).astype(np.intp),
-                     np.uint64(1) << (seeds & np.uint64(63)))
-    return words
+    in-word steps and popcount positions of `_int_masks`, and the bits that
+    index words.  An int is one word of 2^n bits; a packed word holds 64,
+    its masks as numpy scalars, with which numpy reuses temporary arrays."""
+    steps, degrees = _int_masks(6 if packed else max(n, SMALL_TABLE))
+    steps, degrees = steps[:n], degrees[:n + 1]
+    if not packed:
+        return steps, degrees, range(0)
+    return (tuple((np.uint64(s), np.uint64(low)) for s, low in steps),
+            tuple(map(np.uint64, degrees)), range(6, n))
 
 
 def _halves(words: np.ndarray, b: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -355,80 +341,83 @@ def _halves(words: np.ndarray, b: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(view[:, 0, c], view[:, 1, c]) for c in range(width)]
 
 
-def _close(words, n: int, upward: bool):
+def _close(table: int | np.ndarray, n: int, upward: bool) -> int | np.ndarray:
     """Close a table upward (supersets) or downward (subsets) and return
-    it: a packed array changes in place, the int of a small table does not."""
-    steps, word_bits = _layout(n)
+    it: packed words change in place, an int does not."""
+    steps, _, word_bits = _layout(n, isinstance(table, np.ndarray))
     for shift, low in steps:
         if upward:
-            words |= (words & low) << shift
+            table |= (table & low) << shift
         else:
-            words |= (words >> shift) & low
+            table |= (table >> shift) & low
     for b in word_bits:
-        for low, high in _halves(words, b):
+        for low, high in _halves(table, b):
             if upward:
                 high |= low
             else:
                 low |= high
-    return words
+    return table
 
 
-def _closed_table(seeds: Iterable[int], n: int, upward: bool) -> np.ndarray:
-    """Packed table of the seed masks, closed upward or downward."""
+def _closed_table(seeds: Iterable[int], n: int, upward: bool) -> int | np.ndarray:
+    """The table of the seed masks, closed upward or downward: one int over
+    at most 2^SMALL_TABLE masks, packed words over more."""
     if n <= SMALL_TABLE:
         x = 0
         for m in seeds:
             x |= 1 << m
-        return _packed(_close(x, n, upward), n)
+        return _IntTable(_close(x, n, upward), n)
     seeds = np.fromiter(seeds, dtype=np.uint64)
-    words = _seeded(seeds, n)
-    if len(seeds) == 0:
-        return words
-    return _close(words, n, upward)
+    words = np.zeros(word_count(n), dtype=np.uint64)
+    np.bitwise_or.at(words, (seeds >> np.uint64(6)).astype(np.intp),
+                     np.uint64(1) << (seeds & np.uint64(63)))
+    return _close(words, n, upward) if len(seeds) else words
 
 
-def membership_table(ideal: MonomialIdeal) -> np.ndarray:
-    """Packed table over all 2^n masks: x_A in the ideal.
+def membership_table(ideal: MonomialIdeal) -> int | np.ndarray:
+    """Table over all 2^n masks: x_A in the ideal.
 
     Seeded with the generators, then closed upward one bit at a time.
     """
     check_table_budget(ideal.n)
-    if ideal.is_unit:
-        return np.full(word_count(ideal.n), _valid_bits(ideal.n), dtype=np.uint64)
-    if ideal.is_zero:
-        return np.zeros(word_count(ideal.n), dtype=np.uint64)
-    return _closed_table(ideal.generators, ideal.n, upward=True)
+    if not ideal.is_unit:
+        return _closed_table(ideal.generators, ideal.n, upward=True)
+    if ideal.n <= SMALL_TABLE:  # the unit ideal holds every mask
+        return _IntTable((1 << (1 << ideal.n)) - 1, ideal.n)
+    return np.full(word_count(ideal.n), (1 << (1 << min(ideal.n, 6))) - 1, dtype=np.uint64)
 
 
-def downward_closure_table(masks: Iterable[int], n: int) -> np.ndarray:
-    """Packed table over all 2^n masks: subset of one of the seeds."""
+def downward_closure_table(masks: Iterable[int], n: int) -> int | np.ndarray:
+    """Table over all 2^n masks: subset of one of the seeds."""
     check_table_budget(n)
     return _closed_table(masks, n, upward=False)
 
 
-def complement(table: np.ndarray, n: int) -> np.ndarray:
-    """The masks not in the table; the unused bits of a one-word table stay clear."""
-    return ~table & _valid_bits(n)
+def complement(table: int | np.ndarray, n: int) -> int | np.ndarray:
+    """The masks not in the table; the bits at and above 2^n stay clear."""
+    if isinstance(table, int):
+        return _IntTable(~table & ((1 << (1 << n)) - 1), n)
+    return ~table & np.uint64((1 << (1 << min(n, 6))) - 1)
 
 
-def degree_counts(table: np.ndarray, n: int) -> tuple[int, ...]:
+def degree_counts(table: int | np.ndarray, n: int) -> tuple[int, ...]:
     """Number of masks in the table by popcount, entries for 0..n.
 
-    A small table is counted on its int, one AND and popcount per degree.
-    On a packed table, row t of ``counts`` starts as the number of in-word
-    positions of popcount t in each word.  Folding the top half of the words
-    onto the bottom half, one row lower, accounts for the highest word-index
-    bit; after all n-6 folds one column of n+1 degree counts is left.  Each
-    fold uses the smallest unsigned dtype that holds C(k, k//2) for the 2^k
+    An int is counted with one AND and popcount per degree.  On a packed
+    table, row t of ``counts`` starts as the number of in-word positions of
+    popcount t in each word.  Folding the top half of the words onto the
+    bottom half, one row lower, accounts for the highest word-index bit;
+    after all n-6 folds one column of n+1 degree counts is left.  Each fold
+    uses the smallest unsigned dtype that holds C(k, k//2) for the 2^k
     masks one column then covers, so counts stay exact integers.
     """
-    if n <= SMALL_TABLE:
-        x = _int_of(table)
-        return tuple((x & d).bit_count() for d in _int_masks(SMALL_TABLE)[1][:n + 1])
-    counts = np.empty((7, len(table)), dtype=np.uint8)
-    for t in range(7):
-        np.bitwise_count(table & _DEG[t], out=counts[t])
-    for k in range(7, n + 1):
+    _, degrees, _ = _layout(n, isinstance(table, np.ndarray))
+    if isinstance(table, int):
+        return tuple((table & d).bit_count() for d in degrees)
+    counts = np.empty((len(degrees), len(table)), dtype=np.uint8)
+    for t, d in enumerate(degrees):
+        np.bitwise_count(table & d, out=counts[t])
+    for k in range(len(degrees), n + 1):
         half = counts.shape[1] // 2
         folded = np.zeros((counts.shape[0] + 1, half),
                           dtype=np.min_scalar_type(comb(k, k // 2)))
@@ -457,18 +446,17 @@ def _int_members(x: int) -> tuple[int, ...]:
     return tuple(sorted(masks, key=int.bit_count))
 
 
-def _extremal_masks(table: np.ndarray, n: int, maximal: bool) -> tuple[int, ...]:
-    small = n <= SMALL_TABLE
-    words = _int_of(table) if small else table
-    kept = words if small else table.copy()
-    steps, word_bits = _layout(n)
+def _extremal_masks(table: int | np.ndarray, n: int, maximal: bool) -> tuple[int, ...]:
+    small = isinstance(table, int)
+    kept = table if small else table.copy()
+    steps, _, word_bits = _layout(n, isinstance(table, np.ndarray))
     for shift, low in steps:
         if maximal:
-            kept &= ~((words >> shift) & low)
+            kept &= ~((table >> shift) & low)
         else:
-            kept &= ~((words & low) << shift)
+            kept &= ~((table & low) << shift)
     for b in word_bits:
-        for (t_low, t_high), (k_low, k_high) in zip(_halves(words, b), _halves(kept, b)):
+        for (t_low, t_high), (k_low, k_high) in zip(_halves(table, b), _halves(kept, b)):
             if maximal:
                 k_low &= ~t_high
             else:
@@ -476,12 +464,12 @@ def _extremal_masks(table: np.ndarray, n: int, maximal: bool) -> tuple[int, ...]
     return _int_members(kept) if small else _masks_of(kept)
 
 
-def maximal_masks(table: np.ndarray, n: int) -> tuple[int, ...]:
+def maximal_masks(table: int | np.ndarray, n: int) -> tuple[int, ...]:
     """Masks in the table with no marked proper superset, canonically ordered."""
     return _extremal_masks(table, n, maximal=True)
 
 
-def minimal_masks(table: np.ndarray, n: int) -> tuple[int, ...]:
+def minimal_masks(table: int | np.ndarray, n: int) -> tuple[int, ...]:
     """Masks in the table with no marked proper subset, canonically ordered."""
     return _extremal_masks(table, n, maximal=False)
 

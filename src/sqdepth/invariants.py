@@ -112,12 +112,13 @@ def alpha(pair: IdealPair) -> AlphaVector:
     Whether x_A lies in J or in I depends only on the part of A in the
     support, the variables some generator of I or J uses.  So both ideals
     are relabeled onto those s variables (one if there are none) and
-    counted there on packed tables of all 2^s masks; each of the n - s
+    counted there on subset tables of all 2^s masks; each of the n - s
     other variables is free, which multiplies the counts by (1 + t).  The
-    table budget bounds s, not n.  For s <= ideals.SMALL_TABLE (14) the
-    closures and the count run on each table as one int of 2^s bits, which
-    measured faster than numpy's per-call cost on tables that small; the
-    tables passed between them stay packed.
+    table budget bounds s, not n.  The table's size picks its container
+    (see sqdepth.ideals): for s <= ideals.SMALL_TABLE (14) each table is
+    one int of 2^s bits from its closure to the count, which measured
+    faster than numpy's per-call cost on tables that small; above that it
+    is packed uint64 words.
     """
     support = reduce(or_, pair.lower.generators + pair.upper.generators, 0)
     upper, lower = relabel_onto(pair.upper, support), relabel_onto(pair.lower, support)

@@ -298,9 +298,13 @@ def compose(columns_lower, column):
 
 
 def unpack(table, n):
-    """The bool array over all 2^n masks of a packed subset table."""
-    bits = np.unpackbits(table.astype("<u8").view(np.uint8), bitorder="little")
-    return bits[:1 << n].astype(bool)
+    """The bool array over all 2^n masks of a subset table: one int, or
+    packed uint64 words, bit m standing for mask m in both."""
+    if isinstance(table, int):
+        data = np.frombuffer(table.to_bytes((1 << n) // 8 + 1, "little"), dtype=np.uint8)
+    else:
+        data = table.astype("<u8").view(np.uint8)
+    return np.unpackbits(data, bitorder="little")[:1 << n].astype(bool)
 
 
 def pack(bools):

@@ -24,7 +24,7 @@ from sqdepth.homology import (
     reduced_homology,
     relative_homology,
 )
-from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize, parse_ideal
+from sqdepth.ideals import IdealPair, MonomialIdeal, _canonical_masks, minimalize, parse_ideal
 from sqdepth.invariants import dim_module
 from sqdepth.problems import parse_problem_file, parse_problem_text
 from sqdepth.randgen import (
@@ -283,6 +283,40 @@ class TestReisner:
         for check in (depth_verdict, is_cm_relative):
             with pytest.raises(ValueError, match="^the relative complex has no faces to test$"):
                 check(psi)
+
+
+def _spread(c, bits):
+    """c on 70 vertices, vertex i moved to bit bits[i]."""
+    return SimplicialComplex(70, _canonical_masks(
+        sum(1 << bits[i] for i in range(c.n) if f >> i & 1) for f in c.facets))
+
+
+class TestPastSixtyFourVertices:
+    """Complexes on 70 vertices, whose star index holds vertex bitsets as
+    Python ints, against their versions on five and six vertices."""
+
+    BOWTIE = SimplicialComplex(5, (0b00111, 0b11100))  # {1,2,3} and {3,4,5}
+
+    @pytest.mark.parametrize("field", (RATIONALS, CoefficientField(2)), ids=CoefficientField.label)
+    def test_bowtie_depth_and_witness(self, field):
+        wide = _spread(self.BOWTIE, (0, 13, 27, 41, 69))
+        assert _StarIndex(wide.facets, (), wide.n).dtype is object
+        small, verdict = is_cohen_macaulay(self.BOWTIE, field), is_cohen_macaulay(wide, field)
+        # the link of the shared vertex 3 is two disjoint edges: H_0 != 0
+        assert (small.depth, small.dim, small.witness_face, small.witness_dim) == (2, 3, 0b100, 0)
+        assert (verdict.depth, verdict.dim, verdict.witness_face, verdict.witness_dim) == (
+            2, 3, 1 << 27, 0)
+
+    @pytest.mark.parametrize("field", (RATIONALS, CoefficientField(2)), ids=CoefficientField.label)
+    def test_rp2_homology(self, field):
+        rp2 = complex_of_ideal(parse_problem_file(TestTorsion.RP2).pair().lower)
+        wide = _spread(rp2, (0, 13, 27, 41, 55, 69))
+        assert _StarIndex(wide.facets, (), wide.n).dtype is object
+        ranks = reduced_homology(wide, field)
+        assert ranks == reduced_homology(rp2, field)
+        # H_1 = H_2 = Z/2 over the integers: seen over GF(2) only
+        expected = 1 if field.characteristic == 2 else 0
+        assert ranks.betti == {-1: 0, 0: 0, 1: expected, 2: expected}
 
 
 class TestDepth:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqdepth import ideals
-from sqdepth.complexes import relative_of_pair
+from sqdepth.complexes import face_table, relative_of_pair
 from sqdepth.errors import CapExceededError, InvalidPairError, ParseError
 from sqdepth.homology import RATIONALS
 from sqdepth.ideals import (
@@ -227,9 +227,26 @@ class TestTables:
             n = rng.randint(1, 8)
             masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
             i = minimalize(masks, n)
-            table = membership_table(i)
+            table = oracles.unpack(membership_table(i), n)
             for a in range(1 << n):
-                assert bool(table[a >> 6] >> (a & 63) & 1) == i.contains(a)
+                assert table[a] == i.contains(a)
+
+    @pytest.mark.parametrize("n", (1, 14, 15))
+    def test_table_size_picks_the_container(self, n):
+        # one int over at most 2^14 masks, packed uint64 words over more;
+        # len() of a closed or complemented table is its packed word count
+        ideal = minimalize([1 << (n - 1)], n)
+        closed = [membership_table(ideal), membership_table(MonomialIdeal.unit(n)),
+                  membership_table(MonomialIdeal.zero(n)), downward_closure_table([1], n),
+                  complement(membership_table(ideal), n)]
+        psi = relative_of_pair(IdealPair.module(ideal))
+        for table in closed + [face_table(psi.delta), face_table(psi)]:
+            if n <= 14:
+                assert isinstance(table, int)
+            else:
+                assert isinstance(table, np.ndarray) and table.dtype == np.uint64
+            assert _tail_clear(table, n)
+        assert [len(table) for table in closed] == [word_count(n)] * len(closed)
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
@@ -277,7 +294,19 @@ def _tables(n, rng):
 
 
 def _tail_clear(table, n):
+    """No bit at or above 2^n is set: in the int, or in the packed words."""
+    if isinstance(table, int):
+        return table >> (1 << n) == 0
     return table.size == word_count(n) and (n >= 6 or int(table[0]) >> (1 << n) == 0)
+
+
+def _built(bools, n):
+    """The table of a bool array over 2^n masks in the container the kernels
+    build at n: one int up to ideals.SMALL_TABLE variables, else packed words."""
+    packed = oracles.pack(bools)
+    if n > ideals.SMALL_TABLE:
+        return packed
+    return int.from_bytes(packed.astype("<u8").tobytes(), "little")
 
 
 class TestPackedTables:
@@ -288,14 +317,14 @@ class TestPackedTables:
     def test_table_operations_match_bool_kernels(self, n):
         rng = random.Random(100 + n)
         for bools in _tables(n, rng):
-            packed = oracles.pack(bools)
-            assert np.array_equal(oracles.unpack(packed, n), bools)
-            comp = complement(packed, n)
+            table = _built(bools, n)
+            assert np.array_equal(oracles.unpack(table, n), bools)
+            comp = complement(table, n)
             assert _tail_clear(comp, n)
             assert np.array_equal(oracles.unpack(comp, n), ~bools)
-            assert list(maximal_masks(packed, n)) == oracles.bool_maximal_masks(bools, n)
-            assert list(minimal_masks(packed, n)) == oracles.bool_minimal_masks(bools, n)
-            assert degree_counts(packed, n) == oracles.bool_degree_counts(bools, n)
+            assert list(maximal_masks(table, n)) == oracles.bool_maximal_masks(bools, n)
+            assert list(minimal_masks(table, n)) == oracles.bool_minimal_masks(bools, n)
+            assert degree_counts(table, n) == oracles.bool_degree_counts(bools, n)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_closures_match_bool_kernels(self, n):
@@ -317,8 +346,8 @@ class TestPackedTables:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_packed_path_table_operations_match_bool_kernels(self, n, monkeypatch):
-        # the tests above run tables this small as one int; these rerun them
-        # with every table on the packed uint64 kernels
+        # the tests above build and read tables this small as one int; these
+        # rerun them with every table in packed uint64 words
         monkeypatch.setattr(ideals, "SMALL_TABLE", -1)
         self.test_table_operations_match_bool_kernels(n)
 
@@ -337,7 +366,7 @@ class TestPackedTables:
         seed_sets = [rng.sample(range(1 << n), k) for k in (1, 8, 40)]
 
         def run():
-            tables = [oracles.pack(bools) for bools in bool_tables]
+            tables = [_built(bools, n) for bools in bool_tables]
             for seeds in seed_sets:
                 tables += [downward_closure_table(seeds, n),
                            membership_table(minimalize(seeds, n))]
@@ -350,9 +379,10 @@ class TestPackedTables:
         monkeypatch.undo()
         default, default_results = run()
         for a, b in zip(packed, default):
-            assert a.dtype == b.dtype == np.uint64
+            assert a.dtype == np.uint64
+            assert isinstance(b, int) if n == 14 else b.dtype == np.uint64
             assert _tail_clear(a, n) and _tail_clear(b, n)
-            assert np.array_equal(a, b)
+            assert np.array_equal(oracles.unpack(a, n), oracles.unpack(b, n))
         assert packed_results == default_results
 
     @pytest.mark.parametrize("n", range(1, 8))
