@@ -22,7 +22,6 @@ from .ideals import (
     complement,
     degree_counts,
     downward_closure_table,
-    face_vertices,  # re-exported: the vertices of a face
     maximal_masks,
     membership_table,
     minimal_masks,

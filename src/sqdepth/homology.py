@@ -81,7 +81,6 @@ import numpy as np
 from .errors import CapExceededError
 from .complexes import (
     RelativeComplex,
-    SimplicialComplex,
     _faces_of_size,
     link_facets,
     relative_of_pair,
@@ -131,20 +130,18 @@ RATIONALS = CoefficientField(0)
 
 @dataclass
 class ChainComplexRanks:
-    """Face counts, boundary ranks, and (reduced/relative) homology ranks.
+    """Face counts, boundary ranks, and relative homology ranks of a pair,
+    which are the reduced ones of delta where gamma is void.
 
     All three dicts are keyed by chain dimension; boundary_ranks[i] is the
-    rank of the map from i-chains to (i-1)-chains.  A result truncated at
-    `top` counts faces up to dimension top + 1 only, and holds Betti numbers
-    from the bottom dimension up to the first nonzero one or up to top,
-    whichever comes first; top is None when every dimension is computed.
+    rank of the map from i-chains to (i-1)-chains.  A dimension without
+    faces has no face count and no Betti number.
     """
 
     field: CoefficientField
     face_counts: dict[int, int]
     boundary_ranks: dict[int, int]
     betti: dict[int, int]
-    top: Optional[int] = None
 
     def betti_number(self, i: int) -> int:
         return self.betti.get(i, 0)
@@ -162,37 +159,25 @@ def clear_homology_cache() -> None:
     """Does nothing: homology results are recomputed on every call."""
 
 
-def reduced_homology(complex_: SimplicialComplex,
-                     field: CoefficientField = RATIONALS) -> ChainComplexRanks:
-    """Reduced Betti numbers of a nonvoid complex: the pair with a void gamma."""
-    if complex_.is_void:
-        raise ValueError("the void complex has no homology")
-    return relative_homology(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)), field)
-
-
-def relative_homology(psi: RelativeComplex, field: CoefficientField = RATIONALS,
-                      top: Optional[int] = None) -> ChainComplexRanks:
+def relative_homology(psi: RelativeComplex,
+                      field: CoefficientField = RATIONALS) -> ChainComplexRanks:
     """Homology of the pair: chains on delta-minus-gamma faces, boundaries
-    taken modulo gamma.  An empty pair has no chain groups at all.
-
-    With `top`, only faces of at most top + 2 vertices are indexed and the
-    result is truncated there (see ChainComplexRanks): it answers which
-    dimension up to top, if any, first carries homology.  The pair is
-    ranked by the star steps at the empty face of its own index; a
-    dimension without faces gets no entry.
+    taken modulo gamma, so the reduced homology of delta where gamma is
+    void; an empty pair has no chain groups.  The pair is ranked in every
+    dimension of delta by the star steps at the empty face of its own
+    index; a dimension without faces gets no entry.
     """
     index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
-    last = max((f.bit_count() for f in psi.delta.facets), default=0) - 1 if top is None else top
+    last = max((f.bit_count() for f in psi.delta.facets), default=0) - 1
     stars = [index.star([], k) for k in range(last + 3)]
     ranks: dict[int, int] = {}
     betti: dict[int, int] = {}
-    steps = _star_steps(0, index, last, field.characteristic, first=top is not None)
-    for i, (faces, low, high) in enumerate(steps, -1):
+    for i, (faces, low, high) in enumerate(_star_steps(0, index, last, field.characteristic), -1):
         if faces:
             ranks[i], ranks[i + 1] = low, high
             betti[i] = faces - low - high
     counts = {k - 1: star.bit_count() for k, star in enumerate(stars) if star}
-    return ChainComplexRanks(field, counts, ranks, betti, top)
+    return ChainComplexRanks(field, counts, ranks, betti)
 
 
 @dataclass(frozen=True)
@@ -213,9 +198,6 @@ class CmVerdict:
     @property
     def is_cm(self) -> bool:
         return self.depth == self.dim
-
-    def __bool__(self):
-        return self.is_cm
 
 
 class _Level:
@@ -474,14 +456,13 @@ def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: i
     return negative
 
 
-def _star_steps(face: int, index: _StarIndex, top: int, p: int,
-                first: bool = False) -> Iterator[tuple[int, int, int]]:
-    """For the link pair at `face`, from dimension -1 up to top, or with
-    `first` up to the first nonzero Betti number, the face count of each
-    dimension i with the ranks of d_i and d_{i+1} over GF(p), or over QQ
-    for p = 0, ranked on its star masks with row compression (see the
-    module docstring).  A step that needs a size the index refuses raises
-    CapExceededError."""
+def _star_steps(face: int, index: _StarIndex, top: int, p: int) -> Iterator[tuple[int, int, int]]:
+    """For the link pair at `face`, from dimension -1 up to top, the face
+    count of each dimension i with the ranks of d_i and d_{i+1} over GF(p),
+    or over QQ for p = 0, ranked on its star masks with row compression
+    (see the module docstring) as the step is read: a caller that stops at
+    the first homology (_first_homology) ranks nothing above it.  A step
+    that needs a size the index refuses raises CapExceededError."""
     ids = []
     while face:
         v = face & -face
@@ -511,8 +492,6 @@ def _star_steps(face: int, index: _StarIndex, top: int, p: int,
                 high = above.bit_count()
         if i > -2:
             yield faces, low, high
-            if first and faces > low + high:
-                return
         current, k = upper, k + 1
 
 
@@ -629,19 +608,6 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
                     break
         size += 1
     return CmVerdict(best + shift, dim + shift, field, witness_face, witness_dim)
-
-
-def is_cohen_macaulay(complex_: SimplicialComplex,
-                      field: CoefficientField = RATIONALS) -> CmVerdict:
-    """Cohen-Macaulayness of a nonvoid complex: the pair with a void gamma."""
-    if complex_.is_void:
-        raise ValueError("the void complex cannot be tested")
-    return depth_verdict(RelativeComplex(complex_, SimplicialComplex.void(complex_.n)), field)
-
-
-def is_cm_relative(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> CmVerdict:
-    """Cohen-Macaulayness of a nonempty relative complex."""
-    return depth_verdict(psi, field)
 
 
 def depth(pair: IdealPair, field: CoefficientField = RATIONALS) -> int:

@@ -151,6 +151,8 @@ def beta_table(alpha_vec: AlphaVector, q_lo: int, q_hi: int) -> list[BetaVector]
     for q in (q_lo, q_hi):
         if not 0 <= q <= alpha_vec.n:
             raise ValueError(f"level {q} outside 0..{alpha_vec.n}")
+    if q_lo > q_hi:
+        raise ValueError(f"levels {q_lo}..{q_hi} are out of order")
     rows = _transform_rows(alpha_vec.counts, q_hi)
     return [BetaVector(q, rows[q]) for q in range(q_lo, q_hi + 1)]
 
@@ -198,26 +200,18 @@ def h_vector(x: ComplexLike, level: Optional[int] = None) -> BetaVector:
     return BetaVector(level, _transform_rows(counts, level)[level])
 
 
-def beta_recurrence_check(alpha_vec: AlphaVector, d: int) -> Optional[tuple[str, int]]:
-    """Exact check of the two transform identities at level d.
+def first_recurrence_failure(alpha_vec: AlphaVector) -> Optional[tuple[str, int, int]]:
+    """Exact check of the two transform identities at every level d = 1..n,
+    from one pass of Pascal rows.
 
     Verifies beta_k^{d+1} = beta_k^d - beta_{k-1}^d for 1 <= k <= d, and the
     complement identity beta_k^d(complement) = C(n-d+k-1, k) - beta_k^d
     where the complement counts are C(n,j) - alpha_j.  beta^d is the
     production Pascal row; beta^{d+1} and the complement transform come from
     the direct binomial formula, so a wrong row cannot agree with itself.
-    Returns None when both hold, else (identity name, first failing k).
+    Returns None when all hold, else (identity name, first failing k, d) at
+    the lowest failing level.
     """
-    if not 1 <= d <= alpha_vec.n:
-        raise ValueError(f"level {d} outside 1..{alpha_vec.n}")
-    at_d = _transform_rows(alpha_vec.counts, d)[d]
-    return _level_failure(alpha_vec, _complement_counts(alpha_vec), at_d, d)
-
-
-def first_recurrence_failure(alpha_vec: AlphaVector) -> Optional[tuple[str, int, int]]:
-    """`beta_recurrence_check` at every level d = 1..n, from one pass of
-    Pascal rows.  Returns None when all hold, else (identity name, first
-    failing k, d) at the lowest failing level."""
     rows = _transform_rows(alpha_vec.counts, alpha_vec.n)
     complement = _complement_counts(alpha_vec)
     for d in range(1, alpha_vec.n + 1):

@@ -25,7 +25,9 @@ size and never gamma's.
 package replaced with tables over the variables the generators use, and
 `relative_facets_of_pair` reads the facets of a pair off two such tables,
 which the package replaced with `RelativeComplex.facets`.
-`moore_space_mod_3` is a test input: a complex with 3-torsion in H_1.
+`moore_space_mod_3` is a test input: a complex with 3-torsion in H_1,
+and `absolute` makes a complex the pair with a void gamma, on which the
+package reads its reduced homology and its Cohen-Macaulayness.
 """
 
 import sys
@@ -39,7 +41,6 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     complex_of_ideal,
-    face_vertices,
     ideal_of_complex,
     link_facets,
     relative_of_pair,
@@ -50,6 +51,7 @@ from sqdepth.ideals import (
     _canonical_masks,
     colon,
     degree_counts,
+    face_vertices,
     maximal_masks,
     membership_table,
     minimalize,
@@ -104,12 +106,18 @@ def pair_faces(delta, gamma, max_size, limit):
     return by_dim
 
 
+def absolute(c):
+    """The complex c as the pair (c, void): its relative homology is the
+    reduced homology of c, and its depth verdict that of c."""
+    return RelativeComplex(c, SimplicialComplex.void(c.n))
+
+
 def face_masks(x, max_size=None):
     """The faces of a complex, or of a pair (delta outside gamma), as a set;
     with max_size, only those of at most max_size vertices.  Uncapped: no
     machine holds sys.maxsize // 2 faces."""
     if isinstance(x, SimplicialComplex):
-        x = RelativeComplex(x, SimplicialComplex.void(x.n))
+        x = absolute(x)
     faces = pair_faces(x.delta.facets, x.gamma.facets,
                        x.n if max_size is None else max_size, sys.maxsize // 2)
     return set(chain.from_iterable(faces.values()))
@@ -517,8 +525,10 @@ def uncompressed_ranks(by_dim, field, top=None):
     """The homology of a pair listed by dimension (as pair_faces lists it)
     with every boundary map ranked whole: Betti numbers upward from the
     bottom dimension, stopping after top or at the first nonzero one, each
-    boundary rank computed when a Betti number needs it.  This is the
-    ChainComplexRanks that relative_homology gives for the pair."""
+    boundary rank computed when a Betti number needs it.  Without top this
+    is the ChainComplexRanks that relative_homology gives for the pair;
+    with top, its first nonzero Betti number is what _first_homology finds
+    up to top."""
     counts = {i: len(by_dim[i]) for i in sorted(by_dim)}
     ranks = {}
 
@@ -536,12 +546,12 @@ def uncompressed_ranks(by_dim, field, top=None):
         betti[i] = counts[i] - rank(i) - rank(i + 1)
         if top is not None and betti[i]:
             break
-    return ChainComplexRanks(field, counts, ranks, betti, top)
+    return ChainComplexRanks(field, counts, ranks, betti)
 
 
 def listed_homology(psi, field=RATIONALS, top=None):
-    """relative_homology(psi, field, top) from the pair listed by pair_faces
-    and ranked by uncompressed_ranks."""
+    """The homology of psi, truncated as uncompressed_ranks truncates it,
+    from the pair listed by pair_faces (up to top + 2 vertices with top)."""
     faces = pair_faces(psi.delta.facets, psi.gamma.facets, psi.n if top is None else top + 2,
                        FACE_CAP)
     return uncompressed_ranks(faces, field, top)

@@ -10,13 +10,12 @@ from sqdepth.complexes import (
     complex_of_ideal,
     f_vector,
     face_table,
-    face_vertices,
     ideal_of_complex,
     pair_of_relative,
     relative_of_pair,
 )
 from sqdepth.homology import FACE_CAP
-from sqdepth.ideals import IdealPair, MonomialIdeal, minimalize
+from sqdepth.ideals import IdealPair, MonomialIdeal, face_vertices, minimalize
 from sqdepth.randgen import (
     random_module_pair,
     random_pair,

@@ -17,11 +17,9 @@ from sqdepth.homology import (
     RATIONALS,
     CoefficientField,
     _StarIndex,
+    _first_homology,
     depth,
     depth_verdict,
-    is_cm_relative,
-    is_cohen_macaulay,
-    reduced_homology,
     relative_homology,
 )
 from sqdepth.ideals import IdealPair, MonomialIdeal, _canonical_masks, minimalize, parse_ideal
@@ -94,24 +92,20 @@ class TestRanks:
 
 class TestReducedHomology:
     def test_hollow_triangle_is_circle(self):
-        ranks = reduced_homology(HOLLOW)
+        ranks = relative_homology(oracles.absolute(HOLLOW))
         assert ranks.betti == {-1: 0, 0: 0, 1: 1}
 
     def test_full_simplex_acyclic(self):
-        ranks = reduced_homology(SimplicialComplex.full_simplex(4))
+        ranks = relative_homology(oracles.absolute(SimplicialComplex.full_simplex(4)))
         assert ranks.is_acyclic
 
     def test_two_points(self):
-        ranks = reduced_homology(SimplicialComplex(2, (0b01, 0b10)))
+        ranks = relative_homology(oracles.absolute(SimplicialComplex(2, (0b01, 0b10))))
         assert ranks.betti == {-1: 0, 0: 1}
 
     def test_empty_face_complex(self):
-        ranks = reduced_homology(SimplicialComplex(2, (0,)))
+        ranks = relative_homology(oracles.absolute(SimplicialComplex(2, (0,))))
         assert ranks.betti == {-1: 1}
-
-    def test_void_rejected(self):
-        with pytest.raises(ValueError):
-            reduced_homology(SimplicialComplex.void(2))
 
     def test_boundary_composition_vanishes(self):
         # on the listed oracle's columns, and on the boundary table of the
@@ -133,7 +127,7 @@ class TestReducedHomology:
         rng = random.Random(17)
         for _ in range(60):
             c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 7)))
-            ranks = reduced_homology(c)
+            ranks = relative_homology(oracles.absolute(c))
             fv = f_vector(c)
             lhs = sum((-1) ** i * fv[i + 1] for i in range(-1, c.dim + 1))
             rhs = sum((-1) ** i * b for i, b in ranks.betti.items())
@@ -141,7 +135,8 @@ class TestReducedHomology:
 
     def test_field_can_matter_only_through_ranks(self):
         # over GF(5) and QQ the circle looks the same
-        assert reduced_homology(HOLLOW, GF5).betti == reduced_homology(HOLLOW).betti
+        hollow = oracles.absolute(HOLLOW)
+        assert relative_homology(hollow, GF5).betti == relative_homology(hollow).betti
 
 
 def assert_star_columns_compose_to_zero(x, by_dim):
@@ -151,7 +146,7 @@ def assert_star_columns_compose_to_zero(x, by_dim):
     of the quotient complex, and each map composes to zero with the one
     below.  Returns the number of absent entries."""
     if isinstance(x, SimplicialComplex):
-        x = RelativeComplex(x, SimplicialComplex.void(x.n))
+        x = oracles.absolute(x)
     index = _StarIndex(x.delta.facets, x.gamma.facets, x.n)
     sizes = range(x.delta.dim + 3)
     assert [index.star([], k).bit_count() for k in sizes] == [
@@ -211,78 +206,70 @@ class TestRelativeHomology:
                 continue  # c is {empty}; the pair has no faces at all
             psi = RelativeComplex(c, SimplicialComplex(c.n, (0,)))
             rel = relative_homology(psi)
-            red = reduced_homology(c)
+            red = relative_homology(oracles.absolute(c))
             for i in range(1, c.dim + 1):
                 assert rel.betti_number(i) == red.betti_number(i)
             assert rel.betti_number(0) == red.betti_number(0) + 1
 
     def test_truncated_at_a_top_dimension(self):
-        # the 3-sphere (boundary of the 4-simplex) modulo void: truncated at
-        # top=1 it lists only faces of at most three vertices and finds no
-        # homology up to dimension 1; truncated at top=3 it finds H_3
-        sphere = skeleton(SimplicialComplex.full_simplex(5), 4)
-        psi = RelativeComplex(sphere, SimplicialComplex.void(5))
-        low = relative_homology(psi, top=1)
-        assert low.face_counts == {-1: 1, 0: 5, 1: 10, 2: 10}
-        assert low.betti == {-1: 0, 0: 0, 1: 0} and low.first_nonzero() is None
-        high = relative_homology(psi, top=3)
-        assert high.betti == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 1} and high.first_nonzero() == 3
-        full = relative_homology(psi)
-        assert full.betti == high.betti and full is not high
+        # the 3-sphere (boundary of the 4-simplex) modulo void: the search
+        # truncated at top=1 builds only the sizes of at most three vertices
+        # and finds no homology up to dimension 1; truncated at top=3 it
+        # finds H_3, the one class of the untruncated homology
+        psi = oracles.absolute(skeleton(SimplicialComplex.full_simplex(5), 4))
+        index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+        assert _first_homology(0, index, RATIONALS, 1) is None
+        assert sorted(index.levels) == [0, 1, 2, 3]
+        assert [len(index.levels[k].faces) for k in range(4)] == [1, 5, 10, 10]
+        index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+        assert _first_homology(0, index, RATIONALS, 3) == 3
+        assert relative_homology(psi).betti == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 1}
 
     def test_truncation_stops_at_the_first_homology(self):
-        # a point beside a filled triangle: H_0 is found first, so the rank
-        # of the triangle's boundary map is never computed
-        psi = RelativeComplex(SimplicialComplex(4, (0b0001, 0b1110)), SimplicialComplex.void(4))
-        ranks = relative_homology(psi, top=2)
-        assert ranks.betti == {-1: 0, 0: 1}
-        assert 2 not in ranks.boundary_ranks
+        # a point beside a filled triangle: H_0 is found first, so the
+        # triangle's size is never built and its boundary map never ranked
+        psi = oracles.absolute(SimplicialComplex(4, (0b0001, 0b1110)))
+        index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+        assert _first_homology(0, index, RATIONALS, 2) == 0
+        assert 3 not in index.levels
         assert 2 in relative_homology(psi).boundary_ranks
-
-    def test_mod_void_is_reduced(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 6)))
-            psi = RelativeComplex(c, SimplicialComplex.void(c.n))
-            assert relative_homology(psi).betti == reduced_homology(c).betti
 
 
 class TestReisner:
     def test_hollow_triangle_is_cm(self):
-        assert is_cohen_macaulay(HOLLOW).is_cm
+        assert depth_verdict(oracles.absolute(HOLLOW)).is_cm
 
     def test_disconnected_witness(self):
-        verdict = is_cohen_macaulay(SimplicialComplex(3, (0b001, 0b110)))
+        verdict = depth_verdict(oracles.absolute(SimplicialComplex(3, (0b001, 0b110))))
         assert not verdict.is_cm
         assert verdict.witness_face == 0 and verdict.witness_dim == 0
 
     def test_duval_complex_is_cm(self):
         from test_invariants import duval_ideal
-        assert is_cohen_macaulay(complex_of_ideal(duval_ideal())).is_cm
+        assert depth_verdict(oracles.absolute(complex_of_ideal(duval_ideal()))).is_cm
 
     def test_relative_section3(self):
         from test_invariants import section3_pair
         psi = relative_of_pair(section3_pair())
-        assert is_cm_relative(psi).is_cm
+        assert depth_verdict(psi).is_cm
         assert psi.dim + 1 == 4
 
     def test_relative_single_face_module(self):
         delta = SimplicialComplex.full_simplex(3)
         psi = RelativeComplex(delta, skeleton(delta, 2))
-        assert is_cm_relative(psi).is_cm
+        assert depth_verdict(psi).is_cm
 
     def test_relative_two_vertices(self):
         ctx = 2
         pair = IdealPair(parse_ideal("x1*x2", ctx), parse_ideal("x1, x2", ctx))
-        assert is_cm_relative(relative_of_pair(pair)).is_cm
+        assert depth_verdict(relative_of_pair(pair)).is_cm
 
     @pytest.mark.parametrize("delta", [SimplicialComplex.void(3), HOLLOW])
     def test_pair_without_faces_is_refused(self, delta):
         # psi = (delta, delta) has no faces: no cone vertices to AND, no dim
         psi = RelativeComplex(delta, delta)
-        for check in (depth_verdict, is_cm_relative):
-            with pytest.raises(ValueError, match="^the relative complex has no faces to test$"):
-                check(psi)
+        with pytest.raises(ValueError, match="^the relative complex has no faces to test$"):
+            depth_verdict(psi)
 
 
 def _spread(c, bits):
@@ -301,7 +288,8 @@ class TestPastSixtyFourVertices:
     def test_bowtie_depth_and_witness(self, field):
         wide = _spread(self.BOWTIE, (0, 13, 27, 41, 69))
         assert _StarIndex(wide.facets, (), wide.n).dtype is object
-        small, verdict = is_cohen_macaulay(self.BOWTIE, field), is_cohen_macaulay(wide, field)
+        small = depth_verdict(oracles.absolute(self.BOWTIE), field)
+        verdict = depth_verdict(oracles.absolute(wide), field)
         # the link of the shared vertex 3 is two disjoint edges: H_0 != 0
         assert (small.depth, small.dim, small.witness_face, small.witness_dim) == (2, 3, 0b100, 0)
         assert (verdict.depth, verdict.dim, verdict.witness_face, verdict.witness_dim) == (
@@ -312,8 +300,8 @@ class TestPastSixtyFourVertices:
         rp2 = complex_of_ideal(parse_problem_file(TestTorsion.RP2).pair().lower)
         wide = _spread(rp2, (0, 13, 27, 41, 55, 69))
         assert _StarIndex(wide.facets, (), wide.n).dtype is object
-        ranks = reduced_homology(wide, field)
-        assert ranks == reduced_homology(rp2, field)
+        ranks = relative_homology(oracles.absolute(wide), field)
+        assert ranks == relative_homology(oracles.absolute(rp2), field)
         # H_1 = H_2 = Z/2 over the integers: seen over GF(2) only
         expected = 1 if field.characteristic == 2 else 0
         assert ranks.betti == {-1: 0, 0: 0, 1: expected, 2: expected}
@@ -353,7 +341,7 @@ class TestDepth:
             d = depth(pair)
             dim = dim_module(pair)
             assert d <= dim
-            assert (d == dim) == is_cohen_macaulay(complex_of_ideal(i)).is_cm
+            assert (d == dim) == depth_verdict(oracles.absolute(complex_of_ideal(i))).is_cm
 
     def test_skeleton_monotonicity(self):
         # once a skeleton is Cohen-Macaulay, every lower one is too, so the
@@ -362,7 +350,7 @@ class TestDepth:
         for _ in range(50):
             c = complex_of_ideal(random_proper_ideal(rng, rng.randint(1, 6)))
             statuses = [
-                is_cohen_macaulay(skeleton(c, dp)).is_cm for dp in range(c.dim + 2)
+                depth_verdict(oracles.absolute(skeleton(c, dp))).is_cm for dp in range(c.dim + 2)
             ]
             assert statuses == sorted(statuses, reverse=True)
 
@@ -431,7 +419,7 @@ class TestOnePassDepth:
         verdict = depth_verdict(psi)
         assert (verdict.depth, verdict.dim) == (5, 7)
         assert (verdict.witness_face, verdict.witness_dim) == (0b1100000, 2)
-        assert not is_cm_relative(psi)
+        assert not verdict.is_cm
         doc = build_depth_document(pair, RATIONALS, {})
         assert doc["cm_witness"] == {"face": "{6,7}", "dimension": 2}
 
@@ -490,9 +478,9 @@ class TestTorsion:
         steps, negatives = homology._star_steps, homology._signed_negatives
         star_index = homology._StarIndex
 
-        def counted_steps(face, index, top, p, first=False):
+        def counted_steps(face, index, top, p):
             passes.append((face, index, top))
-            return steps(face, index, top, p, first)
+            return steps(face, index, top, p)
 
         def counted_negatives(columns, star, rows, p):
             if p == 0:
@@ -888,9 +876,9 @@ class TestHomologySweep:
         sweep += [(SimplicialComplex(k, tuple(1 << v for v in range(k))), {0: k - 1})
                   for k in range(2, 10)]
         for c, nonzero in sweep:
-            betti = reduced_homology(c).betti
+            betti = relative_homology(oracles.absolute(c)).betti
             assert {i: b for i, b in betti.items() if b} == nonzero
-        last = reduced_homology(sweep[-1][0])
-        assert last == reduced_homology(sweep[-1][0])
-        assert reduced_homology(sweep[0][0]).is_acyclic
-        assert reduced_homology(HOLLOW).betti == {-1: 0, 0: 0, 1: 1}
+        last = relative_homology(oracles.absolute(sweep[-1][0]))
+        assert last == relative_homology(oracles.absolute(sweep[-1][0]))
+        assert relative_homology(oracles.absolute(sweep[0][0])).is_acyclic
+        assert relative_homology(oracles.absolute(HOLLOW)).betti == {-1: 0, 0: 0, 1: 1}

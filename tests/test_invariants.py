@@ -12,9 +12,9 @@ from sqdepth.invariants import (
     alpha,
     alpha_from_beta,
     beta,
-    beta_recurrence_check,
     beta_table,
     dim_module,
+    first_recurrence_failure,
     h_vector,
     hdepth,
     hdepth_of_alpha,
@@ -251,15 +251,13 @@ class TestDim:
 class TestRecurrences:
     def test_duval_levels(self):
         a = alpha(IdealPair.quotient(duval_ideal()))
-        for d in range(4, 11):
-            assert beta_recurrence_check(a, d) is None
+        assert first_recurrence_failure(a) is None
 
     def test_full_simplex_alpha(self):
         from math import comb
         n = 6
         a = AlphaVector(n, tuple(comb(n, k) for k in range(n + 1)))
-        for d in range(1, n + 1):
-            assert beta_recurrence_check(a, d) is None
+        assert first_recurrence_failure(a) is None
 
     def test_random_ideals(self):
         rng = random.Random(103)
@@ -267,8 +265,7 @@ class TestRecurrences:
             n = rng.randint(2, 8)
             pair = random_pair(rng, n)
             a = alpha(pair)
-            for d in range(1, n + 1):
-                assert beta_recurrence_check(a, d) is None
+            assert first_recurrence_failure(a) is None
 
 
 class TestCmTheorems:
@@ -299,3 +296,10 @@ class TestBetaTable:
         by_level = {r.level: r for r in rows}
         assert by_level[9].first_negative() is None
         assert by_level[10].first_negative() == 4
+
+    def test_levels_out_of_order_are_refused(self):
+        # each bound lies in 0..n, but an empty range of levels is no table
+        a = alpha(IdealPair.module(duval_ideal()))
+        with pytest.raises(ValueError, match="out of order"):
+            beta_table(a, 3, 1)
+        assert [r.level for r in beta_table(a, 3, 3)] == [3]

@@ -153,7 +153,7 @@ class TestCmComplexes:
         import random
 
         from sqdepth.complexes import complex_of_ideal
-        from sqdepth.homology import is_cohen_macaulay
+        from sqdepth.homology import depth_verdict
         from sqdepth.invariants import h_vector
         from sqdepth.randgen import random_proper_ideal
 
@@ -162,7 +162,7 @@ class TestCmComplexes:
         for _ in range(300):
             n = rng.randint(1, 6)
             c = complex_of_ideal(random_proper_ideal(rng, n))
-            if c.dim < 0 or not is_cohen_macaulay(c).is_cm:
+            if c.dim < 0 or not depth_verdict(oracles.absolute(c)).is_cm:
                 continue
             certified += 1
             h = h_vector(c).values

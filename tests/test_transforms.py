@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sqdepth import invariants
 from sqdepth.homology import CoefficientField
-from sqdepth.invariants import AlphaVector, alpha, alpha_from_beta, beta, beta_recurrence_check
+from sqdepth.invariants import AlphaVector, alpha, alpha_from_beta, beta, first_recurrence_failure
 from sqdepth.reports import build_verify_document
 
 import oracles
@@ -63,10 +63,10 @@ def test_corrupt_pascal_row_fails_transform_recurrences(monkeypatch):
 
     pair = section3_pair()
     a = alpha(pair)
-    assert beta_recurrence_check(a, 2) is None
+    assert first_recurrence_failure(a) is None
     assert recurrence_check(pair)["status"] == "pass"
     monkeypatch.setattr(invariants, "_transform_rows", corrupt_row_two)
-    assert beta_recurrence_check(a, 2) == ("level-recurrence", 1)
+    assert first_recurrence_failure(a) == ("level-recurrence", 1, 2)
     assert recurrence_check(pair) == {
         "name": "transform-recurrences",
         "status": "fail",
@@ -85,8 +85,7 @@ def test_wrong_complement_binomial_fails_transform_recurrences(monkeypatch):
     pair = section3_pair()
     a = alpha(pair)
     monkeypatch.setattr(invariants, "binomial_ext", off_at_k_two)
-    assert beta_recurrence_check(a, 1) is None
-    assert beta_recurrence_check(a, 2) == ("complement-identity", 2)
+    assert first_recurrence_failure(a) == ("complement-identity", 2, 2)  # level 1 holds
     assert _recurrence_check(pair) == {
         "name": "transform-recurrences",
         "status": "fail",
