@@ -19,6 +19,8 @@ from .ideals import (
     IdealPair,
     MonomialIdeal,
     _canonical_masks,
+    _colon_table,
+    _spread,
     complement,
     degree_counts,
     downward_closure_table,
@@ -124,6 +126,18 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
         raise ValueError("the unit ideal corresponds to the void complex")
     table = complement(membership_table(ideal), ideal.n)
     return SimplicialComplex(ideal.n, maximal_masks(table, ideal.n))
+
+
+def complex_of_colon(ideal: MonomialIdeal, other: MonomialIdeal) -> SimplicialComplex:
+    """The Stanley-Reisner complex of the colon ideal (I : J), read off the
+    subset table that `ideals.colon` reads its generators from, without
+    listing them: the maximal masks outside the table, spread back onto the
+    n variables, each with the vertices outside the support of I, on which
+    the colon does not depend.  A unit colon gives the void complex."""
+    table, s, support = _colon_table(ideal, other)
+    free = ((1 << ideal.n) - 1) & ~support
+    facets = _spread(maximal_masks(complement(table, s), s), support)
+    return SimplicialComplex(ideal.n, tuple(f | free for f in facets))
 
 
 def ideal_of_complex(complex_: SimplicialComplex) -> MonomialIdeal:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
 from math import comb
+from operator import and_, or_
 from typing import Iterable
 
 import numpy as np
@@ -144,14 +145,20 @@ def relabel_onto(ideal: MonomialIdeal, support: int) -> MonomialIdeal:
     canonically ordered antichain.
     """
     n = max(support.bit_count(), 1)
+    return _trusted_ideal(n, _relabeled(ideal.generators, support))
+
+
+def _relabeled(masks: Iterable[int], support: int) -> tuple[int, ...]:
+    # masks inside `support`, with its variables renumbered 1, 2, ... in order
     renumbered = {v: 1 << j for j, v in enumerate(face_vertices(support))}
-    generators = (sum(map(renumbered.get, face_vertices(g))) for g in ideal.generators)
-    return _trusted_ideal(n, tuple(generators))
+    return tuple(sum(map(renumbered.get, face_vertices(m))) for m in masks)
 
 
-def _colon_single(ideal: MonomialIdeal, gmask: int) -> MonomialIdeal:
-    # (I : x_B) is generated by the masks A \ B over generators x_A of I.
-    return minimalize((g & ~gmask for g in ideal.generators), ideal.n)
+def _spread(masks: Iterable[int], support: int) -> tuple[int, ...]:
+    # the inverse of _relabeled: renumbered variable j back to the j-th
+    # variable of `support`, which keeps degrees and the order of mask values
+    spread = {1 << j: v for j, v in enumerate(face_vertices(support))}
+    return tuple(sum(map(spread.get, face_vertices(m))) for m in masks)
 
 
 def _split_by_membership(gens, other) -> tuple[list[int], list[int]]:
@@ -181,13 +188,11 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
     """The colon ideal (I : J) for squarefree ideals.
 
-    Computed as the intersection of (I : g) over the generators g of J.
+    Read off the subset table of `_colon_table` over the support of I as its
+    minimal masks, spread back onto the n variables.
     """
-    if ideal.n != other.n:
-        raise ValueError("ideals live in different rings")
-    if other.is_zero:
-        raise ValueError("colon by the zero ideal is undefined")
-    return reduce(intersect, (_colon_single(ideal, g) for g in other.generators))
+    table, s, support = _colon_table(ideal, other)
+    return _trusted_ideal(ideal.n, _spread(minimal_masks(table, s), support))
 
 
 @dataclass(frozen=True)
@@ -341,10 +346,17 @@ def _halves(words: np.ndarray, b: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(view[:, 0, c], view[:, 1, c]) for c in range(width)]
 
 
-def _close(table: int | np.ndarray, n: int, upward: bool) -> int | np.ndarray:
-    """Close a table upward (supersets) or downward (subsets) and return
-    it: packed words change in place, an int does not."""
+def _close(table: int | np.ndarray, n: int, upward: bool,
+           along: int | None = None) -> int | np.ndarray:
+    """Close a table upward (supersets) or downward (subsets) along the mask
+    bits set in `along`, all n by default, and return it: packed words
+    change in place, an int does not.  The steps along different bits
+    commute, so in-word bits go first."""
     steps, _, word_bits = _layout(n, isinstance(table, np.ndarray))
+    if along is not None:
+        bits, in_word = [v.bit_length() - 1 for v in face_vertices(along)], len(steps)
+        steps = [steps[b] for b in bits if b < in_word]
+        word_bits = [b for b in bits if b >= in_word]
     for shift, low in steps:
         if upward:
             table |= (table & low) << shift
@@ -385,6 +397,65 @@ def membership_table(ideal: MonomialIdeal) -> int | np.ndarray:
     if ideal.n <= SMALL_TABLE:  # the unit ideal holds every mask
         return _IntTable((1 << (1 << ideal.n)) - 1, ideal.n)
     return np.full(word_count(ideal.n), (1 << (1 << min(ideal.n, 6))) - 1, dtype=np.uint64)
+
+
+def _colon_table(ideal: MonomialIdeal,
+                 other: MonomialIdeal) -> tuple[int | np.ndarray, int, int]:
+    """The subset table of (I : J) over the s variables of the support of I
+    (those its generators use), s, and the support as a mask.
+
+    A variable outside the support is a nonzerodivisor mod I, so
+    (I : x_v) = I and the bits of J's generators outside it are dropped.
+    (I : J) is the intersection of (I : g) over the generators g of J, and
+    the table of (I : g) holds A when I's holds A | g.  I's table is upward
+    closed, so that is one downward step along each bit of g.  An int takes
+    the steps along all bits of each g.  Packed words take those along the
+    in-word bits once for all generators that share them, in one scratch
+    copy of I's table; the word-index bits of g then pick the words of the
+    masks A | g as a view, ANDed into the colon in place.  So at most four
+    tables are live: I's, the colon, the copy and a temporary of a step.
+    The table budget bounds s, as it does for alpha.
+    """
+    if ideal.n != other.n:
+        raise ValueError("ideals live in different rings")
+    if other.is_zero:
+        raise ValueError("colon by the zero ideal is undefined")
+    support = reduce(or_, ideal.generators, 0)
+    s = support.bit_count()
+    check_table_budget(s, of=ideal.n)
+    table = _closed_table(_relabeled(ideal.generators, support), s, upward=True)
+    alongs = _relabeled({g & support for g in other.generators}, support)
+    if isinstance(table, int):
+        steps = (_close(table, s, upward=False, along=along) for along in alongs)
+        return reduce(and_, steps), s, support
+    by_in_word: dict[int, list[int]] = {}
+    for along in alongs:
+        by_in_word.setdefault(along & 63, []).append(along >> 6)
+    colon_table, scratch = np.full_like(table, ~np.uint64(0)), np.empty_like(table)
+    for in_word, word_masks in by_in_word.items():
+        closed = table
+        if in_word:  # closed along the in-word bits in one scratch copy
+            np.copyto(scratch, table)
+            closed = _close(scratch, s, upward=False, along=in_word)
+        for w in word_masks:
+            shape, picked = _split_words(w, max(s - 6, 0))
+            view = colon_table.reshape(shape)
+            view &= closed.reshape(shape)[picked]
+    return colon_table, s, support
+
+
+@lru_cache(maxsize=None)
+def _split_words(w: int, k: int) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """A shape for 2^k words with an axis of length 2 for each bit set in
+    w, the runs of index bits between them merged, and the index that
+    takes the words whose index has those bits set, keeping their axes to
+    broadcast over both words of each pair."""
+    shape, picked, top = [], [], k
+    for b in reversed([v.bit_length() - 1 for v in face_vertices(w)]):
+        shape += [1 << (top - b - 1), 2]
+        picked += [slice(None), slice(1, 2)]
+        top = b
+    return tuple(shape + [1 << top]), tuple(picked + [slice(None)])
 
 
 def downward_closure_table(masks: Iterable[int], n: int) -> int | np.ndarray:

@@ -15,10 +15,10 @@ from math import comb
 from typing import Optional
 
 from . import __version__
-from .complexes import complex_of_ideal, f_vector, relative_of_pair
+from .complexes import complex_of_colon, f_vector, relative_of_pair
 from .errors import CapExceededError
 from .homology import CoefficientField, depth_verdict
-from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, colon, face_vertices
+from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, face_vertices
 from .invariants import (
     AlphaVector,
     BetaVector,
@@ -185,7 +185,7 @@ def _run_checks(b: ReportBuilder) -> list[dict]:
     ))
 
     # (I : J) is proper for a valid pair, so its complex is nonvoid
-    colon_complex = complex_of_ideal(colon(b.pair.lower, b.pair.upper))
+    colon_complex = complex_of_colon(b.pair.lower, b.pair.upper)
     colon_dim = colon_complex.dim + 1
     checks.append(_check(
         "dim-colon-agreement", _passfail(colon_dim == b.dim),

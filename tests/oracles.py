@@ -11,7 +11,9 @@ Reisner tests that the one-pass depth replaced, and `hochster_depth`
 evaluates Hochster's formula on every face.  `skeleton`,
 `link` and `dim_module_colon` are the facet-listing skeleton, the link as a
 complex and the colon path to the dimension, which no report uses;
-`pairwise_intersect` is the intersection before pruning.
+`pairwise_intersect` is the intersection before pruning, and
+`arithmetic_colon` the colon as an intersection of one-generator colons,
+which the package replaced with downward steps on a subset table.
 `uncompressed_ranks` ranks a listed pair with every boundary map whole
 (`boundary_columns`, ranked by the sparse column reduction `column_rank`),
 and `classify_face` is the per-face cone test from the link facets; the
@@ -32,6 +34,7 @@ package reads its reduced homology and its Cohen-Macaulayness.
 
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -52,6 +55,7 @@ from sqdepth.ideals import (
     colon,
     degree_counts,
     face_vertices,
+    intersect,
     maximal_masks,
     membership_table,
     minimalize,
@@ -149,6 +153,15 @@ def pairwise_intersect(a, b):
     """The intersection of two ideals as the minimalized set of every
     pairwise union of their generators, with no generator pruned."""
     return minimalize((ga | gb for ga in a.generators for gb in b.generators), a.n)
+
+
+def arithmetic_colon(ideal, other):
+    """(I : J) as the intersection over the generators x_B of J of (I : x_B),
+    which is generated by the masks A \\ B over the generators x_A of I."""
+    if other.is_zero:
+        raise ValueError("colon by the zero ideal is undefined")
+    return reduce(intersect, (minimalize((a & ~b for a in ideal.generators), ideal.n)
+                              for b in other.generators))
 
 
 def brute_colon_generators(ideal, other):

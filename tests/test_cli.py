@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqdepth import cli, complexes, invariants
+from sqdepth import cli, complexes, invariants, reports
 from sqdepth.cli import main
 from sqdepth.errors import CapExceededError
 from sqdepth.homology import RATIONALS, CoefficientField
 from sqdepth.ideals import IdealPair, minimalize
+from sqdepth.invariants import alpha
 from sqdepth.problems import parse_problem_file
 from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
 from sqdepth.reports import (
@@ -390,6 +391,61 @@ class TestSkeletonCheck:
         assert doc["n"] == 20
         assert set(_statuses(doc).values()) <= {"pass", "skipped"}
         assert _statuses(doc)["skeleton-h-vector"] == "pass"
+
+
+class TestColonChecks:
+    KINDS = (random_quotient_pair, random_module_pair, random_pair)
+
+    @staticmethod
+    def _check(doc, name):
+        return next(c for c in doc["checks"] if c["name"] == name)
+
+    def test_detects_a_dropped_facet_of_psi(self, monkeypatch):
+        # psi's facets come from Delta(I) and Delta(J), the colon's from the
+        # table of (I : J); losing one facet of psi must fail the comparison
+        real = reports.relative_of_pair
+
+        def drop_first_facet(pair):
+            psi = real(pair)
+            psi.__dict__["facets"] = psi.facets[1:]  # the cached facets, one short
+            return psi
+
+        rng = random.Random(89)
+        for kind in self.KINDS:
+            pair = kind(rng, 6)
+            doc = build_verify_document(pair, CoefficientField(0), {}, skip_depth=True)
+            assert self._check(doc, "facet-colon-agreement")["status"] == "pass"
+            with monkeypatch.context() as m:
+                m.setattr(reports, "relative_of_pair", drop_first_facet)
+                doc = build_verify_document(pair, CoefficientField(0), {}, skip_depth=True)
+            check = self._check(doc, "facet-colon-agreement")
+            assert (check["status"], check["details"]) == ("fail", "facet sets differ")
+
+    def test_detects_a_wrong_dim(self, monkeypatch):
+        # the report's dim is alpha's top degree; zeroing that count moves
+        # dim down by one, and the colon path must disagree
+        real = reports.alpha
+
+        def drop_top_degree(pair):
+            a = real(pair)
+            counts = list(a.counts)
+            counts[a.max_degree] = 0
+            return invariants.AlphaVector(a.n, tuple(counts))
+
+        rng = random.Random(97)
+        for kind in self.KINDS:
+            pair = kind(rng, 6)
+            while alpha(pair).min_degree == alpha(pair).max_degree:
+                pair = kind(rng, 6)
+            dim = alpha(pair).max_degree
+            doc = build_verify_document(pair, CoefficientField(0), {}, skip_depth=True)
+            assert self._check(doc, "dim-colon-agreement")["status"] == "pass"
+            with monkeypatch.context() as m:
+                m.setattr(reports, "alpha", drop_top_degree)
+                doc = build_verify_document(pair, CoefficientField(0), {}, skip_depth=True)
+            check = self._check(doc, "dim-colon-agreement")
+            assert check["status"] == "fail"
+            assert check["details"] == f"alpha path {dim - 1}, colon path {dim}"
 
 
 class TestCorpusCommand:

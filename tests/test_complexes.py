@@ -7,6 +7,7 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     _faces_of_size,
+    complex_of_colon,
     complex_of_ideal,
     f_vector,
     face_table,
@@ -47,6 +48,28 @@ class TestComplexOfIdeal:
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
             complex_of_ideal(MonomialIdeal.unit(2))
+
+
+class TestComplexOfColon:
+    def test_hand_example(self):
+        # (x1*x2*x3) : (x1) = (x2*x3) on 4 variables: the cone over the
+        # two vertices 2 and 3 with the free vertices 1 and 4
+        c = complex_of_colon(ideal([0b0111], 4), ideal([0b0001], 4))
+        assert c.facets == (0b1011, 0b1101)
+
+    def test_zero_ideal_full_simplex(self):
+        assert complex_of_colon(MonomialIdeal.zero(3), ideal([0b001], 3)).facets == (0b111,)
+
+    def test_unit_colon_is_void(self):
+        # J inside I: the colon is the unit ideal
+        assert complex_of_colon(ideal([0b01], 2), ideal([0b11], 2)).is_void
+        assert complex_of_colon(MonomialIdeal.unit(2), ideal([0b10], 2)).is_void
+
+    def test_ring_mismatch_and_zero_colon_rejected(self):
+        with pytest.raises(ValueError, match="different rings"):
+            complex_of_colon(ideal([0b1], 1), ideal([0b1], 2))
+        with pytest.raises(ValueError, match="zero ideal"):
+            complex_of_colon(ideal([0b1], 1), MonomialIdeal.zero(1))
 
 
 class TestIdealOfComplex:

@@ -1,10 +1,12 @@
 import random
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
 
 from sqdepth import ideals
-from sqdepth.complexes import face_table, relative_of_pair
+from sqdepth.complexes import complex_of_colon, face_table, relative_of_pair
 from sqdepth.errors import CapExceededError, InvalidPairError, ParseError
 from sqdepth.homology import RATIONALS
 from sqdepth.ideals import (
@@ -20,10 +22,17 @@ from sqdepth.ideals import (
     minimal_masks,
     minimalize,
     parse_ideal,
+    _spread,
+    relabel_onto,
     word_count,
 )
 from sqdepth.invariants import alpha
-from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
+from sqdepth.randgen import (
+    random_module_pair,
+    random_pair,
+    random_proper_ideal,
+    random_quotient_pair,
+)
 from sqdepth.reports import build_invariants_document
 
 import oracles
@@ -126,6 +135,38 @@ class TestColon:
             for s in oracles.subsets(n):
                 expected = oracles.brute_colon_member(ig, jg, s, n)
                 assert q.contains(oracles.set_to_mask(s)) == expected
+
+
+    def test_spread_inverts_relabel_onto(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            n = rng.randint(1, 20)
+            i = random_proper_ideal(rng, n)
+            support = reduce(or_, i.generators) | rng.randrange(1 << n)
+            assert _spread(relabel_onto(i, support).generators, support) == i.generators
+
+    def test_variables_outside_the_support_of_i_cost_nothing(self):
+        # (x1*x2, x62*x63) : (x1*x40) on 63 variables, on tables over 4;
+        # x40 is outside the support of I, so it drops out
+        i = parse_ideal("x1*x2, x62*x63", 63)
+        j = parse_ideal("x1*x40", 63)
+        assert colon(i, j) == parse_ideal("x2, x62*x63", 63)
+
+    def test_bounded_by_the_table_budget_on_the_support(self, monkeypatch):
+        # the path x1*x2, ..., x31*x32 uses 32 of the 40 variables, so the
+        # colon's tables would span 2^32 masks, 4 of 2^26 words: refused
+        # before numpy allocates them, with both variable counts named
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        i = parse_ideal(", ".join(f"x{v}*x{v + 1}" for v in range(1, 32)), 40)
+        j = parse_ideal("x1, x40", 40)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        monkeypatch.setattr(np, "full", no_allocation)
+        for colon_of in (colon, complex_of_colon):
+            with pytest.raises(CapExceededError,
+                               match="32 of the n=40 variables need about 2147483648 bytes"):
+                colon_of(i, j)
 
 
 class TestIntersect:

@@ -13,6 +13,7 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     _faces_of_size,
+    complex_of_colon,
     complex_of_ideal,
     f_vector,
     face_table,
@@ -121,6 +122,42 @@ def randgen_pairs(draw, max_n, min_n=1):
     n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from((random_pair, random_quotient_pair, random_module_pair)))
     return kind(draw(st.randoms(use_true_random=False)), n)
+
+
+# the paths of three vertices over those of two, on 16 variables
+PATH_16 = IdealPair(
+    parse_ideal(", ".join(f"x{v}*x{v + 1}*x{v + 2}" for v in range(1, 15)), 16),
+    parse_ideal(", ".join(f"x{v}*x{v + 1}" for v in range(1, 16)), 16))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(randgen_pairs(16))
+@example(IdealPair.module(parse_ideal("x1*x3, x5", 7)))  # I zero
+@example(IdealPair.quotient(parse_ideal("x2*x4", 6)))  # J unit
+@example(IdealPair(parse_ideal("x1*x2*x5", 6), parse_ideal("x1*x2, x6", 6)))  # x6 outside supp(I)
+@example(PATH_16)  # I uses 16 variables: packed words at either switch
+def test_colon_on_tables_matches_the_arithmetic_colon(pair):
+    # up to 16 variables, so both the int and the packed table run; with
+    # the switch at -1 every table is packed
+    i, j = pair.lower, pair.upper
+    expected = oracles.arithmetic_colon(i, j)
+    assert colon(i, j) == expected
+    with mock.patch("sqdepth.ideals.SMALL_TABLE", -1):
+        assert colon(i, j) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(randgen_pairs(16))
+@example(IdealPair.module(parse_ideal("x1*x3, x5", 7)))  # I zero: the simplex
+@example(IdealPair.quotient(parse_ideal("x2*x4", 6)))  # J unit: Delta(I)
+@example(IdealPair(parse_ideal("x1*x2*x5", 6), parse_ideal("x1*x2, x6", 6)))  # x6 outside supp(I)
+@example(IdealPair(parse_ideal("x2*x3*x4", 5), parse_ideal("x2*x3, x4*x5", 5)))  # x1 free
+@example(PATH_16)
+def test_complex_of_colon_matches_the_complex_of_the_arithmetic_colon(pair):
+    expected = complex_of_ideal(oracles.arithmetic_colon(pair.lower, pair.upper))
+    assert complex_of_colon(pair.lower, pair.upper) == expected
+    with mock.patch("sqdepth.ideals.SMALL_TABLE", -1):
+        assert complex_of_colon(pair.lower, pair.upper) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
