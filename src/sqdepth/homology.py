@@ -10,11 +10,15 @@ Every homology here is ranked on the star masks of one index of a pair
 (_StarIndex), built one size at a time from delta's faces alone: per size,
 those outside gamma in ascending mask order, one Python-int bitset per
 vertex, and one boundary table, each face's facets (its vertices dropped in
-ascending order) as their positions one size down, so that entry t has sign
-(-1)^t.  The star of a face F at a size, the faces there that contain F, is
-the AND of F's vertex bitsets, and removing F from them gives the link pair
-at F; at the empty face it is the pair itself, which is how
-relative_homology ranks it.
+ascending order, so that facet t has sign (-1)^t) by their positions one
+size down.  Where that size holds at most SMALL_LEVEL faces, a column is
+two bitsets of positions, its rows and its -1 entries, which a kernel ANDs
+with its rows as they are; on a larger size, where a bitset would be as
+wide as the size, it is the tuple of positions, which a kernel turns into
+a bitset as it reads the column (_StarIndex.columns).  The star of a face
+F at a size, the faces there that contain F, is the AND of F's vertex
+bitsets, and removing F from them gives the link pair at F; at the empty
+face it is the pair itself, which is how relative_homology ranks it.
 
 Boundary maps are ranked bottom up in one loop (_star_steps), with row
 compression (Bauer, Kerber and Reininghaus, "Clear and Compress", 2014):
@@ -23,8 +27,8 @@ negative faces) index a column basis of d_i, so no nonzero cycle of d_i
 lies on them alone, and dropping their rows from d_{i+1} keeps its rank.
 Each map is reduced from its last column to its first, each column against
 the kept ones by its highest row, and stops once every row is a pivot; a
-step whose star is empty ranks nothing.  There are three kernels, tried
-in this order, on the same table:
+dimension without faces has no step.  There are three kernels, tried in
+this order, on the same table:
 - certified XOR (_gf2_negatives): elimination of Python ints over GF(2).
   d_0 and d_1 (a graph incidence matrix) are totally unimodular, so a
   column basis over GF(2) is one over every field, and b_{-1} and b_0 are
@@ -52,7 +56,7 @@ in this order, on the same table:
 - signed (_signed_negatives), only after the unit kernel gives up, as on
   torsion: the table mod p with pivots scaled to 1, or over QQ with
   integer steps and a Fraction only where a pivot is not +-1, the sign of
-  each entry read from its position.
+  each entry read from the -1 bitset or its position.
 
 The depth pass first takes the cone vertices, the AND of the facets of
 delta and gamma: a face that misses one has an acyclic link pair, so the
@@ -87,11 +91,18 @@ from .complexes import (
 )
 from .ideals import IdealPair, face_vertices
 
+# A boundary table (see _StarIndex.columns): (entries, minus), two lists of
+# bitsets, or (positional tuples, None).
+Columns = tuple[list, Optional[list[int]]]
+
 # Most pair faces an index holds and delta faces a depth pass visits; read at call time.
 FACE_CAP = 100_000
 # Most face-by-facet cells one level's classification holds at once; a level
 # is classified in chunks of at most this many cells.  Read at call time.
 LEVEL_CELLS = 1 << 16
+# Boundary tables whose row size holds at most this many faces are bitsets,
+# larger ones positional tuples (see _StarIndex.columns).  Read at call time.
+SMALL_LEVEL = 4096
 # Ranks mod p are exact for any prime; the bound keeps _is_prime's trial
 # division short (at most about 46341 steps).
 PRIME_LIMIT = 1 << 31
@@ -116,6 +127,8 @@ class CoefficientField:
 
     def __post_init__(self):
         p = self.characteristic
+        if type(p) is not int:
+            raise ValueError(f"characteristic {p!r} is not an int")
         if p >= PRIME_LIMIT:
             raise ValueError(f"characteristic {p} is not below 2^31, the bound on accepted primes")
         if p != 0 and not _is_prime(p):
@@ -169,14 +182,13 @@ def relative_homology(psi: RelativeComplex,
     """
     index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
     last = max((f.bit_count() for f in psi.delta.facets), default=0) - 1
-    stars = [index.star([], k) for k in range(last + 3)]
+    counts: dict[int, int] = {}
     ranks: dict[int, int] = {}
     betti: dict[int, int] = {}
-    for i, (faces, low, high) in enumerate(_star_steps(0, index, last, field.characteristic), -1):
-        if faces:
-            ranks[i], ranks[i + 1] = low, high
-            betti[i] = faces - low - high
-    counts = {k - 1: star.bit_count() for k, star in enumerate(stars) if star}
+    for i, faces, low, high in _star_steps(0, index, last, field.characteristic):
+        counts[i] = faces
+        ranks[i], ranks[i + 1] = low, high
+        betti[i] = faces - low - high
     return ChainComplexRanks(field, counts, ranks, betti)
 
 
@@ -204,10 +216,11 @@ class _Level:
     """An index's delta faces of one size, classified by _classify_level:
     the pair's faces, those outside gamma, in ascending mask order, with per
     vertex the bitset of their positions and, once a star there is ranked,
-    their boundary table (see _StarIndex.columns); for the depth pass, the
-    delta face count and, on a size it can visit (`cones`), the delta faces
-    whose link pair the cone test does not find acyclic (visits), as a
-    numpy array."""
+    their boundary table, bitsets or positional tuples by the face count
+    one size down (see _StarIndex.columns); for the depth pass, the delta
+    face count and, on a size it can visit (`cones`), the delta faces whose
+    link pair the cone test does not find acyclic (visits), as a numpy
+    array."""
 
     __slots__ = ("faces", "full", "bits", "columns", "listed", "visits")
 
@@ -223,7 +236,7 @@ class _Level:
             flags = ((pair[None, :] >> index.shifts[:, None]) & 1).astype(bool)
             packed = np.packbits(flags, axis=1, bitorder="little")
             self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        self.columns: Optional[list[tuple[int, ...]]] = None
+        self.columns: Optional[Columns] = None
         self.listed = len(level)
 
 
@@ -286,41 +299,66 @@ class _StarIndex:
             star &= level.bits[v]
         return star
 
-    def columns(self, k: int) -> list[tuple[int, ...]]:
-        """The boundary table of size k: for each face, the positions in
-        size k - 1 of its k facets, taken by dropping its vertices in
-        ascending order, so entry t has sign (-1)^t.  A facet in gamma gets
-        the position len(faces of size k - 1), a row that no star and no
-        rows bitset holds.  Size k - 1 must be held."""
+    def columns(self, k: int) -> Columns:
+        """The boundary table of size k, (entries, minus), for each face
+        its k facets, taken by dropping its vertices in ascending order, so
+        facet t has sign (-1)^t.  Where size k - 1 holds at most SMALL_LEVEL
+        faces, entries[j] and minus[j] are bitsets of positions there: the
+        rows of face j's facets and those at odd t, the -1 entries, a facet
+        in gamma setting no bit.  On a larger size, whose rows would make
+        each bitset as wide as the level, entries[j] is the tuple of those
+        positions by t, a facet in gamma at len(faces of size k - 1), a row
+        that no star and no rows bitset holds, and minus is None.  Size
+        k - 1 must be held."""
         level = self.levels[k]
         if level.columns is None:
             below = self.levels[k - 1].faces
-            rows = {h: r for r, h in enumerate(below)}.get
-            absent = len(below)
-            table = []
-            for h in level.faces:
-                column = []
-                rest = h
-                while rest:
-                    v = rest & -rest
-                    column.append(rows(h ^ v, absent))
-                    rest ^= v
-                table.append(tuple(column))
-            level.columns = table
+            if len(below) <= SMALL_LEVEL:
+                bit = {h: 1 << r for r, h in enumerate(below)}.get
+                entries, minus = [], []
+                for h in level.faces:
+                    even = odd = 0
+                    rest = h
+                    while rest:
+                        v = rest & -rest
+                        even |= bit(h ^ v, 0)
+                        rest ^= v
+                        if rest:
+                            v = rest & -rest
+                            odd |= bit(h ^ v, 0)
+                            rest ^= v
+                    entries.append(even | odd)
+                    minus.append(odd)
+                level.columns = entries, minus
+            else:
+                rows = {h: r for r, h in enumerate(below)}.get
+                absent = len(below)
+                table = []
+                for h in level.faces:
+                    column = []
+                    rest = h
+                    while rest:
+                        v = rest & -rest
+                        column.append(rows(h ^ v, absent))
+                        rest ^= v
+                    table.append(tuple(column))
+                level.columns = table, None
         return level.columns
 
 
-def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int,
+def _gf2_negatives(columns: Columns, star: int, rows: int,
                    certify: bool = False) -> Optional[int]:
     """The columns in `star`, restricted to `rows` (both bitsets of
     positions), that stay nonzero when each is reduced over GF(2) against
     the kept ones by its highest row, read from the last: a column basis,
-    as a bitset.  The scan stops once every row is a pivot.
+    as a bitset.  The scan stops once every row is a pivot.  Columns are a
+    boundary table in either container (see _StarIndex.columns).
 
     With `certify`, the result is None unless every row became a pivot and
     every kept column was kept before any XOR: then the kept columns, taken
     by pivot row, are triangular on the pivot rows with +-1 on the
     diagonal, so they are a column basis over every field."""
+    entries, minus = columns
     pivots: dict[int, int] = {}
     negative = 0
     wanted = rows.bit_count()
@@ -330,11 +368,14 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int,
     while star:
         j = star.bit_length() - 1
         star ^= 1 << j
-        col = 0
-        for r in columns[j]:
-            if r < width:
-                col |= 1 << r
-        col &= rows
+        if minus is None:
+            col = 0
+            for r in entries[j]:
+                if r < width:
+                    col |= 1 << r
+            col &= rows
+        else:
+            col = entries[j] & rows
         read = col
         while col:
             low = col.bit_length() - 1
@@ -351,17 +392,18 @@ def _gf2_negatives(columns: list[tuple[int, ...]], star: int, rows: int,
     return None if certify else negative
 
 
-def _unit_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> Optional[int]:
+def _unit_negatives(columns: Columns, star: int, rows: int) -> Optional[int]:
     """_gf2_negatives' elimination over the integers, on the same table and
     in the same order, each column held as the bitset of its nonzero
-    entries and the bitset of those that are -1 (entry t has sign (-1)^t).
-    A kept column is negated so that its pivot is +1, and a step subtracts
-    the kept column times the reduced one's entry at its pivot row: an
-    integer column operation with a unit pivot.  If a step would make an
-    entry +-2, the result is None; otherwise every entry stays in {0, +-1},
-    and the kept columns, taken by pivot row, are triangular with +1 on the
-    diagonal after steps that keep their span, so they are a column basis
-    over every field."""
+    entries and the bitset of those that are -1 (entry t has sign (-1)^t),
+    read as they are from a bitset table.  A kept column is negated so
+    that its pivot is +1, and a step subtracts the kept column times the
+    reduced one's entry at its pivot row: an integer column operation with
+    a unit pivot.  If a step would make an entry +-2, the result is None;
+    otherwise every entry stays in {0, +-1}, and the kept columns, taken by
+    pivot row, are triangular with +1 on the diagonal after steps that keep
+    their span, so they are a column basis over every field."""
+    entries, minus = columns
     pivots: dict[int, tuple[int, int]] = {}
     negative = 0
     wanted = rows.bit_count()
@@ -369,15 +411,19 @@ def _unit_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> Opt
     while star:
         j = star.bit_length() - 1
         star ^= 1 << j
-        column = columns[j]
-        col = neg = 0
-        for r in column:
-            if r < width:
-                col |= 1 << r
-        for r in column[1::2]:
-            if r < width:
-                neg |= 1 << r
-        col &= rows
+        if minus is None:
+            column = entries[j]
+            col = neg = 0
+            for r in column:
+                if r < width:
+                    col |= 1 << r
+            for r in column[1::2]:
+                if r < width:
+                    neg |= 1 << r
+            col &= rows
+        else:
+            col = entries[j] & rows
+            neg = minus[j]
         neg &= col
         while col:
             low = col.bit_length() - 1
@@ -400,13 +446,14 @@ def _unit_negatives(columns: list[tuple[int, ...]], star: int, rows: int) -> Opt
     return negative
 
 
-def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: int) -> int:
+def _signed_negatives(columns: Columns, star: int, rows: int, p: int) -> int:
     """_gf2_negatives over GF(p), or over QQ for p = 0, on the same table,
     entry t of a column with sign (-1)^t: each column in `star`, restricted
     to `rows`, is reduced against the kept ones by its highest row, read
     from the last.  A kept column is scaled so that its pivot is 1 (by a
     Fraction over QQ where the pivot is not +-1) and stored without it, so
     a step is one multiply-subtract."""
+    entries, minus = columns
     pivots: dict[int, dict] = {}
     negative = 0
     wanted = rows.bit_count()
@@ -418,10 +465,17 @@ def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: i
     while star:
         j = star.bit_length() - 1
         star ^= 1 << j
-        column = columns[j]
-        if len(column) > len(signs):
-            signs = (1, -1) * len(column)
-        col = {r: s for r, s in zip(column, signs) if r < width and kept[r] == "1"}
+        if minus is None:
+            column = entries[j]
+            if len(column) > len(signs):
+                signs = (1, -1) * len(column)
+            col = {r: s for r, s in zip(column, signs) if r < width and kept[r] == "1"}
+        else:
+            col, rest, odd = {}, entries[j] & rows, minus[j]
+            while rest:
+                r = rest.bit_length() - 1
+                rest ^= 1 << r
+                col[r] = -1 if odd >> r & 1 else 1
         while col:
             low = max(col)
             other = pivots.get(low)
@@ -456,13 +510,16 @@ def _signed_negatives(columns: list[tuple[int, ...]], star: int, rows: int, p: i
     return negative
 
 
-def _star_steps(face: int, index: _StarIndex, top: int, p: int) -> Iterator[tuple[int, int, int]]:
-    """For the link pair at `face`, from dimension -1 up to top, the face
-    count of each dimension i with the ranks of d_i and d_{i+1} over GF(p),
-    or over QQ for p = 0, ranked on its star masks with row compression
-    (see the module docstring) as the step is read: a caller that stops at
-    the first homology (_first_homology) ranks nothing above it.  A step
-    that needs a size the index refuses raises CapExceededError."""
+def _star_steps(face: int, index: _StarIndex, top: int,
+                p: int) -> Iterator[tuple[int, int, int, int]]:
+    """For the link pair at `face`, from dimension -1 up to top, each
+    dimension i that has faces, with their count and the ranks of d_i and
+    d_{i+1} over GF(p), or over QQ for p = 0, ranked on its star masks with
+    row compression (see the module docstring) as the step is read: a
+    caller that stops at the first homology (_first_homology) ranks nothing
+    above it.  A dimension without faces has no map to rank and is not
+    yielded.  A step that needs a size the index refuses raises
+    CapExceededError."""
     ids = []
     while face:
         v = face & -face
@@ -476,9 +533,8 @@ def _star_steps(face: int, index: _StarIndex, top: int, p: int) -> Iterator[tupl
         upper, bits = level.full, level.bits
         for v in ids:
             upper &= bits[v]
-        faces = low = high = 0
         negative, above = above, 0
-        if current:  # else the step has no faces and no map to rank
+        if current:  # else dimension i has no faces and no map to rank
             faces, low = current.bit_count(), negative.bit_count()
             rows = current & ~negative  # the rows of d_{i+1}
             if rows and upper:
@@ -489,9 +545,7 @@ def _star_steps(face: int, index: _StarIndex, top: int, p: int) -> Iterator[tupl
                     above = _unit_negatives(columns, upper, rows)
                     if above is None:  # a step met +-2: a pivot other than +-1 may be needed
                         above = _signed_negatives(columns, upper, rows, p)
-                high = above.bit_count()
-        if i > -2:
-            yield faces, low, high
+            yield i, faces, low, above.bit_count()
         current, k = upper, k + 1
 
 
@@ -506,7 +560,7 @@ def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
     refuse the same size."""
     steps = _star_steps(face, index, top, field.characteristic)
     try:
-        for i, (faces, low, high) in enumerate(steps, -1):
+        for i, faces, low, high in steps:
             if faces > low + high:
                 return i
     except CapExceededError:

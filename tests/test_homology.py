@@ -2,9 +2,11 @@ import random
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from sqdepth import homology
 from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
@@ -141,12 +143,23 @@ class TestReducedHomology:
 
 def assert_star_columns_compose_to_zero(x, by_dim):
     """The star index of x, a complex or a pair, holds its faces as listed
-    in by_dim; its boundary table, entry t read with sign (-1)^t and the
-    absent row (a facet in gamma) dropped, is the oracle's boundary columns
-    of the quotient complex, and each map composes to zero with the one
-    below.  Returns the number of absent entries."""
+    in by_dim; its boundary table, in either container (bitsets at
+    homology.SMALL_LEVEL, positional tuples at SMALL_LEVEL = 0, both
+    checked), read with signs and the facets in gamma dropped, is the
+    oracle's boundary columns of the quotient complex, and each map
+    composes to zero with the one below.  Returns the number of facets in
+    gamma met in one container."""
     if isinstance(x, SimplicialComplex):
         x = oracles.absolute(x)
+    counts = []
+    for small in (homology.SMALL_LEVEL, 0):
+        with mock.patch("sqdepth.homology.SMALL_LEVEL", small):
+            counts.append(_assert_star_columns_compose_to_zero(x, by_dim, small))
+    assert counts[0] == counts[1]
+    return counts[0]
+
+
+def _assert_star_columns_compose_to_zero(x, by_dim, small):
     index = _StarIndex(x.delta.facets, x.gamma.facets, x.n)
     sizes = range(x.delta.dim + 3)
     assert [index.star([], k).bit_count() for k in sizes] == [
@@ -154,17 +167,29 @@ def assert_star_columns_compose_to_zero(x, by_dim):
     signed, absent = {}, 0
     for k in sizes[1:]:
         below, upper = index.levels[k - 1].faces, index.levels[k].faces
+        position = {g: r for r, g in enumerate(below)}
+        entries, minus = index.columns(k)
+        assert (minus is None) == (len(below) > small)
         signed[k] = []
-        for h, column in zip(upper, index.columns(k)):
+        for j, h in enumerate(upper):
             vertices = [v for v in range(x.n) if h >> v & 1]
-            assert len(column) == len(vertices)
-            for v, r in zip(vertices, column):
-                if r == len(below):
-                    assert x.gamma.has_face(h ^ 1 << v)
-                    absent += 1
+            rows = []  # facet t's row, None for a facet in gamma
+            for v in vertices:
+                if h ^ 1 << v in position:
+                    rows.append(position[h ^ 1 << v])
                 else:
-                    assert below[r] == h ^ 1 << v
-            signed[k].append({r: (-1) ** t for t, r in enumerate(column) if r < len(below)})
+                    assert x.gamma.has_face(h ^ 1 << v)
+                    rows.append(None)
+                    absent += 1
+            if minus is None:
+                column = entries[j]
+                assert column == tuple(len(below) if r is None else r for r in rows)
+                signed[k].append({r: (-1) ** t for t, r in enumerate(column) if r < len(below)})
+            else:
+                assert entries[j] == sum(1 << r for r in rows if r is not None)
+                assert minus[j] == sum(1 << r for r in rows[1::2] if r is not None)
+                signed[k].append({r: -1 if minus[j] >> r & 1 else 1
+                                  for r in range(len(below)) if entries[j] >> r & 1})
         assert signed[k] == oracles.boundary_columns(by_dim.get(k - 2, []), by_dim.get(k - 1, []))
         if k - 1 in signed:
             assert all(not oracles.compose(signed[k - 1], col) for col in signed[k])
@@ -562,19 +587,22 @@ class TestTorsion:
         monkeypatch.setattr(homology, "_unit_negatives", counted_unit)
         monkeypatch.setattr(homology, "_signed_negatives", counted_negatives)
         field = CoefficientField(32003)
-        rng = random.Random(27)
         kinds = (random_quotient_pair, random_module_pair, random_pair)
-        for i in range(45):
-            depth_verdict(relative_of_pair(kinds[i % 3](rng, rng.randint(4, 10))), field)
-        assert calls and all(kind == "unit" and not overflow for kind, *_, overflow in calls)
-        calls.clear()
-        for pair in (parse_problem_file(self.RP2).pair(), oracles.moore_space_mod_3()):
-            depth_verdict(relative_of_pair(pair), field)
-        signed = [j for j, call in enumerate(calls) if call[0] == "signed"]
-        assert signed
-        for j in signed:
-            assert calls[j - 1][:3] == ("unit", *calls[j][1:3]) and calls[j - 1][3]
-            assert calls[j][3] == 32003
+        for small in (homology.SMALL_LEVEL, 0):  # bitset and positional tables
+            monkeypatch.setattr(homology, "SMALL_LEVEL", small)
+            calls.clear()
+            rng = random.Random(27)
+            for i in range(45):
+                depth_verdict(relative_of_pair(kinds[i % 3](rng, rng.randint(4, 10))), field)
+            assert calls and all(kind == "unit" and not overflow for kind, *_, overflow in calls)
+            calls.clear()
+            for pair in (parse_problem_file(self.RP2).pair(), oracles.moore_space_mod_3()):
+                depth_verdict(relative_of_pair(pair), field)
+            signed = [j for j, call in enumerate(calls) if call[0] == "signed"]
+            assert signed
+            for j in signed:
+                assert calls[j - 1][:3] == ("unit", *calls[j][1:3]) and calls[j - 1][3]
+                assert calls[j][3] == 32003
 
     @pytest.mark.parametrize("pair, depths", [
         ("rp2", (3, 2, 3, 3)),  # H_1 = Z/2: GF(2) only
@@ -859,6 +887,13 @@ class TestCoefficientField:
         with pytest.raises(ValueError, match="2\\^31"):
             CoefficientField(2**61 - 1)  # prime; rejected before trial division
         CoefficientField(2147483647)  # 2^31 - 1, the largest accepted prime
+
+    @pytest.mark.parametrize("characteristic", [32003.0, 3.0, False, True, "3", None])
+    def test_rejects_a_characteristic_that_is_not_an_int(self, characteristic):
+        # a float prime would pass the trial division and fail later inside
+        # a kernel's modular inverse; a bool is refused, though it is an int
+        with pytest.raises(ValueError, match="is not an int"):
+            CoefficientField(characteristic)
 
     def test_labels(self):
         assert RATIONALS.label() == "QQ"

@@ -298,8 +298,28 @@ def _index(psi):
 
 
 def _star_bettis(face, index, top, p):
-    """The Betti numbers of the star steps at `face` from dimension -1 up to top."""
-    return [faces - low - high for faces, low, high in _star_steps(face, index, top, p)]
+    """The Betti numbers of the star steps at `face` from dimension -1 up to
+    top, on the index's boundary tables (bitsets on the small sizes of
+    these tests), which must be those of a fresh index of the pair built
+    with SMALL_LEVEL = 0 (positional tables)."""
+    bettis = _step_bettis(face, index, top, p)
+    with mock.patch("sqdepth.homology.SMALL_LEVEL", 0):
+        assert _step_bettis(face, _StarIndex(index.delta, index.gamma, index.n), top, p) == bettis
+    return bettis
+
+
+def _step_bettis(face, index, top, p):
+    """The Betti numbers of the star steps at `face` from dimension -1 up to
+    top, 0 in a dimension without faces; the steps must come in order, one
+    for each dimension whose star is nonempty, each with faces."""
+    bettis, dims = [0] * (top + 2), []
+    for i, faces, low, high in _star_steps(face, index, top, p):
+        assert faces > 0
+        bettis[i + 1] = faces - low - high
+        dims.append(i)
+    ids = [b for b in range(face.bit_length()) if face >> b & 1]
+    assert dims == [i for i in range(-1, top + 1) if index.star(ids, len(ids) + i + 1)]
+    return bettis
 
 
 def _star_faces(index, face, size):
@@ -353,9 +373,9 @@ def _refusing_psi_sizes_above(top, mp):
         return made[-1]
 
     def steps(face, index, last, p):
-        for i, step in enumerate(star_steps(face, index, last, p), -1):
+        for step in star_steps(face, index, last, p):
             # step i reads the stars of F up to |F| + i + 2 vertices
-            if face and index is made[0] and face.bit_count() + i + 2 > top:
+            if face and index is made[0] and face.bit_count() + step[0] + 2 > top:
                 raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
             yield step
 
@@ -513,9 +533,10 @@ def test_column_rank_matches_dense_elimination(mat):
 
 
 def _positional(entries, absent):
-    """The column with these (row, sign) entries as _StarIndex.columns holds
-    it, entry t with sign (-1)^t: the row `absent`, which no rows bitset
-    holds, goes in front of each entry whose sign must flip."""
+    """The column with these (row, sign) entries as a positional boundary
+    table holds it (see _StarIndex.columns), entry t with sign (-1)^t: the
+    row `absent`, which no rows bitset holds, goes in front of each entry
+    whose sign must flip."""
     column = []
     for r, s in entries:
         if s != (-1) ** len(column):
@@ -524,11 +545,35 @@ def _positional(entries, absent):
     return tuple(column)
 
 
+def _tables(table, absent):
+    """A positional boundary table, whose row `absent` no rows bitset holds,
+    in both containers of _StarIndex.columns: as it is, and as the bitsets
+    of each column's rows and of those at odd t, the -1 entries."""
+    entries = [sum(1 << r for r in set(column) - {absent}) for column in table]
+    minus = [sum(1 << r for r in set(column[1::2]) - {absent}) for column in table]
+    return [(table, None), (entries, minus)]
+
+
+def _both_tables(index, k):
+    """The boundary table of size k of the index's pair in both containers:
+    the index's own, bitsets on the small sizes of these tests, and that of
+    a fresh index of the pair built with SMALL_LEVEL = 0, positional where
+    size k - 1 has faces."""
+    fresh = _StarIndex(index.delta, index.gamma, index.n)
+    fresh.star([], k - 1)
+    fresh.star([], k)
+    with mock.patch("sqdepth.homology.SMALL_LEVEL", 0):
+        flat = fresh.columns(k)
+    own = index.columns(k)
+    assert own[1] is not None and (flat[1] is None or not fresh.levels[k - 1].faces)
+    return [own, flat]
+
+
 def _signed_rank_cases(seed, count):
-    """Random sparse columns of +-1 entries over up to 10 rows, in
-    positional form, with a random star of columns and a random bitset of
-    kept rows; each case is (columns, star, rows, dense matrix of the
-    star's columns on the rows)."""
+    """Random sparse columns of +-1 entries over up to 10 rows, in both
+    containers, with a random star of columns and a random bitset of kept
+    rows; each case is (tables, star, rows, dense matrix of the star's
+    columns on the rows)."""
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
@@ -538,34 +583,51 @@ def _signed_rank_cases(seed, count):
         star, rows = rng.getrandbits(width), rng.getrandbits(height)
         kept = [r for r in range(height) if rows >> r & 1]
         chosen = [dict(entries[j]) for j in range(width) if star >> j & 1]
-        cases.append(([_positional(e, height) for e in entries], star, rows,
+        cases.append((_tables([_positional(e, height) for e in entries], height), star, rows,
                       [[c.get(r, 0) for c in chosen] for r in kept]))
     return cases
+
+
+def _torsion_tables(pair):
+    """d_1 and d_2 of RP^2 or the mod-3 Moore space on all their vertices,
+    edges and triangles, as oracle columns and in both containers, with
+    the vertex and edge counts."""
+    triangles = relative_of_pair(pair).delta.facets
+    edges = sorted({t ^ (1 << b) for t in triangles for b in range(pair.n) if t >> b & 1})
+    vertices = [1 << b for b in range(pair.n)]
+    d1 = oracles.boundary_columns(vertices, edges)
+    d2 = oracles.boundary_columns(edges, triangles)
+    tables = zip(_tables([_positional(c.items(), len(vertices)) for c in d1], len(vertices)),
+                 _tables([_positional(c.items(), len(edges)) for c in d2], len(edges)))
+    return d2, list(tables), len(vertices), len(edges)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_signed_negatives_rank_matches_dense_elimination(seed):
     # the kept columns of the one exact kernel are a column basis of the
-    # star's columns on the kept rows, over QQ (p = 0) and mod p
+    # star's columns on the kept rows, over QQ (p = 0) and mod p, on both
+    # table containers
     cases = _signed_rank_cases(seed, 150)
     # d_2 of RP^2 and of the mod-3 Moore space on all their edges, each
     # column twice: over QQ the eliminations meet pivots that are not +-1
     # (their ranks over QQ and mod 2 or 3 differ), and every second copy
     # must reduce to zero through them
     for pair, ranks in ((RP2, (10, 9, 10)), (MOORE3, (27, 27, 26))):
-        triangles = relative_of_pair(pair).delta.facets
-        edges = sorted({t ^ (1 << b) for t in triangles for b in range(pair.n) if t >> b & 1})
-        d2 = oracles.boundary_columns(edges, triangles)
-        dense = [[c.get(r, 0) for c in d2 + d2] for r in range(len(edges))]
+        d2, tables, _, edges = _torsion_tables(pair)
+        dense = [[c.get(r, 0) for c in d2 + d2] for r in range(edges)]
         assert (oracles.fraction_rank(dense), oracles.mod_p_rank(dense, 2),
                 oracles.mod_p_rank(dense, 3)) == ranks
-        cases.append(([_positional(c.items(), len(edges)) for c in d2 + d2],
-                      (1 << 2 * len(d2)) - 1, (1 << len(edges)) - 1, dense))
-    for columns, star, rows, dense in cases:
-        assert _signed_negatives(columns, star, rows, 0).bit_count() == oracles.fraction_rank(dense)
-        for p in (3, (1 << 31) - 1):
-            assert _signed_negatives(columns, star, rows, p).bit_count() == (
-                oracles.mod_p_rank(dense, p))
+        twice = [(entries + entries, None if minus is None else minus + minus)
+                 for _, (entries, minus) in tables]
+        cases.append((twice, (1 << 2 * len(d2)) - 1, (1 << edges) - 1, dense))
+    for tables, star, rows, dense in cases:
+        assert [t[1] is None for t in tables] == [True, False]
+        for columns in tables:
+            assert (_signed_negatives(columns, star, rows, 0).bit_count()
+                    == oracles.fraction_rank(dense))
+            for p in (3, (1 << 31) - 1):
+                assert _signed_negatives(columns, star, rows, p).bit_count() == (
+                    oracles.mod_p_rank(dense, p))
 
 
 def _assert_certificate_holds(columns, star, rows):
@@ -589,56 +651,66 @@ def _assert_certificate_holds(columns, star, rows):
 @example(RP2, random.Random(0))
 @example(MOORE3, random.Random(0))
 def test_certified_xor_ranks_are_bases_over_every_field(pair, rng):
-    # on the stars of psi's index, with rows that are all faces one size
-    # down or a random part of them: the certificate accepts only a full
-    # row rank whose kept columns were never reduced, and those are then
-    # independent over QQ, GF(3) and GF(32003) as well
+    # on the stars of psi's index, in both table containers, with rows that
+    # are all faces one size down or a random part of them: the certificate
+    # accepts only a full row rank whose kept columns were never reduced,
+    # and those are then independent over QQ, GF(3) and GF(32003) as well
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     index = _index(psi)
     for k in range(1, psi.dim + 2):
         star, below = index.star([], k), index.star([], k - 1)
+        tables = _both_tables(index, k)
         for rows in (below, below & rng.getrandbits(max(below.bit_length(), 1))):
             for chosen in (star, star & rng.getrandbits(max(star.bit_length(), 1))):
-                _assert_certificate_holds(index.columns(k), chosen, rows)
+                held = [_assert_certificate_holds(columns, chosen, rows) for columns in tables]
+                assert held[0] == held[1]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_certified_xor_ranks_on_random_columns(seed):
-    # the same on random sparse +-1 columns, where it accepts some stars
-    accepted = sum(_assert_certificate_holds(columns, star, rows)
-                   for columns, star, rows, dense in _signed_rank_cases(seed, 300))
+    # the same on random sparse +-1 columns, where it accepts some stars,
+    # the same ones in both containers
+    accepted = 0
+    for tables, star, rows, dense in _signed_rank_cases(seed, 300):
+        held = [_assert_certificate_holds(columns, star, rows) for columns in tables]
+        assert held[0] == held[1]
+        accepted += held[0]
     assert accepted
 
 
 def test_certificate_declines_where_gf2_and_gf3_ranks_differ():
     # d_2 of the mod-3 Moore space on the edges outside a GF(2) column
     # basis of d_1: full row rank over GF(2) (b_1 = 0 there), one less over
-    # GF(3) (b_1 = 1), so some kept column must have been reduced
-    triangles = relative_of_pair(MOORE3).delta.facets
-    edges = sorted({t ^ (1 << b) for t in triangles for b in range(MOORE3.n) if t >> b & 1})
-    vertices = [1 << b for b in range(MOORE3.n)]
-    d1 = [_positional(c.items(), len(vertices)) for c in oracles.boundary_columns(vertices, edges)]
-    d2 = [_positional(c.items(), len(edges)) for c in oracles.boundary_columns(edges, triangles)]
-    rows = ((1 << len(edges)) - 1) & ~_gf2_negatives(d1, (1 << len(edges)) - 1,
-                                                     (1 << len(vertices)) - 1)
-    star = (1 << len(d2)) - 1
-    assert _gf2_negatives(d2, star, rows).bit_count() == rows.bit_count()
-    assert _signed_negatives(d2, star, rows, 3).bit_count() == rows.bit_count() - 1
-    assert _gf2_negatives(d2, star, rows, certify=True) is None
+    # GF(3) (b_1 = 1), so some kept column must have been reduced; in both
+    # table containers
+    _, tables, vertices, edges = _torsion_tables(MOORE3)
+    for d1, d2 in tables:
+        rows = ((1 << edges) - 1) & ~_gf2_negatives(d1, (1 << edges) - 1, (1 << vertices) - 1)
+        star = (1 << len(d2[0])) - 1
+        assert _gf2_negatives(d2, star, rows).bit_count() == rows.bit_count()
+        assert _signed_negatives(d2, star, rows, 3).bit_count() == rows.bit_count() - 1
+        assert _gf2_negatives(d2, star, rows, certify=True) is None
 
 
 def _dense(columns, chosen, rows):
     """The columns in `chosen` restricted to `rows` (both bitsets of
-    positions) as a dense matrix, row by row, entry t of a column with sign
-    (-1)^t."""
+    positions) of a boundary table in either container as a dense matrix,
+    row by row, entry t of a positional column with sign (-1)^t."""
+    entries, minus = columns
     kept = [r for r in range(rows.bit_length()) if rows >> r & 1]
     picked = []
     for j in range(chosen.bit_length()):
         if chosen >> j & 1:
             column = {}
-            for t, r in enumerate(columns[j]):
-                column[r] = column.get(r, 0) + (-1) ** t
+            if minus is None:
+                for t, r in enumerate(entries[j]):
+                    column[r] = column.get(r, 0) + (-1) ** t
+            else:
+                assert minus[j] & ~entries[j] == 0
+                for r in range(entries[j].bit_length()):
+                    if entries[j] >> r & 1:
+                        column[r] = -1 if minus[j] >> r & 1 else 1
             picked.append(column)
     return [[c.get(r, 0) for c in picked] for r in kept]
 
@@ -664,47 +736,55 @@ def _assert_unit_basis(columns, star, rows):
 @example(RP2, random.Random(0))
 @example(MOORE3, random.Random(0))
 def test_unit_signed_ranks_are_bases_over_every_field(pair, rng):
-    # on the stars of psi's index, with the rows and stars of the certified
-    # XOR test: whenever every step of the unit kernel keeps its entries in
-    # {0, +-1}, its kept columns are a column basis over every field
+    # on the stars of psi's index, in both table containers, with the rows
+    # and stars of the certified XOR test: whenever every step of the unit
+    # kernel keeps its entries in {0, +-1}, its kept columns are a column
+    # basis over every field
     psi = relative_of_pair(pair)
     assume(not psi.is_empty)
     index = _index(psi)
     for k in range(1, psi.dim + 2):
         star, below = index.star([], k), index.star([], k - 1)
+        tables = _both_tables(index, k)
         for rows in (below, below & rng.getrandbits(max(below.bit_length(), 1))):
             for chosen in (star, star & rng.getrandbits(max(star.bit_length(), 1))):
-                _assert_unit_basis(index.columns(k), chosen, rows)
+                assert _dense(tables[0], chosen, rows) == _dense(tables[1], chosen, rows)
+                held = [_assert_unit_basis(columns, chosen, rows) for columns in tables]
+                assert held[0] == held[1]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_unit_signed_ranks_on_random_columns(seed):
     # the same on random sparse +-1 columns, where it must settle some
-    # stars that the XOR certificate declines
+    # stars that the XOR certificate declines, the same ones in both
+    # containers
     settled = 0
-    for columns, star, rows, dense in _signed_rank_cases(seed, 300):
-        assert _dense(columns, star, rows) == dense
-        if _assert_unit_basis(columns, star, rows):
-            settled += _gf2_negatives(columns, star, rows, certify=True) is None
+    for tables, star, rows, dense in _signed_rank_cases(seed, 300):
+        held = []
+        for columns in tables:
+            assert _dense(columns, star, rows) == dense
+            held.append(_assert_unit_basis(columns, star, rows)
+                        and _gf2_negatives(columns, star, rows, certify=True) is None)
+        assert held[0] == held[1]
+        settled += held[0]
     assert settled
 
 
 @pytest.mark.parametrize("pair", [RP2, MOORE3])
 def test_unit_kernel_overflows_on_torsion(pair):
     # d_2 of RP^2 (H_1 = Z/2) and of the mod-3 Moore space (H_1 = Z/3), on
-    # all edges and on the edges outside a GF(2) column basis of d_1: its
-    # rank over QQ differs from its rank over GF(2) or GF(3) on both, and a
-    # unit-signed result has one rank over every field, so it must be None
-    triangles = relative_of_pair(pair).delta.facets
-    edges = sorted({t ^ (1 << b) for t in triangles for b in range(pair.n) if t >> b & 1})
-    vertices = [1 << b for b in range(pair.n)]
-    d1 = [_positional(c.items(), len(vertices)) for c in oracles.boundary_columns(vertices, edges)]
-    d2 = [_positional(c.items(), len(edges)) for c in oracles.boundary_columns(edges, triangles)]
-    every = (1 << len(edges)) - 1
-    for rows in (every, every & ~_gf2_negatives(d1, every, (1 << len(vertices)) - 1)):
-        dense = _dense(d2, (1 << len(d2)) - 1, rows)
-        assert oracles.fraction_rank(dense) != min(oracles.mod_p_rank(dense, p) for p in (2, 3))
-        assert _unit_negatives(d2, (1 << len(d2)) - 1, rows) is None
+    # all edges and on the edges outside a GF(2) column basis of d_1, in
+    # both table containers: its rank over QQ differs from its rank over
+    # GF(2) or GF(3) on both, and a unit-signed result has one rank over
+    # every field, so it must be None
+    _, tables, vertices, edges = _torsion_tables(pair)
+    every = (1 << edges) - 1
+    for d1, d2 in tables:
+        star = (1 << len(d2[0])) - 1
+        for rows in (every, every & ~_gf2_negatives(d1, every, (1 << vertices) - 1)):
+            dense = _dense(d2, star, rows)
+            assert oracles.fraction_rank(dense) != min(oracles.mod_p_rank(dense, p) for p in (2, 3))
+            assert _unit_negatives(d2, star, rows) is None
 
 
 @settings(derandomize=True, deadline=None)
