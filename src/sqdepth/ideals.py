@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain
 from math import comb
 from operator import and_, or_
@@ -116,16 +116,50 @@ def minimalize(masks: Iterable[int], n: int) -> MonomialIdeal:
     """The ideal generated by these masks: the divisibility antichain of
     the distinct ones, ordered by degree, then by mask value.  An empty
     generating set yields the zero ideal.
+
+    Each mask m in canonical order is kept unless a kept one divides it.
+    The divisor test looks up the 2^|m| submasks of m in a set of the kept
+    masks when that is fewer steps than a scan of the kept masks, counting
+    16 steps for building the submasks, and scans the kept masks otherwise.
+    The containment check of `IdealPair` and the split of `intersect` use
+    the same test.
     """
     masks = _canonical_masks(masks)
     _check_masks(masks, n)
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
     # kept is a canonically ordered antichain of checked masks by
     # construction
+    _, kept = _split_by_divisors(masks, (), absorb=True)
     return _trusted_ideal(n, tuple(kept))
+
+
+def _split_by_divisors(masks: Iterable[int], divisors: Iterable[int],
+                       absorb: bool = False) -> tuple[list[int], list[int]]:
+    """The masks that one of the divisors divides, and the rest, each in
+    the order given, by the submask-or-scan test of `minimalize`.  With
+    `absorb`, each mask of the rest joins the divisors before the next
+    mask is tested."""
+    divisors = list(divisors)
+    divisor_set = set(divisors)
+    divided: list[int] = []
+    rest: list[int] = []
+    for m in masks:
+        # building the submasks costs about 16 scan steps, then one per submask
+        if (1 << m.bit_count()) + 16 < len(divisors):
+            submasks = [0]
+            for v in face_vertices(m):  # the submasks of m, by doubling
+                submasks += [s | v for s in submasks]
+            found = not divisor_set.isdisjoint(submasks)
+        else:
+            # k divides m when k & ~m is 0, which stops `all` at a divisor
+            found = not all(map((~m).__and__, divisors))
+        if found:
+            divided.append(m)
+        else:
+            rest.append(m)
+            if absorb:
+                divisors.append(m)
+                divisor_set.add(m)
+    return divided, rest
 
 
 def _trusted_ideal(n: int, generators: tuple[int, ...]) -> MonomialIdeal:
@@ -161,15 +195,6 @@ def _spread(masks: Iterable[int], support: int) -> tuple[int, ...]:
     return tuple(sum(map(spread.get, face_vertices(m))) for m in masks)
 
 
-def _split_by_membership(gens, other) -> tuple[list[int], list[int]]:
-    """The generators that the ideal generated by `other` contains, and the rest."""
-    inside: list[int] = []
-    outside: list[int] = []
-    for g in gens:
-        (inside if any(c & ~g == 0 for c in other) else outside).append(g)
-    return inside, outside
-
-
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection of squarefree ideals: pairwise mask unions, minimalized.
 
@@ -179,8 +204,8 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """
     if a.n != b.n:
         raise ValueError("ideals live in different rings")
-    a_in_b, a_rest = _split_by_membership(a.generators, b.generators)
-    b_in_a, b_rest = _split_by_membership(b.generators, a.generators)
+    a_in_b, a_rest = _split_by_divisors(a.generators, b.generators)
+    b_in_a, b_rest = _split_by_divisors(b.generators, a.generators)
     unions = (ga | gb for ga in a_rest for gb in b_rest)
     return minimalize(chain(a_in_b, b_in_a, unions), a.n)
 
@@ -209,9 +234,9 @@ class IdealPair:
     def __post_init__(self):
         if self.lower.n != self.upper.n:
             raise InvalidPairError("I and J live in different rings")
-        for g in self.lower.generators:
-            if not self.upper.contains(g):
-                raise InvalidPairError(f"generator {_monomial_text(g)} of I does not lie in J")
+        _, outside = _split_by_divisors(self.lower.generators, self.upper.generators)
+        if outside:
+            raise InvalidPairError(f"generator {_monomial_text(outside[0])} of I does not lie in J")
         if self.lower == self.upper:
             raise InvalidPairError("I and J are equal as ideals")
 
@@ -552,6 +577,7 @@ def minimal_masks(table: int | np.ndarray, n: int) -> tuple[int, ...]:
 
 _TOKEN_RE = re.compile(r"[^\s,]+")
 _FACTOR_RE = re.compile(r"x([1-9][0-9]*)\Z")
+_PRODUCT_RE = re.compile(r"x[1-9][0-9]*(?:\*x[1-9][0-9]*)*\Z")
 
 
 def _tokens_with_positions(text: str):
@@ -564,6 +590,7 @@ def _tokens_with_positions(text: str):
 
 
 def _parse_product(token: str, line: int, col: int, n: int) -> int:
+    # One factor at a time, so an error names the factor and its column.
     mask = 0
     offset = 0
     for factor in token.split("*"):
@@ -586,8 +613,21 @@ def _parse_product(token: str, line: int, col: int, n: int) -> int:
     return mask
 
 
+@cache
+def _variable_bits() -> dict[str, int]:
+    # the index text of each of the MAX_VARIABLES variables, and its bit
+    return {str(i): 1 << (i - 1) for i in range(1, MAX_VARIABLES + 1)}
+
+
 def parse_ideal(text: str, n: int) -> MonomialIdeal:
-    """Parse one ideal from text; see the grammar in the module docstring."""
+    """Parse one ideal from text; see the grammar in the text-grammar
+    section above.
+
+    Each product token is checked against the grammar by one regex and
+    read with one split; only a token that fails is read again factor by
+    factor, for the line and column of its error.  The products are
+    minimalized by `minimalize`.
+    """
     tokens = list(_tokens_with_positions(text))
     if not tokens:
         raise ParseError("empty ideal specification")
@@ -599,4 +639,18 @@ def parse_ideal(text: str, n: int) -> MonomialIdeal:
                 f"keyword {word!r} cannot be combined with generators", line, col
             )
         return MonomialIdeal.zero(n) if tokens[0][0] == "zero" else MonomialIdeal.unit(n)
-    return minimalize((_parse_product(tok, line, col, n) for tok, line, col in tokens), n)
+    bits = _variable_bits()
+    masks = []
+    for token, line, col in tokens:
+        if _PRODUCT_RE.match(token):
+            # an index text outside the table, say a huge one, gives None
+            # and is never turned into an int or a shift here
+            factors = [*map(bits.get, token[1:].split("*x"))]
+            if None not in factors:
+                # a repeated variable carries in the sum, losing a set bit
+                mask = sum(factors)
+                if mask.bit_count() == len(factors) and mask.bit_length() <= n:
+                    masks.append(mask)
+                    continue
+        masks.append(_parse_product(token, line, col, n))  # raises the located error
+    return minimalize(masks, n)

@@ -56,10 +56,15 @@ class BetaVector:
             raise ValueError("beta vector at level q must have q+1 entries")
 
     def first_negative(self) -> Optional[int]:
-        for k, v in enumerate(self.values):
-            if v < 0:
-                return k
+        return _first_negative(self.values)
+
+
+def _first_negative(values: Sequence[int]) -> Optional[int]:
+    """The first k with values[k] < 0, or None.  min(values), one C-level
+    scan, settles the common nonnegative row."""
+    if min(values) >= 0:
         return None
+    return next(k for k, v in enumerate(values) if v < 0)
 
 
 def _first_positive(counts: Sequence[int]) -> int:

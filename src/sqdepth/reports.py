@@ -9,7 +9,7 @@ beta and h vectors are rendered as decimal strings, since they can outgrow
 from __future__ import annotations
 
 import time
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Optional
@@ -21,7 +21,7 @@ from .homology import CoefficientField, depth_verdict
 from .ideals import DEFAULT_ENUMERATION_CAP, IdealPair, face_vertices
 from .invariants import (
     AlphaVector,
-    BetaVector,
+    _first_negative,
     _hdepth_of_rows,
     _transform_rows,
     alpha,
@@ -56,7 +56,13 @@ def _passfail(ok: bool) -> str:
 
 class ReportBuilder:
     """Shared computation for the three report commands.  The enumeration
-    cap is checked here, before any subset table is built."""
+    cap is checked here, before any subset table is built.
+
+    One pass of Pascal rows at levels 0..dim serves the beta table, the
+    hdepth scan (which starts at dim) and the h-vector (row dim), and the
+    skeleton and cm-h checks read the same rows: ``beta_values[q]`` is the
+    tuple beta^q, with no per-level object.
+    """
 
     def __init__(self, pair: IdealPair, field: CoefficientField,
                  cap: int = DEFAULT_ENUMERATION_CAP, label: Optional[str] = None):
@@ -69,11 +75,8 @@ class ReportBuilder:
         self.label = label
         self.alpha = alpha(pair)
         self.dim = self.alpha.max_degree
-        # One pass of Pascal rows at levels 0..dim serves the beta table,
-        # the hdepth scan (which starts at dim) and the h-vector (row dim).
-        rows = _transform_rows(self.alpha.counts, self.dim)
-        self.hdepth = _hdepth_of_rows(rows, self.alpha.min_degree)
-        self.betas = [BetaVector(q, row) for q, row in enumerate(rows)]
+        self.beta_values = _transform_rows(self.alpha.counts, self.dim)
+        self.hdepth = _hdepth_of_rows(self.beta_values, self.alpha.min_degree)
         self.is_quotient = pair.upper.is_unit
         self.depth: Optional[int] = None
         self.cm: Optional[bool] = None
@@ -94,9 +97,10 @@ class ReportBuilder:
             }
 
     def beta_rows(self) -> list[dict]:
+        bottom = self.alpha.min_degree
         return [
-            {"q": bv.level, "values": _strings(bv.values), "first_negative_k": bv.first_negative()}
-            for bv in self.betas[self.alpha.min_degree:]
+            {"q": q, "values": _strings(row), "first_negative_k": _first_negative(row)}
+            for q, row in enumerate(self.beta_values[bottom:], bottom)
         ]
 
     def document(self, command: str, flags: dict) -> dict:
@@ -232,7 +236,7 @@ def _skeleton_h_check(b: ReportBuilder) -> dict:
     faces = f_vector(b.psi)
     h_rows = _transform_rows(faces, b.dim)
     for dprime in range(0, b.dim + 1):
-        expected = b.betas[dprime].values
+        expected = b.beta_values[dprime]
         got = h_rows[dprime]
         if expected != got:
             return _check(
@@ -284,7 +288,7 @@ def _depth_checks(b: ReportBuilder) -> list[dict]:
             "cm-quotient-hdepth-gap", _passfail(ok),
             f"hdepth(S/I)={b.hdepth}=dim=depth and hdepth(I)={module_hdepth} >= {b.hdepth + 1}",
         ))
-        h = b.betas[b.dim].values
+        h = b.beta_values[b.dim]
         admissible, violation = cm_admissible(h, n, b.dim)
         checks.append(_check(
             "cm-h-bounds", _passfail(admissible),
@@ -308,13 +312,27 @@ def serialize_document(doc: dict, include_timing: bool = True) -> str:
 
     The stdlib writes indented JSON through its pure-Python encoder; this
     one covers only the types documents hold (dicts with str keys, lists,
-    str, int, bool, None) and joins a list of strings in one call.  Strings
-    are quoted by the stdlib's own ASCII escaper.  Any other type is a
-    TypeError.
+    str, int, bool, None) and skips most per-value calls:
+    - A list that starts with a str is joined whole, and the join is
+      quoted once: if that only added the two quotes, no item needs an
+      escape and the list is written with one more join.  Otherwise each
+      item is quoted.  A list that mixes in other types is written item by
+      item.
+    - A dict takes its sorted keys and their quoted "key": prefixes from a
+      small cache keyed by its key tuple, and writes str, int and None
+      values inline.
+    Strings, str subclasses included, are quoted by the stdlib's own ASCII
+    escaper.  Any other type is a TypeError.
     """
     if not include_timing:
         doc = {key: value for key, value in doc.items() if key != "timing_ms"}
     return _encode(doc, "\n") + "\n"
+
+
+@lru_cache(maxsize=64)
+def _key_prefixes(keys: tuple) -> tuple[tuple[str, str], ...]:
+    # _quote raises the TypeError for a key that is not a str
+    return tuple((key, _quote(key) + ": ") for key in sorted(keys))
 
 
 def _encode(value, newline: str) -> str:
@@ -328,17 +346,33 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        if all(type(v) is str for v in value):
-            items = map(_quote, value)
-        else:
-            items = [_encode(v, inner) for v in value]
+        if type(value[0]) is str:
+            try:
+                joined = "".join(value)
+            except TypeError:  # a later item is not a str
+                pass
+            else:
+                if len(_quote(joined)) == len(joined) + 2:  # no item needs an escape
+                    return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]"
+                return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+        items = [_encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not value:
             return "{}"
         inner = newline + "  "
-        # _quote raises the TypeError for a key that is not a str
-        items = [_quote(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        items = []
+        for key, prefix in _key_prefixes(tuple(value)):
+            v = value[key]
+            v_kind = type(v)
+            if v_kind is str:
+                items.append(prefix + _quote(v))
+            elif v_kind is int:
+                items.append(prefix + str(v))
+            elif v is None:
+                items.append(prefix + "null")
+            else:
+                items.append(prefix + _encode(v, inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if value is None:
         return "null"
@@ -346,4 +380,6 @@ def _encode(value, newline: str) -> str:
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, str):  # as the stdlib does, a str subclass is a string
+        return _quote(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

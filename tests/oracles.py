@@ -11,7 +11,10 @@ Reisner tests that the one-pass depth replaced, and `hochster_depth`
 evaluates Hochster's formula on every face.  `skeleton`,
 `link` and `dim_module_colon` are the facet-listing skeleton, the link as a
 complex and the colon path to the dimension, which no report uses;
-`pairwise_intersect` is the intersection before pruning, and
+`pairwise_intersect` is the intersection before pruning,
+`pairwise_minimalize` the minimalization that scans every kept generator
+for each mask, which the package replaced with submask lookups on large
+inputs, and
 `arithmetic_colon` the colon as an intersection of one-generator colons,
 which the package replaced with downward steps on a subset table.
 `uncompressed_ranks` ranks a listed pair with every boundary map whole
@@ -147,6 +150,20 @@ def brute_colon_member(lower_gens, upper_gens, s, n):
         if member(upper_gens, v) and not member(lower_gens, s | v):
             return False
     return True
+
+
+def pairwise_minimalize(masks, n):
+    """The generators of the ideal generated by these masks: each distinct
+    mask in (degree, value) order is kept unless a kept one divides it,
+    scanning every kept mask."""
+    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    if any(not 0 <= m < 1 << n for m in masks):
+        raise ValueError(f"a mask is out of range for n={n}")
+    kept = []
+    for m in masks:
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return tuple(kept)
 
 
 def pairwise_intersect(a, b):

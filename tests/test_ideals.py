@@ -4,6 +4,8 @@ from operator import or_
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqdepth import ideals
 from sqdepth.complexes import complex_of_colon, face_table, relative_of_pair
@@ -22,6 +24,8 @@ from sqdepth.ideals import (
     minimal_masks,
     minimalize,
     parse_ideal,
+    _monomial_text,
+    _parse_product,
     _spread,
     relabel_onto,
     word_count,
@@ -99,6 +103,52 @@ class TestMinimalize:
             for s in oracles.subsets(n):
                 expected = oracles.member(gen_sets, s)
                 assert i.contains(oracles.set_to_mask(s)) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_pairwise_oracle(self, seed, monkeypatch):
+        # Masks of degree d go to the submask lookups while 2^d + 16 is
+        # below the kept count, and to the scan above it; both serve each
+        # set here, which also holds duplicates and, now and then, the
+        # empty mask (the unit ideal).
+        lookups = []
+        face_vertices = ideals.face_vertices
+        monkeypatch.setattr(ideals, "face_vertices",
+                            lambda m: lookups.append(m) or face_vertices(m))
+        rng = random.Random(seed)
+        tested = 0
+        for _ in range(25):
+            n = rng.randint(8, 63)
+            masks = [_random_mask(rng, n, rng.randint(1, 3)) for _ in range(rng.randint(40, 300))]
+            masks += [_random_mask(rng, n, rng.randint(1, min(n, 12))) for _ in range(60)]
+            masks += rng.sample(masks, 30)
+            if rng.random() < 0.1:
+                masks.append(0)
+            rng.shuffle(masks)
+            assert minimalize(masks, n).generators == oracles.pairwise_minimalize(masks, n)
+            tested += len(set(masks))
+        assert 0 < len(lookups) < tested
+
+    def test_small_sets_match_the_pairwise_oracle(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 63)
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 12))]
+            masks += masks[:rng.randint(0, 3)]
+            assert minimalize(masks, n).generators == oracles.pairwise_minimalize(masks, n)
+
+    def test_intersect_matches_the_unpruned_unions(self):
+        # generators of one ideal that the other contains are found by the
+        # same divisor test, here on sets large enough for submask lookups
+        rng = random.Random(37)
+        for _ in range(10):
+            n = rng.randint(10, 30)
+            a = minimalize([_random_mask(rng, n, rng.randint(1, 3)) for _ in range(40)], n)
+            b = minimalize([_random_mask(rng, n, rng.randint(1, 4)) for _ in range(40)], n)
+            assert intersect(a, b) == oracles.pairwise_intersect(a, b)
+
+
+def _random_mask(rng, n, degree):
+    return sum(1 << v for v in rng.sample(range(n), degree))
 
 
 class TestColon:
@@ -221,6 +271,31 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_ideal("  # nothing here\n", 2)
 
+    @pytest.mark.parametrize("token", [
+        "x0", "x01", "x1*x1", "x4", "x1**x2", "*x1", "x1*", "X1", "y1", "x\uff11",
+        "x1*x2*x3", "x3*x1", "x2*x3*x2", "x1*x4*x9",
+    ])
+    def test_named_tokens_agree_with_the_located_parser(self, token):
+        # n = 3, so x4 is x_{n+1}; x\uff11 is x followed by a fullwidth 1
+        _assert_agrees_with_located_parser(token, 3)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.data())
+    def test_tokens_agree_with_the_located_parser(self, data):
+        n = data.draw(st.integers(1, ideals.MAX_VARIABLES))
+        factors = data.draw(st.lists(st.sampled_from(_FACTORS + (f"x{n}", f"x{n + 1}")),
+                                     min_size=1, max_size=5))
+        token = "*".join(factors)
+        if token:
+            _assert_agrees_with_located_parser(token, n)
+
+    def test_huge_index_is_out_of_range_before_any_shift(self):
+        # a shift by the index would fail with a MemoryError, not a ParseError
+        for text in ("x99999999999999", "x1*x99999999999999"):
+            with pytest.raises(ParseError) as exc:
+                parse_ideal(text, 3)
+            assert str(exc.value).endswith("variable index 99999999999999 out of range 1..3")
+
     def test_round_trip_through_str(self):
         rng = random.Random(3)
         ctx = 6
@@ -228,6 +303,27 @@ class TestParse:
             masks = [rng.randrange(1, 64) for _ in range(rng.randint(1, 5))]
             i = minimalize(masks, 6)
             assert parse_ideal(str(i), ctx) == i
+
+
+_FACTORS = ("x0", "x01", "x1", "x2", "x3", "x9", "x10", "x63", "x64", "x", "", "X1",
+            "y1", "x\uff11", "x1x2", "xx1", "x99999999999999")
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _assert_agrees_with_located_parser(token, n):
+    """parse_ideal accepts the token, alone or as the second of two, with
+    the mask that _parse_product reads at its position, or raises the same
+    located error."""
+    got = _outcome(lambda: parse_ideal(token, n).generators)
+    assert got == _outcome(lambda: (_parse_product(token, 1, 1, n),))
+    got = _outcome(lambda: parse_ideal(f"x1,\n  {token}", n).generators)
+    assert got == _outcome(lambda: minimalize([1, _parse_product(token, 2, 3, n)], n).generators)
 
 
 class TestIdealPair:
@@ -259,6 +355,24 @@ class TestIdealPair:
                 assert contained and i != j
             except InvalidPairError:
                 assert not contained or i == j
+
+    def test_invalid_pair_names_the_first_generator_outside_j(self):
+        # J has up to 60 quadrics and cubics, so generators of I of degree
+        # up to 5 are tested by submask lookups, the rest by the scan
+        rng = random.Random(43)
+        for _ in range(80):
+            n = rng.randint(6, 24)
+            j = minimalize([_random_mask(rng, n, rng.randint(2, 3))
+                            for _ in range(rng.randint(1, 60))], n)
+            i = minimalize([_random_mask(rng, n, rng.randint(3, n))
+                            for _ in range(rng.randint(1, 20))], n)
+            outside = [g for g in i.generators if not j.contains(g)]
+            if not outside:
+                assert i == j or IdealPair(i, j).lower == i
+                continue
+            with pytest.raises(InvalidPairError) as exc:
+                IdealPair(i, j)
+            assert str(exc.value) == f"generator {_monomial_text(outside[0])} of I does not lie in J"
 
 
 class TestTables:

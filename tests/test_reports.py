@@ -106,6 +106,46 @@ class TestSerializerMatchesStdlib:
     def test_json_values(self, value):
         assert serialize_document({"value": value}) == stdlib({"value": value})
 
+    @pytest.mark.parametrize("items", [
+        ["a", "b", "c\n"],
+        ["a", "b", 'q"'],
+        ["a", "b\\"],
+        ["plain", "café"],
+        ["plain", "astral \U0001d400", "\U0001f600"],
+        ["", "a", ""],
+        [""],
+        ["12", "-3", "0"],
+        ["a", 1],
+        ["a", None],
+        ["a", True, False],
+        ["a", ["b", "c"]],
+        ["a", {"b": "c"}],
+        ["a", [], {}],
+        ["é", -(2 ** 70)],
+    ], ids=["escape-in-last", "quote-in-last", "backslash-in-last", "non-ascii",
+            "astral", "empty-strings", "one-empty-string", "digits", "then-int",
+            "then-none", "then-bools", "then-list", "then-dict", "then-empties",
+            "escaped-then-int"])
+    def test_lists_headed_by_a_string(self, items):
+        doc = {"items": items, "nested": {"deeper": [items, items]}}
+        assert serialize_document(doc) == stdlib(doc)
+
+    def test_dicts_sharing_a_key_tuple(self):
+        # the sorted keys and prefixes come from a cache keyed by the key tuple
+        docs = [{"b": 1, "a": "x"}, {"b": None, "a": [1]}, {"a": {"b": "c"}, "b": "é"},
+                {"b": {"b": 2, "a": 3}, "a": {"a": 4, "b": 5}}]
+        for doc in docs * 2:
+            assert serialize_document(doc) == stdlib(doc)
+
+    def test_str_subclasses_encode_as_strings(self):
+        class Label(str):
+            pass
+
+        for value in (Label("a"), [Label("a"), "b"], ["a", Label("b\n")],
+                      [Label("é"), 1], {"k": Label("v")}, {Label("k"): ["v", Label("w")]}):
+            doc = {"value": value}
+            assert serialize_document(doc) == stdlib(doc)
+
     @pytest.mark.parametrize("bad", [
         {"x": 1.5},
         {"x": (1, 2)},
@@ -114,8 +154,11 @@ class TestSerializerMatchesStdlib:
         {"x": [{"y": [0.0]}]},
         {"x": {"y": {2: None}}},
         {"x": ["a", b"bytes"]},
+        {"x": ["a", "b", 1.5]},
+        {"x": ["a", ("b",)]},
     ], ids=["float", "tuple", "numpy-int", "int-key", "nested-float",
-            "nested-int-key", "bytes-in-list"])
+            "nested-int-key", "bytes-in-list", "float-after-strings",
+            "tuple-after-string"])
     def test_other_types_raise(self, bad):
         with pytest.raises(TypeError):
             serialize_document(bad)
@@ -136,8 +179,11 @@ class TestSharedPascalPass:
         for pair in seeded_pairs(7, 60, max_n=9):
             b = ReportBuilder(pair, RATIONALS)
             assert b.hdepth == hdepth_of_alpha(b.alpha)
-            assert b.betas == beta_table(b.alpha, 0, b.dim)
+            table = beta_table(b.alpha, 0, b.dim)
+            assert list(enumerate(b.beta_values)) == [(bv.level, bv.values) for bv in table]
             doc = b.document("invariants", {})
+            assert [row["first_negative_k"] for row in doc["beta_table"]] == [
+                bv.first_negative() for bv in table[b.alpha.min_degree:]]
             dim_row = [str(v) for v in beta_table(b.alpha, b.dim, b.dim)[0].values]
             assert doc["h_vector"] == dim_row == doc["beta_table"][-1]["values"]
             assert doc["h_vector"] is not doc["beta_table"][-1]["values"]
