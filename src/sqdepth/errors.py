@@ -9,6 +9,7 @@ class ParseError(SqdepthError):
     """Malformed ideal or problem-file text, with a 1-based position."""
 
     def __init__(self, message, line=None, column=None):
+        self.reason = message  # the message without its position
         self.line = line
         self.column = column
         if line is not None and column is not None:

@@ -27,33 +27,30 @@ negative faces) index a column basis of d_i, so no nonzero cycle of d_i
 lies on them alone, and dropping their rows from d_{i+1} keeps its rank.
 Each map is reduced from its last column to its first, each column against
 the kept ones by its highest row, and stops once every row is a pivot; a
-dimension without faces has no step.  There are three kernels, tried in
-this order, on the same table:
-- certified XOR (_gf2_negatives): elimination of Python ints over GF(2).
-  d_0 and d_1 (a graph incidence matrix) are totally unimodular, so a
-  column basis over GF(2) is one over every field, and b_{-1} and b_0 are
-  exact over any field.  From d_2 up, over an odd prime p, XOR runs with a
-  certificate: every row a pivot, and every kept column kept before any
-  XOR.  Taken by pivot row, such columns are triangular on the pivot rows
-  with +-1 on the diagonal, so independent over every field, and as many
-  as the rows, so a column basis over GF(p).  Over QQ it runs without
-  one: the maps are integer matrices, whose rank over F_2 is at most their
-  rank over Q, so b_i(QQ) <= b_i(GF(2)) on the same rows (universal
-  coefficients), and where that leaves b_i = 0 the GF(2) basis of d_{i+1}
-  has the QQ rank and is independent over QQ, so it is a QQ basis.  The
-  bound fails over an odd prime p, since a torsion summand Z/p of
-  H_{i-1}(Z) adds to b_i over GF(p) but not over GF(2).
-- unit-signed (_unit_negatives), where the certificate declines or the QQ
-  bound leaves b_i(GF(2)) > 0: the same elimination over the integers, on
-  two bitsets per column (its nonzero entries, and those that are -1),
-  each kept column negated to pivot +1.  Every step adds +-1 times a kept
-  column, an integer column operation that keeps the span over every
-  field; if none makes an entry +-2, the kept columns, taken by pivot row,
-  are triangular with +1 on the diagonal, independent over every field,
-  and the others reduced to zero over the integers (or left once every
-  row is a pivot), so the kept ones are a column basis over every field.
-  Otherwise it gives up.
-- signed (_signed_negatives), only after the unit kernel gives up, as on
+dimension without faces has no step.  Each map's kernel follows from the
+field and the dimension alone, and all three read the same table:
+- XOR (_gf2_negatives): elimination of Python ints over GF(2), for every
+  map over GF(2), and for d_0 and d_1 over every field: these (d_1 a graph
+  incidence matrix) are totally unimodular, so a column basis over GF(2)
+  is one over every field, and b_{-1} and b_0 are exact over any field.
+  Over QQ it ranks d_2 and up as well: the maps are integer matrices,
+  whose rank over F_2 is at most their rank over Q, so b_i(QQ) <=
+  b_i(GF(2)) on the same rows (universal coefficients), and where that
+  leaves b_i = 0 the GF(2) basis of d_{i+1} has the QQ rank and is
+  independent over QQ, so it is a QQ basis.  The bound fails over an odd
+  prime p, since a torsion summand Z/p of H_{i-1}(Z) adds to b_i over
+  GF(p) but not over GF(2).
+- unit-signed (_unit_negatives), for d_2 and up over an odd prime, and
+  over QQ where b_i(GF(2)) > 0 leaves the bound open: the same elimination
+  over the integers, on two bitsets per column (its nonzero entries, and
+  those that are -1), each kept column negated to pivot +1.  Every step
+  adds +-1 times a kept column, an integer column operation that keeps
+  the span over every field; if none makes an entry +-2, the kept
+  columns, taken by pivot row, are triangular with +1 on the diagonal,
+  independent over every field, and the others reduced to zero over the
+  integers (or left once every row is a pivot), so the kept ones are a
+  column basis over every field.  Otherwise it gives up.
+- signed (_signed_negatives), only where the unit kernel gives up, as on
   torsion: the table mod p with pivots scaled to 1, or over QQ with
   integer steps and a Fraction only where a pivot is not +-1, the sign of
   each entry read from the -1 bitset or its position.
@@ -155,17 +152,6 @@ class ChainComplexRanks:
     face_counts: dict[int, int]
     boundary_ranks: dict[int, int]
     betti: dict[int, int]
-
-    def betti_number(self, i: int) -> int:
-        return self.betti.get(i, 0)
-
-    def first_nonzero(self) -> Optional[int]:
-        """The lowest dimension with a nonzero Betti number, if any."""
-        return next((i for i, b in self.betti.items() if b), None)
-
-    @property
-    def is_acyclic(self) -> bool:
-        return all(v == 0 for v in self.betti.values())
 
 
 def clear_homology_cache() -> None:
@@ -346,18 +332,12 @@ class _StarIndex:
         return level.columns
 
 
-def _gf2_negatives(columns: Columns, star: int, rows: int,
-                   certify: bool = False) -> Optional[int]:
+def _gf2_negatives(columns: Columns, star: int, rows: int) -> int:
     """The columns in `star`, restricted to `rows` (both bitsets of
     positions), that stay nonzero when each is reduced over GF(2) against
     the kept ones by its highest row, read from the last: a column basis,
     as a bitset.  The scan stops once every row is a pivot.  Columns are a
-    boundary table in either container (see _StarIndex.columns).
-
-    With `certify`, the result is None unless every row became a pivot and
-    every kept column was kept before any XOR: then the kept columns, taken
-    by pivot row, are triangular on the pivot rows with +-1 on the
-    diagonal, so they are a column basis over every field."""
+    boundary table in either container (see _StarIndex.columns)."""
     entries, minus = columns
     pivots: dict[int, int] = {}
     negative = 0
@@ -376,20 +356,17 @@ def _gf2_negatives(columns: Columns, star: int, rows: int,
             col &= rows
         else:
             col = entries[j] & rows
-        read = col
         while col:
             low = col.bit_length() - 1
             other = pivots.get(low)
             if other is None:
-                if certify and col != read:
-                    return None
                 pivots[low] = col
                 negative |= 1 << j
                 break
             col ^= other
         if len(pivots) == wanted:
-            return negative
-    return None if certify else negative
+            break
+    return negative
 
 
 def _unit_negatives(columns: Columns, star: int, rows: int) -> Optional[int]:
@@ -491,20 +468,14 @@ def _signed_negatives(columns: Columns, star: int, rows: int, p: int) -> int:
                 pivots[low] = col
                 negative |= 1 << j
                 break
-            if p:
-                for r, v in other.items():
-                    x = (col.get(r, 0) - factor * v) % p
-                    if x:
-                        col[r] = x
-                    else:
-                        del col[r]
-            else:
-                for r, v in other.items():
-                    x = col.get(r, 0) - factor * v
-                    if x:
-                        col[r] = x
-                    else:
-                        del col[r]
+            for r, v in other.items():
+                x = col.get(r, 0) - factor * v
+                if p:
+                    x %= p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
         if len(pivots) == wanted:
             break
     return negative
@@ -539,12 +510,15 @@ def _star_steps(face: int, index: _StarIndex, top: int,
             rows = current & ~negative  # the rows of d_{i+1}
             if rows and upper:
                 columns = level.columns or index.columns(k)
-                above = _gf2_negatives(columns, upper, rows, certify=p > 2 and i > 0)
-                # None: no certificate; over QQ, a nonzero b_i over GF(2) is only a bound
-                if above is None or (p == 0 and i > 0 and above.bit_count() < faces - low):
+                if p > 2 and i > 0:  # d_2 and up over an odd prime
                     above = _unit_negatives(columns, upper, rows)
-                    if above is None:  # a step met +-2: a pivot other than +-1 may be needed
-                        above = _signed_negatives(columns, upper, rows, p)
+                else:
+                    above = _gf2_negatives(columns, upper, rows)
+                    # over QQ, a nonzero b_i over GF(2) is only a bound
+                    if p == 0 and i > 0 and above.bit_count() < faces - low:
+                        above = _unit_negatives(columns, upper, rows)
+                if above is None:  # a step met +-2: a pivot other than +-1 may be needed
+                    above = _signed_negatives(columns, upper, rows, p)
             yield i, faces, low, above.bit_count()
         current, k = upper, k + 1
 

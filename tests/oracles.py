@@ -494,7 +494,7 @@ def reisner_witness(psi, field=RATIONALS):
             continue
         ranks = listed_homology(lk, field)
         for i in range(-1, lk.dim):
-            if ranks.betti_number(i):
+            if ranks.betti.get(i, 0):
                 return f, i
     return None
 
@@ -519,8 +519,7 @@ def hochster_depth(pair, field=RATIONALS):
         lk = link_pair(psi, f)
         if lk.is_empty:
             continue
-        betti = listed_homology(lk, field).betti
-        i = next((d for d in sorted(betti) if betti[d]), None)
+        i = first_nonzero(listed_homology(lk, field))
         if i is not None:
             candidate = f.bit_count() + 1 + i
             if best is None or candidate < best:
@@ -545,7 +544,7 @@ def listed_pair_verdict(psi, field=RATIONALS):
             break
         faces = pair_faces(link_facets(psi.delta.facets, f), link_facets(psi.gamma.facets, f),
                            best - size, FACE_CAP)
-        i = uncompressed_ranks(faces, field, best - size - 2).first_nonzero()
+        i = first_nonzero(uncompressed_ranks(faces, field, best - size - 2))
         if i is not None:
             best, witness = size + 1 + i, (f, i)
     return (best, dim, *witness)
@@ -577,6 +576,12 @@ def uncompressed_ranks(by_dim, field, top=None):
         if top is not None and betti[i]:
             break
     return ChainComplexRanks(field, counts, ranks, betti)
+
+
+def first_nonzero(ranks):
+    """The lowest dimension of a ChainComplexRanks with a nonzero Betti
+    number, or None."""
+    return next((i for i in sorted(ranks.betti) if ranks.betti[i]), None)
 
 
 def listed_homology(psi, field=RATIONALS, top=None):

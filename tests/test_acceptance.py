@@ -192,7 +192,7 @@ def test_criterion_10_homology_sanity():
         assert relative_homology(oracles.absolute(hollow)).betti == {-1: 0, 0: 0, 1: 1}
 
         full = SimplicialComplex.full_simplex(4)
-        assert relative_homology(oracles.absolute(full)).is_acyclic
+        assert not any(relative_homology(oracles.absolute(full)).betti.values())
 
         two_points = SimplicialComplex(2, (0b01, 0b10))
         assert relative_homology(oracles.absolute(two_points)).betti == {-1: 0, 0: 1}
@@ -216,7 +216,7 @@ def test_criterion_10_homology_sanity():
             assert euler_faces == euler_betti
             # the same identity rearranged, valid once a vertex exists
             assert sum((-1) ** i * fv[i + 1] for i in range(0, c.dim + 1)) == \
-                sum((-1) ** i * ranks.betti_number(i) for i in range(0, c.dim + 1)) + 1
+                sum((-1) ** i * ranks.betti.get(i, 0) for i in range(0, c.dim + 1)) + 1
 
 
 def _assert_boundaries_compose_to_zero(c):

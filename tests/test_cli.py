@@ -75,6 +75,15 @@ class TestInvariantsCommand:
         assert main(["invariants", str(bad)]) == 1
         assert "non-squarefree" in capsys.readouterr().err
 
+    def test_parse_error_names_its_place_in_the_file(self, tmp_path, capsys):
+        # used to name the position inside the value: "line 1, col 4"
+        bad = tmp_path / "bad.ideal"
+        bad.write_text("n: 4\n# x5 is out of range\nJ: unit\n\nI: x1*x5\n", encoding="utf-8")
+        assert main(["depth", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 5, col 7: variable index 5 out of range 1..4\n"
+        assert captured.out == ""
+
     def test_invalid_pair_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ideal"
         bad.write_text("n: 2\nJ: x1*x2\nI: x1\n", encoding="utf-8")

@@ -99,7 +99,7 @@ class TestReducedHomology:
 
     def test_full_simplex_acyclic(self):
         ranks = relative_homology(oracles.absolute(SimplicialComplex.full_simplex(4)))
-        assert ranks.is_acyclic
+        assert not any(ranks.betti.values())
 
     def test_two_points(self):
         ranks = relative_homology(oracles.absolute(SimplicialComplex(2, (0b01, 0b10))))
@@ -233,8 +233,8 @@ class TestRelativeHomology:
             rel = relative_homology(psi)
             red = relative_homology(oracles.absolute(c))
             for i in range(1, c.dim + 1):
-                assert rel.betti_number(i) == red.betti_number(i)
-            assert rel.betti_number(0) == red.betti_number(0) + 1
+                assert rel.betti.get(i, 0) == red.betti.get(i, 0)
+            assert rel.betti.get(0, 0) == red.betti.get(0, 0) + 1
 
     def test_truncated_at_a_top_dimension(self):
         # the 3-sphere (boundary of the 4-simplex) modulo void: the search
@@ -431,7 +431,7 @@ class TestOnePassDepth:
             f, i = verdict.witness_face, verdict.witness_dim
             assert f.bit_count() + 1 + i == verdict.depth
             ranks = relative_homology(oracles.link_pair(psi, f), field)
-            assert ranks.betti_number(i) != 0
+            assert ranks.betti.get(i, 0) != 0
 
     def test_witness_attains_the_minimum_not_the_first_reisner_failure(self):
         # found by seeded search: Reisner's first failing face is {} with
@@ -565,8 +565,8 @@ class TestTorsion:
         assert calls == []
 
     def test_signed_kernel_runs_only_where_unit_steps_overflow(self, monkeypatch):
-        # over an odd prime a map whose XOR certificate fails goes to the
-        # unit kernel, and to the signed one only when that returns None: on
+        # over an odd prime every map from d_2 up goes to the unit kernel,
+        # and to the signed one only when that returns None: on
         # seeded pairs, where unit steps settle every map, the signed kernel
         # never runs; on RP^2 and the mod-3 Moore space, whose torsion no
         # unit steps can rank, it runs right after each overflow
@@ -604,13 +604,51 @@ class TestTorsion:
                 assert calls[j - 1][:3] == ("unit", *calls[j][1:3]) and calls[j - 1][3]
                 assert calls[j][3] == 32003
 
+    def test_odd_primes_rank_only_d0_and_d1_by_xor(self, monkeypatch):
+        # over an odd prime the XOR kernel, exact there only on the totally
+        # unimodular d_0 and d_1, ranks those maps alone, and the unit
+        # kernel every map from d_2 up.  A map is told by the boundary table
+        # it is handed: the table of size k, read at a face F, is
+        # d_{k - |F| - 1} of the link pair at F
+        faces, tables, maps = [], [], {"xor": set(), "unit": set()}
+        steps, columns = homology._star_steps, homology._StarIndex.columns
+
+        def counted_steps(face, index, top, p):
+            faces.append(face)
+            return steps(face, index, top, p)
+
+        def counted_columns(index, k):
+            tables.append((columns(index, k), k))
+            return tables[-1][0]
+
+        def counted(kernel, name):
+            def run(table, *args, **kwargs):
+                k = next(k for t, k in tables if t is table)
+                maps[name].add(k - faces[-1].bit_count() - 1)
+                return kernel(table, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(homology, "_star_steps", counted_steps)
+        monkeypatch.setattr(homology._StarIndex, "columns", counted_columns)
+        monkeypatch.setattr(homology, "_gf2_negatives", counted(homology._gf2_negatives, "xor"))
+        monkeypatch.setattr(homology, "_unit_negatives", counted(homology._unit_negatives, "unit"))
+        rng = random.Random(35)
+        kinds = (random_quotient_pair, random_module_pair, random_pair)
+        pairs = [kinds[i % 3](rng, rng.randint(4, 10)) for i in range(30)]
+        pairs += [parse_problem_file(self.RP2).pair(), oracles.moore_space_mod_3()]
+        for p in (3, 32003):
+            for pair in pairs:
+                depth_verdict(relative_of_pair(pair), CoefficientField(p))
+        assert maps["xor"] == {0, 1}
+        assert maps["unit"] and min(maps["unit"]) == 2
+
     @pytest.mark.parametrize("pair, depths", [
         ("rp2", (3, 2, 3, 3)),  # H_1 = Z/2: GF(2) only
         ("moore3", (3, 3, 2, 3)),  # H_1 = Z/3: GF(3) only
     ])
     def test_depth_over_four_fields(self, pair, depths):
-        # the XOR ranks certified for odd primes must decline on the torsion
-        # that only GF(3) sees, and the QQ recount must clear GF(2)'s
+        # the unit and signed kernels must find the torsion that only GF(3)
+        # sees, and the QQ recount must clear GF(2)'s
         pair = (parse_problem_file(self.RP2).pair() if pair == "rp2"
                 else oracles.moore_space_mod_3())
         psi = relative_of_pair(pair)
@@ -915,5 +953,5 @@ class TestHomologySweep:
             assert {i: b for i, b in betti.items() if b} == nonzero
         last = relative_homology(oracles.absolute(sweep[-1][0]))
         assert last == relative_homology(oracles.absolute(sweep[-1][0]))
-        assert relative_homology(oracles.absolute(sweep[0][0])).is_acyclic
+        assert not any(relative_homology(oracles.absolute(sweep[0][0])).betti.values())
         assert relative_homology(oracles.absolute(HOLLOW)).betti == {-1: 0, 0: 0, 1: 1}

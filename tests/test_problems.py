@@ -1,7 +1,7 @@
 import pytest
 
 from sqdepth.errors import InvalidPairError, ParseError
-from sqdepth.problems import parse_problem_text
+from sqdepth.problems import ProblemFile, parse_problem_text
 
 
 GOOD = """# a comment
@@ -65,3 +65,28 @@ class TestParseProblem:
         with pytest.raises(ParseError) as exc:
             pf.pair()
         assert "out of range" in str(exc.value)
+
+    def test_ideal_errors_are_placed_in_the_file(self):
+        # an error inside a J: or I: value names its line and column in the
+        # file, not in the value
+        cases = [
+            ("n: 4\n\n# a comment\nJ: unit\nI: x1*x5\n",
+             "line 5, col 7: variable index 5 out of range 1..4"),
+            ("n: 4\nJ:   x1, x2*x2  # squared\nI: zero\n",
+             "line 2, col 13: repeated variable x2 in product (non-squarefree)"),
+            ("I: zero\n  J :\tx1*y2\nn: 3\n",
+             "line 2, col 10: malformed variable token 'y2' (expected x<i>)"),
+            ("n: 2\nJ: unit\nI: x1, zero\n",
+             "line 3, col 8: keyword 'zero' cannot be combined with generators"),
+            ("n: 2\nJ: unit\nI:  # nothing\n", "line 3: empty ideal specification"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError) as exc:
+                parse_problem_text(text).pair()
+            assert str(exc.value) == message
+
+    def test_hand_built_problem_keeps_value_positions(self):
+        # without positions, a value is read as starting at line 1, col 1
+        with pytest.raises(ParseError) as exc:
+            ProblemFile(n=2, upper_text="unit", lower_text="x1\nx2*x3").pair()
+        assert (exc.value.line, exc.value.column) == (2, 4)

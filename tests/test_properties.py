@@ -352,7 +352,7 @@ def test_link_pairs_read_from_psi_faces_match_the_oracle_links(pair, field):
                 assert _star_faces(own, 0, k) == expected.get(k - 1, [])
             for top in range(-1, dim - size - 1):
                 ranks = oracles.listed_homology(lk, field, top)
-                betti = [ranks.betti_number(i) for i in range(-1, top + 1)]
+                betti = [ranks.betti.get(i, 0) for i in range(-1, top + 1)]
                 betti = betti[:next((j + 1 for j, b in enumerate(betti) if b), len(betti))]
                 for bettis in (_star_bettis(f, index, top, field.characteristic),
                                _star_bettis(0, own, top, field.characteristic)):
@@ -426,7 +426,7 @@ def test_star_mask_betti_numbers_match_the_listed_pair(pair, field):
         for top in range(-1, psi.dim - f.bit_count() + 1):
             faces = oracles.pair_faces(lk_delta, lk_gamma, top + 2, FACE_CAP)
             ranks = oracles.uncompressed_ranks(faces, field)
-            expected = [ranks.betti_number(i) for i in range(-1, top + 1)]
+            expected = [ranks.betti.get(i, 0) for i in range(-1, top + 1)]
             assert list(_star_bettis(f, index, top, field.characteristic)) == expected
 
 
@@ -498,7 +498,7 @@ def test_a_facet_of_psi_below_dim_never_sets_the_depth(pair):
             g = f
             while g:
                 g = (g - 1) & f
-                i = oracles.listed_homology(oracles.link_pair(psi, g), field).first_nonzero()
+                i = oracles.first_nonzero(oracles.listed_homology(oracles.link_pair(psi, g), field))
                 if i is not None:
                     bounds.append(g.bit_count() + 1 + i)
             assert min(bounds, default=size + 1) <= size
@@ -630,67 +630,17 @@ def test_signed_negatives_rank_matches_dense_elimination(seed):
                     oracles.mod_p_rank(dense, p))
 
 
-def _assert_certificate_holds(columns, star, rows):
-    """A certified GF(2) result is None, or the full row count of columns,
-    each alone of signed rank that count over QQ and the odd primes, so a
-    column basis on the rows over each, as _signed_negatives finds one."""
-    certified = _gf2_negatives(columns, star, rows, certify=True)
-    if certified is None:
-        return False
-    wanted = rows.bit_count()
-    assert certified.bit_count() == wanted
-    assert certified & ~star == 0
-    for p in (0, 3, 32003):
-        assert _signed_negatives(columns, star, rows, p).bit_count() == wanted
-        assert _signed_negatives(columns, certified, rows, p).bit_count() == wanted
-    return True
-
-
-@settings(derandomize=True, deadline=None)
-@given(pairs(8), st.randoms(use_true_random=False))
-@example(RP2, random.Random(0))
-@example(MOORE3, random.Random(0))
-def test_certified_xor_ranks_are_bases_over_every_field(pair, rng):
-    # on the stars of psi's index, in both table containers, with rows that
-    # are all faces one size down or a random part of them: the certificate
-    # accepts only a full row rank whose kept columns were never reduced,
-    # and those are then independent over QQ, GF(3) and GF(32003) as well
-    psi = relative_of_pair(pair)
-    assume(not psi.is_empty)
-    index = _index(psi)
-    for k in range(1, psi.dim + 2):
-        star, below = index.star([], k), index.star([], k - 1)
-        tables = _both_tables(index, k)
-        for rows in (below, below & rng.getrandbits(max(below.bit_length(), 1))):
-            for chosen in (star, star & rng.getrandbits(max(star.bit_length(), 1))):
-                held = [_assert_certificate_holds(columns, chosen, rows) for columns in tables]
-                assert held[0] == held[1]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_certified_xor_ranks_on_random_columns(seed):
-    # the same on random sparse +-1 columns, where it accepts some stars,
-    # the same ones in both containers
-    accepted = 0
-    for tables, star, rows, dense in _signed_rank_cases(seed, 300):
-        held = [_assert_certificate_holds(columns, star, rows) for columns in tables]
-        assert held[0] == held[1]
-        accepted += held[0]
-    assert accepted
-
-
 def test_certificate_declines_where_gf2_and_gf3_ranks_differ():
     # d_2 of the mod-3 Moore space on the edges outside a GF(2) column
     # basis of d_1: full row rank over GF(2) (b_1 = 0 there), one less over
-    # GF(3) (b_1 = 1), so some kept column must have been reduced; in both
-    # table containers
+    # GF(3) (b_1 = 1), so no GF(2) column basis of d_2 can stand for one
+    # over an odd prime; in both table containers
     _, tables, vertices, edges = _torsion_tables(MOORE3)
     for d1, d2 in tables:
         rows = ((1 << edges) - 1) & ~_gf2_negatives(d1, (1 << edges) - 1, (1 << vertices) - 1)
         star = (1 << len(d2[0])) - 1
         assert _gf2_negatives(d2, star, rows).bit_count() == rows.bit_count()
         assert _signed_negatives(d2, star, rows, 3).bit_count() == rows.bit_count() - 1
-        assert _gf2_negatives(d2, star, rows, certify=True) is None
 
 
 def _dense(columns, chosen, rows):
@@ -736,8 +686,9 @@ def _assert_unit_basis(columns, star, rows):
 @example(RP2, random.Random(0))
 @example(MOORE3, random.Random(0))
 def test_unit_signed_ranks_are_bases_over_every_field(pair, rng):
-    # on the stars of psi's index, in both table containers, with the rows
-    # and stars of the certified XOR test: whenever every step of the unit
+    # on the stars of psi's index, in both table containers, with rows that
+    # are all faces one size down or a random part of them, and all faces
+    # of the size or a random part of them: whenever every step of the unit
     # kernel keeps its entries in {0, +-1}, its kept columns are a column
     # basis over every field
     psi = relative_of_pair(pair)
@@ -756,15 +707,13 @@ def test_unit_signed_ranks_are_bases_over_every_field(pair, rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_unit_signed_ranks_on_random_columns(seed):
     # the same on random sparse +-1 columns, where it must settle some
-    # stars that the XOR certificate declines, the same ones in both
-    # containers
+    # stars, the same ones in both containers
     settled = 0
     for tables, star, rows, dense in _signed_rank_cases(seed, 300):
         held = []
         for columns in tables:
             assert _dense(columns, star, rows) == dense
-            held.append(_assert_unit_basis(columns, star, rows)
-                        and _gf2_negatives(columns, star, rows, certify=True) is None)
+            held.append(_assert_unit_basis(columns, star, rows))
         assert held[0] == held[1]
         settled += held[0]
     assert settled
@@ -799,7 +748,7 @@ def test_compressed_ranks_match_the_uncompressed_oracle(pair, field):
     assume(not psi.is_empty)
     assert relative_homology(psi, field) == oracles.listed_homology(psi, field)
     for top in range(-1, psi.dim + 1):
-        expected = oracles.listed_homology(psi, field, top).first_nonzero()
+        expected = oracles.first_nonzero(oracles.listed_homology(psi, field, top))
         assert _first_homology(0, _index(psi), field, top) == expected
 
 
@@ -830,7 +779,7 @@ def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cell
             assert in_gamma.tolist() == [psi.gamma.has_face(f) for f in level]
             for f, flag in zip(level, facet_flags):
                 lk = oracles.link_pair(psi, f)
-                h = 0 if lk.is_empty else relative_homology(lk).betti_number(-1)
+                h = 0 if lk.is_empty else relative_homology(lk).betti.get(-1, 0)
                 assert flag == (h != 0)
 
 
