@@ -7,18 +7,25 @@ faces of delta outside gamma, and boundary summands landing in gamma are
 dropped.
 
 Every homology here is ranked on the star masks of one index of a pair
-(_StarIndex), built one size at a time from delta's faces alone: per size,
-those outside gamma in ascending mask order, one Python-int bitset per
-vertex, and one boundary table, each face's facets (its vertices dropped in
-ascending order, so that facet t has sign (-1)^t) by their positions one
-size down.  Where that size holds at most SMALL_LEVEL faces, a column is
-two bitsets of positions, its rows and its -1 entries, which a kernel ANDs
-with its rows as they are; on a larger size, where a bitset would be as
-wide as the size, it is the tuple of positions, which a kernel turns into
-a bitset as it reads the column (_StarIndex.columns).  The star of a face
-F at a size, the faces there that contain F, is the AND of F's vertex
-bitsets, and removing F from them gives the link pair at F; at the empty
-face it is the pair itself, which is how relative_homology ranks it.
+(_StarIndex), built one size at a time: per size, delta's faces outside
+gamma in ascending mask order, one Python-int bitset per vertex, and one
+boundary table, each face's facets (its vertices dropped in ascending
+order, so that facet t has sign (-1)^t) by their positions one size down.
+Its size picks where the faces come from, as ideals.SMALL_TABLE picks the
+container of a subset table.  On at most SMALL_TABLE vertices the index
+holds the pair as two subset tables of one int each, delta's faces and
+gamma's (the downward closures of their facets), and a size is one AND of
+them with the popcount mask of that size, read off as masks.  On more
+vertices it lists a size from delta's facets (complexes._faces_of_size)
+and marks gamma's faces in a numpy table of the faces by the facets.
+Where a size holds at most SMALL_LEVEL faces, a column is two bitsets of
+positions, its rows and its -1 entries, which a kernel ANDs with its rows
+as they are; on a larger size, where a bitset would be as wide as the
+size, it is the tuple of positions, which a kernel turns into a bitset as
+it reads the column (_StarIndex.columns).  The star of a face F at a
+size, the faces there that contain F, is the AND of F's vertex bitsets,
+and removing F from them gives the link pair at F; at the empty face it is
+the pair itself, which is how relative_homology ranks it.
 
 Boundary maps are ranked bottom up in one loop (_star_steps), with row
 compression (Bauer, Kerber and Reininghaus, "Clear and Compress", 2014):
@@ -58,16 +65,23 @@ field and the dimension alone, and all three read the same table:
 The depth pass first takes the cone vertices, the AND of the facets of
 delta and gamma: a face that misses one has an acyclic link pair, so the
 pass runs on the link pair at them (see depth_verdict).  It reads its
-levels from that pair's index, whose one level test (_classify_level)
-marks, as the index builds a size, the faces in gamma and, on the sizes
-the pass can still visit, the faces whose link pairs are acyclic as cones;
-the pass stops before the level where only H_{-1} could count, since a
-facet of psi never sets the minimum there.  Every link pair is a star of
-that index, ranked up to its first nonzero Betti number.  An index refuses
-a size past FACE_CAP by raising CapExceededError (_StarIndex.level); where
-the pass's index refuses one that the link pair at a nonempty face needs,
-that pair gets an index of its own, built from its two link facet tuples,
-and is ranked from its empty face the same way.
+levels from that pair's index, which, on the sizes the pass can still
+visit, leaves out the faces whose link pairs are acyclic as cones: those
+whose delta link is a cone and whose gamma link is void or a cone.  The
+link of F is a cone when some vertex v outside F lies in every facet
+containing F, that is, when F lies below no face G without v whose union
+with v is not a face.  On a subset table that is, per vertex, one shift,
+two ANDs and one downward closure, and the index ORs them into a cone
+table per side, once, and reads a size's visits off the two with one AND
+(_cone_table); on more vertices one level test (_classify_level) reads
+both flags from the AND of the facets containing each face.  The pass
+stops before the level where only H_{-1} could count, since a facet of psi
+never sets the minimum there.  Every link pair is a star of that index,
+ranked up to its first nonzero Betti number.  An index refuses a size past
+FACE_CAP by raising CapExceededError (_StarIndex.level); where the pass's
+index refuses one that the link pair at a nonempty face needs, that pair
+gets an index of its own, built from its two link facet tuples, and is
+ranked from its empty face the same way.
 """
 from __future__ import annotations
 
@@ -86,6 +100,7 @@ from .complexes import (
     link_facets,
     relative_of_pair,
 )
+from . import ideals
 from .ideals import IdealPair, face_vertices
 
 # A boundary table (see _StarIndex.columns): (entries, minus), two lists of
@@ -199,60 +214,65 @@ class CmVerdict:
 
 
 class _Level:
-    """An index's delta faces of one size, classified by _classify_level:
-    the pair's faces, those outside gamma, in ascending mask order, with per
-    vertex the bitset of their positions and, once a star there is ranked,
-    their boundary table, bitsets or positional tuples by the face count
-    one size down (see _StarIndex.columns); for the depth pass, the delta
-    face count and, on a size it can visit (`cones`), the delta faces whose
-    link pair the cone test does not find acyclic (visits), as a numpy
-    array."""
+    """An index's faces of one size: the pair's faces, delta's outside
+    gamma, in ascending mask order, with per vertex the bitset of their
+    positions and, once a star there is ranked, their boundary table,
+    bitsets or positional tuples by the face count one size down (see
+    _StarIndex.columns); for the depth pass, the count of delta's faces
+    (listed) and, on a size it can visit (`cones`), the list of delta's
+    faces whose link pair the cone test does not find acyclic (visits),
+    else None.  The index reads them off its subset tables or its listing
+    (see _StarIndex)."""
 
     __slots__ = ("faces", "full", "bits", "columns", "listed", "visits")
 
-    def __init__(self, level: list[int], index: _StarIndex, cones: bool):
-        faces = np.array(level, dtype=index.dtype)
-        skip, in_gamma = _classify_level(faces, index, cones)
-        self.visits = None if skip is None else faces[~skip]
-        pair = faces[~in_gamma]
-        self.faces = pair.tolist()
-        self.full = (1 << len(self.faces)) - 1
-        self.bits = [0] * index.n
-        if self.faces:
-            flags = ((pair[None, :] >> index.shifts[:, None]) & 1).astype(bool)
-            packed = np.packbits(flags, axis=1, bitorder="little")
-            self.bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    def __init__(self, faces: list[int], bits: list[int], listed: int,
+                 visits: Optional[list[int]]):
+        self.faces, self.bits, self.listed, self.visits = faces, bits, listed, visits
+        self.full = (1 << len(faces)) - 1
         self.columns: Optional[Columns] = None
-        self.listed = len(level)
 
 
 class _StarIndex:
     """The faces of the pair with facet tuples delta and gamma (gamma's
-    faces inside delta's) on n vertices, by size, each size built from
-    delta's facets the first time it is needed (see _Level).  The star of F
-    at a size, the faces there that contain F, is the AND of F's vertex
-    bitsets; removing F from them gives the link pair at F.  At most
-    FACE_CAP faces of the pair are held: a size with more delta faces than
-    are left is refused, its listing stopped there, and raises on reading.
-    A size refused with L faces left has more than L delta faces, so it
-    stays refused, without being listed again, until more than L are left.
-    Delta's facets followed by gamma's, their complements and the vertex
-    shifts are held as numpy arrays too, for the level test
-    (_classify_level), which marks cones only on the sizes a depth pass can
-    still visit (see keep)."""
+    faces inside delta's) on n vertices, by size, each size built the first
+    time it is needed (see _Level).  The star of F at a size, the faces
+    there that contain F, is the AND of F's vertex bitsets; removing F from
+    them gives the link pair at F.  At most FACE_CAP faces of the pair are
+    held: a size with more delta faces than are left is refused and raises
+    on reading.  Cone flags are set only on the sizes a depth pass can
+    still visit (see keep).
+
+    On n <= ideals.SMALL_TABLE vertices (read when the index is built) a
+    size is read off two subset tables of one int, the faces of delta and
+    of gamma, and visits off the cone table of the pair (_cone_table),
+    built on the first size that needs it; a refused size is counted, not
+    listed.  On more vertices a size is listed from delta's facets and
+    classified by _classify_level, for which delta's facets followed by
+    gamma's, their complements and the vertex shifts are held as numpy
+    arrays; a refused size's listing stops at the faces left, and a size
+    refused with L faces left has more than L delta faces, so it stays
+    refused, without being listed again, until more than L are left."""
 
     def __init__(self, delta: tuple[int, ...], gamma: tuple[int, ...], n: int):
         self.delta, self.gamma, self.n = delta, gamma, n
-        self.vertices = list(map(face_vertices, delta))
-        self.dtype = np.uint64 if n <= 64 else object
-        self.everything = ~np.uint64(0) if n <= 64 else -1
-        self.facet_array = np.array(delta + gamma, dtype=self.dtype)
-        self.outside_facets = ~self.facet_array
-        self.shifts = np.array(range(n), dtype=self.dtype)
         self.levels: dict[int, _Level] = {}
-        self.refused: dict[int, int] = {}  # size -> faces left when it was refused
         self.held = 0
         self.high = 0  # no cone flags until a depth pass calls keep
+        self.tables: Optional[tuple[int, int]] = None
+        if n <= ideals.SMALL_TABLE:
+            self.tables = (ideals.downward_closure_table(delta, n),
+                           ideals.downward_closure_table(gamma, n))
+            self.degrees = ideals._layout(n, False)[1]
+            self.skip: Optional[int] = None  # the cone table, once a size needs it
+        else:
+            self.vertices = list(map(face_vertices, delta))
+            self.dtype = np.uint64 if n <= 64 else object
+            self.everything = ~np.uint64(0) if n <= 64 else -1
+            self.facet_array = np.array(delta + gamma, dtype=self.dtype)
+            self.outside_facets = ~self.facet_array
+            self.shifts = np.array(range(n), dtype=self.dtype)
+            self.refused: dict[int, int] = {}  # size -> faces left when it was refused
 
     def keep(self, low: int, high: int) -> None:
         """Forget the sizes outside low..high; refusals are kept.  The depth
@@ -266,15 +286,56 @@ class _StarIndex:
         """The faces of k vertices (see _Level); CapExceededError if refused."""
         if k in self.levels:
             return self.levels[k]
-        limit = FACE_CAP - self.held
-        if limit > self.refused.get(k, -1):
-            faces = _faces_of_size(self.vertices, k, limit)
-            if len(faces) <= limit:
-                self.levels[k] = level = _Level(sorted(faces), self, k < self.high - 1)
-                self.held += len(level.faces)
-                return level
+        build = self._table_level if self.tables is not None else self._listed_level
+        level = build(k, FACE_CAP - self.held, k < self.high - 1)
+        if level is None:
+            raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+        self.levels[k] = level
+        self.held += len(level.faces)
+        return level
+
+    def _table_level(self, k: int, limit: int, cones: bool) -> Optional[_Level]:
+        """Size k off the subset tables, or None if it has more than
+        `limit` delta faces."""
+        delta, gamma = self.tables
+        faces = delta & self.degrees[k] if k <= self.n else 0
+        listed = faces.bit_count()
+        if listed > limit:
+            return None
+        pair = ideals._set_bits(faces & ~gamma)
+        bits = [0] * self.n
+        for j, f in enumerate(pair):
+            position = 1 << j
+            while f:
+                v = f & -f
+                bits[v.bit_length() - 1] |= position
+                f ^= v
+        visits = None
+        if cones:
+            if self.skip is None:
+                self.skip = _cone_table(delta, self.n) & (_cone_table(gamma, self.n) | ~gamma)
+            visits = ideals._set_bits(faces & ~self.skip)
+        return _Level(pair, bits, listed, visits)
+
+    def _listed_level(self, k: int, limit: int, cones: bool) -> Optional[_Level]:
+        """Size k listed from delta's facets and classified by
+        _classify_level, or None if it has more than `limit` delta faces."""
+        if limit <= self.refused.get(k, -1):
+            return None
+        listed = _faces_of_size(self.vertices, k, limit)
+        if len(listed) > limit:
             self.refused[k] = limit
-        raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
+            return None
+        faces = np.array(sorted(listed), dtype=self.dtype)
+        skip, in_gamma = _classify_level(faces, self, cones)
+        pair = faces[~in_gamma]
+        bits = [0] * self.n
+        if len(pair):
+            flags = ((pair[None, :] >> self.shifts[:, None]) & 1).astype(bool)
+            packed = np.packbits(flags, axis=1, bitorder="little")
+            bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        visits = None if skip is None else faces[~skip].tolist()
+        return _Level(pair.tolist(), bits, len(faces), visits)
 
     def star(self, ids: list[int], k: int) -> int:
         """The bitset of the faces of k vertices that contain the face whose
@@ -545,13 +606,31 @@ def _first_homology(face: int, index: _StarIndex, field: CoefficientField,
     return None
 
 
+def _cone_table(table: int, n: int) -> int:
+    """The faces of a complex, given as its subset table of one int over
+    2^n masks, whose link is a cone.  The link of F is a cone with apex v
+    when v is outside F and G | v is a face for every face G containing F:
+    when F lies below no face without v whose union with v is not a face.
+    Per vertex v of the complex that is one shift, two ANDs and one
+    downward closure; a vertex in no face is the apex of no link."""
+    steps = ideals._layout(n, False)[0]
+    cones = 0
+    for shift, low in steps:
+        without = table & low  # the faces without v, as the masks with bit v clear
+        if without == table:
+            continue  # v is in no face
+        blocked = without & ~(table >> shift)  # ... whose union with v is not a face
+        cones |= without & ~ideals._close(blocked, n, upward=False)
+    return cones
+
+
 def _classify_level(faces: np.ndarray, index: _StarIndex,
                     cones: bool) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """For each face in `faces`, faces of delta of one size of the index's
-    pair, whether it lies in gamma, inside one of gamma's facets
-    (in_gamma), and with `cones`, whether its link pair is acyclic because
-    its delta link is a cone and its gamma link is void or a cone (skip,
-    else None).
+    """For each face in `faces`, faces of delta of one size of a listing
+    index's pair (one on more than ideals.SMALL_TABLE vertices), whether
+    it lies in gamma, inside one of gamma's facets (in_gamma), and with
+    `cones`, whether its link pair is acyclic because its delta link is a
+    cone and its gamma link is void or a cone (skip, else None).
 
     The link of F is a cone exactly when the AND of the facets containing F
     has a vertex outside F; where no facet of gamma contains F, that AND is
@@ -596,10 +675,10 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
     below).  Levels come from the index of psi' (_StarIndex.level); their
     delta faces count against FACE_CAP, and a refused level stops the pass, as
     does a size that _first_homology cannot index.  The cone test of each
-    level (_classify_level), run as the index builds it, has left out of
-    its visits the faces whose link pair is acyclic.  The first (F, i) to
-    set the final minimum is the witness.  A pair without faces is a
-    ValueError.
+    level (_cone_table, or _classify_level above ideals.SMALL_TABLE
+    vertices), run as the index builds it, has left out of its visits the
+    faces whose link pair is acyclic.  The first (F, i) to set the final
+    minimum is the witness.  A pair without faces is a ValueError.
     """
     if psi.is_empty:
         raise ValueError("the relative complex has no faces to test")
@@ -627,7 +706,7 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
         if listed + level.listed > FACE_CAP:
             raise CapExceededError(f"face count exceeds the cap {FACE_CAP}")
         listed += level.listed
-        for f in level.visits.tolist():
+        for f in level.visits:
             i = _first_homology(f, index, field, best - size - 2)
             if i is not None:
                 best = size + 1 + i

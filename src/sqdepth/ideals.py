@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import chain
+from itertools import chain, islice
 from math import comb
 from operator import and_, or_
 from typing import Iterable
@@ -24,7 +24,12 @@ DEFAULT_ENUMERATION_CAP = 24
 
 
 def _canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+    # by value, then stably by degree: two sorts without a Python-level key
+    by_value = sorted(set(masks))
+    try:
+        return tuple(sorted(by_value, key=int.bit_count))
+    except TypeError:  # numpy ints, which int.bit_count does not take
+        return tuple(sorted(by_value, key=lambda m: m.bit_count()))
 
 
 def _is_antichain(masks) -> bool:
@@ -531,15 +536,20 @@ def _masks_of(table: np.ndarray) -> tuple[int, ...]:
     return _canonical_masks((nonzero[rows] * 64 + positions).tolist())
 
 
-def _int_members(x: int) -> tuple[int, ...]:
-    # the set bits of x, found in its binary string read lowest bit first
+def _set_bits(x: int) -> list[int]:
+    """The set bits of x, lowest first, found in its binary string read
+    lowest bit first: the masks of a table of one int in ascending order."""
     bits = bin(x)[:1:-1]
     masks = []
     m = bits.find("1")
     while m >= 0:
         masks.append(m)
         m = bits.find("1", m + 1)
-    return tuple(sorted(masks, key=int.bit_count))
+    return masks
+
+
+def _int_members(x: int) -> tuple[int, ...]:
+    return tuple(sorted(_set_bits(x), key=int.bit_count))
 
 
 def _extremal_masks(table: int | np.ndarray, n: int, maximal: bool) -> tuple[int, ...]:
@@ -580,13 +590,17 @@ _FACTOR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 _PRODUCT_RE = re.compile(r"x[1-9][0-9]*(?:\*x[1-9][0-9]*)*\Z")
 
 
-def _tokens_with_positions(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        for m in _TOKEN_RE.finditer(line):
-            yield m.group(0), lineno, m.start() + 1
+def _lines(text: str) -> list[str]:
+    # each line with its comment cut
+    return [line.partition("#")[0] for line in text.splitlines()]
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The line and column of the token numbered `index` (from 0) in the
+    text, for an error message: only an error reads a position."""
+    positions = ((lineno, m.start() + 1) for lineno, line in enumerate(_lines(text), start=1)
+                 for m in _TOKEN_RE.finditer(line))
+    return next(islice(positions, index, None))
 
 
 def _parse_product(token: str, line: int, col: int, n: int) -> int:
@@ -623,25 +637,26 @@ def parse_ideal(text: str, n: int) -> MonomialIdeal:
     """Parse one ideal from text; see the grammar in the text-grammar
     section above.
 
-    Each product token is checked against the grammar by one regex and
-    read with one split; only a token that fails is read again factor by
-    factor, for the line and column of its error.  The products are
+    The tokens are read as plain strings, line by line.  Each product
+    token is checked against the grammar by one regex and read with one
+    split; only a token that fails is located, by its line and column, and
+    read again factor by factor for its error.  The products are
     minimalized by `minimalize`.
     """
-    tokens = list(_tokens_with_positions(text))
+    tokens = [token for line in _lines(text) for token in _TOKEN_RE.findall(line)]
     if not tokens:
         raise ParseError("empty ideal specification")
-    keywords = [t for t in tokens if t[0] in ("zero", "unit")]
-    if keywords:
+    if "zero" in tokens or "unit" in tokens:
         if len(tokens) > 1:
-            word, line, col = keywords[0]
+            first = min(tokens.index(word) for word in ("zero", "unit") if word in tokens)
+            line, col = _position(text, first)
             raise ParseError(
-                f"keyword {word!r} cannot be combined with generators", line, col
+                f"keyword {tokens[first]!r} cannot be combined with generators", line, col
             )
-        return MonomialIdeal.zero(n) if tokens[0][0] == "zero" else MonomialIdeal.unit(n)
+        return MonomialIdeal.zero(n) if tokens[0] == "zero" else MonomialIdeal.unit(n)
     bits = _variable_bits()
     masks = []
-    for token, line, col in tokens:
+    for i, token in enumerate(tokens):
         if _PRODUCT_RE.match(token):
             # an index text outside the table, say a huge one, gives None
             # and is never turned into an int or a shift here
@@ -652,5 +667,6 @@ def parse_ideal(text: str, n: int) -> MonomialIdeal:
                 if mask.bit_count() == len(factors) and mask.bit_length() <= n:
                     masks.append(mask)
                     continue
+        line, col = _position(text, i)
         masks.append(_parse_product(token, line, col, n))  # raises the located error
     return minimalize(masks, n)

@@ -21,7 +21,10 @@ which the package replaced with downward steps on a subset table.
 (`boundary_columns`, ranked by the sparse column reduction `column_rank`),
 and `classify_face` is the per-face cone test from the link facets; the
 package replaced them with row compression on star masks and one cone test
-per level.
+per level.  `listed_level` is a size of a star index face by face, its
+faces listed from the facets and each cone test an AND of the facets
+containing the face, which the package reads off subset tables on at most
+`ideals.SMALL_TABLE` vertices.
 `pair_faces` and `face_masks` list a pair, or a complex, by dimension or
 as one set, listing gamma's faces of each size and subtracting them, so
 they do not share the package's lister, which lists delta's faces of one
@@ -608,6 +611,32 @@ def classify_face(psi, f):
     lk_gamma = link_facets(psi.gamma.facets, f)  # void when f is not in gamma
     skip = is_cone(lk_delta) and (not lk_gamma or is_cone(lk_gamma))
     return skip, lk_delta == (0,) and not lk_gamma
+
+
+def listed_level(delta, gamma, n, k):
+    """The size k of the index of the pair with facet tuples delta and
+    gamma on n vertices, face by face: delta's faces of k vertices listed
+    from its facets, and, in ascending mask order, the pair's faces among
+    them (in no facet of gamma) with each vertex's bitset of their
+    positions, their count (listed) and the delta faces whose link pair is
+    not acyclic as a cone pair (visits): those equal to the AND of the
+    delta facets containing them or of the gamma facets containing them,
+    where no gamma facet gives every vertex.  Returns (faces, bits, listed,
+    visits)."""
+    every = (1 << n) - 1
+    listed = sorted({sum(1 << b for b in c) for f in delta
+                     for c in combinations([b for b in range(n) if f >> b & 1], k)})
+    faces, visits = [], []
+    for face in listed:
+        apex_delta = reduce(lambda a, f: a & f, [f for f in delta if face & ~f == 0], every)
+        containing = [f for f in gamma if face & ~f == 0]
+        apex_gamma = reduce(lambda a, f: a & f, containing, every)
+        if not containing:
+            faces.append(face)
+        if face in (apex_delta, apex_gamma):
+            visits.append(face)
+    bits = [sum(1 << j for j, face in enumerate(faces) if face >> v & 1) for v in range(n)]
+    return faces, bits, len(listed), visits
 
 
 def moore_space_mod_3():

@@ -43,6 +43,12 @@ GF5 = CoefficientField(5)
 FIELDS = (RATIONALS, CoefficientField(2), CoefficientField(3))
 
 
+def _on(n, psi):
+    """psi with the same facets on n vertices."""
+    return RelativeComplex(SimplicialComplex(n, psi.delta.facets),
+                           SimplicialComplex(n, psi.gamma.facets))
+
+
 class TestRanks:
     def test_fraction_free_matches_fractions(self):
         rng = random.Random(7)
@@ -811,13 +817,15 @@ class TestBoundedListing:
         assert built < 4 * 1000
 
     def test_a_refused_size_is_not_listed_again(self, monkeypatch):
-        # J/I = (0, x1*...*x6): delta is the 5-simplex, with 20 faces of 3
-        # vertices, and gamma its boundary, so psi's index holds no face
-        # below size 6 and, under a cap of 19, 19 faces are left for size 3.
-        # The size is refused when the star at the empty face first reads
-        # it; read again, at a vertex or as a level, it is refused without
-        # being listed, until more than 19 faces are left.  The depth pass
-        # reads it at the empty face, where the refusal ends the pass
+        # J/I = (0, x1*...*x6) with its facets on 15 variables, past
+        # ideals.SMALL_TABLE, where the index lists its sizes: delta is the
+        # 5-simplex, with 20 faces of 3 vertices, and gamma its boundary, so
+        # psi's index holds no face below size 6 and, under a cap of 19, 19
+        # faces are left for size 3.  The size is refused when the star at
+        # the empty face first reads it; read again, at a vertex or as a
+        # level, it is refused without being listed, until more than 19
+        # faces are left.  The depth pass reads it at the empty face, where
+        # the refusal ends the pass
         from sqdepth import homology
 
         listed = []
@@ -829,7 +837,7 @@ class TestBoundedListing:
 
         monkeypatch.setattr(homology, "_faces_of_size", counted)
         monkeypatch.setattr(homology, "FACE_CAP", 19)
-        psi = relative_of_pair(IdealPair.module(parse_ideal("x1*x2*x3*x4*x5*x6", 6)))
+        psi = _on(15, relative_of_pair(IdealPair.module(parse_ideal("x1*x2*x3*x4*x5*x6", 6))))
         index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
         for read in (lambda: index.star([], 3), lambda: index.star([0], 3),
                      lambda: index.level(3)):
@@ -863,7 +871,8 @@ class TestBoundedListing:
             depth_verdict(psi)
 
     def test_a_refusal_at_the_empty_face_builds_no_second_index(self, monkeypatch):
-        # J/I = (0, J) with J the edge ideal of the 8-cycle: delta is the
+        # J/I = (0, J) with J the edge ideal of the 8-cycle, its facets on 16
+        # variables, where the index lists its sizes: delta is the
         # 7-simplex, and the pass reads the pair at the empty face, psi
         # itself, first.  Under a cap of 60, psi's index holds the 8 pair
         # faces of sizes 0..2 and refuses size 3 (56 delta faces, 52 left);
@@ -887,16 +896,17 @@ class TestBoundedListing:
         monkeypatch.setattr(homology, "_classify_level", classify)
         monkeypatch.setattr(homology, "FACE_CAP", 60)
         gens = ", ".join(f"x{i}*x{i % 8 + 1}" for i in range(1, 9))
-        psi = relative_of_pair(parse_problem_text(f"n: 8\nJ: {gens}\nI: zero").pair())
+        psi = _on(16, relative_of_pair(parse_problem_text(f"n: 8\nJ: {gens}\nI: zero").pair()))
         with pytest.raises(CapExceededError, match="^face count exceeds the cap 60$"):
             depth_verdict(psi)
         assert len(built) == 1
         assert classified == [1, 8, 28]
 
     def test_each_built_size_is_classified_once(self, monkeypatch):
-        # RP^2 over QQ: the pass visits sizes 0 and 1 (dim 3) and reads
-        # the stars of sizes 0..3; each size the index builds gets its
-        # gamma flags and its cone flags from one level test, once
+        # RP^2 over QQ, its facets on 15 variables, where the index lists
+        # its sizes: the pass visits sizes 0 and 1 (dim 3) and reads the
+        # stars of sizes 0..3; each size the index builds gets its gamma
+        # flags and its cone flags from one level test, once
         from sqdepth import homology
 
         classified = []
@@ -907,9 +917,56 @@ class TestBoundedListing:
             return classify_level(faces, *args)
 
         monkeypatch.setattr(homology, "_classify_level", classify)
-        psi = relative_of_pair(parse_problem_file(TestTorsion.RP2).pair())
+        psi = _on(15, relative_of_pair(parse_problem_file(TestTorsion.RP2).pair()))
         assert depth_verdict(psi).depth == 3
         assert classified == [1, 6, 15, 10]
+
+    def test_an_index_on_few_vertices_reads_its_sizes_off_subset_tables(self, monkeypatch):
+        # on at most ideals.SMALL_TABLE vertices the index neither lists nor
+        # classifies a size, nor calls numpy, and it builds and refuses the
+        # sizes that the listing index of the same facets on 15 variables
+        # does, with the same message: the 5-simplex's boundary pair under
+        # a cap of 19 refuses size 3, the 8-cycle module under a cap of 60
+        # sizes 3 to 5, and RP^2 uncapped none, and each depth pass ends
+        # the same way
+        from sqdepth import homology
+
+        gens = ", ".join(f"x{i}*x{i % 8 + 1}" for i in range(1, 9))
+        cases = [
+            (19, relative_of_pair(IdealPair.module(parse_ideal("x1*x2*x3*x4*x5*x6", 6))), [3]),
+            (60, relative_of_pair(parse_problem_text(f"n: 8\nJ: {gens}\nI: zero").pair()),
+             [3, 4, 5]),
+            (homology.FACE_CAP, relative_of_pair(parse_problem_file(TestTorsion.RP2).pair()), []),
+        ]
+
+        def outcomes(psi, sizes):
+            # each size as a level's contents or a refusal, then the pass
+            found = []
+            index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+            index.keep(0, sizes + 1)  # cone flags on every size
+            for k in range(sizes):
+                try:
+                    level = index.level(k)
+                    bits = {v: b for v, b in enumerate(level.bits) if b}
+                    found.append((level.faces, bits, level.listed, level.visits))
+                except CapExceededError as e:
+                    found.append(str(e))
+            try:
+                verdict = depth_verdict(psi)
+                found.append((verdict.depth, verdict.witness_face, verdict.witness_dim))
+            except CapExceededError as e:
+                found.append(str(e))
+            return found
+
+        for cap, psi, refused in cases:
+            monkeypatch.setattr(homology, "FACE_CAP", cap)
+            listing = outcomes(_on(15, psi), psi.n + 2)
+            message = f"face count exceeds the cap {cap}"
+            assert [k for k, o in enumerate(listing[:-1]) if o == message] == refused
+            with monkeypatch.context() as spied:
+                for name in ("_faces_of_size", "_classify_level", "np"):
+                    spied.setattr(homology, name, None)  # a call or a lookup fails
+                assert outcomes(psi, psi.n + 2) == listing
 
 
 class TestCoefficientField:

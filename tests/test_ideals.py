@@ -136,6 +136,13 @@ class TestMinimalize:
             masks += masks[:rng.randint(0, 3)]
             assert minimalize(masks, n).generators == oracles.pairwise_minimalize(masks, n)
 
+    def test_numpy_ints_are_ordered_as_ints(self):
+        # canonical order sorts by value, then by degree with int.bit_count,
+        # which numpy ints do not take; they keep their order all the same
+        masks = np.array([0b110, 0b1, 0b1000, 0b11, 0b1000], dtype=np.int64)
+        assert minimalize(masks, 4).generators == (0b1, 0b1000, 0b110)
+        assert minimalize(list(masks), 4) == minimalize(masks.tolist(), 4)
+
     def test_intersect_matches_the_unpruned_unions(self):
         # generators of one ideal that the other contains are found by the
         # same divisor test, here on sets large enough for submask lookups
@@ -266,6 +273,19 @@ class TestParse:
     def test_keyword_mixed_with_generators(self):
         with pytest.raises(ParseError):
             parse_ideal("unit, x1", 2)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("x1 # zero\n\n  x2,zero", 3, 6),
+        ("x1, x2\r  unit x1 zero", 2, 3),
+        ("x1*x2 x3\n#x4\n x2,,x1*x9 x4", 3, 9),
+        ("x1\tx2*x1*x2", 1, 10),
+    ])
+    def test_errors_are_located_on_their_line(self, text, line, column):
+        # tokens are read without positions; an error locates its token
+        # after the comments are cut, lines counted as str.splitlines does
+        with pytest.raises(ParseError) as exc:
+            parse_ideal(text, 3)
+        assert (exc.value.line, exc.value.column) == (line, column)
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):

@@ -55,6 +55,7 @@ import oracles
 FIELDS = (RATIONALS, CoefficientField(2))
 THREE_FIELDS = (RATIONALS, CoefficientField(2), CoefficientField(3))
 PRIME_FIELDS = (CoefficientField(2), CoefficientField(3), CoefficientField(32003))
+RANDGEN_KINDS = (random_quotient_pair, random_module_pair, random_pair)
 
 
 @st.composite
@@ -768,6 +769,7 @@ def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cell
     facets = set(psi.facets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "LEVEL_CELLS", cells)
+        mp.setattr("sqdepth.ideals.SMALL_TABLE", -1)  # an index that lists and classifies its sizes
         for size in range(psi.dim + 2):
             level = sorted(_faces_of_size(map(face_vertices, psi.delta.facets), size, FACE_CAP))
             index = _index(psi)
@@ -781,6 +783,42 @@ def test_level_classification_matches_the_per_face_oracle(pair, void_gamma, cell
                 lk = oracles.link_pair(psi, f)
                 h = 0 if lk.is_empty else relative_homology(lk).betti.get(-1, 0)
                 assert flag == (h != 0)
+
+
+@pytest.mark.parametrize("small_table", (True, False), ids=("tables", "listing"))
+@pytest.mark.parametrize("cap", (100_000, 60, 25))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(2, 15)), st.sampled_from(RANDGEN_KINDS))
+@example(0, 14, random_quotient_pair)
+@example(0, 14, random_module_pair)
+@example(0, 14, random_pair)
+def test_index_levels_match_the_listed_oracle(small_table, cap, seed, n, kind):
+    # on at most ideals.SMALL_TABLE vertices an index reads each size off
+    # its subset tables: faces, vertex bitsets, delta face count and cone
+    # visits are the face-by-face oracle's, with cone flags on every size,
+    # and it refuses exactly the sizes with more delta faces than the cap
+    # leaves after the pair faces it holds; so does an index that lists
+    # and classifies its sizes, as it does on more vertices
+    psi = relative_of_pair(kind(random.Random(seed), n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "FACE_CAP", cap)
+        if not small_table:
+            mp.setattr("sqdepth.ideals.SMALL_TABLE", -1)
+        index = _index(psi)
+        assert (index.tables is not None) == small_table
+        index.keep(0, n + 3)  # cone flags on every size
+        held = 0
+        for k in range(n + 2):
+            faces, bits, listed, visits = oracles.listed_level(
+                psi.delta.facets, psi.gamma.facets, n, k)
+            if listed > cap - held:
+                with pytest.raises(CapExceededError, match=f"^face count exceeds the cap {cap}$"):
+                    index.level(k)
+                continue
+            level = index.level(k)
+            assert (level.faces, level.bits, level.listed, level.visits) == (
+                faces, bits, listed, visits)
+            held += len(faces)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
