@@ -10,10 +10,11 @@ level at which every transform entry is nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import lru_cache, reduce
+from itertools import chain, repeat
 from math import comb
-from operator import add, mul, or_, sub
-from typing import Optional, Sequence
+from operator import add, gt, lshift, mul, or_, sub
+from typing import Callable, Optional, Sequence
 
 from .complexes import ComplexLike, f_vector
 from .ideals import (
@@ -91,24 +92,6 @@ def _transform_rows(counts: Sequence[int], top: int) -> list[tuple[int, ...]]:
         prev = rows[-1]
         rows.append((prev[0], *map(sub, prev[1:], prev), padded[q + 1] - prev[-1]))
     return rows
-
-
-@cache
-def _signed_binomials(q: int) -> tuple[tuple[int, ...], ...]:
-    # Row k holds (-1)^(k-j) C(q-j, k-j) for j = 0..k.  It depends on the
-    # level alone; q <= MAX_VARIABLES + 1 bounds the cache at 65 keys.
-    return tuple(
-        tuple((-1) ** (k - j) * comb(q - j, k - j) for j in range(k + 1))
-        for k in range(q + 1)
-    )
-
-
-def _direct_transform(counts: Sequence[int], q: int) -> tuple[int, ...]:
-    # beta_k^q = sum_j (-1)^(k-j) C(q-j, k-j) a_j; map stops at the shorter
-    # sequence, so entries beyond the input length count as zero.  Only the
-    # recurrence check uses it, as the side that does not go through the
-    # Pascal rows.
-    return tuple(sum(map(mul, row, counts)) for row in _signed_binomials(q))
 
 
 def alpha(pair: IdealPair) -> AlphaVector:
@@ -216,34 +199,115 @@ def first_recurrence_failure(alpha_vec: AlphaVector) -> Optional[tuple[str, int,
     the direct binomial formula, so a wrong row cannot agree with itself.
     Returns None when all hold, else (identity name, first failing k, d) at
     the lowest failing level.
+
+    Each side of each identity at each level is one int: its row evaluated
+    at T = 2^w.  A Pascal row r^d becomes r^d(T) = sum_k r_k T^k, and the
+    direct formula at level q becomes sum_j a_j T^j (1 - T)^(q-j) (see
+    `_points`).  The level recurrence then reads
+    direct^{d+1}(T) = (1 - T) r^d(T) + a_{d+1} T^(d+1); its digits at k = 0
+    and k = d + 1 hold for correct rows but are not part of the identity, so
+    a difference there alone is no failure.  The complement's direct
+    transform is linear in its counts, so it is the direct transform of the
+    counts C(n, j) (cached with the bounds, see `_complement_gaps`) minus
+    direct^d(T), which the level below already evaluated.
+
+    Why equal ints mean equal rows: let M < 2^L bound every entry read, that
+    is the rows, alpha, the C(n, j) and the bounds; M also bounds the
+    complement counts, which lie between -alpha_j and C(n, j).  A direct
+    coefficient at level q <= n + 1 sums C(q-j, k-j) terms of size at most
+    M, and sum_j C(q-j, k-j) = C(q+1, k) <= 2^(n+2), so every coefficient e_k
+    of either difference has |e_k| <= M (2^(n+2) + 3) < 2^(L+n+3).  With
+    w = L + n + 4 that is below 2^(w-1) = T/2, so the difference has exactly
+    one expansion in balanced base-T digits, and its digits are the
+    per-entry differences: the int is zero exactly when the identity holds
+    at level d, and otherwise its first nonzero digit in range is the first
+    failing k.
     """
-    rows = _transform_rows(alpha_vec.counts, alpha_vec.n)
-    complement = _complement_counts(alpha_vec)
-    for d in range(1, alpha_vec.n + 1):
-        failure = _level_failure(alpha_vec, complement, rows[d], d)
-        if failure is not None:
-            return (*failure, d)
+    n, counts = alpha_vec.n, alpha_vec.counts
+    rows = _transform_rows(counts, n)
+    subsets, largest_fixed = _complement_entries(binomial_ext, n)
+    largest = max(max(map(max, rows)), -min(map(min, rows)), max(counts), largest_fixed)
+    w = n + 4 + largest.bit_length()
+    points = _points(n, w)
+    gaps = _complement_gaps(binomial_ext, n, w)
+    shifts = range(0, (n + 1) * w, w)
+    subset_counts = not any(map(gt, counts, subsets))
+    direct = sum(map(mul, counts, points[1]))
+    for d in range(1, n + 1):
+        at_d = sum(map(lshift, rows[d], shifts))
+        above = sum(map(mul, counts, points[d + 1]))
+        top = counts[d + 1] << (d + 1) * w if d < n else 0
+        diff = above - (at_d - (at_d << w) + top)
+        if diff:
+            digits = _balanced_digits(diff, w, d + 2)
+            k = next((k for k in range(1, d + 1) if digits[k]), None)
+            if k is not None:
+                return ("level-recurrence", k, d)
+        if not subset_counts:
+            raise ValueError("alpha exceeds the binomial bound; not a subset count")
+        diff = gaps[d] - (direct - at_d)
+        if diff:
+            digits = _balanced_digits(diff, w, d + 1)
+            return ("complement-identity", next(k for k, e in enumerate(digits) if e), d)
+        direct = above
     return None
 
 
-def _complement_counts(alpha_vec: AlphaVector) -> Optional[tuple[int, ...]]:
-    # C(n, j) - alpha_j, or None when alpha exceeds a binomial bound.
-    complement = tuple(comb(alpha_vec.n, j) - c for j, c in enumerate(alpha_vec.counts))
-    return None if min(complement) < 0 else complement
+def _balanced_digits(value: int, w: int, count: int) -> list[int]:
+    """The digits e_0..e_{count-1}, low digit first, of
+    value = sum_k e_k 2^(wk) with every |e_k| < 2^(w-1)."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    digits = []
+    for _ in range(count):
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> w
+    return digits
 
 
-def _level_failure(alpha_vec: AlphaVector, complement: Optional[tuple[int, ...]],
-                   at_d: tuple[int, ...], d: int) -> Optional[tuple[str, int]]:
-    """Both identities at level d against the production row at_d."""
-    at_d1 = _direct_transform(alpha_vec.counts, d + 1)
-    for k in range(1, d + 1):
-        if at_d1[k] != at_d[k] - at_d[k - 1]:
-            return ("level-recurrence", k)
-    if complement is None:
-        raise ValueError("alpha exceeds the binomial bound; not a subset count")
-    comp_at_d = _direct_transform(complement, d)
-    n = alpha_vec.n
-    for k in range(d + 1):
-        if comp_at_d[k] != binomial_ext(n - d + k - 1, k) - at_d[k]:
-            return ("complement-identity", k)
-    return None
+# The caches below key on n <= 63 and on w, which one alpha vector's entries
+# fix; a verify sweep meets a few widths per n, and 64 keys bound them.
+@lru_cache(maxsize=64)
+def _points(n: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """points[q][j] = T^j (1 - T)^(q-j) at T = 2^w, for 0 <= j <= q <= n + 1.
+
+    Expanding (1 - T)^(q-j) gives sum_k (-1)^(k-j) C(q-j, k-j) T^k, so
+    sum_j a_j points[q][j] is the direct formula for beta^q at T.  Built from
+    the powers of (1 - T) alone, never from the Pascal rows.
+    """
+    powers = [1]
+    for _ in range(n + 1):
+        powers.append(powers[-1] - (powers[-1] << w))
+    return tuple(tuple(powers[q - j] << j * w for j in range(q + 1)) for q in range(n + 2))
+
+
+def _complement_bounds(binomial: Callable[[int, int], int], n: int, d: int) -> tuple[int, ...]:
+    # binomial(n-d+k-1, k) for k = 0..d: the complement identity at level d
+    return tuple(binomial(n - d + k - 1, k) for k in range(d + 1))
+
+
+@lru_cache(maxsize=64)
+def _complement_entries(binomial: Callable[[int, int], int], n: int) -> tuple[tuple[int, ...], int]:
+    """C(n, j) for j = 0..n, and the largest absolute value among them and the
+    bounds of every level 0..n.  Keyed on the binomial function, which the
+    check reads at call time."""
+    subsets = tuple(map(comb, repeat(n), range(n + 1)))
+    bounds = chain.from_iterable(_complement_bounds(binomial, n, d) for d in range(n + 1))
+    return subsets, max(max(subsets), *map(abs, bounds))
+
+
+@lru_cache(maxsize=64)
+def _complement_gaps(binomial: Callable[[int, int], int], n: int, w: int) -> tuple[int, ...]:
+    """gaps[d] = sum_j C(n, j) points[d][j] - sum_k bounds_k T^k for d = 0..n.
+
+    The complement's direct transform at level d is the first sum minus
+    direct^d(T), so the complement identity at level d reads
+    gaps[d] = direct^d(T) - r^d(T).
+    """
+    points = _points(n, w)
+    subsets = _complement_entries(binomial, n)[0]
+    return tuple(
+        sum(map(mul, subsets, points[d]))
+        - sum(map(lshift, _complement_bounds(binomial, n, d), range(0, (d + 1) * w, w)))
+        for d in range(n + 1)
+    )

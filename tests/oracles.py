@@ -33,6 +33,9 @@ size and never gamma's.
 package replaced with tables over the variables the generators use, and
 `relative_facets_of_pair` reads the facets of a pair off two such tables,
 which the package replaced with `RelativeComplex.facets`.
+`entrywise_recurrence_failure` is the transform-recurrence check entry by
+entry, its direct side from `brute_transform`, which the package replaced
+with one evaluation at T = 2^w per side and level.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1,
 and `absolute` makes a complex the pair with a void gamma, on which the
 package reads its reduced homology and its Cohen-Macaulayness.
@@ -205,6 +208,25 @@ def brute_transform(counts, q):
             for j in range(k + 1))
         for k in range(q + 1)
     )
+
+
+def entrywise_recurrence_failure(alpha_vec, rows, binomial):
+    """`invariants.first_recurrence_failure` entry by entry, against the
+    Pascal rows `rows` of levels 0..n and the binomial function `binomial`."""
+    n = alpha_vec.n
+    complement = tuple(comb(n, j) - c for j, c in enumerate(alpha_vec.counts))
+    for d in range(1, n + 1):
+        at_d, at_d1 = rows[d], brute_transform(alpha_vec.counts, d + 1)
+        for k in range(1, d + 1):
+            if at_d1[k] != at_d[k] - at_d[k - 1]:
+                return ("level-recurrence", k, d)
+        if min(complement) < 0:
+            raise ValueError("alpha exceeds the binomial bound; not a subset count")
+        comp_at_d = brute_transform(complement, d)
+        for k in range(d + 1):
+            if comp_at_d[k] != binomial(n - d + k - 1, k) - at_d[k]:
+                return ("complement-identity", k, d)
+    return None
 
 
 def pascal_binomial(a, b):

@@ -461,7 +461,17 @@ class TestCorpusCommand:
     def test_bundled_corpus_green(self, capsys):
         assert main(["corpus", str(CORPUS)]) == 0
         out = capsys.readouterr().out
-        assert "6 passed, 0 failed, 6 total" in out
+        assert "7 passed, 0 failed, 7 total" in out
+
+    def test_moore_space_golden_sees_the_torsion_over_gf3(self):
+        # the corpus file is the oracles' test input, and its GF(3) golden
+        # has depth 2 < hdepth = dim = 3 with every check passing or skipped
+        problem = parse_problem_file(CORPUS / "moore-space-mod-3.ideal")
+        assert problem.pair() == oracles.moore_space_mod_3()
+        golden = json.loads((CORPUS / "moore-space-mod-3.golden.json").read_text(encoding="utf-8"))
+        assert (golden["command"], golden["field"], golden["flags"]["field"]) == ("verify", "GF(3)", 3)
+        assert (golden["depth"], golden["hdepth"], golden["dim"], golden["cm"]) == (2, 3, 3, False)
+        assert {c["status"] for c in golden["checks"]} <= {"pass", "skipped"}
 
     def test_rp2_depth_depends_on_the_field(self):
         qq = json.loads((CORPUS / "rp2-qq.golden.json").read_text(encoding="utf-8"))
