@@ -7,8 +7,6 @@ from .ideals import (
     DEFAULT_ENUMERATION_CAP,
     IdealPair,
     MonomialIdeal,
-    colon,
-    intersect,
     minimalize,
     parse_ideal,
 )
@@ -18,20 +16,12 @@ from .complexes import (
     complex_of_ideal,
     f_vector,
     face_table,
-    ideal_of_complex,
-    pair_of_relative,
     relative_of_pair,
 )
 from .invariants import (
     AlphaVector,
-    BetaVector,
     alpha,
-    alpha_from_beta,
-    beta,
-    dim_module,
     first_recurrence_failure,
-    h_vector,
-    hdepth,
     hdepth_of_alpha,
 )
 from .macaulay import (
@@ -41,23 +31,17 @@ from .macaulay import (
     cm_admissible,
     expand,
     macaulay_growth_bound,
-    pseudopower,
 )
 from .homology import (
     RATIONALS,
-    ChainComplexRanks,
     CmVerdict,
     CoefficientField,
-    depth,
     depth_verdict,
-    relative_homology,
 )
 
 __all__ = [
     "AlphaVector",
-    "BetaVector",
     "CapExceededError",
-    "ChainComplexRanks",
     "CmVerdict",
     "CoefficientField",
     "DEFAULT_ENUMERATION_CAP",
@@ -71,30 +55,18 @@ __all__ = [
     "SimplicialComplex",
     "SqdepthError",
     "alpha",
-    "alpha_from_beta",
-    "beta",
     "binomial",
     "chu_vandermonde_check",
     "cm_admissible",
-    "colon",
     "complex_of_ideal",
-    "depth",
     "depth_verdict",
-    "dim_module",
     "expand",
     "f_vector",
     "face_table",
     "first_recurrence_failure",
-    "h_vector",
-    "hdepth",
     "hdepth_of_alpha",
-    "ideal_of_complex",
-    "intersect",
     "macaulay_growth_bound",
     "minimalize",
-    "pair_of_relative",
     "parse_ideal",
-    "pseudopower",
-    "relative_homology",
     "relative_of_pair",
 ]

@@ -16,6 +16,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .ideals import (
+    MAX_VARIABLES,
     IdealPair,
     MonomialIdeal,
     _canonical_masks,
@@ -26,15 +27,14 @@ from .ideals import (
     downward_closure_table,
     maximal_masks,
     membership_table,
-    minimal_masks,
 )
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Facets in canonical order.  Constructors guarantee the antichain
-    property; only order and mask range are revalidated here, since facet
-    sets can be large (skeleta of big simplices)."""
+    """Facets in canonical order on n <= MAX_VARIABLES vertices, as for
+    ideals.  Constructors guarantee the antichain property; only order and
+    mask range are revalidated here, since facet sets can be large."""
 
     n: int
     facets: tuple[int, ...]
@@ -42,6 +42,8 @@ class SimplicialComplex:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n={self.n} is negative")
+        if self.n > MAX_VARIABLES:
+            raise ValueError(f"n={self.n} is above {MAX_VARIABLES}")
         masks = list(self.facets)
         if any(not 0 <= m < (1 << self.n) for m in masks):
             raise ValueError("facet mask out of range")
@@ -129,23 +131,16 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
 
 
 def complex_of_colon(ideal: MonomialIdeal, other: MonomialIdeal) -> SimplicialComplex:
-    """The Stanley-Reisner complex of the colon ideal (I : J), read off the
-    subset table that `ideals.colon` reads its generators from, without
-    listing them: the maximal masks outside the table, spread back onto the
-    n variables, each with the vertices outside the support of I, on which
-    the colon does not depend.  A unit colon gives the void complex."""
+    """The Stanley-Reisner complex of the colon ideal (I : J), read off its
+    subset table over the support of I (`ideals._colon_table`) without
+    listing its generators: the maximal masks outside the table, spread
+    back onto the n variables, each with the vertices outside the support
+    of I, on which the colon does not depend.  A unit colon gives the void
+    complex."""
     table, s, support = _colon_table(ideal, other)
     free = ((1 << ideal.n) - 1) & ~support
     facets = _spread(maximal_masks(complement(table, s), s), support)
     return SimplicialComplex(ideal.n, tuple(f | free for f in facets))
-
-
-def ideal_of_complex(complex_: SimplicialComplex) -> MonomialIdeal:
-    """The Stanley-Reisner ideal, generated by the minimal non-faces."""
-    if complex_.is_void:
-        raise ValueError("the void complex corresponds to the unit ideal")
-    table = complement(downward_closure_table(complex_.facets, complex_.n), complex_.n)
-    return MonomialIdeal(complex_.n, minimal_masks(table, complex_.n))
 
 
 def relative_of_pair(pair: IdealPair) -> RelativeComplex:
@@ -156,16 +151,6 @@ def relative_of_pair(pair: IdealPair) -> RelativeComplex:
     else:
         gamma = complex_of_ideal(pair.upper)
     return RelativeComplex(delta, gamma)
-
-
-def pair_of_relative(psi: RelativeComplex) -> IdealPair:
-    """The ideal pair (I_delta, I_gamma) whose module is presented by psi."""
-    lower = ideal_of_complex(psi.delta)
-    if psi.gamma.is_void:
-        upper = MonomialIdeal.unit(psi.n)
-    else:
-        upper = ideal_of_complex(psi.gamma)
-    return IdealPair(lower, upper)
 
 
 def face_table(x: ComplexLike) -> int | np.ndarray:

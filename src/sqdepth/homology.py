@@ -1,4 +1,4 @@
-"""Exact reduced and relative simplicial homology, and depth by Hochster's formula.
+"""Depth by Hochster's formula, on the exact relative homology of link pairs.
 
 Chain complexes are augmented: the empty face generates the chain group in
 dimension -1, so the Betti numbers computed here are reduced.  Relative
@@ -25,7 +25,7 @@ size, it is the tuple of positions, which a kernel turns into a bitset as
 it reads the column (_StarIndex.columns).  The star of a face F at a
 size, the faces there that contain F, is the AND of F's vertex bitsets,
 and removing F from them gives the link pair at F; at the empty face it is
-the pair itself, which is how relative_homology ranks it.
+the pair itself.
 
 Boundary maps are ranked bottom up in one loop (_star_steps), with row
 compression (Bauer, Kerber and Reininghaus, "Clear and Compress", 2014):
@@ -94,14 +94,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CapExceededError
-from .complexes import (
-    RelativeComplex,
-    _faces_of_size,
-    link_facets,
-    relative_of_pair,
-)
+from .complexes import RelativeComplex, _faces_of_size, link_facets
 from . import ideals
-from .ideals import IdealPair, face_vertices
+from .ideals import face_vertices
 
 # A boundary table (see _StarIndex.columns): (entries, minus), two lists of
 # bitsets, or (positional tuples, None).
@@ -153,44 +148,8 @@ class CoefficientField:
 RATIONALS = CoefficientField(0)
 
 
-@dataclass
-class ChainComplexRanks:
-    """Face counts, boundary ranks, and relative homology ranks of a pair,
-    which are the reduced ones of delta where gamma is void.
-
-    All three dicts are keyed by chain dimension; boundary_ranks[i] is the
-    rank of the map from i-chains to (i-1)-chains.  A dimension without
-    faces has no face count and no Betti number.
-    """
-
-    field: CoefficientField
-    face_counts: dict[int, int]
-    boundary_ranks: dict[int, int]
-    betti: dict[int, int]
-
-
 def clear_homology_cache() -> None:
     """Does nothing: homology results are recomputed on every call."""
-
-
-def relative_homology(psi: RelativeComplex,
-                      field: CoefficientField = RATIONALS) -> ChainComplexRanks:
-    """Homology of the pair: chains on delta-minus-gamma faces, boundaries
-    taken modulo gamma, so the reduced homology of delta where gamma is
-    void; an empty pair has no chain groups.  The pair is ranked in every
-    dimension of delta by the star steps at the empty face of its own
-    index; a dimension without faces gets no entry.
-    """
-    index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
-    last = max((f.bit_count() for f in psi.delta.facets), default=0) - 1
-    counts: dict[int, int] = {}
-    ranks: dict[int, int] = {}
-    betti: dict[int, int] = {}
-    for i, faces, low, high in _star_steps(0, index, last, field.characteristic):
-        counts[i] = faces
-        ranks[i], ranks[i + 1] = low, high
-        betti[i] = faces - low - high
-    return ChainComplexRanks(field, counts, ranks, betti)
 
 
 @dataclass(frozen=True)
@@ -267,11 +226,9 @@ class _StarIndex:
             self.skip: Optional[int] = None  # the cone table, once a size needs it
         else:
             self.vertices = list(map(face_vertices, delta))
-            self.dtype = np.uint64 if n <= 64 else object
-            self.everything = ~np.uint64(0) if n <= 64 else -1
-            self.facet_array = np.array(delta + gamma, dtype=self.dtype)
+            self.facet_array = np.array(delta + gamma, dtype=np.uint64)
             self.outside_facets = ~self.facet_array
-            self.shifts = np.array(range(n), dtype=self.dtype)
+            self.shifts = np.array(range(n), dtype=np.uint64)
             self.refused: dict[int, int] = {}  # size -> faces left when it was refused
 
     def keep(self, low: int, high: int) -> None:
@@ -326,7 +283,7 @@ class _StarIndex:
         if len(listed) > limit:
             self.refused[k] = limit
             return None
-        faces = np.array(sorted(listed), dtype=self.dtype)
+        faces = np.array(sorted(listed), dtype=np.uint64)
         skip, in_gamma = _classify_level(faces, self, cones)
         pair = faces[~in_gamma]
         bits = [0] * self.n
@@ -336,15 +293,6 @@ class _StarIndex:
             bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         visits = None if skip is None else faces[~skip].tolist()
         return _Level(pair.tolist(), bits, len(faces), visits)
-
-    def star(self, ids: list[int], k: int) -> int:
-        """The bitset of the faces of k vertices that contain the face whose
-        vertices have these bit indices (see level for a refused size)."""
-        level = self.level(k)
-        star = level.full
-        for v in ids:
-            star &= level.bits[v]
-        return star
 
     def columns(self, k: int) -> Columns:
         """The boundary table of size k, (entries, minus), for each face
@@ -649,7 +597,7 @@ def _classify_level(faces: np.ndarray, index: _StarIndex,
         inside = (f[:, None] & outside) == 0
         in_gamma[start:start + rows] = inside[:, cut:].any(axis=1)
         if cones:
-            apex = np.where(inside, facets, index.everything)
+            apex = np.where(inside, facets, ~np.uint64(0))
             skip[start:start + rows] = ((np.bitwise_and.reduce(apex[:, :cut], axis=1) != f)
                                         & (np.bitwise_and.reduce(apex[:, cut:], axis=1) != f))
     return skip, in_gamma
@@ -715,8 +663,3 @@ def depth_verdict(psi: RelativeComplex, field: CoefficientField = RATIONALS) -> 
                     break
         size += 1
     return CmVerdict(best + shift, dim + shift, field, witness_face, witness_dim)
-
-
-def depth(pair: IdealPair, field: CoefficientField = RATIONALS) -> int:
-    """Depth of J/I, from one Hochster pass over its relative complex."""
-    return depth_verdict(relative_of_pair(pair), field).depth

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import chain, islice
+from itertools import islice
 from math import comb
 from operator import and_, or_
 from typing import Iterable
@@ -126,8 +126,7 @@ def minimalize(masks: Iterable[int], n: int) -> MonomialIdeal:
     The divisor test looks up the 2^|m| submasks of m in a set of the kept
     masks when that is fewer steps than a scan of the kept masks, counting
     16 steps for building the submasks, and scans the kept masks otherwise.
-    The containment check of `IdealPair` and the split of `intersect` use
-    the same test.
+    The containment check of `IdealPair` uses the same test.
     """
     masks = _canonical_masks(masks)
     _check_masks(masks, n)
@@ -198,31 +197,6 @@ def _spread(masks: Iterable[int], support: int) -> tuple[int, ...]:
     # variable of `support`, which keeps degrees and the order of mask values
     spread = {1 << j: v for j, v in enumerate(face_vertices(support))}
     return tuple(sum(map(spread.get, face_vertices(m))) for m in masks)
-
-
-def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection of squarefree ideals: pairwise mask unions, minimalized.
-
-    A generator r of one ideal that the other contains, say through c | r,
-    is itself the union r | c, and its other unions are multiples of r, so
-    r alone stands for all of them.
-    """
-    if a.n != b.n:
-        raise ValueError("ideals live in different rings")
-    a_in_b, a_rest = _split_by_divisors(a.generators, b.generators)
-    b_in_a, b_rest = _split_by_divisors(b.generators, a.generators)
-    unions = (ga | gb for ga in a_rest for gb in b_rest)
-    return minimalize(chain(a_in_b, b_in_a, unions), a.n)
-
-
-def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
-    """The colon ideal (I : J) for squarefree ideals.
-
-    Read off the subset table of `_colon_table` over the support of I as its
-    minimal masks, spread back onto the n variables.
-    """
-    table, s, support = _colon_table(ideal, other)
-    return _trusted_ideal(ideal.n, _spread(minimal_masks(table, s), support))
 
 
 @dataclass(frozen=True)
@@ -552,32 +526,17 @@ def _int_members(x: int) -> tuple[int, ...]:
     return tuple(sorted(_set_bits(x), key=int.bit_count))
 
 
-def _extremal_masks(table: int | np.ndarray, n: int, maximal: bool) -> tuple[int, ...]:
-    small = isinstance(table, int)
-    kept = table if small else table.copy()
-    steps, _, word_bits = _layout(n, isinstance(table, np.ndarray))
-    for shift, low in steps:
-        if maximal:
-            kept &= ~((table >> shift) & low)
-        else:
-            kept &= ~((table & low) << shift)
-    for b in word_bits:
-        for (t_low, t_high), (k_low, k_high) in zip(_halves(table, b), _halves(kept, b)):
-            if maximal:
-                k_low &= ~t_high
-            else:
-                k_high &= ~t_low
-    return _int_members(kept) if small else _masks_of(kept)
-
-
 def maximal_masks(table: int | np.ndarray, n: int) -> tuple[int, ...]:
     """Masks in the table with no marked proper superset, canonically ordered."""
-    return _extremal_masks(table, n, maximal=True)
-
-
-def minimal_masks(table: int | np.ndarray, n: int) -> tuple[int, ...]:
-    """Masks in the table with no marked proper subset, canonically ordered."""
-    return _extremal_masks(table, n, maximal=False)
+    small = isinstance(table, int)
+    kept = table if small else table.copy()
+    steps, _, word_bits = _layout(n, not small)
+    for shift, low in steps:
+        kept &= ~((table >> shift) & low)
+    for b in word_bits:
+        for (_, t_high), (k_low, _) in zip(_halves(table, b), _halves(kept, b)):
+            k_low &= ~t_high
+    return _int_members(kept) if small else _masks_of(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from math import comb
 from operator import add, gt, lshift, mul, or_, sub
 from typing import Callable, Optional, Sequence
 
-from .complexes import ComplexLike, f_vector
 from .ideals import (
     IdealPair, check_table_budget, degree_counts, membership_table, relabel_onto,
 )
@@ -43,21 +42,6 @@ class AlphaVector:
     @property
     def max_degree(self) -> int:
         return _last_positive(self.counts)
-
-
-@dataclass(frozen=True)
-class BetaVector:
-    """The level-q signed binomial transform, entries for k = 0..q."""
-
-    level: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.level + 1:
-            raise ValueError("beta vector at level q must have q+1 entries")
-
-    def first_negative(self) -> Optional[int]:
-        return _first_negative(self.values)
 
 
 def _first_negative(values: Sequence[int]) -> Optional[int]:
@@ -118,33 +102,6 @@ def alpha(pair: IdealPair) -> AlphaVector:
     return AlphaVector(pair.n, counts)
 
 
-def beta(alpha_vec: AlphaVector, q: int) -> BetaVector:
-    """The level-q transform of an alpha vector, 0 <= q <= n."""
-    return beta_table(alpha_vec, q, q)[0]
-
-
-def alpha_from_beta(beta_vec: BetaVector, d: int) -> AlphaVector:
-    """Invert the level-d transform; recovers alpha_0..alpha_d."""
-    if d != beta_vec.level:
-        raise ValueError("inversion level must match the beta vector level")
-    values = beta_vec.values
-    counts = tuple(
-        sum(comb(d - j, k - j) * values[j] for j in range(k + 1)) for k in range(d + 1)
-    )
-    return AlphaVector(d, counts)
-
-
-def beta_table(alpha_vec: AlphaVector, q_lo: int, q_hi: int) -> list[BetaVector]:
-    """The transforms at levels q_lo..q_hi, from one pass of Pascal rows."""
-    for q in (q_lo, q_hi):
-        if not 0 <= q <= alpha_vec.n:
-            raise ValueError(f"level {q} outside 0..{alpha_vec.n}")
-    if q_lo > q_hi:
-        raise ValueError(f"levels {q_lo}..{q_hi} are out of order")
-    rows = _transform_rows(alpha_vec.counts, q_hi)
-    return [BetaVector(q, rows[q]) for q in range(q_lo, q_hi + 1)]
-
-
 def hdepth_of_alpha(alpha_vec: AlphaVector) -> int:
     """Largest q with beta^q entirely nonnegative.
 
@@ -162,30 +119,6 @@ def _hdepth_of_rows(rows: Sequence[tuple[int, ...]], bottom: int) -> int:
         if min(rows[q]) >= 0:
             return q
     raise AssertionError("transform scan fell through its lower bound")
-
-
-def hdepth(pair: IdealPair) -> int:
-    """Hilbert depth of J/I."""
-    return hdepth_of_alpha(alpha(pair))
-
-
-def dim_module(pair: IdealPair) -> int:
-    """Krull dimension of J/I, read off as max{k : alpha_k > 0}."""
-    return alpha(pair).max_degree
-
-
-def h_vector(x: ComplexLike, level: Optional[int] = None) -> BetaVector:
-    """h-vector of a complex or relative complex via its face counts.
-
-    The default level is dim+1; an explicit level is used when transforming
-    skeleta, where the truncation may sit below the requested level.
-    """
-    counts = f_vector(x)
-    if level is None:
-        if not counts:
-            raise ValueError("empty complex has no intrinsic level; pass one explicitly")
-        level = len(counts) - 1
-    return BetaVector(level, _transform_rows(counts, level)[level])
 
 
 def first_recurrence_failure(alpha_vec: AlphaVector) -> Optional[tuple[str, int, int]]:

@@ -1,4 +1,4 @@
-"""Exact binomial machinery: greedy expansions, pseudopowers, h-vector bounds."""
+"""Exact binomial machinery: greedy expansions, Macaulay's growth bound, h-vector bounds."""
 
 from __future__ import annotations
 
@@ -42,10 +42,6 @@ class MacaulayExpansion:
     def value(self) -> int:
         return sum(comb(n_i, i) for n_i, i in self.terms)
 
-    def shifted_sum(self) -> int:
-        """Sum of C(n_i, i+1) over the terms."""
-        return sum(comb(n_i, i + 1) for n_i, i in self.terms)
-
 
 def expand(ell: int, k: int) -> MacaulayExpansion:
     """Greedy binomial expansion of ell at level k.
@@ -82,22 +78,11 @@ def _greedy_top(remainder: int, level: int) -> int:
     return lo
 
 
-def pseudopower(ell: int, k: int) -> int:
-    """The shifted sum ell^(k); by convention 0^(k) = 0."""
-    if k < 1:
-        raise ValueError("pseudopower level must be positive")
-    if ell < 0:
-        raise ValueError("pseudopower argument must be nonnegative")
-    if ell == 0:
-        return 0
-    return expand(ell, k).shifted_sum()
-
-
 def macaulay_growth_bound(ell: int, k: int) -> int:
     """Macaulay's bound ell^<k> on the next value of an O-sequence.
 
     Both indices of every expansion term shift: (n_i, i) -> (n_i+1, i+1).
-    This is the classical growth bound; it differs from `pseudopower`,
+    This is the classical growth bound; it differs from the pseudopower,
     which shifts only the lower index.  The h-vector (1,1,1,1,0) of a
     quartic hypersurface shows the difference: 1^<1> = 1 admits it while
     the lower-shift value C(1,2) = 0 would reject a Cohen-Macaulay ring.

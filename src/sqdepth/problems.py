@@ -6,7 +6,8 @@
     J: unit | zero | x<i>*x<j>[, ...]
     I: unit | zero | x<i>*x<j>[, ...]
 
-Keys may appear in any order; n, J and I are required.
+Keys may appear in any order; n, J and I are required, and n is written
+in ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ def parse_problem_text(text: str) -> ProblemFile:
         if key not in seen:
             raise ParseError(f"missing required key {key!r}")
     try:
+        # ASCII digits only: int() would also take a sign, underscores and
+        # other scripts' digits
+        if not (seen["n"].isascii() and seen["n"].isdigit()):
+            raise ValueError
         n = int(seen["n"])
-    except ValueError:
+    except ValueError:  # not digits, or more of them than int() reads
         raise ParseError(f"n must be an integer, got {seen['n']!r}", at["n"][0]) from None
     if not 1 <= n <= MAX_VARIABLES:
         raise ParseError(f"n must be in 1..{MAX_VARIABLES}, got {n}", at["n"][0])

@@ -47,29 +47,3 @@ def random_pair(rng: random.Random, n: int, max_attempts: int = 100) -> IdealPai
         if lower != upper:
             return IdealPair(lower, upper)
     raise RuntimeError("failed to draw a valid pair")
-
-
-def random_complete_intersection(rng: random.Random, n: int) -> tuple[IdealPair, int]:
-    """S/I for generators with pairwise disjoint supports; returns (pair, m)."""
-    variables = list(range(n))
-    rng.shuffle(variables)
-    m = rng.randint(1, max(1, n // 2))
-    gens = []
-    cursor = 0
-    for i in range(m):
-        remaining = len(variables) - cursor - (m - i - 1)
-        size = rng.randint(1, max(1, min(3, remaining)))
-        block = variables[cursor:cursor + size]
-        cursor += size
-        gens.append(sum(1 << b for b in block))
-    return IdealPair.quotient(minimalize(gens, n)), m
-
-
-def random_alpha_counts(rng: random.Random, n: int) -> tuple[int, ...]:
-    """Counts bounded by the binomial coefficients, not identically zero."""
-    from math import comb
-
-    while True:
-        counts = tuple(rng.randint(0, comb(n, k)) for k in range(n + 1))
-        if any(counts):
-            return counts

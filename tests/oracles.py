@@ -11,10 +11,10 @@ Reisner tests that the one-pass depth replaced, and `hochster_depth`
 evaluates Hochster's formula on every face.  `skeleton`,
 `link` and `dim_module_colon` are the facet-listing skeleton, the link as a
 complex and the colon path to the dimension, which no report uses;
-`pairwise_intersect` is the intersection before pruning,
-`pairwise_minimalize` the minimalization that scans every kept generator
-for each mask, which the package replaced with submask lookups on large
-inputs, and
+`pairwise_intersect` is the intersection of two ideals as the
+minimalized pairwise unions of their generators, `pairwise_minimalize`
+the minimalization that scans every kept generator for each mask, which
+the package replaced with submask lookups on large inputs, and
 `arithmetic_colon` the colon as an intersection of one-generator colons,
 which the package replaced with downward steps on a subset table.
 `uncompressed_ranks` ranks a listed pair with every boundary map whole
@@ -39,9 +39,22 @@ with one evaluation at T = 2^w per side and level.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1,
 and `absolute` makes a complex the pair with a void gamma, on which the
 package reads its reduced homology and its Cohen-Macaulayness.
+
+The rest are entry points the program does not call, kept for the tests
+that compare the program against them.  `relative_homology` (with
+`ChainComplexRanks`) ranks a whole pair on the package's own star steps
+and rank kernels, at the empty face of the pair's index, `star` reads a
+star off such an index, and `colon` reads the package's subset table of a
+colon ideal; all three reach production code that the tests then hold
+against the listed and brute-force oracles above.  `ideal_of_complex`, `pair_of_relative` and `alpha_from_beta`
+invert the complex of an ideal, the relative complex of a pair and the
+transform, `pseudopower` shifts only the lower index of an expansion,
+which Macaulay's growth bound does not, and `random_complete_intersection`
+and `random_alpha_counts` draw test inputs.
 """
 
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, islice
@@ -53,22 +66,23 @@ from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
     complex_of_ideal,
-    ideal_of_complex,
     link_facets,
     relative_of_pair,
 )
-from sqdepth.homology import FACE_CAP, RATIONALS, ChainComplexRanks
+from sqdepth.homology import FACE_CAP, RATIONALS, CoefficientField, _StarIndex, _star_steps
 from sqdepth.ideals import (
     IdealPair,
+    MonomialIdeal,
     _canonical_masks,
-    colon,
+    _colon_table,
+    _spread,
     degree_counts,
     face_vertices,
-    intersect,
     maximal_masks,
     membership_table,
     minimalize,
 )
+from sqdepth.macaulay import expand
 
 
 def subsets(n):
@@ -174,7 +188,7 @@ def pairwise_minimalize(masks, n):
 
 def pairwise_intersect(a, b):
     """The intersection of two ideals as the minimalized set of every
-    pairwise union of their generators, with no generator pruned."""
+    pairwise union of their generators."""
     return minimalize((ga | gb for ga in a.generators for gb in b.generators), a.n)
 
 
@@ -183,8 +197,17 @@ def arithmetic_colon(ideal, other):
     which is generated by the masks A \\ B over the generators x_A of I."""
     if other.is_zero:
         raise ValueError("colon by the zero ideal is undefined")
-    return reduce(intersect, (minimalize((a & ~b for a in ideal.generators), ideal.n)
-                              for b in other.generators))
+    return reduce(pairwise_intersect, (minimalize((a & ~b for a in ideal.generators), ideal.n)
+                                       for b in other.generators))
+
+
+def colon(ideal, other):
+    """(I : J) read off the package's subset table of the colon
+    (`ideals._colon_table`, which `complexes.complex_of_colon` reads), its
+    minimal masks found by `bool_minimal_masks` and spread back onto the n
+    variables."""
+    table, s, support = _colon_table(ideal, other)
+    return MonomialIdeal(ideal.n, _spread(bool_minimal_masks(unpack(table, s), s), support))
 
 
 def brute_colon_generators(ideal, other):
@@ -575,6 +598,50 @@ def listed_pair_verdict(psi, field=RATIONALS):
     return (best, dim, *witness)
 
 
+@dataclass
+class ChainComplexRanks:
+    """Face counts, boundary ranks, and relative homology ranks of a pair,
+    which are the reduced ones of delta where gamma is void.
+
+    All three dicts are keyed by chain dimension; boundary_ranks[i] is the
+    rank of the map from i-chains to (i-1)-chains.  A dimension without
+    faces has no face count and no Betti number.
+    """
+
+    field: CoefficientField
+    face_counts: dict
+    boundary_ranks: dict
+    betti: dict
+
+
+def relative_homology(psi, field=RATIONALS):
+    """Homology of the pair: chains on delta-minus-gamma faces, boundaries
+    taken modulo gamma, so the reduced homology of delta where gamma is
+    void; an empty pair has no chain groups.  Ranked by the package's star
+    steps (`homology._star_steps`, the rank kernels of the depth pass) at
+    the empty face of the pair's own index, in every dimension of delta; a
+    dimension without faces gets no entry."""
+    index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
+    last = max((f.bit_count() for f in psi.delta.facets), default=0) - 1
+    counts, ranks, betti = {}, {}, {}
+    for i, faces, low, high in _star_steps(0, index, last, field.characteristic):
+        counts[i] = faces
+        ranks[i], ranks[i + 1] = low, high
+        betti[i] = faces - low - high
+    return ChainComplexRanks(field, counts, ranks, betti)
+
+
+def star(index, ids, k):
+    """The bitset of the faces of k vertices of a star index that contain
+    the face whose vertices have these bit indices, as `_star_steps` ANDs
+    it (CapExceededError for a size the index refuses)."""
+    level = index.level(k)
+    bits = level.full
+    for v in ids:
+        bits &= level.bits[v]
+    return bits
+
+
 def uncompressed_ranks(by_dim, field, top=None):
     """The homology of a pair listed by dimension (as pair_faces lists it)
     with every boundary map ranked whole: Betti numbers upward from the
@@ -659,6 +726,63 @@ def listed_level(delta, gamma, n, k):
             visits.append(face)
     bits = [sum(1 << j for j, face in enumerate(faces) if face >> v & 1) for v in range(n)]
     return faces, bits, len(listed), visits
+
+
+def ideal_of_complex(complex_):
+    """The Stanley-Reisner ideal of a nonvoid complex, generated by its
+    minimal non-faces, from the bool kernels."""
+    if complex_.is_void:
+        raise ValueError("the void complex corresponds to the unit ideal")
+    faces = bool_downward_closure_table(complex_.facets, complex_.n)
+    return MonomialIdeal(complex_.n, tuple(bool_minimal_masks(~faces, complex_.n)))
+
+
+def pair_of_relative(psi):
+    """The ideal pair (I_delta, I_gamma) whose module is presented by psi."""
+    lower = ideal_of_complex(psi.delta)
+    if psi.gamma.is_void:
+        return IdealPair(lower, MonomialIdeal.unit(psi.n))
+    return IdealPair(lower, ideal_of_complex(psi.gamma))
+
+
+def alpha_from_beta(values, d):
+    """alpha_0..alpha_d from the level-d transform `values` (d + 1
+    entries), by alpha_k = sum_j C(d - j, k - j) beta_j^d."""
+    return tuple(sum(comb(d - j, k - j) * values[j] for j in range(k + 1))
+                 for k in range(d + 1))
+
+
+def pseudopower(ell, k):
+    """The pseudopower ell^(k): the sum of C(n_i, i + 1) over the greedy
+    expansion of ell at level k, only the lower index shifted, where
+    `macaulay.macaulay_growth_bound` shifts both; 0^(k) = 0."""
+    if ell == 0:
+        return 0
+    return sum(comb(n_i, i + 1) for n_i, i in expand(ell, k).terms)
+
+
+def random_complete_intersection(rng, n):
+    """S/I for generators with pairwise disjoint supports; returns (pair, m)."""
+    variables = list(range(n))
+    rng.shuffle(variables)
+    m = rng.randint(1, max(1, n // 2))
+    gens = []
+    cursor = 0
+    for i in range(m):
+        remaining = len(variables) - cursor - (m - i - 1)
+        size = rng.randint(1, max(1, min(3, remaining)))
+        block = variables[cursor:cursor + size]
+        cursor += size
+        gens.append(sum(1 << b for b in block))
+    return IdealPair.quotient(minimalize(gens, n)), m
+
+
+def random_alpha_counts(rng, n):
+    """Counts bounded by the binomial coefficients, not identically zero."""
+    while True:
+        counts = tuple(rng.randint(0, comb(n, k)) for k in range(n + 1))
+        if any(counts):
+            return counts
 
 
 def moore_space_mod_3():

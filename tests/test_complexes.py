@@ -11,8 +11,6 @@ from sqdepth.complexes import (
     complex_of_ideal,
     f_vector,
     face_table,
-    ideal_of_complex,
-    pair_of_relative,
     relative_of_pair,
 )
 from sqdepth.homology import FACE_CAP
@@ -25,7 +23,7 @@ from sqdepth.randgen import (
 )
 
 import oracles
-from oracles import link, skeleton
+from oracles import ideal_of_complex, link, pair_of_relative, skeleton
 
 
 def ideal(masks, n):
@@ -296,6 +294,13 @@ class TestSimplicialComplex:
                 SimplicialComplex(-1, facets)
         assert SimplicialComplex(0, ()).is_void
         assert SimplicialComplex(0, (0,)).dim == -1
+
+    def test_n_above_max_variables_is_rejected(self):
+        # at most MAX_VARIABLES = 63 vertices, as for ideals and problem files
+        for facets in ((), (0,)):
+            with pytest.raises(ValueError, match="^n=64 is above 63$"):
+                SimplicialComplex(64, facets)
+        assert SimplicialComplex(63, ((1 << 63) - 1,)).dim == 62
 
 
 class TestRelative:

@@ -14,14 +14,11 @@ from sqdepth.homology import RATIONALS
 from sqdepth.ideals import (
     IdealPair,
     MonomialIdeal,
-    colon,
     complement,
     degree_counts,
     downward_closure_table,
-    intersect,
     maximal_masks,
     membership_table,
-    minimal_masks,
     minimalize,
     parse_ideal,
     _monomial_text,
@@ -40,6 +37,7 @@ from sqdepth.randgen import (
 from sqdepth.reports import build_invariants_document
 
 import oracles
+from oracles import colon
 
 
 def ideal(masks, n):
@@ -143,16 +141,6 @@ class TestMinimalize:
         assert minimalize(masks, 4).generators == (0b1, 0b1000, 0b110)
         assert minimalize(list(masks), 4) == minimalize(masks.tolist(), 4)
 
-    def test_intersect_matches_the_unpruned_unions(self):
-        # generators of one ideal that the other contains are found by the
-        # same divisor test, here on sets large enough for submask lookups
-        rng = random.Random(37)
-        for _ in range(10):
-            n = rng.randint(10, 30)
-            a = minimalize([_random_mask(rng, n, rng.randint(1, 3)) for _ in range(40)], n)
-            b = minimalize([_random_mask(rng, n, rng.randint(1, 4)) for _ in range(40)], n)
-            assert intersect(a, b) == oracles.pairwise_intersect(a, b)
-
 
 def _random_mask(rng, n, degree):
     return sum(1 << v for v in rng.sample(range(n), degree))
@@ -227,15 +215,17 @@ class TestColon:
 
 
 class TestIntersect:
+    """The intersection oracle that oracles.arithmetic_colon builds on."""
+
     def test_pairwise_unions(self):
         a = ideal([0b001], 3)
         b = ideal([0b010, 0b100], 3)
-        assert intersect(a, b).generators == (0b011, 0b101)
+        assert oracles.pairwise_intersect(a, b).generators == (0b011, 0b101)
 
     def test_with_degenerates(self):
         a = ideal([0b01], 2)
-        assert intersect(a, MonomialIdeal.unit(2)) == a
-        assert intersect(a, MonomialIdeal.zero(2)).is_zero
+        assert oracles.pairwise_intersect(a, MonomialIdeal.unit(2)) == a
+        assert oracles.pairwise_intersect(a, MonomialIdeal.zero(2)).is_zero
 
 
 class TestParse:
@@ -498,7 +488,6 @@ class TestPackedTables:
             assert _tail_clear(comp, n)
             assert np.array_equal(oracles.unpack(comp, n), ~bools)
             assert list(maximal_masks(table, n)) == oracles.bool_maximal_masks(bools, n)
-            assert list(minimal_masks(table, n)) == oracles.bool_minimal_masks(bools, n)
             assert degree_counts(table, n) == oracles.bool_degree_counts(bools, n)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -546,7 +535,7 @@ class TestPackedTables:
                 tables += [downward_closure_table(seeds, n),
                            membership_table(minimalize(seeds, n))]
             tables += [complement(t, n) for t in tables]
-            return tables, [(maximal_masks(t, n), minimal_masks(t, n), degree_counts(t, n))
+            return tables, [(maximal_masks(t, n), degree_counts(t, n))
                             for t in tables]
 
         monkeypatch.setattr(ideals, "SMALL_TABLE", -1)

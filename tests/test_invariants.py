@@ -4,25 +4,28 @@ from math import comb
 import numpy as np
 import pytest
 
-from sqdepth.complexes import SimplicialComplex, relative_of_pair
+from sqdepth.complexes import SimplicialComplex, f_vector, relative_of_pair
 from sqdepth.errors import CapExceededError
 from sqdepth.ideals import IdealPair, MonomialIdeal, parse_ideal
+from sqdepth.homology import depth_verdict
 from sqdepth.invariants import (
     AlphaVector,
+    _first_negative,
+    _transform_rows,
     alpha,
-    alpha_from_beta,
-    beta,
-    beta_table,
-    dim_module,
     first_recurrence_failure,
-    h_vector,
-    hdepth,
     hdepth_of_alpha,
 )
-from sqdepth.randgen import random_alpha_counts, random_pair
+from sqdepth.randgen import random_pair
 
 import oracles
-from oracles import dim_module_colon, skeleton
+from oracles import (
+    alpha_from_beta,
+    dim_module_colon,
+    random_alpha_counts,
+    random_complete_intersection,
+    skeleton,
+)
 
 # ---------------------------------------------------------------------------
 # The 64 minimal generators of the 16-variable ideal of Duval, Goeckner,
@@ -123,12 +126,13 @@ class TestAlpha:
 class TestBeta:
     def test_duval_quotient_level_4(self):
         a = alpha(IdealPair.quotient(duval_ideal()))
-        assert beta(a, 4).values == (1, 12, 29, 0, 0)
+        assert _transform_rows(a.counts, 4)[4] == (1, 12, 29, 0, 0)
 
     def test_duval_module_levels(self):
         a = alpha(IdealPair.module(duval_ideal()))
-        assert beta(a, 10).values[4] == -84
-        assert beta(a, 9).values == (0, 0, 49, 119, 35, 693, 791, 1745, 3003, 5005)
+        rows = _transform_rows(a.counts, 10)
+        assert rows[10][4] == -84
+        assert rows[9] == (0, 0, 49, 119, 35, 693, 791, 1745, 3003, 5005)
 
     def test_matches_brute_transform(self):
         rng = random.Random(73)
@@ -137,48 +141,37 @@ class TestBeta:
             counts = random_alpha_counts(rng, n)
             a = AlphaVector(n, counts)
             q = rng.randint(0, n)
-            assert beta(a, q).values == oracles.brute_transform(counts, q)
-
-    def test_level_bounds(self):
-        a = AlphaVector(2, (1, 2, 1))
-        with pytest.raises(ValueError):
-            beta(a, 3)
+            assert _transform_rows(a.counts, q)[q] == oracles.brute_transform(counts, q)
 
 
 class TestInversion:
     def test_duval_pairing(self):
-        from sqdepth.invariants import BetaVector
-        b = BetaVector(4, (1, 12, 29, 0, 0))
-        assert alpha_from_beta(b, 4).counts == (1, 16, 71, 98, 42)
+        assert alpha_from_beta((1, 12, 29, 0, 0), 4) == (1, 16, 71, 98, 42)
 
     def test_full_simplex(self):
-        from math import comb
-        from sqdepth.invariants import BetaVector
         d = 5
-        b = BetaVector(d, (1,) + (0,) * d)
-        assert alpha_from_beta(b, d).counts == tuple(comb(d, k) for k in range(d + 1))
+        assert alpha_from_beta((1,) + (0,) * d, d) == tuple(comb(d, k) for k in range(d + 1))
 
     def test_round_trip_random(self):
         rng = random.Random(79)
         for _ in range(300):
             n = rng.randint(1, 12)
             counts = random_alpha_counts(rng, n)
-            a = AlphaVector(n, counts)
             d = max(k for k, c in enumerate(counts) if c)
-            recovered = alpha_from_beta(beta(a, d), d)
-            assert recovered.counts == counts[:d + 1]
+            recovered = alpha_from_beta(_transform_rows(counts, d)[d], d)
+            assert recovered == counts[:d + 1]
             assert all(c == 0 for c in counts[d + 1:])
 
 
 class TestHdepth:
     def test_duval_quotient(self):
-        assert hdepth(IdealPair.quotient(duval_ideal())) == 4
+        assert hdepth_of_alpha(alpha(IdealPair.quotient(duval_ideal()))) == 4
 
     def test_duval_module(self):
-        assert hdepth(IdealPair.module(duval_ideal())) == 9
+        assert hdepth_of_alpha(alpha(IdealPair.module(duval_ideal()))) == 9
 
     def test_section3(self):
-        assert hdepth(section3_pair()) == 4
+        assert hdepth_of_alpha(alpha(section3_pair())) == 4
 
     def test_hdepth_degree_bounds(self):
         rng = random.Random(83)
@@ -190,17 +183,20 @@ class TestHdepth:
 
 
 class TestHVector:
+    """The h-vector of a complex at level d is row d of the transform of
+    its face counts, at d = dim + 1 by default."""
+
     def test_hollow_triangle(self):
-        c = SimplicialComplex(3, (0b011, 0b101, 0b110))
-        assert h_vector(c).values == (1, 1, 1)
+        faces = f_vector(SimplicialComplex(3, (0b011, 0b101, 0b110)))
+        assert _transform_rows(faces, len(faces) - 1)[-1] == (1, 1, 1)
 
     def test_full_simplex(self):
-        c = SimplicialComplex.full_simplex(4)
-        assert h_vector(c).values == (1, 0, 0, 0, 0)
+        faces = f_vector(SimplicialComplex.full_simplex(4))
+        assert _transform_rows(faces, len(faces) - 1)[-1] == (1, 0, 0, 0, 0)
 
     def test_point_and_edge(self):
-        c = SimplicialComplex(3, (0b001, 0b110))
-        assert h_vector(c).values == (1, 1, -1)
+        faces = f_vector(SimplicialComplex(3, (0b001, 0b110)))
+        assert _transform_rows(faces, len(faces) - 1)[-1] == (1, 1, -1)
 
     def test_two_paths_agree(self):
         # face-count path versus the alpha path through the ideal pair
@@ -211,7 +207,7 @@ class TestHVector:
             psi = relative_of_pair(pair)
             a = alpha(pair)
             d = a.max_degree
-            assert h_vector(psi, level=d).values == beta(a, d).values
+            assert _transform_rows(f_vector(psi), d)[d] == _transform_rows(a.counts, d)[d]
 
     def test_skeleton_identity(self):
         # beta at level dprime equals the h-vector of the skeleton
@@ -222,30 +218,30 @@ class TestHVector:
             psi = relative_of_pair(pair)
             a = alpha(pair)
             for dprime in range(a.max_degree + 1):
-                got = h_vector(skeleton(psi, dprime), level=dprime)
-                assert beta(a, dprime).values == got.values
+                got = _transform_rows(f_vector(skeleton(psi, dprime)), dprime)[dprime]
+                assert _transform_rows(a.counts, dprime)[dprime] == got
 
 
 class TestDim:
     def test_duval(self):
-        assert dim_module(IdealPair.quotient(duval_ideal())) == 4
+        assert alpha(IdealPair.quotient(duval_ideal())).max_degree == 4
 
     def test_two_vertex_pair(self):
         ctx = 2
         pair = IdealPair(parse_ideal("x1*x2", ctx), parse_ideal("x1, x2", ctx))
-        assert dim_module(pair) == 1
+        assert alpha(pair).max_degree == 1
         assert dim_module_colon(pair) == 1
 
     def test_full_module(self):
         pair = IdealPair.quotient(MonomialIdeal.zero(4))
-        assert dim_module(pair) == 4
+        assert alpha(pair).max_degree == 4
 
     def test_paths_agree(self):
         rng = random.Random(101)
         for _ in range(120):
             n = rng.randint(2, 8)
             pair = random_pair(rng, n)
-            assert dim_module(pair) == dim_module_colon(pair)
+            assert alpha(pair).max_degree == dim_module_colon(pair)
 
 
 class TestRecurrences:
@@ -272,34 +268,26 @@ class TestCmTheorems:
     def test_cm_forces_equalities_and_module_gap(self):
         # on Cohen-Macaulay quotients: hdepth = dim = depth, and the ideal
         # viewed as a module gains at least one level of Hilbert depth
-        from sqdepth.homology import depth as homology_depth
-        from sqdepth.randgen import random_complete_intersection
-
         rng = random.Random(107)
         for _ in range(40):
             n = rng.randint(2, 8)
             pair, m = random_complete_intersection(rng, n)
-            hd = hdepth(pair)
-            assert hd == dim_module(pair) == n - m
+            a = alpha(pair)
+            hd = hdepth_of_alpha(a)
+            assert hd == a.max_degree == n - m
             if n <= 6:
-                assert homology_depth(pair) == hd
+                assert depth_verdict(relative_of_pair(pair)).depth == hd
             if pair.lower.is_proper:
-                module_hd = hdepth(IdealPair.module(pair.lower))
+                module_hd = hdepth_of_alpha(alpha(IdealPair.module(pair.lower)))
                 assert module_hd >= hd + 1
 
 
 class TestBetaTable:
     def test_rows_and_first_negative(self):
+        # a report's beta table is the Pascal rows of levels min..max degree
         a = alpha(IdealPair.module(duval_ideal()))
-        rows = beta_table(a, a.min_degree, a.max_degree)
-        assert [r.level for r in rows] == list(range(2, 17))
-        by_level = {r.level: r for r in rows}
-        assert by_level[9].first_negative() is None
-        assert by_level[10].first_negative() == 4
-
-    def test_levels_out_of_order_are_refused(self):
-        # each bound lies in 0..n, but an empty range of levels is no table
-        a = alpha(IdealPair.module(duval_ideal()))
-        with pytest.raises(ValueError, match="out of order"):
-            beta_table(a, 3, 1)
-        assert [r.level for r in beta_table(a, 3, 3)] == [3]
+        rows = _transform_rows(a.counts, a.max_degree)
+        assert (a.min_degree, a.max_degree) == (2, 16)
+        assert [len(row) for row in rows] == list(range(1, 18))
+        assert _first_negative(rows[9]) is None
+        assert _first_negative(rows[10]) == 4

@@ -45,11 +45,30 @@ class TestParseProblem:
             parse_problem_text("n: two\nJ: unit\nI: zero\n")
 
     def test_n_out_of_range_names_its_line(self):
-        for bad in ("70", "0", "-3"):
+        for bad in ("70", "0", "64", "000"):
             with pytest.raises(ParseError) as exc:
                 parse_problem_text(f"# header\nJ: unit\nn: {bad}\nI: zero\n")
             assert exc.value.line == 3
             assert "1..63" in str(exc.value)
+
+    def test_n_is_ascii_decimal_digits_only(self):
+        # int() reads all but the last as numbers: signs, underscores, and
+        # Arabic-Indic and fullwidth digits
+        for bad in ("1_6", "+3", "-3", "\u0663", "\uff11\uff16", "-0", " 1 6"):
+            with pytest.raises(ParseError) as exc:
+                parse_problem_text(f"# header\nJ: unit\nn: {bad}\nI: zero\n")
+            assert exc.value.line == 3
+            assert str(exc.value) == f"line 3: n must be an integer, got {bad.strip()!r}"
+
+    def test_leading_zeros_are_digits(self):
+        assert parse_problem_text("n: 007\nJ: unit\nI: x7\n").n == 7
+
+    def test_too_many_digits_is_a_parse_error(self):
+        # past the limit on int() of a digit string, where the interpreter
+        # has one, or else out of range: a ParseError on the n line either way
+        with pytest.raises(ParseError) as exc:
+            parse_problem_text("J: unit\nn: " + "1" * 5000 + "\nI: zero\n")
+        assert exc.value.line == 2
 
     def test_comments_stripped_everywhere(self):
         pf = parse_problem_text("n: 2  # two vars\nJ: unit\nI: x1 # gen\n")
