@@ -21,12 +21,11 @@ from .ideals import (
     MonomialIdeal,
     _canonical_masks,
     _colon_table,
-    _spread,
+    _relabeled,
     complement,
     degree_counts,
     downward_closure_table,
     maximal_masks,
-    membership_table,
 )
 
 
@@ -53,10 +52,6 @@ class SimplicialComplex:
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":
         return cls(n, ())
-
-    @classmethod
-    def full_simplex(cls, n: int) -> "SimplicialComplex":
-        return cls(n, ((1 << n) - 1,))
 
     @property
     def is_void(self) -> bool:
@@ -123,11 +118,10 @@ ComplexLike = Union[SimplicialComplex, RelativeComplex]
 
 
 def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
-    """The Stanley-Reisner complex {A : x_A not in I} of a non-unit ideal."""
-    if ideal.is_unit:
-        raise ValueError("the unit ideal corresponds to the void complex")
-    table = complement(membership_table(ideal), ideal.n)
-    return SimplicialComplex(ideal.n, maximal_masks(table, ideal.n))
+    """The Stanley-Reisner complex {A : x_A not in I}, which is the complex
+    of (I : S) = I, so it is built over the support of I as in
+    `complex_of_colon`.  The unit ideal gives the void complex."""
+    return complex_of_colon(ideal, MonomialIdeal.unit(ideal.n))
 
 
 def complex_of_colon(ideal: MonomialIdeal, other: MonomialIdeal) -> SimplicialComplex:
@@ -139,18 +133,14 @@ def complex_of_colon(ideal: MonomialIdeal, other: MonomialIdeal) -> SimplicialCo
     complex."""
     table, s, support = _colon_table(ideal, other)
     free = ((1 << ideal.n) - 1) & ~support
-    facets = _spread(maximal_masks(complement(table, s), s), support)
+    facets = _relabeled(maximal_masks(complement(table, s), s), support, spread=True)
     return SimplicialComplex(ideal.n, tuple(f | free for f in facets))
 
 
 def relative_of_pair(pair: IdealPair) -> RelativeComplex:
-    """The relative complex (Delta(I), Delta(J)) presenting J/I."""
-    delta = complex_of_ideal(pair.lower)
-    if pair.upper.is_unit:
-        gamma = SimplicialComplex.void(pair.n)
-    else:
-        gamma = complex_of_ideal(pair.upper)
-    return RelativeComplex(delta, gamma)
+    """The relative complex (Delta(I), Delta(J)) presenting J/I; gamma is
+    void for a quotient, whose J is the unit ideal."""
+    return RelativeComplex(complex_of_ideal(pair.lower), complex_of_ideal(pair.upper))
 
 
 def face_table(x: ComplexLike) -> int | np.ndarray:

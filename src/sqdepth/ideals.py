@@ -100,10 +100,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.generators) and self.generators[0] == 0
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_zero and not self.is_unit
-
     def contains(self, mask: int) -> bool:
         """Membership test for x_mask: some generator divides it."""
         _check_masks((mask,), self.n)
@@ -186,17 +182,19 @@ def relabel_onto(ideal: MonomialIdeal, support: int) -> MonomialIdeal:
     return _trusted_ideal(n, _relabeled(ideal.generators, support))
 
 
-def _relabeled(masks: Iterable[int], support: int) -> tuple[int, ...]:
-    # masks inside `support`, with its variables renumbered 1, 2, ... in order
-    renumbered = {v: 1 << j for j, v in enumerate(face_vertices(support))}
-    return tuple(sum(map(renumbered.get, face_vertices(m))) for m in masks)
-
-
-def _spread(masks: Iterable[int], support: int) -> tuple[int, ...]:
-    # the inverse of _relabeled: renumbered variable j back to the j-th
-    # variable of `support`, which keeps degrees and the order of mask values
-    spread = {1 << j: v for j, v in enumerate(face_vertices(support))}
-    return tuple(sum(map(spread.get, face_vertices(m))) for m in masks)
+def _relabeled(masks: Iterable[int], support: int, spread: bool = False) -> tuple[int, ...]:
+    # masks inside `support`, with its variables renumbered 1, 2, ... in
+    # order, or with `spread` the inverse; either keeps degrees and the order
+    # of mask values.  Each run of consecutive variables moves as one.
+    masks = list(masks)
+    renumbered, at = [0] * len(masks), 0
+    while support:
+        low = (support & -support).bit_length() - 1
+        ones = support >> low & ~((support >> low) + 1)  # the run, moved to bit 0
+        source, target = (at, low) if spread else (low, at)
+        renumbered = [r | (m >> source & ones) << target for r, m in zip(renumbered, masks)]
+        at, support = at + ones.bit_length(), support ^ ones << low
+    return tuple(renumbered)
 
 
 @dataclass(frozen=True)

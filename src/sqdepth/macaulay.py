@@ -39,9 +39,6 @@ class MacaulayExpansion:
     k: int
     terms: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        return sum(comb(n_i, i) for n_i, i in self.terms)
-
 
 def expand(ell: int, k: int) -> MacaulayExpansion:
     """Greedy binomial expansion of ell at level k.

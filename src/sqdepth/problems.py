@@ -89,7 +89,7 @@ def parse_problem_text(text: str) -> ProblemFile:
 
 def parse_problem_file(path: Union[str, Path]) -> ProblemFile:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise ParseError(f"cannot read problem file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -37,8 +37,9 @@ which the package replaced with `RelativeComplex.facets`.
 entry, its direct side from `brute_transform`, which the package replaced
 with one evaluation at T = 2^w per side and level.
 `moore_space_mod_3` is a test input: a complex with 3-torsion in H_1,
-and `absolute` makes a complex the pair with a void gamma, on which the
-package reads its reduced homology and its Cohen-Macaulayness.
+`full_simplex` the simplex on all n vertices, and `absolute` makes a
+complex the pair with a void gamma, on which the package reads its
+reduced homology and its Cohen-Macaulayness.
 
 The rest are entry points the program does not call, kept for the tests
 that compare the program against them.  `relative_homology` (with
@@ -75,7 +76,7 @@ from sqdepth.ideals import (
     MonomialIdeal,
     _canonical_masks,
     _colon_table,
-    _spread,
+    _relabeled,
     degree_counts,
     face_vertices,
     maximal_masks,
@@ -131,6 +132,11 @@ def pair_faces(delta, gamma, max_size, limit):
             by_dim[k - 1] = sorted(level)
             limit -= len(level)
     return by_dim
+
+
+def full_simplex(n):
+    """The simplex on all n vertices: the complex of the zero ideal."""
+    return SimplicialComplex(n, ((1 << n) - 1,))
 
 
 def absolute(c):
@@ -207,7 +213,8 @@ def colon(ideal, other):
     minimal masks found by `bool_minimal_masks` and spread back onto the n
     variables."""
     table, s, support = _colon_table(ideal, other)
-    return MonomialIdeal(ideal.n, _spread(bool_minimal_masks(unpack(table, s), s), support))
+    minimal = bool_minimal_masks(unpack(table, s), s)
+    return MonomialIdeal(ideal.n, _relabeled(minimal, support, spread=True))
 
 
 def brute_colon_generators(ideal, other):

@@ -191,14 +191,14 @@ def test_criterion_10_homology_sanity():
         hollow = SimplicialComplex(3, (0b011, 0b101, 0b110))
         assert relative_homology(oracles.absolute(hollow)).betti == {-1: 0, 0: 0, 1: 1}
 
-        full = SimplicialComplex.full_simplex(4)
+        full = oracles.full_simplex(4)
         assert not any(relative_homology(oracles.absolute(full)).betti.values())
 
         two_points = SimplicialComplex(2, (0b01, 0b10))
         assert relative_homology(oracles.absolute(two_points)).betti == {-1: 0, 0: 1}
 
         for d in (2, 3, 4):
-            simplex = SimplicialComplex.full_simplex(d)
+            simplex = oracles.full_simplex(d)
             pair = RelativeComplex(simplex, skeleton(simplex, d - 1))
             assert relative_homology(pair).betti == {d - 1: 1}
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqdepth import cli, complexes, invariants, reports
+from sqdepth import cli, complexes, ideals, invariants, reports
 from sqdepth.cli import main
 from sqdepth.errors import CapExceededError
 from sqdepth.homology import RATIONALS, CoefficientField
@@ -176,11 +176,12 @@ class TestEnumerationCap:
         pair = IdealPair.quotient(minimalize([0b11] + [1 << v for v in range(2, 12)], 12))
 
         def no_tables(*args, **kwargs):
-            raise AssertionError("a subset table was built")
+            raise AssertionError("a subset table was sized")
 
+        # every table builder sizes its tables here before it allocates
         with monkeypatch.context() as m:
-            m.setattr(invariants, "membership_table", no_tables)
-            m.setattr(complexes, "membership_table", no_tables)
+            m.setattr(ideals, "check_table_budget", no_tables)
+            m.setattr(invariants, "check_table_budget", no_tables)
             with pytest.raises(CapExceededError) as refused:
                 build(pair, RATIONALS, {}, cap=11)
         assert str(refused.value) == (

@@ -43,9 +43,8 @@ class TestComplexOfIdeal:
     def test_zero_ideal_full_simplex(self):
         assert complex_of_ideal(MonomialIdeal.zero(2)).facets == (0b11,)
 
-    def test_unit_ideal_rejected(self):
-        with pytest.raises(ValueError):
-            complex_of_ideal(MonomialIdeal.unit(2))
+    def test_unit_ideal_gives_the_void_complex(self):
+        assert complex_of_ideal(MonomialIdeal.unit(2)).is_void
 
 
 class TestComplexOfColon:
@@ -70,6 +69,39 @@ class TestComplexOfColon:
             complex_of_colon(ideal([0b1], 1), MonomialIdeal.zero(1))
 
 
+def _table_facets(i):
+    # the maximal masks outside the membership table over all 2^n masks
+    return tuple(oracles.bool_maximal_masks(~oracles.bool_membership_table(i), i.n))
+
+
+class TestComplexOverTheSupport:
+    """Delta(I) is built over the variables I's generators use, with the
+    others put back into every facet: its facets are those read off the
+    membership table over all 2^n masks."""
+
+    def test_ideals_on_a_random_subset_of_the_variables(self):
+        rng = random.Random(41)
+        for n in range(1, 13):
+            ideals = [MonomialIdeal.zero(n), MonomialIdeal.unit(n)]
+            for _ in range(30):
+                used = rng.sample(range(n), rng.randint(1, n))
+                gens = [sum(1 << b for b in rng.sample(used, rng.randint(1, len(used))))
+                        for _ in range(rng.randint(1, 5))]
+                ideals.append(ideal(gens, n))
+            for i in ideals:
+                assert complex_of_ideal(i).facets == _table_facets(i)
+
+    @pytest.mark.parametrize("kind", (random_quotient_pair, random_module_pair, random_pair),
+                             ids=lambda kind: kind.__name__)
+    def test_relative_of_pair(self, kind):
+        rng = random.Random(43)
+        for _ in range(100):
+            pair = kind(rng, rng.randint(1, 12))
+            psi = relative_of_pair(pair)
+            assert psi.delta.facets == _table_facets(pair.lower)
+            assert psi.gamma.facets == _table_facets(pair.upper)
+
+
 class TestIdealOfComplex:
     def test_hollow_triangle_inverse(self):
         c = SimplicialComplex(3, (0b011, 0b101, 0b110))
@@ -80,7 +112,7 @@ class TestIdealOfComplex:
         assert ideal_of_complex(c).generators == (0b011, 0b101)
 
     def test_full_simplex_gives_zero(self):
-        assert ideal_of_complex(SimplicialComplex.full_simplex(3)).is_zero
+        assert ideal_of_complex(oracles.full_simplex(3)).is_zero
 
     def test_void_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +203,7 @@ class TestFVector:
 
 class TestSkeleton:
     def test_tetrahedron_edges(self):
-        c = SimplicialComplex.full_simplex(4)
+        c = oracles.full_simplex(4)
         edges = skeleton(c, 2)
         assert len(edges.facets) == 6
         assert all(m.bit_count() == 2 for m in edges.facets)
@@ -265,7 +297,7 @@ class TestLink:
         assert link(c, 0) == c
 
     def test_facet_link_is_empty_complex(self):
-        c = SimplicialComplex.full_simplex(3)
+        c = oracles.full_simplex(3)
         assert link(c, 0b011).facets == (0b100,)
         assert link(c, 0b111).facets == (0,)
 

@@ -102,7 +102,7 @@ class TestReducedHomology:
         assert ranks.betti == {-1: 0, 0: 0, 1: 1}
 
     def test_full_simplex_acyclic(self):
-        ranks = relative_homology(oracles.absolute(SimplicialComplex.full_simplex(4)))
+        ranks = relative_homology(oracles.absolute(oracles.full_simplex(4)))
         assert not any(ranks.betti.values())
 
     def test_two_points(self):
@@ -220,7 +220,7 @@ class TestRelativeHomology:
 
     def test_simplex_mod_boundary(self):
         for d in (2, 3, 4):
-            delta = SimplicialComplex.full_simplex(d)
+            delta = oracles.full_simplex(d)
             psi = RelativeComplex(delta, skeleton(delta, d - 1))
             ranks = relative_homology(psi)
             assert ranks.betti == {d - 1: 1}
@@ -245,7 +245,7 @@ class TestRelativeHomology:
         # truncated at top=1 builds only the sizes of at most three vertices
         # and finds no homology up to dimension 1; truncated at top=3 it
         # finds H_3, the one class of the untruncated homology
-        psi = oracles.absolute(skeleton(SimplicialComplex.full_simplex(5), 4))
+        psi = oracles.absolute(skeleton(oracles.full_simplex(5), 4))
         index = _StarIndex(psi.delta.facets, psi.gamma.facets, psi.n)
         assert _first_homology(0, index, RATIONALS, 1) is None
         assert sorted(index.levels) == [0, 1, 2, 3]
@@ -284,7 +284,7 @@ class TestReisner:
         assert psi.dim + 1 == 4
 
     def test_relative_single_face_module(self):
-        delta = SimplicialComplex.full_simplex(3)
+        delta = oracles.full_simplex(3)
         psi = RelativeComplex(delta, skeleton(delta, 2))
         assert depth_verdict(psi).is_cm
 
@@ -999,8 +999,8 @@ class TestHomologySweep:
         # simplices are acyclic, boundaries of simplices are spheres, and k
         # points have k - 1 reduced classes in dimension 0; an answer does
         # not depend on what was computed before it
-        sweep = [(SimplicialComplex.full_simplex(k), {}) for k in range(1, 9)]
-        sweep += [(skeleton(SimplicialComplex.full_simplex(k), k - 1), {k - 2: 1})
+        sweep = [(oracles.full_simplex(k), {}) for k in range(1, 9)]
+        sweep += [(skeleton(oracles.full_simplex(k), k - 1), {k - 2: 1})
                   for k in range(2, 10)]
         sweep += [(SimplicialComplex(k, tuple(1 << v for v in range(k))), {0: k - 1})
                   for k in range(2, 10)]

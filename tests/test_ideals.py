@@ -23,7 +23,7 @@ from sqdepth.ideals import (
     parse_ideal,
     _monomial_text,
     _parse_product,
-    _spread,
+    _relabeled,
     relabel_onto,
     word_count,
 )
@@ -188,7 +188,13 @@ class TestColon:
             n = rng.randint(1, 20)
             i = random_proper_ideal(rng, n)
             support = reduce(or_, i.generators) | rng.randrange(1 << n)
-            assert _spread(relabel_onto(i, support).generators, support) == i.generators
+            relabeled = relabel_onto(i, support).generators
+            # the j-th variable of the support becomes x_j, variable by variable
+            variables = sorted(oracles.mask_to_set(support))
+            assert relabeled == tuple(
+                oracles.set_to_mask(variables.index(v) + 1 for v in oracles.mask_to_set(g))
+                for g in i.generators)
+            assert _relabeled(relabeled, support, spread=True) == i.generators
 
     def test_variables_outside_the_support_of_i_cost_nothing(self):
         # (x1*x2, x62*x63) : (x1*x40) on 63 variables, on tables over 4;

@@ -191,7 +191,7 @@ class TestHVector:
         assert _transform_rows(faces, len(faces) - 1)[-1] == (1, 1, 1)
 
     def test_full_simplex(self):
-        faces = f_vector(SimplicialComplex.full_simplex(4))
+        faces = f_vector(oracles.full_simplex(4))
         assert _transform_rows(faces, len(faces) - 1)[-1] == (1, 0, 0, 0, 0)
 
     def test_point_and_edge(self):
@@ -277,7 +277,7 @@ class TestCmTheorems:
             assert hd == a.max_degree == n - m
             if n <= 6:
                 assert depth_verdict(relative_of_pair(pair)).depth == hd
-            if pair.lower.is_proper:
+            if not (pair.lower.is_zero or pair.lower.is_unit):
                 module_hd = hdepth_of_alpha(alpha(IdealPair.module(pair.lower)))
                 assert module_hd >= hd + 1
 

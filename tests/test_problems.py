@@ -1,7 +1,7 @@
 import pytest
 
 from sqdepth.errors import InvalidPairError, ParseError
-from sqdepth.problems import ProblemFile, parse_problem_text
+from sqdepth.problems import ProblemFile, parse_problem_file, parse_problem_text
 
 
 GOOD = """# a comment
@@ -109,3 +109,13 @@ class TestParseProblem:
         with pytest.raises(ParseError) as exc:
             ProblemFile(n=2, upper_text="unit", lower_text="x1\nx2*x3").pair()
         assert (exc.value.line, exc.value.column) == (2, 4)
+
+
+class TestParseProblemFile:
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "n: 3\nJ: unit\nI: x1*x2\n"
+        plain, marked = tmp_path / "plain.ideal", tmp_path / "marked.ideal"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parse_problem_file(marked) == parse_problem_file(plain)
+        assert parse_problem_file(marked).pair().lower.generators == (0b011,)

@@ -4,9 +4,11 @@ hold no code the program does not reach.
 `sqdepth.__all__` names what the CLI and its reports use.  Entry points
 that only restated a composition are gone, and those that tests compare
 the program against live in `tests/oracles.py`.  The static check reads
-the sources with `ast`: no module keeps an unused import, and every
+the sources with `ast`: no module keeps an unused import, every
 top-level function and class is referenced somewhere in the package
-outside its own definition and `__init__.py`.
+outside its own definition and `__init__.py`, and every method and
+property of a package class is read as an attribute somewhere in the
+package outside its own definition.
 """
 
 import ast
@@ -49,6 +51,13 @@ REMOVED = {
 UNREFERENCED = {
     "popcount_table": "perfbench/worker.py builds these tables at setup",
     "clear_homology_cache": "perfbench/worker.py calls this no-op at setup",
+}
+
+# Methods and properties that nothing in the package reads, with the
+# reason each stays.  Both are library API that README documents.
+UNREAD_MEMBERS = {
+    "MonomialIdeal.contains": "README: ideal.contains(mask) tests membership",
+    "SimplicialComplex.void": "README: a complex c is the pair (c, SimplicialComplex.void(c.n))",
 }
 
 
@@ -127,3 +136,28 @@ def test_every_top_level_definition_is_referenced_in_the_package():
                 if used[node.name] == _references(node)[node.name]:
                     unreferenced.append(node.name)
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+def _attributes_read(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def test_every_method_and_property_is_read_in_the_package():
+    # A member counts as read when an attribute of its name is read on any
+    # object outside its own definition: by name alone, so a dead member
+    # that shares its name with a live one passes.  Python itself calls the
+    # dunder methods.
+    trees = _sources()
+    read = sum((_attributes_read(tree) for tree in trees.values()), Counter())
+    unread = []
+    for tree in trees.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))
+                        and read[node.name] == _attributes_read(node)[node.name]):
+                    unread.append(f"{cls.name}.{node.name}")
+    assert sorted(unread) == sorted(UNREAD_MEMBERS)
