@@ -132,8 +132,9 @@ def complex_of_colon(ideal: MonomialIdeal, other: MonomialIdeal) -> SimplicialCo
     of I, on which the colon does not depend.  A unit colon gives the void
     complex."""
     table, s, support = _colon_table(ideal, other)
+    table = complement(table, s)  # the colon's table is freed before the maximal masks
     free = ((1 << ideal.n) - 1) & ~support
-    facets = _relabeled(maximal_masks(complement(table, s), s), support, spread=True)
+    facets = _relabeled(maximal_masks(table, s), support, spread=True)
     return SimplicialComplex(ideal.n, tuple(f | free for f in facets))
 
 

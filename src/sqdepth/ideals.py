@@ -409,8 +409,11 @@ def _colon_table(ideal: MonomialIdeal,
     A variable outside the support is a nonzerodivisor mod I, so
     (I : x_v) = I and the bits of J's generators outside it are dropped.
     (I : J) is the intersection of (I : g) over the generators g of J, and
-    the table of (I : g) holds A when I's holds A | g.  I's table is upward
-    closed, so that is one downward step along each bit of g.  An int takes
+    the table of (I : g) holds A when I's holds A | g.  A generator g with
+    no bit in the support gives (I : g) = I, which every (I : g') contains,
+    so then (I : J) = I and I's own table is returned; the unit ideal J = S
+    is such a case.  Otherwise, as I's table is upward closed, the table
+    of (I : g) is one downward step along each bit of g.  An int takes
     the steps along all bits of each g.  Packed words take those along the
     in-word bits once for all generators that share them, in one scratch
     copy of I's table; the word-index bits of g then pick the words of the
@@ -427,6 +430,8 @@ def _colon_table(ideal: MonomialIdeal,
     check_table_budget(s, of=ideal.n)
     table = _closed_table(_relabeled(ideal.generators, support), s, upward=True)
     alongs = _relabeled({g & support for g in other.generators}, support)
+    if 0 in alongs:
+        return table, s, support
     if isinstance(table, int):
         steps = (_close(table, s, upward=False, along=along) for along in alongs)
         return reduce(and_, steps), s, support

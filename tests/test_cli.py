@@ -145,6 +145,23 @@ class TestInvariantsCommand:
         assert (counts[2], counts[38]) == ("778", "4")
         assert "hdepth: 38" in out
 
+    def test_few_generators_need_no_table(self, tmp_path, capsys):
+        # three disjoint generators of 15 variables each use 45 of the 63
+        # variables: invariants counts alpha by inclusion-exclusion over
+        # them, while depth and verify build Delta(J) over 2^45 masks and
+        # stop at the table budget
+        gens = ", ".join("*".join(f"x{v}" for v in range(first, first + 15))
+                         for first in (1, 16, 31))
+        wide = tmp_path / "wide.ideal"
+        wide.write_text(f"n: 63\nJ: {gens}\nI: zero\n", encoding="utf-8")
+        assert main(["invariants", str(wide), "--max-n", "63"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "hdepth: 62" in out and "dim: 63" in out
+        for command in ("depth", "verify"):
+            assert main([command, str(wide), "--max-n", "63"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: 45 of the n=63 variables need") and err.count("\n") == 1
+
 
 class TestUnreadableFiles:
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])

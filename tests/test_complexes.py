@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sqdepth.complexes import (
     relative_of_pair,
 )
 from sqdepth.homology import FACE_CAP
-from sqdepth.ideals import IdealPair, MonomialIdeal, face_vertices, minimalize
+from sqdepth.ideals import IdealPair, MonomialIdeal, face_vertices, minimalize, parse_ideal
 from sqdepth.randgen import (
     random_module_pair,
     random_pair,
@@ -100,6 +101,21 @@ class TestComplexOverTheSupport:
             psi = relative_of_pair(pair)
             assert psi.delta.facets == _table_facets(pair.lower)
             assert psi.gamma.facets == _table_facets(pair.upper)
+
+    def test_holds_at_most_three_tables(self):
+        # the 24-cycle uses all 24 variables, so each packed table over its
+        # 2^24 masks takes 2 MiB: I's table is the colon by S, and it is
+        # freed once complemented, so the complement, the copy and one
+        # temporary of `maximal_masks` are the most held at once
+        cycle = parse_ideal(", ".join(f"x{i}*x{i % 24 + 1}" for i in range(1, 25)), 24)
+        tracemalloc.start()
+        try:
+            delta = complex_of_ideal(cycle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(delta.facets) == 853
+        assert peak < 3 * 2**21 + 2**16
 
 
 class TestIdealOfComplex:

@@ -1,12 +1,14 @@
 import random
+from functools import reduce
 from math import comb
 
 import numpy as np
 import pytest
 
+from sqdepth import invariants
 from sqdepth.complexes import SimplicialComplex, f_vector, relative_of_pair
 from sqdepth.errors import CapExceededError
-from sqdepth.ideals import IdealPair, MonomialIdeal, parse_ideal
+from sqdepth.ideals import IdealPair, MonomialIdeal, membership_table, parse_ideal
 from sqdepth.homology import depth_verdict
 from sqdepth.invariants import (
     AlphaVector,
@@ -121,6 +123,48 @@ class TestAlpha:
         with pytest.raises(CapExceededError,
                            match="32 of the n=63 variables need about 2147483648 bytes"):
             alpha(IdealPair.quotient(parse_ideal(path, 63)))
+
+    @pytest.mark.parametrize("kind", ("quotient", "module"))
+    def test_inclusion_exclusion_up_to_the_switch(self, kind, monkeypatch):
+        # an ideal of FEW_GENERATORS edges builds no table; one more edge
+        # sends alpha to the tables of both ideals
+        built = []
+
+        def spy(ideal):
+            built.append(ideal)
+            return membership_table(ideal)
+
+        monkeypatch.setattr(invariants, "membership_table", spy)
+        few = invariants.FEW_GENERATORS
+        for edges, tables in ((few, 0), (few + 1, 2)):
+            n = edges + 1
+            path = parse_ideal(", ".join(f"x{v}*x{v + 1}" for v in range(1, n)), n)
+            pair = getattr(IdealPair, kind)(path)
+            built.clear()
+            counts = alpha(pair).counts
+            assert len(built) == tables
+            assert counts == oracles.table_alpha(pair)
+
+    def test_past_the_table_budget_with_few_generators(self):
+        # three disjoint generators of 15 variables each use 45 of the 63
+        # variables, past the table budget, but inclusion-exclusion builds
+        # no table: the masks outside J number
+        # ((1 + t)^15 - t^15)^3 (1 + t)^18 by size
+        def times(p, q):
+            product = [0] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    product[i + j] += a * b
+            return product
+
+        block = [comb(15, k) for k in range(15)] + [0]
+        outside = reduce(times, [block] * 3 + [[comb(18, k) for k in range(19)]])
+        expected = tuple(comb(63, k) - c for k, c in enumerate(outside))
+        gens = ", ".join("*".join(f"x{v}" for v in range(first, first + 15))
+                         for first in (1, 16, 31))
+        a = alpha(IdealPair.module(parse_ideal(gens, 63)))
+        assert a.counts == expected
+        assert (hdepth_of_alpha(a), a.max_degree) == (62, 63)
 
 
 class TestBeta:

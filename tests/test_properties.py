@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sqdepth import homology
+from sqdepth import homology, invariants
 from sqdepth.complexes import (
     RelativeComplex,
     SimplicialComplex,
@@ -43,7 +43,9 @@ from sqdepth.ideals import (
     parse_ideal,
 )
 from sqdepth.invariants import alpha, hdepth_of_alpha
-from sqdepth.randgen import random_module_pair, random_pair, random_quotient_pair
+from sqdepth.randgen import (
+    random_module_pair, random_monomial, random_pair, random_quotient_pair,
+)
 
 import oracles
 from oracles import colon, ideal_of_complex, relative_homology
@@ -150,17 +152,55 @@ def test_complex_of_colon_matches_the_complex_of_the_arithmetic_colon(pair):
         assert complex_of_colon(pair.lower, pair.upper) == expected
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(randgen_pairs(20))
+@st.composite
+def generator_count_pairs(draw, max_n, max_gens):
+    """A quotient, module or general pair over 1..max_n variables whose
+    ideals have up to max_gens generators each.  An ideal's generators have
+    degree d or d + 1 for one random d, so few divide others and the counts
+    spread on both sides of FEW_GENERATORS.  A general pair's I takes
+    multiples of some of J's generators, so the others often use variables
+    outside the support of I."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("quotient", "module", "general")))
+
+    def drawn_ideal():
+        d = rng.randint(1, n)
+        return minimalize((sum(1 << b for b in rng.sample(range(n), rng.randint(d, min(d + 1, n))))
+                           for _ in range(rng.randint(1, max_gens))), n)
+
+    if kind == "quotient":
+        return IdealPair.quotient(drawn_ideal())
+    if kind == "module":
+        return IdealPair.module(drawn_ideal())
+    upper = draw(st.sampled_from((drawn_ideal(), MonomialIdeal.unit(n))))
+    lower = minimalize((rng.choice(upper.generators) | random_monomial(rng, n, min_degree=0)
+                        for _ in range(rng.randint(0, max_gens))), n)
+    assume(lower != upper)
+    return IdealPair(lower, upper)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(generator_count_pairs(22, invariants.FEW_GENERATORS + 3))
 @example(IdealPair(MonomialIdeal.zero(5), MonomialIdeal.unit(5)))  # S itself: no support
 @example(IdealPair.quotient(parse_ideal("x2*x4", 6)))  # J unit
 @example(IdealPair.module(parse_ideal("x1*x3, x5", 7)))  # I zero
 @example(IdealPair(parse_ideal("x1*x2*x3, x3*x4", 4), parse_ideal("x1, x3", 4)))  # all used
 @example(IdealPair.quotient(parse_ideal("x1*x2, x2*x3, x7*x8, x8*x9", 12)))  # two clusters
+@example(IdealPair(parse_ideal("x1*x2*x5", 6), parse_ideal("x1*x2, x6", 6)))  # x6 outside supp(I)
+@example(IdealPair(parse_ideal("x1*x2*x3", 22), parse_ideal("x1*x2, x20*x21*x22", 22)))
+@example(IdealPair.quotient(parse_ideal(", ".join(f"x{v}*x{v + 1}" for v in range(1, 22)), 22)))
 def test_alpha_on_the_support_matches_the_tables_over_all_masks(pair):
+    # the counts at the default switch, and with every pair sent down each
+    # path: inclusion-exclusion with FEW_GENERATORS above every generator
+    # count, tables with it below all
     counts = alpha(pair).counts
     assert counts == oracles.table_alpha(pair)
-    if pair.n <= 8:
+    with mock.patch("sqdepth.invariants.FEW_GENERATORS", 1 << 20):
+        assert alpha(pair).counts == counts
+    with mock.patch("sqdepth.invariants.FEW_GENERATORS", -1):
+        assert alpha(pair).counts == counts
+    if pair.n <= 10:
         assert counts == oracles.brute_alpha(
             oracles.ideal_gen_sets(pair.lower), oracles.ideal_gen_sets(pair.upper),
             pair.n, unit_upper=pair.upper.is_unit)
